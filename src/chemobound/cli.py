@@ -319,7 +319,8 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path,
                     "t_detect": "" if t_detect is None else repr(t_detect),
                     "t_lower": repr(bound.t_lower),
                     "margin": "" if margin == "" else repr(margin)}
-        except ChemoboundError as exc:
+        except (ChemoboundError, ArithmeticError, ValueError) as exc:
+            # e.g. epsilon**(-h) overflowing for a tiny configured epsilon
             (cell_dir / "error.txt").write_text(f"{type(exc).__name__}: {exc}\n")
             return {"run_id": run_id, "blew_up": "error", "t_detect": "",
                     "t_lower": "", "margin": ""}

@@ -59,7 +59,6 @@ KNOWN_KEYS: dict[str, tuple[str, Any]] = {
     "solver.blowup_threshold": ("float", 1e8),
     "solver.max_steps": ("int", 2_000_000),
     "solver.sample_every": ("int", 20),
-    "solver.scheme": ("str", "imex1"),
     "quad.rel_tol": ("float", 1e-10),
     "quad.tail_tol": ("float", 1e-12),
     "opt.coarse_grid": ("int", 7),
@@ -185,8 +184,7 @@ def build_solver(cfg: dict[str, Any]) -> SolverConfig:
         grow_after=cfg["solver.grow_after"],
         blowup_threshold=cfg["solver.blowup_threshold"],
         max_steps=cfg["solver.max_steps"],
-        sample_every=cfg["solver.sample_every"],
-        scheme=cfg["solver.scheme"])
+        sample_every=cfg["solver.sample_every"])
 
 
 def build_quad(cfg: dict[str, Any]) -> QuadConfig:

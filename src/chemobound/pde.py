@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
-from .errors import ParameterError
+from .errors import ChemoboundError, ParameterError
 from .exponents import ModelParams
 
 
@@ -37,6 +37,11 @@ class RadialGrid:
     face_areas: np.ndarray   # M+1; zero at r=0
     shell_measures: np.ndarray  # M; sums to |Omega|
     dr: float
+    # finite-volume Laplacian, independent of dt and of the decay rates:
+    # (L f)_i = lap_lower[i-1]*f[i-1] - lap_diag[i]*f[i] + lap_upper[i]*f[i+1]
+    lap_lower: np.ndarray    # M-1
+    lap_upper: np.ndarray    # M-1
+    lap_diag: np.ndarray     # M
 
     @property
     def volume(self) -> float:
@@ -53,9 +58,15 @@ def make_grid(n: int, R: float, M: int) -> RadialGrid:
     r_centers = 0.5 * (r_faces[:-1] + r_faces[1:])
     face_areas = omega * r_faces ** (n - 1)
     shell_measures = omega * np.diff(r_faces ** n) / n
+    dr = R / M
+    lower = face_areas[1:-1] / (shell_measures[1:] * dr)
+    upper = face_areas[1:-1] / (shell_measures[:-1] * dr)
+    diag = np.zeros(M)
+    diag[:-1] += upper
+    diag[1:] += lower
     return RadialGrid(n=n, R=R, M=M, r_faces=r_faces, r_centers=r_centers,
                       face_areas=face_areas, shell_measures=shell_measures,
-                      dr=R / M)
+                      dr=dr, lap_lower=lower, lap_upper=upper, lap_diag=diag)
 
 
 @dataclass
@@ -120,37 +131,44 @@ def init_state(grid: RadialGrid, profile) -> FieldState:
 def face_gradients(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
     """One-sided radial gradients at faces; zero at both boundaries."""
     g = np.zeros(grid.M + 1)
-    g[1:-1] = np.diff(f) / grid.dr
+    g[1:-1] = (f[1:] - f[:-1]) / grid.dr
     return g
 
 
-def cell_gradients(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
-    g = face_gradients(grid, f)
+def _face_to_cell(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g[:-1] + g[1:])
 
 
-def _implicit_banded(grid: RadialGrid, dt: float, decay: float) -> np.ndarray:
-    """Banded form of I + dt*decay - dt*L for the finite-volume Laplacian."""
-    A, V, dr, M = grid.face_areas, grid.shell_measures, grid.dr, grid.M
-    lower = A[1:-1] / (V[1:] * dr)    # coupling of cell i to i-1
-    upper = A[1:-1] / (V[:-1] * dr)   # coupling of cell i to i+1
-    diag = np.zeros(M)
-    diag[:-1] += upper
-    diag[1:] += lower
-    ab = np.zeros((3, M))
-    ab[0, 1:] = -dt * upper
-    ab[1, :] = 1.0 + dt * decay + dt * diag
-    ab[2, :-1] = -dt * lower
-    return ab
+def cell_gradients(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
+    return _face_to_cell(face_gradients(grid, f))
 
 
-def _advective_divergence(grid: RadialGrid, u, vel_faces):
-    """Divergence of the upwinded advective flux u * vel (faces)."""
+def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+          rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system with LAPACK's gtsv, overwriting all four
+    arrays.  There is no finiteness check, so a nonfinite rhs gives a
+    nonfinite solution for the caller to reject."""
+    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise ChemoboundError(f"tridiagonal solve failed (gtsv info={info})")
+    return x
+
+
+def _face_velocity(grid: RadialGrid, params: ModelParams,
+                   state: FieldState) -> np.ndarray:
+    """chi*grad v - xi*grad w at the M-1 interior faces; the velocity at
+    both boundary faces is zero."""
+    gv = (state.v[1:] - state.v[:-1]) / grid.dr
+    gw = (state.w[1:] - state.w[:-1]) / grid.dr
+    return params.chi * gv - params.xi * gw
+
+
+def _advective_divergence(grid: RadialGrid, u, vel):
+    """Divergence of the upwinded advective flux u * vel (interior faces)."""
     flux = np.zeros(grid.M + 1)
-    vel = vel_faces[1:-1]
     up = np.where(vel >= 0.0, u[:-1], u[1:])
     flux[1:-1] = grid.face_areas[1:-1] * vel * up
-    return -np.diff(flux) / grid.shell_measures
+    return -(flux[1:] - flux[:-1]) / grid.shell_measures
 
 
 def _logistic(params: ModelParams, u):
@@ -160,47 +178,34 @@ def _logistic(params: ModelParams, u):
     return out
 
 
-def _explicit_terms(grid: RadialGrid, params: ModelParams, state: FieldState):
-    gv = face_gradients(grid, state.v)
-    gw = face_gradients(grid, state.w)
-    vel = params.chi * gv - params.xi * gw
-    return _advective_divergence(grid, state.u, vel) + _logistic(params, state.u)
-
-
 def step(state: FieldState, dt: float, grid: RadialGrid, params: ModelParams,
-         scheme: str = "imex1") -> tuple[FieldState, int]:
-    """One IMEX step; returns the new state and the negativity clip count."""
+         vel: np.ndarray | None = None) -> tuple[FieldState, int]:
+    """One IMEX step; returns the new state and the negativity clip count.
+
+    `vel` is the face velocity of `state` if the caller already has it.  A
+    field that comes out nonfinite is returned as it is, unclipped."""
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    if scheme == "imex1":
-        u_star = state.u + dt * _explicit_terms(grid, params, state)
-        u_new = solve_banded((1, 1), _implicit_banded(grid, dt, 0.0), u_star)
-        v_new = solve_banded((1, 1), _implicit_banded(grid, dt, params.alpha),
-                             state.v + dt * params.beta * state.u)
-        w_new = solve_banded((1, 1), _implicit_banded(grid, dt, params.gamma),
-                             state.w + dt * params.delta * state.u)
-    elif scheme == "imex2":
-        # trapezoidal correction of the explicit terms and sources on top of
-        # a predictor step; diffusion stays backward Euler within each solve
-        pred, _ = step(state, dt, grid, params, scheme="imex1")
-        expl = 0.5 * (_explicit_terms(grid, params, state)
-                      + _explicit_terms(grid, params, pred))
-        u_new = solve_banded((1, 1), _implicit_banded(grid, dt, 0.0),
-                             state.u + dt * expl)
-        v_new = solve_banded((1, 1), _implicit_banded(grid, dt, params.alpha),
-                             state.v + 0.5 * dt * params.beta * (state.u + pred.u))
-        w_new = solve_banded((1, 1), _implicit_banded(grid, dt, params.gamma),
-                             state.w + 0.5 * dt * params.delta * (state.u + pred.u))
-    else:
-        raise ParameterError(f"unknown scheme {scheme!r}")
-
+    u = state.u
+    if vel is None:
+        vel = _face_velocity(grid, params, state)
+    u_star = u + dt * (_advective_divergence(grid, u, vel)
+                       + _logistic(params, u))
+    # backward Euler: (I + dt*decay - dt*L) f_new = rhs
+    lower, upper = -dt * grid.lap_lower, -dt * grid.lap_upper
+    diag = dt * grid.lap_diag
     clips = 0
     out = []
-    for f in (u_new, v_new, w_new):
-        if np.all(np.isfinite(f)):
-            floor = -1e-10 * max(float(np.max(np.abs(f))), 1.0)
-            clips += int(np.count_nonzero(f < floor))
-            f = np.maximum(f, 0.0)
+    for decay, rhs in ((0.0, u_star),
+                       (params.alpha, state.v + dt * params.beta * u),
+                       (params.gamma, state.w + dt * params.delta * u)):
+        f = _gtsv(lower.copy(), 1.0 + dt * decay + diag, upper.copy(), rhs)
+        lo, hi = float(f.min()), float(f.max())
+        if math.isfinite(lo) and math.isfinite(hi):
+            floor = -1e-10 * max(-lo, hi, 1.0)
+            if lo < floor:
+                clips += int(np.count_nonzero(f < floor))
+            np.maximum(f, 0.0, out=f)
         out.append(f)
     return FieldState(t=state.t + dt, u=out[0], v=out[1], w=out[2]), clips
 
@@ -211,25 +216,36 @@ def mass(state: FieldState, grid: RadialGrid) -> float:
     return float(np.dot(grid.shell_measures, state.u))
 
 
-def energy(state: FieldState, p: float, q: float, grid: RadialGrid) -> float:
-    """(1/p) int u^p + (1/q) int |grad v|^q + (1/q) int |grad w|^q."""
+def _sample_terms(state: FieldState, grid: RadialGrid, p: float):
+    """|u|^p and the face gradients of v and w: what energy and norms both
+    need, so one sample can compute them once and pass them to both."""
+    return (np.abs(state.u) ** p, face_gradients(grid, state.v),
+            face_gradients(grid, state.w))
+
+
+def energy(state: FieldState, p: float, q: float, grid: RadialGrid,
+           terms=None) -> float:
+    """(1/p) int |u|^p + (1/q) int |grad v|^q + (1/q) int |grad w|^q.
+
+    `terms` is _sample_terms(state, grid, p) if the caller already has it."""
     if p <= 0 or q <= 0:
         raise ParameterError(f"p, q must be positive, got p={p}, q={q}")
+    up, fv, fw = _sample_terms(state, grid, p) if terms is None else terms
     V = grid.shell_measures
-    term_u = float(np.dot(V, state.u ** p)) / p
-    gv = np.abs(cell_gradients(grid, state.v))
-    gw = np.abs(cell_gradients(grid, state.w))
+    term_u = float(np.dot(V, up)) / p
+    gv = np.abs(_face_to_cell(fv))
+    gw = np.abs(_face_to_cell(fw))
     return term_u + (float(np.dot(V, gv ** q)) + float(np.dot(V, gw ** q))) / q
 
 
-def norms(state: FieldState, grid: RadialGrid, p: float):
-    """(||u||_p, ||u||_inf, max face gradient of v, of w)."""
-    V = grid.shell_measures
-    lp = float(np.dot(V, np.abs(state.u) ** p)) ** (1.0 / p)
-    linf = float(np.max(np.abs(state.u)))
-    gv = float(np.max(np.abs(face_gradients(grid, state.v))))
-    gw = float(np.max(np.abs(face_gradients(grid, state.w))))
-    return (lp, linf, gv, gw)
+def norms(state: FieldState, grid: RadialGrid, p: float, terms=None):
+    """(||u||_p, ||u||_inf, max face gradient of v, of w).
+
+    `terms` is _sample_terms(state, grid, p) if the caller already has it."""
+    up, fv, fw = _sample_terms(state, grid, p) if terms is None else terms
+    lp = float(np.dot(grid.shell_measures, up)) ** (1.0 / p)
+    linf = float(np.abs(state.u).max())
+    return (lp, linf, float(np.abs(fv).max()), float(np.abs(fw).max()))
 
 
 # --- time stepping driver ---------------------------------------------------
@@ -246,13 +262,11 @@ class SolverConfig:
     blowup_threshold: float = 1e8
     max_steps: int = 2_000_000
     sample_every: int = 20
-    scheme: str = "imex1"
 
     def to_json_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
             "t_final", "dt_init", "dt_min", "dt_max", "cfl", "growth",
-            "grow_after", "blowup_threshold", "max_steps", "sample_every",
-            "scheme")}
+            "grow_after", "blowup_threshold", "max_steps", "sample_every")}
 
 
 @dataclass(frozen=True)
@@ -293,14 +307,14 @@ class Trajectory:
 
 
 def _stable_dt(grid: RadialGrid, params: ModelParams, state: FieldState,
-               cfg: SolverConfig) -> float:
-    gv = face_gradients(grid, state.v)
-    gw = face_gradients(grid, state.w)
-    vel_max = float(np.max(np.abs(params.chi * gv - params.xi * gw)))
+               cfg: SolverConfig, vel: np.ndarray) -> float:
+    """Largest dt the limiter allows; `vel` is _face_velocity(state)."""
+    vel_max = float(np.abs(vel).max())
     # chemical gradients grow at up to (chi*beta + xi*delta)*|grad u| within
     # the step, so solve dt*(vel + dt*accel) = cfl*dr instead of using the
-    # instantaneous velocity alone (vital while v, w are still flat)
-    gu_max = float(np.max(np.abs(face_gradients(grid, state.u))))
+    # instantaneous velocity alone (vital while v, w are still flat).
+    # Division by dr is monotone, so it can follow the max.
+    gu_max = float(np.abs(state.u[1:] - state.u[:-1]).max()) / grid.dr
     accel = (params.chi * params.beta + params.xi * params.delta) * gu_max
     limits = [cfg.dt_max]
     target = cfg.cfl * grid.dr
@@ -309,7 +323,7 @@ def _stable_dt(grid: RadialGrid, params: ModelParams, state: FieldState,
                        - vel_max) / (2.0 * accel))
     elif vel_max > 0:
         limits.append(target / vel_max)
-    umax = float(np.max(state.u))
+    umax = float(state.u.max())
     rate = abs(params.mu1)
     if params.mu2 > 0 and umax > 0:
         rate += params.mu2 * params.k_logistic * umax ** (params.k_logistic - 1)
@@ -334,24 +348,26 @@ def run(grid: RadialGrid, params: ModelParams, state0: FieldState,
     steps = 0
 
     def record(s: FieldState):
-        lp, linf, gv, gw = norms(s, grid, p)
-        samples.append((s.t, energy(s, p, q, grid), lp, linf, gv, gw,
+        terms = _sample_terms(s, grid, p)
+        lp, linf, gv, gw = norms(s, grid, p, terms)
+        samples.append((s.t, energy(s, p, q, grid, terms), lp, linf, gv, gw,
                         mass(s, grid)))
 
     record(state)
     blew_up, t_detect, trigger = False, None, None
     while state.t < cfg.t_final and steps < cfg.max_steps:
-        dt_cap = _stable_dt(grid, params, state, cfg)
+        vel = _face_velocity(grid, params, state)
+        dt_cap = _stable_dt(grid, params, state, cfg, vel)
         while dt > dt_cap:
             dt *= 0.5
         if dt < cfg.dt_min:
             blew_up, t_detect, trigger = True, state.t, "dt_underflow"
             break
         dt = min(dt, cfg.t_final - state.t)
-        new_state, clips = step(state, dt, grid, params, cfg.scheme)
-        if not (np.all(np.isfinite(new_state.u)) and
-                np.all(np.isfinite(new_state.v)) and
-                np.all(np.isfinite(new_state.w))):
+        new_state, clips = step(state, dt, grid, params, vel=vel)
+        if not (np.isfinite(new_state.u).all() and
+                np.isfinite(new_state.v).all() and
+                np.isfinite(new_state.w).all()):
             dt *= 0.5
             smooth = 0
             if dt < cfg.dt_min:
@@ -367,7 +383,7 @@ def run(grid: RadialGrid, params: ModelParams, state0: FieldState,
             smooth = 0
         if steps % cfg.sample_every == 0:
             record(state)
-        if float(np.max(state.u)) > cfg.blowup_threshold:
+        if float(state.u.max()) > cfg.blowup_threshold:
             blew_up, t_detect, trigger = True, state.t, "linf_threshold"
             break
 

@@ -40,6 +40,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("model.typo = 1\n")
 
+    def test_removed_scheme_key_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config_text("solver.scheme = imex1\n")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("grid.shells = many\n")
@@ -221,6 +225,21 @@ class TestSweep:
 
     def test_deterministic_summary(self, capsys, tmp_path):
         assert self._run(tmp_path, "a") == self._run(tmp_path, "b")
+
+    def test_overflowing_cell_is_recorded_not_fatal(self, capsys, tmp_path):
+        # epsilon = 1e-300 overflows epsilon**(-h) while the bound is built
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(BLOWUP_CONFIG
+                            + "sweep.indices.epsilon = 0.001, 1e-300\n"
+                            + "verify.ascent_steps = 0\n"
+                            + f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(cfg_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == 1
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert lines[1].startswith("run_000,true,")
+        assert lines[2] == "run_001,error,,,"
+        error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
+        assert error.startswith("OverflowError")
 
     def test_sweep_without_axes_is_usage_error(self, capsys, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"

@@ -5,15 +5,70 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from chemobound.errors import ParameterError
 from chemobound.exponents import ModelParams
-from chemobound.pde import (ConstantProfile, GaussianBump, SolverConfig,
-                            TableProfile, energy, face_gradients, init_state,
-                            make_grid, mass, norms, run, step,
-                            unit_sphere_area)
+from chemobound.pde import (ConstantProfile, FieldState, GaussianBump,
+                            SolverConfig, TableProfile, energy,
+                            face_gradients, init_state, make_grid, mass,
+                            norms, run, step, unit_sphere_area)
 
 DIFFUSION_ONLY = ModelParams(chi=0.0, xi=0.0, dim=3)
+
+
+def _banded_reference(grid, dt, decay):
+    """I + dt*decay - dt*L in solve_banded's (1, 1) layout, assembled from
+    the face areas and shell measures on every call."""
+    A, V, dr, M = grid.face_areas, grid.shell_measures, grid.dr, grid.M
+    lower = A[1:-1] / (V[1:] * dr)
+    upper = A[1:-1] / (V[:-1] * dr)
+    diag = np.zeros(M)
+    diag[:-1] += upper
+    diag[1:] += lower
+    ab = np.zeros((3, M))
+    ab[0, 1:] = -dt * upper
+    ab[1, :] = 1.0 + dt * decay + dt * diag
+    ab[2, :-1] = -dt * lower
+    return ab
+
+
+def _reference_step(state, dt, grid, params):
+    """Independent IMEX step: padded face gradients, np.diff divergence and
+    scipy's solve_banded, with the same clipping rule as step."""
+    def grad(f):
+        g = np.zeros(grid.M + 1)
+        g[1:-1] = np.diff(f) / grid.dr
+        return g
+
+    vel = (params.chi * grad(state.v) - params.xi * grad(state.w))[1:-1]
+    flux = np.zeros(grid.M + 1)
+    up = np.where(vel >= 0.0, state.u[:-1], state.u[1:])
+    flux[1:-1] = grid.face_areas[1:-1] * vel * up
+    source = params.mu1 * state.u
+    if params.mu2 > 0:
+        source = source - params.mu2 * state.u ** params.k_logistic
+    expl = -np.diff(flux) / grid.shell_measures + source
+    fields = [
+        solve_banded((1, 1), _banded_reference(grid, dt, 0.0),
+                     state.u + dt * expl),
+        solve_banded((1, 1), _banded_reference(grid, dt, params.alpha),
+                     state.v + dt * params.beta * state.u),
+        solve_banded((1, 1), _banded_reference(grid, dt, params.gamma),
+                     state.w + dt * params.delta * state.u)]
+    clips = 0
+    for i, f in enumerate(fields):
+        floor = -1e-10 * max(float(np.max(np.abs(f))), 1.0)
+        clips += int(np.count_nonzero(f < floor))
+        fields[i] = np.maximum(f, 0.0)
+    return FieldState(state.t + dt, *fields), clips
+
+
+def _nonneg_fields(M):
+    return st.lists(st.floats(0.0, 1e3), min_size=M, max_size=M).map(
+        lambda xs: np.array(xs))
 
 
 class TestGrid:
@@ -94,13 +149,100 @@ class TestStep:
         with pytest.raises(ParameterError):
             step(state, 0.0, grid, DIFFUSION_ONLY)
 
-    def test_imex2_matches_imex1_on_steady_state(self):
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("M", [8, 48])
+    def test_bitwise_equal_to_banded_reference(self, n, M):
+        rng = np.random.default_rng(100 * n + M)
+        grid = make_grid(n, 1.0, M)
+        cases = [
+            ModelParams(chi=10.0, xi=0.5, alpha=1.3, beta=0.7, gamma=2.1,
+                        delta=1.9, dim=n),
+            ModelParams(chi=50.0, xi=5.0, alpha=0.4, beta=3.0, gamma=5.0,
+                        delta=0.2, mu1=1.5, mu2=0.8, k_logistic=1.05, dim=n),
+        ]
+        clipped = 0
+        for params in cases:
+            for dt in (1e-6, 1e-4, 1e-2):
+                for _ in range(5):
+                    state = FieldState(0.25, *(rng.uniform(0.0, 10.0, M)
+                                               * rng.choice([1.0, 100.0])
+                                               for _ in range(3)))
+                    new, clips = step(state, dt, grid, params)
+                    ref, ref_clips = _reference_step(state, dt, grid, params)
+                    assert new.t == ref.t
+                    assert clips == ref_clips
+                    clipped += clips
+                    for a, b in ((new.u, ref.u), (new.v, ref.v),
+                                 (new.w, ref.w)):
+                        assert np.array_equal(a, b)
+        # the large-dt cases drive u negative, so the clip path is covered
+        assert clipped > 0
+
+    def test_nonfinite_state_returned_not_raised(self):
         grid = make_grid(3, 1.0, 16)
-        state = init_state(grid, ConstantProfile(2.0, 2.0, 2.0))
-        params = ModelParams(chi=1.0, xi=1.0, dim=3)
-        a, _ = step(state, 1e-3, grid, params, scheme="imex1")
-        b, _ = step(state, 1e-3, grid, params, scheme="imex2")
-        assert np.max(np.abs(a.u - b.u)) < 1e-12
+        params = ModelParams(chi=10.0, xi=0.5, mu1=100.0, dim=3)
+        state = init_state(grid, ConstantProfile(1e308, 0.0, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            new, clips = step(state, 1e-2, grid, params)
+        assert not np.all(np.isfinite(new.u))
+        assert clips == 0
+
+    def test_nonfinite_steps_reach_retry_and_trigger(self):
+        grid = make_grid(3, 1.0, 16)
+        params = ModelParams(chi=10.0, xi=0.5, mu1=100.0, dim=3)
+        state = init_state(grid, ConstantProfile(1e308, 0.0, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(grid, params, state, 2.0, 4.0,
+                       SolverConfig(dt_init=1e-2))
+        assert traj.report.blew_up
+        assert traj.report.trigger == "nonfinite_state"
+        assert traj.steps == 0
+
+
+class TestStepProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 5), M=st.integers(2, 24),
+           chi=st.floats(0.0, 50.0), xi=st.floats(0.0, 50.0),
+           decay=st.floats(0.1, 5.0), dt=st.floats(1e-7, 1e-2))
+    def test_fields_stay_nonnegative(self, data, n, M, chi, xi, decay, dt):
+        grid = make_grid(n, 1.0, M)
+        params = ModelParams(chi=chi, xi=xi, alpha=decay, gamma=decay,
+                             dim=n)
+        state = FieldState(0.0, *(data.draw(_nonneg_fields(M))
+                                  for _ in range(3)))
+        new, clips = step(state, dt, grid, params)
+        assert clips >= 0
+        for f in (new.u, new.v, new.w):
+            assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 5), M=st.integers(2, 24),
+           dt=st.floats(1e-7, 1e-2))
+    def test_mass_conserved_without_advection_or_source(self, data, n, M,
+                                                         dt):
+        grid = make_grid(n, 1.0, M)
+        params = ModelParams(chi=0.0, xi=0.0, mu1=0.0, mu2=0.0, dim=n)
+        u = data.draw(_nonneg_fields(M).filter(lambda f: f.sum() > 1e-3))
+        state = FieldState(0.0, u, np.zeros(M), np.zeros(M))
+        m0 = mass(state, grid)
+        new, _ = step(state, dt, grid, params)
+        assert abs(mass(new, grid) - m0) / m0 < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 5), M=st.integers(2, 48),
+           u0=st.floats(1e-3, 1e3), chi=st.floats(0.0, 50.0),
+           xi=st.floats(0.0, 50.0), alpha=st.floats(0.1, 5.0),
+           gamma=st.floats(0.1, 5.0), dt=st.floats(1e-7, 1e-2))
+    def test_constant_steady_state_preserved(self, n, M, u0, chi, xi, alpha,
+                                             gamma, dt):
+        grid = make_grid(n, 1.0, M)
+        params = ModelParams(chi=chi, xi=xi, alpha=alpha, beta=1.0,
+                             gamma=gamma, delta=1.0, dim=n)
+        state = init_state(grid, ConstantProfile(u0, u0 / alpha, u0 / gamma))
+        new, clips = step(state, dt, grid, params)
+        assert clips == 0
+        for a, b in ((new.u, state.u), (new.v, state.v), (new.w, state.w)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * b[0]
 
 
 class TestDiagnostics:
@@ -174,6 +316,20 @@ class TestRun:
         assert traj.report.trigger == "linf_threshold"
         assert traj.report.t_detect is not None and traj.report.t_detect > 0
         assert traj.clip_count == 0
+
+    def test_acceptance_blowup_run_pinned(self):
+        # the acceptance blow-up run: every adaptive step decision and the
+        # summed dt are pinned, so a change in the step arithmetic shows
+        params = ModelParams(chi=10.0, xi=0.5, dim=3)
+        grid = make_grid(3, 1.0, 48)
+        state = init_state(grid, GaussianBump(1e4, 0.15))
+        cfg = SolverConfig(t_final=1.0, grow_after=1, cfl=0.2,
+                           blowup_threshold=5e6, sample_every=1)
+        traj = run(grid, params, state, 2.0, 4.0, cfg)
+        assert traj.report.trigger == "linf_threshold"
+        assert traj.steps == 6100
+        assert traj.report.t_detect == 7.302412897739794e-4
+        assert len(traj.t) == 6101
 
     def test_detection_time_grid_stability(self):
         # refinement moves the detection time by less than the configured
