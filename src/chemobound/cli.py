@@ -13,7 +13,6 @@ a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import datetime
 import itertools
@@ -126,14 +125,16 @@ def simulate_from_config(cfg: dict) -> tuple[pde.Trajectory, pde.RadialGrid,
     return traj, grid, params
 
 
-def bound_from_config(cfg: dict, E0: float | None = None
+def bound_from_config(cfg: dict, E0: float | None = None,
+                      gn: tuple[float, dict] | None = None
                       ) -> tuple[odi.BoundResult, dict]:
+    """`gn` is resolve_gn_constant's result if the caller already has it."""
     params = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
     indices = resolve_indices(cfg)
     if E0 is None:
         E0 = cfgmod.require(cfg, "bound.E0")
-    C_GN, meta = resolve_gn_constant(cfg, indices, grid)
+    C_GN, meta = resolve_gn_constant(cfg, indices, grid) if gn is None else gn
     eps = cfg["indices.epsilon"]
     if math.isnan(eps):
         eps = 0.5 * odi.max_admissible_epsilon(params, indices)
@@ -275,43 +276,45 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path,
-              jobs: int | None = None) -> list[dict]:
-    """Cartesian sweep: simulate each cell, attach the configured bound,
-    and write one subdirectory per cell plus summary.csv.
+def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
+    """Cartesian sweep: simulate each cell in order, attach the configured
+    bound, and write one subdirectory per cell plus summary.csv.
 
-    Individual cell failures are recorded and do not stop the sweep."""
+    Cells that resolve the same grid, eta set, sampler, safety factor and
+    configured constant share one C_GN.  Individual cell failures are
+    recorded and do not stop the sweep."""
     if not sweep_axes:
         raise ConfigError("sweep requires at least one sweep.<key> axis")
     keys = sorted(sweep_axes)
-    cells = list(itertools.product(*(sweep_axes[k] for k in keys)))
-    jobs = jobs or cfg["sweep.jobs"]
+    gn_memo: dict[tuple, tuple[float, dict]] = {}
 
-    def run_cell(idx_values):
-        idx, values = idx_values
+    def run_cell(idx, values):
         cell_cfg = dict(cfg)
-        for key, value in zip(keys, values):
-            cell_cfg[key] = value
-        cell_cfg["seed"] = cfg["seed"] + idx
+        cell_cfg.update(zip(keys, values))
         run_id = f"run_{idx:03d}"
         cell_dir = out_dir / run_id
         cell_dir.mkdir(parents=True, exist_ok=True)
         try:
-            traj, grid, params = simulate_from_config(cell_cfg)
-            state0 = pde.init_state(grid, cfgmod.build_profile(cell_cfg))
+            traj, grid, _ = simulate_from_config(cell_cfg)
             indices = resolve_indices(cell_cfg)
-            E0 = pde.energy(state0, float(indices.p), float(indices.q), grid)
-            bound, meta = bound_from_config(cell_cfg, E0=E0)
+            gn_key = (grid.n, grid.R, grid.M, tuple(sorted(set(indices.eta))),
+                      cfgmod.build_sampler(cell_cfg), cell_cfg["bound.gn_safety"],
+                      repr(cell_cfg["bound.C_GN"]))  # repr: NaN equals itself
+            if gn_key not in gn_memo:
+                gn_memo[gn_key] = resolve_gn_constant(cell_cfg, indices, grid)
+            bound, meta = bound_from_config(cell_cfg, E0=float(traj.E_pq[0]),
+                                            gn=gn_memo[gn_key])
             with open(cell_dir / "trajectory.csv", "w") as stream:
                 traj.to_csv(stream)
+            digest = cfgmod.config_hash(cell_cfg)
             report = {**traj.report.to_json_dict(),
                       "solver": traj.solver.to_json_dict(),
-                      "config_hash": cfgmod.config_hash(cell_cfg)}
+                      "config_hash": digest}
             (cell_dir / "report.json").write_text(
                 json.dumps(report, sort_keys=True, indent=2) + "\n")
             (cell_dir / "bound.json").write_text(
                 json.dumps({**bound.to_json_dict(), **meta,
-                            "config_hash": cfgmod.config_hash(cell_cfg)},
+                            "config_hash": digest},
                            sort_keys=True, indent=2) + "\n")
             t_detect = traj.report.t_detect
             margin = (t_detect - bound.t_lower) if t_detect is not None else ""
@@ -325,16 +328,14 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path,
             return {"run_id": run_id, "blew_up": "error", "t_detect": "",
                     "t_lower": "", "margin": ""}
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(run_cell, enumerate(cells)))
-
+    rows = [run_cell(idx, values) for idx, values in enumerate(
+        itertools.product(*(sweep_axes[k] for k in keys)))]
     with open(out_dir / "summary.csv", "w") as stream:
         writer = csv.DictWriter(
             stream, fieldnames=["run_id", "blew_up", "t_detect", "t_lower",
                                 "margin"], lineterminator="\n")
         writer.writeheader()
-        for row in sorted(rows, key=lambda r: r["run_id"]):
-            writer.writerow(row)
+        writer.writerows(rows)
     return rows
 
 
@@ -344,8 +345,7 @@ def cmd_sweep(args) -> int:
     if out_dir is None:
         raise ConfigError("sweep requires an output directory "
                           f"(output.dir or ${OUTPUT_ROOT_ENV})")
-    jobs = args.jobs if getattr(args, "jobs", None) else None
-    rows = run_sweep(cfg, sweep_axes, out_dir, jobs)
+    rows = run_sweep(cfg, sweep_axes, out_dir)
     print(json.dumps({"cells": len(rows),
                       "failures": sum(r["blew_up"] == "error" for r in rows),
                       "summary": str(out_dir / "summary.csv")}, sort_keys=True))
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         common(sp, ("dim", "pq", "bound"))
         sp.add_argument("--eta", type=float)
-        sp.set_defaults(func=handler, eta_flag=True)
+        sp.set_defaults(func=handler)
 
     sp = sub.add_parser("region", help="admissible (p, q) region table")
     common(sp, ("dim",))
@@ -409,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="cartesian experiment sweep")
     common(sp, ("dim", "pq", "bound"))
-    sp.add_argument("--jobs", type=int)
     sp.set_defaults(func=cmd_sweep)
     return parser
 

@@ -76,13 +76,10 @@ KNOWN_KEYS: dict[str, tuple[str, Any]] = {
     "verify.eta": ("float", _NAN),
     "verify.epsilon": ("float", 1.0),
     "verify.trials": ("int", 100_000),
-    "thresholds.energy": ("float", _NAN),
-    "thresholds.linf": ("float", _NAN),
     "monitor.slack": ("float", 0.0),
     "region.p_min": ("float", _NAN),
     "region.p_max": ("float", _NAN),
     "region.p_step": ("float", 0.1),
-    "sweep.jobs": ("int", 2),
     "seed": ("int", 0),
     "output.dir": ("str", ""),
 }
@@ -118,7 +115,7 @@ def parse_config_text(text: str) -> tuple[dict[str, Any], dict[str, list]]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key.startswith("sweep.") and key != "sweep.jobs":
+        if key.startswith("sweep."):
             base = key[len("sweep."):]
             if base not in KNOWN_KEYS:
                 raise ConfigError(f"line {lineno}: unknown sweep key {base!r}")
@@ -197,7 +194,7 @@ def build_opt(cfg: dict[str, Any]) -> OptConfig:
                      eps_grid=cfg["opt.eps_grid"],
                      refine_iters=cfg["opt.refine_iters"],
                      boundary_margin=cfg["opt.boundary_margin"],
-                     quad=build_quad(cfg), seed=cfg["seed"])
+                     quad=build_quad(cfg))
 
 
 def build_sampler(cfg: dict[str, Any]) -> SamplerConfig:

@@ -271,7 +271,6 @@ class OptConfig:
     refine_iters: int = 60
     boundary_margin: float = 1e-3  # fraction of box width kept off each edge
     quad: QuadConfig = field(default_factory=QuadConfig)
-    seed: int = 0
 
 
 def _feasible_box(n: int, p: float, q: float):

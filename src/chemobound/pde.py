@@ -354,8 +354,10 @@ def run(grid: RadialGrid, params: ModelParams, state0: FieldState,
                         mass(s, grid)))
 
     record(state)
-    blew_up, t_detect, trigger = False, None, None
-    while state.t < cfg.t_final and steps < cfg.max_steps:
+    # a start already above the threshold is reported before any step
+    blew_up = float(state.u.max()) > cfg.blowup_threshold
+    t_detect, trigger = (state.t, "linf_threshold") if blew_up else (None, None)
+    while not blew_up and state.t < cfg.t_final and steps < cfg.max_steps:
         vel = _face_velocity(grid, params, state)
         dt_cap = _stable_dt(grid, params, state, cfg, vel)
         while dt > dt_cap:

@@ -86,7 +86,7 @@ def sweep_dirs(tmp_path_factory):
     dirs = []
     for name in ("first", "second"):
         out_dir = tmp_path_factory.mktemp(name)
-        run_sweep(cfg, axes, out_dir, jobs=2)
+        run_sweep(cfg, axes, out_dir)
         dirs.append(out_dir)
     return dirs
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from chemobound.cli import main
+from chemobound import verify
+from chemobound.cli import bound_from_config, main
 from chemobound.config import (apply_overrides, config_hash,
                                parse_config_text)
 from chemobound.errors import ConfigError
@@ -39,6 +40,26 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("model.typo = 1\n")
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("thresholds.energy = 1\n", [],
+         "config error: line 1: unknown key 'thresholds.energy'"),
+        ("sweep.jobs = 2\n", [],
+         "config error: line 1: unknown sweep key 'jobs'"),
+        ("sweep.model.chi = 5, 10\n", ["--jobs", "2"],
+         "error: unrecognized arguments: --jobs 2"),
+    ], ids=["thresholds.energy", "sweep.jobs", "--jobs"])
+    def test_removed_knob_rejected(self, capsys, tmp_path, text, flags,
+                                   message):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+        try:
+            code = main(["sweep", "--config", str(cfg_file), *flags])
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_removed_scheme_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -240,6 +261,55 @@ class TestSweep:
         assert lines[2] == "run_001,error,,,"
         error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
         assert error.startswith("OverflowError")
+
+    def _counted_sweep(self, tmp_path, monkeypatch, axis):
+        calls = []
+        estimate = verify.estimate_gn_constant
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "estimate_gn_constant", counting)
+        cfg_text = (BLOWUP_CONFIG + "verify.ascent_steps = 0\n"
+                    + f"output.dir = {tmp_path / 'out'}\n")
+        (tmp_path / "sweep.cfg").write_text(cfg_text + axis)
+        assert main(["sweep", "--config", str(tmp_path / "sweep.cfg")]) == 0
+        bounds = [json.loads(path.read_text()) for path in
+                  sorted((tmp_path / "out").glob("run_*/bound.json"))]
+        return cfg_text, calls, bounds
+
+    def test_one_constant_shared_along_chi(self, capsys, tmp_path,
+                                           monkeypatch):
+        _, calls, bounds = self._counted_sweep(
+            tmp_path, monkeypatch, "sweep.model.chi = 5, 10, 20\n")
+        assert len(calls) == 1
+        assert len(bounds) == 3
+        for bound in bounds:
+            assert bound["C_GN_source"] == "estimated"
+            assert bound["C_GN"] == bounds[0]["C_GN"]
+            assert bound["C_GN_per_eta"] == bounds[0]["C_GN_per_eta"]
+
+    def test_seed_axis_estimates_once_per_seed(self, capsys, tmp_path,
+                                                monkeypatch):
+        _, calls, bounds = self._counted_sweep(
+            tmp_path, monkeypatch, "sweep.seed = 0, 1\n")
+        assert len(calls) == 2
+        assert [args[-1].seed for args in calls] == [0, 1]
+        assert len(bounds) == 2
+
+    def test_cell_bound_matches_solo_bound(self, capsys, tmp_path,
+                                           monkeypatch):
+        cfg_text, _, bounds = self._counted_sweep(
+            tmp_path, monkeypatch, "sweep.model.chi = 5, 10, 20\n")
+        cell_cfg, _ = parse_config_text(cfg_text)
+        cell_cfg["model.chi"] = 20.0
+        with open(tmp_path / "out" / "run_002" / "trajectory.csv") as stream:
+            E0 = float(stream.read().splitlines()[1].split(",")[1])
+        solo, meta = bound_from_config(cell_cfg, E0=E0)
+        assert bounds[2]["t_lower"] == solo.t_lower
+        assert bounds[2]["C_GN"] == meta["C_GN_safety"] * max(
+            meta["C_GN_per_eta"].values())
 
     def test_sweep_without_axes_is_usage_error(self, capsys, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"

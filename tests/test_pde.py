@@ -193,7 +193,7 @@ class TestStep:
         state = init_state(grid, ConstantProfile(1e308, 0.0, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
             traj = run(grid, params, state, 2.0, 4.0,
-                       SolverConfig(dt_init=1e-2))
+                       SolverConfig(dt_init=1e-2, blowup_threshold=math.inf))
         assert traj.report.blew_up
         assert traj.report.trigger == "nonfinite_state"
         assert traj.steps == 0
@@ -316,6 +316,17 @@ class TestRun:
         assert traj.report.trigger == "linf_threshold"
         assert traj.report.t_detect is not None and traj.report.t_detect > 0
         assert traj.clip_count == 0
+
+    def test_start_above_threshold_takes_no_step(self):
+        grid = make_grid(3, 1.0, 16)
+        state = init_state(grid, ConstantProfile(1e9, 0.0, 0.0))
+        traj = run(grid, DIFFUSION_ONLY, state, 2.0, 4.0,
+                   SolverConfig(dt_init=1e-2))
+        assert traj.report.blew_up
+        assert traj.report.trigger == "linf_threshold"
+        assert traj.report.t_detect == 0.0
+        assert traj.steps == 0
+        assert len(traj.t) == 1
 
     def test_acceptance_blowup_run_pinned(self):
         # the acceptance blow-up run: every adaptive step decision and the
