@@ -40,12 +40,12 @@ def _load_config(args) -> tuple[dict, dict]:
     text = Path(args.config).read_text() if args.config else ""
     cfg, sweep_axes = cfgmod.parse_config_text(text)
     cfgmod.apply_overrides(cfg, args.set or [])
-    if getattr(args, "dim", None) is not None:
-        cfg["model.dim"] = args.dim
-    for flag, key in (("p", "indices.p"), ("q", "indices.q"),
-                      ("s1", "indices.s1"), ("s2", "indices.s2"),
-                      ("E0", "bound.E0"), ("corollary", "bound.corollary"),
-                      ("seed", "seed")):
+    # a flag wins over --set
+    for flag, key in (("dim", "model.dim"), ("p", "indices.p"),
+                      ("q", "indices.q"), ("s1", "indices.s1"),
+                      ("s2", "indices.s2"), ("E0", "bound.E0"),
+                      ("corollary", "bound.corollary"), ("seed", "seed"),
+                      ("eta", "verify.eta")):
         value = getattr(args, flag, None)
         if value is not None:
             cfg[key] = value
@@ -97,18 +97,18 @@ def resolve_indices(cfg: dict) -> exponents.EnergyIndices:
         cfgmod.require(cfg, "indices.s1"), cfgmod.require(cfg, "indices.s2"))
 
 
-def resolve_gn_constant(cfg: dict, indices: exponents.EnergyIndices,
-                        grid: pde.RadialGrid) -> tuple[float, dict]:
-    """Configured constant, or the per-eta estimated maximum times the
-    safety factor."""
+def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid
+                        ) -> tuple[float, dict]:
+    """Configured constant, or the maximum over the eta values of the
+    estimated constant times the safety factor."""
     configured = cfg["bound.C_GN"]
     if not math.isnan(configured):
         return configured, {"C_GN_source": "configured"}
     sampler = cfgmod.build_sampler(cfg)
     safety = cfg["bound.gn_safety"]
-    per_eta = {float(e): verify.estimate_gn_constant(
-        grid, 2.0 * float(e), 2.0, 2.0, 2.0, sampler)
-        for e in set(indices.eta)}
+    per_eta = {float(e): verify.estimate_gn_for_eta(grid, float(e), sampler,
+                                                    safety=1.0)
+               for e in set(etas)}
     value = safety * max(per_eta.values())
     return value, {"C_GN_source": "estimated", "C_GN_safety": safety,
                    "C_GN_per_eta": {str(k): v for k, v in per_eta.items()}}
@@ -134,14 +134,10 @@ def bound_from_config(cfg: dict, E0: float | None = None,
     indices = resolve_indices(cfg)
     if E0 is None:
         E0 = cfgmod.require(cfg, "bound.E0")
-    C_GN, meta = resolve_gn_constant(cfg, indices, grid) if gn is None else gn
-    eps = cfg["indices.epsilon"]
-    if math.isnan(eps):
-        eps = 0.5 * odi.max_admissible_epsilon(params, indices)
-    coeffs = odi.odi_coefficients(params, indices, eps, C_GN)
-    result = odi.lower_bound_integral(coeffs, E0, cfgmod.build_quad(cfg))
-    from dataclasses import replace
-    return replace(result, indices=indices), meta
+    C_GN, meta = gn or resolve_gn_constant(cfg, indices.eta, grid)
+    return odi.bound_at_indices(params, indices, E0, C_GN,
+                                cfg["indices.epsilon"],
+                                cfgmod.build_quad(cfg)), meta
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -172,7 +168,7 @@ def cmd_optimize_bound(args) -> int:
     E0 = cfgmod.require(cfg, "bound.E0")
     indices_seed = exponents.EnergyIndices(
         p, q, *(_feasible_center(cfg["model.dim"], p, q)))
-    C_GN, meta = resolve_gn_constant(cfg, indices_seed, grid)
+    C_GN, meta = resolve_gn_constant(cfg, indices_seed.eta, grid)
     s1, s2, eps, result = odi.optimize_bound(params, p, q, E0, C_GN,
                                              cfgmod.build_opt(cfg))
     payload = {**result.to_json_dict(), **meta,
@@ -207,8 +203,7 @@ def cmd_verify_gn(args) -> int:
     grid = cfgmod.build_grid(cfg)
     eta = cfgmod.require(cfg, "verify.eta")
     sampler = cfgmod.build_sampler(cfg)
-    estimate = verify.estimate_gn_constant(grid, 2.0 * eta, 2.0, 2.0, 2.0,
-                                           sampler)
+    estimate = verify.estimate_gn_for_eta(grid, eta, sampler, safety=1.0)
     safety = cfg["bound.gn_safety"]
     _emit({"eta": eta, "estimate": estimate, "safety": safety,
            "inflated": safety * estimate, "seed": sampler.seed},
@@ -220,13 +215,9 @@ def cmd_verify_embed(args) -> int:
     cfg, _ = _load_config(args)
     grid = cfgmod.build_grid(cfg)
     eta = cfgmod.require(cfg, "verify.eta")
-    sampler = cfgmod.build_sampler(cfg)
-    C_GN = cfg["bound.C_GN"]
-    if math.isnan(C_GN):
-        C_GN = cfg["bound.gn_safety"] * verify.estimate_gn_constant(
-            grid, 2.0 * eta, 2.0, 2.0, 2.0, sampler)
+    C_GN, _ = resolve_gn_constant(cfg, (eta,), grid)
     report = verify.check_embed_inequality(grid, eta, cfg["verify.epsilon"],
-                                           C_GN, sampler)
+                                           C_GN, cfgmod.build_sampler(cfg))
     _emit(report.to_json_dict(), cfg, _output_dir(cfg), "embed.json")
     return EXIT_OK if report.violations == 0 else EXIT_NEGATIVE
 
@@ -243,11 +234,9 @@ def cmd_verify_odi(args) -> int:
     cfg, _ = _load_config(args)
     traj, grid, params = simulate_from_config(cfg)
     indices = resolve_indices(cfg)
-    C_GN, meta = resolve_gn_constant(cfg, indices, grid)
-    eps = cfg["indices.epsilon"]
-    if math.isnan(eps):
-        eps = 0.5 * odi.max_admissible_epsilon(params, indices)
-    coeffs = odi.odi_coefficients(params, indices, eps, C_GN)
+    C_GN, meta = resolve_gn_constant(cfg, indices.eta, grid)
+    coeffs = odi.odi_coefficients(params, indices, cfg["indices.epsilon"],
+                                  C_GN)
     mon = verify.MonitorConfig(slack=cfg["monitor.slack"],
                                t_max=traj.report.t_detect)
     report = verify.odi_monitor(traj, coeffs, mon)
@@ -301,7 +290,8 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
                       cfgmod.build_sampler(cell_cfg), cell_cfg["bound.gn_safety"],
                       repr(cell_cfg["bound.C_GN"]))  # repr: NaN equals itself
             if gn_key not in gn_memo:
-                gn_memo[gn_key] = resolve_gn_constant(cell_cfg, indices, grid)
+                gn_memo[gn_key] = resolve_gn_constant(cell_cfg, indices.eta,
+                                                      grid)
             bound, meta = bound_from_config(cell_cfg, E0=float(traj.E_pq[0]),
                                             gn=gn_memo[gn_key])
             with open(cell_dir / "trajectory.csv", "w") as stream:
@@ -416,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "eta", None) is not None:
-        args.set = (args.set or []) + [f"verify.eta={args.eta}"]
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -8,6 +8,7 @@ a sweep axis over any known key.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from typing import Any
@@ -17,72 +18,65 @@ from .exponents import BallDomain, ModelParams
 from .odi import OptConfig, QuadConfig
 from .pde import (ConstantProfile, GaussianBump, RadialGrid, SolverConfig,
                   make_grid)
-from .verify import SamplerConfig
+from .verify import MonitorConfig, SamplerConfig
 
 _NAN = float("nan")
 
-# key -> (type tag, default); type tags: float, int, str, bool
-KNOWN_KEYS: dict[str, tuple[str, Any]] = {
-    "model.chi": ("float", 10.0),
-    "model.xi": ("float", 1.0),
-    "model.alpha": ("float", 1.0),
-    "model.beta": ("float", 1.0),
-    "model.gamma": ("float", 1.0),
-    "model.delta": ("float", 1.0),
-    "model.mu1": ("float", 0.0),
-    "model.mu2": ("float", 0.0),
-    "model.k_logistic": ("float", 1.1),
-    "model.dim": ("int", 3),
-    "model.radius": ("float", 1.0),
-    "model.convex": ("bool", True),
-    "model.boundary_c": ("float", 0.0),
-    "indices.p": ("float", _NAN),
-    "indices.q": ("float", _NAN),
-    "indices.s1": ("float", _NAN),
-    "indices.s2": ("float", _NAN),
-    "indices.epsilon": ("float", _NAN),
-    "grid.shells": ("int", 64),
-    "profile.kind": ("str", "gaussian"),
-    "profile.u0": ("float", 1.0),
-    "profile.v0": ("float", 0.0),
-    "profile.w0": ("float", 0.0),
-    "profile.amplitude": ("float", 100.0),
-    "profile.width": ("float", 0.2),
-    "profile.background": ("float", 0.0),
-    "solver.t_final": ("float", 1.0),
-    "solver.dt_init": ("float", 1e-6),
-    "solver.dt_min": ("float", 1e-12),
-    "solver.dt_max": ("float", 1e-2),
-    "solver.cfl": ("float", 0.5),
-    "solver.growth": ("float", 1.2),
-    "solver.grow_after": ("int", 5),
-    "solver.blowup_threshold": ("float", 1e8),
-    "solver.max_steps": ("int", 2_000_000),
-    "solver.sample_every": ("int", 20),
-    "quad.rel_tol": ("float", 1e-10),
-    "quad.tail_tol": ("float", 1e-12),
-    "opt.coarse_grid": ("int", 7),
-    "opt.eps_grid": ("int", 7),
-    "opt.refine_iters": ("int", 60),
-    "opt.boundary_margin": ("float", 1e-3),
-    "bound.E0": ("float", _NAN),
-    "bound.C_GN": ("float", _NAN),
-    "bound.corollary": ("int", 0),
-    "bound.gn_safety": ("float", 2.0),
-    "verify.samples": ("int", 1000),
-    "verify.max_modes": ("int", 12),
-    "verify.ascent_steps": ("int", 60),
-    "verify.report_tol": ("float", 1e-9),
-    "verify.eta": ("float", _NAN),
-    "verify.epsilon": ("float", 1.0),
-    "verify.trials": ("int", 100_000),
-    "monitor.slack": ("float", 0.0),
-    "region.p_min": ("float", _NAN),
-    "region.p_max": ("float", _NAN),
-    "region.p_step": ("float", 0.1),
-    "seed": ("int", 0),
-    "output.dir": ("str", ""),
+
+def _derived(prefix: str, cls) -> dict[str, Any]:
+    """`prefix.name` -> default for every field of `cls` whose default is a
+    plain bool, int, float or str."""
+    return {f"{prefix}.{f.name}": f.default for f in dataclasses.fields(cls)
+            if type(f.default) in (bool, int, float, str)}
+
+
+# key -> default: the dataclass defaults under their field names, then the
+# keys no dataclass field maps onto one to one
+_DEFAULTS: dict[str, Any] = {
+    "model.chi": 10.0,
+    "model.xi": 1.0,
+    **_derived("model", ModelParams),
+    **_derived("model", BallDomain),
+    "indices.p": _NAN,
+    "indices.q": _NAN,
+    "indices.s1": _NAN,
+    "indices.s2": _NAN,
+    "indices.epsilon": _NAN,
+    "grid.shells": 64,
+    "profile.kind": "gaussian",
+    "profile.u0": 1.0,
+    "profile.v0": 0.0,
+    "profile.w0": 0.0,
+    "profile.amplitude": 100.0,
+    "profile.width": 0.2,
+    "profile.background": 0.0,
+    **_derived("solver", SolverConfig),
+    **_derived("quad", QuadConfig),
+    **_derived("opt", OptConfig),
+    "bound.E0": _NAN,
+    "bound.C_GN": _NAN,
+    "bound.corollary": 0,
+    "bound.gn_safety": 2.0,
+    "verify.samples": SamplerConfig.n_samples,
+    "verify.max_modes": SamplerConfig.max_modes,
+    "verify.ascent_steps": SamplerConfig.ascent_steps,
+    "verify.report_tol": SamplerConfig.report_tol,
+    "verify.eta": _NAN,
+    "verify.epsilon": 1.0,
+    "verify.trials": 100_000,
+    "monitor.slack": MonitorConfig.slack,
+    "region.p_min": _NAN,
+    "region.p_max": _NAN,
+    "region.p_step": 0.1,
+    "seed": SamplerConfig.seed,
+    "output.dir": "",
 }
+
+# key -> (type tag, default); the tag is the default's type: float, int,
+# str or bool
+KNOWN_KEYS: dict[str, tuple[str, Any]] = {
+    key: (type(default).__name__, default)
+    for key, default in _DEFAULTS.items()}
 
 
 def _parse_value(key: str, raw: str):
@@ -146,15 +140,16 @@ def config_hash(cfg: dict[str, Any]) -> str:
 
 # --- builders ---------------------------------------------------------------
 
+def _build(cls, cfg: dict[str, Any], prefix: str, **extra):
+    """`cls` from the `prefix.<field>` keys of its fields, plus `extra`."""
+    keys = {f.name: f"{prefix}.{f.name}" for f in dataclasses.fields(cls)}
+    return cls(**{name: cfg[key] for name, key in keys.items()
+                  if key in KNOWN_KEYS}, **extra)
+
+
 def build_model(cfg: dict[str, Any]) -> ModelParams:
-    return ModelParams(
-        chi=cfg["model.chi"], xi=cfg["model.xi"],
-        alpha=cfg["model.alpha"], beta=cfg["model.beta"],
-        gamma=cfg["model.gamma"], delta=cfg["model.delta"],
-        mu1=cfg["model.mu1"], mu2=cfg["model.mu2"],
-        k_logistic=cfg["model.k_logistic"], dim=cfg["model.dim"],
-        domain=BallDomain(cfg["model.radius"], cfg["model.convex"]),
-        boundary_c=cfg["model.boundary_c"])
+    return _build(ModelParams, cfg, "model",
+                  domain=_build(BallDomain, cfg, "model"))
 
 
 def build_grid(cfg: dict[str, Any]) -> RadialGrid:
@@ -174,27 +169,15 @@ def build_profile(cfg: dict[str, Any]):
 
 
 def build_solver(cfg: dict[str, Any]) -> SolverConfig:
-    return SolverConfig(
-        t_final=cfg["solver.t_final"], dt_init=cfg["solver.dt_init"],
-        dt_min=cfg["solver.dt_min"], dt_max=cfg["solver.dt_max"],
-        cfl=cfg["solver.cfl"], growth=cfg["solver.growth"],
-        grow_after=cfg["solver.grow_after"],
-        blowup_threshold=cfg["solver.blowup_threshold"],
-        max_steps=cfg["solver.max_steps"],
-        sample_every=cfg["solver.sample_every"])
+    return _build(SolverConfig, cfg, "solver")
 
 
 def build_quad(cfg: dict[str, Any]) -> QuadConfig:
-    return QuadConfig(rel_tol=cfg["quad.rel_tol"],
-                      tail_tol=cfg["quad.tail_tol"])
+    return _build(QuadConfig, cfg, "quad")
 
 
 def build_opt(cfg: dict[str, Any]) -> OptConfig:
-    return OptConfig(coarse_grid=cfg["opt.coarse_grid"],
-                     eps_grid=cfg["opt.eps_grid"],
-                     refine_iters=cfg["opt.refine_iters"],
-                     boundary_margin=cfg["opt.boundary_margin"],
-                     quad=build_quad(cfg))
+    return _build(OptConfig, cfg, "opt", quad=build_quad(cfg))
 
 
 def build_sampler(cfg: dict[str, Any]) -> SamplerConfig:

@@ -160,9 +160,13 @@ def max_admissible_epsilon(params: ModelParams, indices: EnergyIndices) -> float
 
 def odi_coefficients(params: ModelParams, indices: EnergyIndices,
                      epsilon: float, C_GN: float) -> OdiCoefficients:
-    """Assemble (m, m_0..m_3, mu1, c) for the given epsilon and C_GN."""
+    """Assemble (m, m_0..m_3, mu1, c) for the given epsilon and C_GN.
+
+    A NaN epsilon (unset) is half the admissible supremum."""
     n = params.dim
     eps_max = max_admissible_epsilon(params, indices)
+    if math.isnan(epsilon):
+        epsilon = 0.5 * eps_max
     if not 0 < epsilon < eps_max:
         raise ParameterError(
             f"epsilon={epsilon} outside admissible range (0, {eps_max})")
@@ -363,25 +367,26 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
     return (s1, s2, eps, result)
 
 
+def bound_at_indices(params: ModelParams, indices: EnergyIndices, E0: float,
+                     C_GN: float, epsilon: float = math.nan,
+                     quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
+    """Bound at fixed indices; a NaN epsilon is half the admissible
+    supremum."""
+    coeffs = odi_coefficients(params, indices, epsilon, C_GN)
+    return replace(lower_bound_integral(coeffs, E0, quad_cfg), indices=indices)
+
+
 def bound_corollary1(params: ModelParams, p: float, E0: float, C_GN: float,
                      quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
     """Bound at the collapsed selection q = 2p, s1 = p+1, s2 = (p+1)/2."""
-    n = params.dim
-    q, s1, s2 = corollary1_parameters(p, n)
+    q, s1, s2 = corollary1_parameters(p, params.dim)
     indices = EnergyIndices(float(p), float(q), float(s1), float(s2))
-    eps = 0.5 * max_admissible_epsilon(params, indices)
-    coeffs = odi_coefficients(params, indices, eps, C_GN)
-    result = lower_bound_integral(coeffs, E0, quad_cfg)
-    return replace(result, indices=indices)
+    return bound_at_indices(params, indices, E0, C_GN, quad_cfg=quad_cfg)
 
 
 def bound_corollary2(params: ModelParams, E0: float, C_GN: float,
                      quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
     """Bound at the dimension-only selection p = n-1, q = 2(n-1)."""
-    n = params.dim
-    p, q, s1, s2 = corollary2_parameters(n)
+    p, q, s1, s2 = corollary2_parameters(params.dim)
     indices = EnergyIndices(float(p), float(q), float(s1), float(s2))
-    eps = 0.5 * max_admissible_epsilon(params, indices)
-    coeffs = odi_coefficients(params, indices, eps, C_GN)
-    result = lower_bound_integral(coeffs, E0, quad_cfg)
-    return replace(result, indices=indices)
+    return bound_at_indices(params, indices, E0, C_GN, quad_cfg=quad_cfg)

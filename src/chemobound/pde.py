@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
@@ -129,14 +129,15 @@ def init_state(grid: RadialGrid, profile) -> FieldState:
 # --- spatial operators ------------------------------------------------------
 
 def face_gradients(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
-    """One-sided radial gradients at faces; zero at both boundaries."""
-    g = np.zeros(grid.M + 1)
-    g[1:-1] = (f[1:] - f[:-1]) / grid.dr
+    """One-sided radial gradients at faces along the last axis of f; zero
+    at both boundaries."""
+    g = np.zeros(f.shape[:-1] + (grid.M + 1,))
+    g[..., 1:-1] = (f[..., 1:] - f[..., :-1]) / grid.dr
     return g
 
 
 def _face_to_cell(g: np.ndarray) -> np.ndarray:
-    return 0.5 * (g[:-1] + g[1:])
+    return 0.5 * (g[..., :-1] + g[..., 1:])
 
 
 def cell_gradients(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
@@ -264,9 +265,7 @@ class SolverConfig:
     sample_every: int = 20
 
     def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "t_final", "dt_init", "dt_min", "dt_max", "cfl", "growth",
-            "grow_after", "blowup_threshold", "max_steps", "sample_every")}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -276,8 +275,7 @@ class BlowupReport:
     trigger: str | None
 
     def to_json_dict(self) -> dict:
-        return {"blew_up": self.blew_up, "t_detect": self.t_detect,
-                "trigger": self.trigger}
+        return asdict(self)
 
 
 @dataclass

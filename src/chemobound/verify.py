@@ -11,7 +11,7 @@ configuration that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,9 +31,7 @@ class InequalityReport:
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {"samples": self.samples, "violations": self.violations,
-                "worst_margin": self.worst_margin, "witness": self.witness,
-                "seed": self.seed, "config": self.config}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -55,14 +53,6 @@ def _integral(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
 
 def _norm(grid: RadialGrid, F: np.ndarray, p: float) -> np.ndarray:
     return _integral(grid, np.abs(F) ** p) ** (1.0 / p)
-
-
-def _grad(grid: RadialGrid, F: np.ndarray) -> np.ndarray:
-    """Cell-centered radial gradient magnitude, rows of F."""
-    F = np.atleast_2d(F)
-    g = np.zeros((F.shape[0], grid.M + 1))
-    g[:, 1:-1] = np.diff(F, axis=1) / grid.dr
-    return np.abs(0.5 * (g[:, :-1] + g[:, 1:]))
 
 
 def _cosine_matrix(grid: RadialGrid, max_modes: int) -> np.ndarray:
@@ -120,7 +110,7 @@ def estimate_gn_constant(grid: RadialGrid, p_gn: float, q_gn: float,
     def ratio_rows(F):
         F = np.atleast_2d(F)
         num = _integral(grid, np.abs(F) ** p_gn)
-        grad_r = _norm(grid, _grad(grid, F), r_gn)
+        grad_r = _norm(grid, cell_gradients(grid, F), r_gn)
         den = (grad_r ** (p_gn * a) * _norm(grid, F, q_gn) ** (p_gn * (1 - a))
                + _norm(grid, F, s_gn) ** p_gn)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -178,7 +168,7 @@ def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
     k = float(k_exponent(eta, n))
 
     lhs = _integral(grid, np.abs(profiles) ** (2.0 * eta))
-    grad_sq = _integral(grid, _grad(grid, profiles) ** 2)
+    grad_sq = _integral(grid, cell_gradients(grid, profiles) ** 2)
     f_sq = _integral(grid, profiles ** 2)
     rhs = (epsilon * c1 * grad_sq + C_GN * f_sq ** eta
            + c3 * epsilon ** (-h) * f_sq ** k)
@@ -346,11 +336,7 @@ class ConcurrenceReport:
     t_detect: float | None
 
     def to_json_dict(self) -> dict:
-        return {"blew_up": self.blew_up,
-                "crossed_energy": self.crossed_energy,
-                "crossed_linf": self.crossed_linf,
-                "t_energy": self.t_energy, "t_linf": self.t_linf,
-                "lag": self.lag, "t_detect": self.t_detect}
+        return asdict(self)
 
 
 def concurrence_diagnostic(trajectory: Trajectory,

@@ -6,9 +6,13 @@ import pytest
 
 from chemobound import verify
 from chemobound.cli import bound_from_config, main
-from chemobound.config import (apply_overrides, config_hash,
-                               parse_config_text)
+from chemobound.config import (KNOWN_KEYS, apply_overrides, build_opt,
+                               build_quad, build_sampler, build_solver,
+                               config_hash, parse_config_text)
 from chemobound.errors import ConfigError
+from chemobound.odi import OptConfig, QuadConfig
+from chemobound.pde import SolverConfig
+from chemobound.verify import SamplerConfig
 
 BLOWUP_CONFIG = """
 model.chi = 10.0
@@ -83,6 +87,38 @@ class TestConfigParsing:
         assert cfg["model.chi"] == 7.0
         with pytest.raises(ConfigError):
             apply_overrides(cfg, ["nonsense=1"])
+
+    def test_schema_pinned(self):
+        # a new dataclass field must not silently become a config key
+        assert len(KNOWN_KEYS) == 59
+        assert config_hash(parse_config_text("")[0]) == "a245ec4e7554dbb9"
+        for key in ("verify.bump_fraction", "monitor.rel_floor",
+                    "quad.truncation_point", "verify.n_samples"):
+            assert key not in KNOWN_KEYS
+
+    def test_build_functions_give_dataclass_defaults(self):
+        cfg, _ = parse_config_text("")
+        assert build_solver(cfg) == SolverConfig()
+        assert build_quad(cfg) == QuadConfig()
+        assert build_opt(cfg) == OptConfig()
+        assert build_sampler(cfg) == SamplerConfig()
+
+    @pytest.mark.parametrize("argv, path, expected", [
+        (["verify-gn", "--eta", "1.5", "--set", "verify.eta=1.2"],
+         ("eta",), 1.5),
+        (["verify-gn", "--eta", "1.5", "--seed", "3", "--set", "seed=1"],
+         ("seed",), 3),
+        (["verify-equivalence", "-n", "4", "--set", "model.dim=5"],
+         ("config", "n"), 4),
+    ], ids=["--eta", "--seed", "--dim"])
+    def test_flag_wins_over_set(self, capsys, argv, path, expected):
+        small = ["--set", "verify.samples=50", "--set", "verify.ascent_steps=0",
+                 "--set", "grid.shells=16", "--set", "verify.trials=200"]
+        assert main(argv + small) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in path:
+            payload = payload[key]
+        assert payload == expected
 
     def test_hash_stability(self):
         a, _ = parse_config_text("model.chi = 1.0\n")

@@ -83,6 +83,11 @@ class TestCoefficients:
         assert coeffs.eta_exponents == (1.5,) * 4
         assert coeffs.k_exponents == pytest.approx((3.0,) * 4)
 
+    def test_nan_epsilon_is_half_the_supremum(self):
+        eps = 0.5 * max_admissible_epsilon(PARAMS, IDX_C13)
+        assert odi_coefficients(PARAMS, IDX_C13, math.nan, 1.0) == \
+            odi_coefficients(PARAMS, IDX_C13, eps, 1.0)
+
     def test_epsilon_out_of_range(self):
         eps_max = max_admissible_epsilon(PARAMS, IDX_C13)
         with pytest.raises(ParameterError):

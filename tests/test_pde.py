@@ -12,8 +12,8 @@ from scipy.linalg import solve_banded
 from chemobound.errors import ParameterError
 from chemobound.exponents import ModelParams
 from chemobound.pde import (ConstantProfile, FieldState, GaussianBump,
-                            SolverConfig, TableProfile, energy,
-                            face_gradients, init_state, make_grid, mass,
+                            SolverConfig, TableProfile, cell_gradients,
+                            energy, face_gradients, init_state, make_grid, mass,
                             norms, run, step, unit_sphere_area)
 
 DIFFUSION_ONLY = ModelParams(chi=0.0, xi=0.0, dim=3)
@@ -290,6 +290,12 @@ class TestDiagnostics:
         grid = make_grid(3, 1.0, 16)
         g = face_gradients(grid, np.linspace(0.0, 1.0, 16))
         assert g[0] == 0.0 and g[-1] == 0.0
+        # a stack of profiles is differentiated along its last axis, row by
+        # row with the same bits
+        stack = np.random.default_rng(0).standard_normal((5, 16))
+        for grad in (face_gradients, cell_gradients):
+            rows = np.array([grad(grid, f) for f in stack])
+            assert np.array_equal(grad(grid, stack), rows)
 
 
 class TestRun:
