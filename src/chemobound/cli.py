@@ -106,8 +106,7 @@ def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid
         return configured, {"C_GN_source": "configured"}
     sampler = cfgmod.build_sampler(cfg)
     safety = cfg["bound.gn_safety"]
-    per_eta = {float(e): verify.estimate_gn_for_eta(grid, float(e), sampler,
-                                                    safety=1.0)
+    per_eta = {float(e): verify.estimate_gn_for_eta(grid, float(e), sampler)
                for e in set(etas)}
     value = safety * max(per_eta.values())
     return value, {"C_GN_source": "estimated", "C_GN_safety": safety,
@@ -166,11 +165,11 @@ def cmd_optimize_bound(args) -> int:
     p = cfgmod.require(cfg, "indices.p")
     q = cfgmod.require(cfg, "indices.q")
     E0 = cfgmod.require(cfg, "bound.E0")
+    opt_cfg = cfgmod.build_opt(cfg)
     indices_seed = exponents.EnergyIndices(
         p, q, *(_feasible_center(cfg["model.dim"], p, q)))
     C_GN, meta = resolve_gn_constant(cfg, indices_seed.eta, grid)
-    s1, s2, eps, result = odi.optimize_bound(params, p, q, E0, C_GN,
-                                             cfgmod.build_opt(cfg))
+    s1, s2, eps, result = odi.optimize_bound(params, p, q, E0, C_GN, opt_cfg)
     payload = {**result.to_json_dict(), **meta,
                "optimized": {"s1": s1, "s2": s2, "epsilon": eps}}
     _emit(payload, cfg, _output_dir(cfg), "optimize_bound.json")
@@ -178,23 +177,27 @@ def cmd_optimize_bound(args) -> int:
 
 
 def _feasible_center(n: int, p: float, q: float) -> tuple[float, float]:
-    (a, b), (c, d) = odi._feasible_box(n, p, q)
+    (a, b), (c, d) = exponents.feasible_box(n, p, q)
     if b <= a or d <= c:
         raise ConfigError(f"empty admissible box for n={n}, p={p}, q={q}")
     return (0.5 * (a + b), 0.5 * (c + d))
+
+
+def _run_report(traj: pde.Trajectory) -> dict:
+    """report.json of a simulated trajectory, less the config hash."""
+    return {**traj.report.to_json_dict(), "steps": traj.steps,
+            "clip_count": traj.clip_count,
+            "solver": traj.solver.to_json_dict()}
 
 
 def cmd_simulate(args) -> int:
     cfg, _ = _load_config(args)
     traj, _, _ = simulate_from_config(cfg)
     out_dir = _output_dir(cfg)
-    payload = {**traj.report.to_json_dict(), "steps": traj.steps,
-               "clip_count": traj.clip_count,
-               "solver": traj.solver.to_json_dict()}
     if out_dir is not None:
         with open(out_dir / "trajectory.csv", "w") as stream:
             traj.to_csv(stream)
-    _emit(payload, cfg, out_dir, "report.json")
+    _emit(_run_report(traj), cfg, out_dir, "report.json")
     return EXIT_OK
 
 
@@ -203,7 +206,7 @@ def cmd_verify_gn(args) -> int:
     grid = cfgmod.build_grid(cfg)
     eta = cfgmod.require(cfg, "verify.eta")
     sampler = cfgmod.build_sampler(cfg)
-    estimate = verify.estimate_gn_for_eta(grid, eta, sampler, safety=1.0)
+    estimate = verify.estimate_gn_for_eta(grid, eta, sampler)
     safety = cfg["bound.gn_safety"]
     _emit({"eta": eta, "estimate": estimate, "safety": safety,
            "inflated": safety * estimate, "seed": sampler.seed},
@@ -297,9 +300,7 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
             with open(cell_dir / "trajectory.csv", "w") as stream:
                 traj.to_csv(stream)
             digest = cfgmod.config_hash(cell_cfg)
-            report = {**traj.report.to_json_dict(),
-                      "solver": traj.solver.to_json_dict(),
-                      "config_hash": digest}
+            report = {**_run_report(traj), "config_hash": digest}
             (cell_dir / "report.json").write_text(
                 json.dumps(report, sort_keys=True, indent=2) + "\n")
             (cell_dir / "bound.json").write_text(

@@ -1,10 +1,10 @@
 """Parameter algebra for the energy-method blow-up bound.
 
 Everything here is exact arithmetic on the exponent quadruple (p, q, s1, s2):
-the four derived eta exponents, the open-interval admissibility condition
-equivalent to eta_i in (1, 1 + 2/n), the exponent/coefficient maps k, h, C1,
-C3 entering the differential inequality, and the two closed-form parameter
-selections that collapse all four eta to a single value.
+the four derived eta exponents, the clause table and (s1, s2) box of
+Condition C (equivalent to eta_i in (1, 1 + 2/n)), the exponent/coefficient
+maps k, h, C1, C3 entering the differential inequality, and the two
+closed-form parameter selections that collapse all four eta to one value.
 
 All operations are pure and stateless.
 """
@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .errors import ParameterError, SingularityError
 
@@ -106,17 +108,14 @@ def compute_etas(p: Number, q: Number, s1: Number, s2: Number):
     return (eta0, eta1, eta2, eta3)
 
 
-def etas_in_range(etas: Sequence[Number], n: int, slack: float = 0.0) -> bool:
-    """True iff every eta lies strictly inside (1, 1 + 2/n).
-
-    slack shrinks the interval symmetrically; on exact inputs leave it 0.
-    """
+def etas_in_range(etas: Sequence[Number], n: int) -> bool:
+    """True iff every eta lies strictly inside (1, 1 + 2/n)."""
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
-    if _is_exact(*etas) and slack == 0:
+    if _is_exact(*etas):
         lo, hi = 1, Fraction(n + 2, n)  # keep comparisons in exact arithmetic
     else:
-        lo, hi = 1.0 + slack, 1.0 + 2.0 / n - slack
+        lo, hi = 1.0, 1.0 + 2.0 / n
     return all(lo < e < hi for e in etas)
 
 
@@ -132,9 +131,6 @@ class EnergyIndices:
 
     def __post_init__(self):
         object.__setattr__(self, "eta", compute_etas(self.p, self.q, self.s1, self.s2))
-
-    def admissible(self, n: int, slack: float = 0.0) -> bool:
-        return check_condition_C(n, self.p, self.q, self.s1, self.s2, slack).admissible
 
 
 @dataclass(frozen=True)
@@ -161,52 +157,57 @@ class AdmissibilityReport:
         }
 
 
-def check_condition_C(n: int, p: Number, q: Number, s1: Number, s2: Number,
-                      slack: float = 0.0) -> AdmissibilityReport:
-    """Evaluate the open-interval admissibility condition on (p, q, s1, s2).
+def feasible_box(n: int, p, q):
+    """((s1_lo, s1_hi), (s2_lo, s2_hi)): the open (s1, s2) box of Condition C
+    at (p, q).  Exact on int/Fraction p and q, elementwise on arrays."""
+    if _is_exact(p, q):
+        n, p, q = Fraction(n), Fraction(p), Fraction(q)
+    return ((np.maximum(1 + n / 2, q / 2), (1 + 2 / n) * q / 2),
+            (np.maximum(q * (n + 2) / (2 * (q + n)), p / 2),
+             np.minimum((1 + 2 / n) * p / 2, q / 2)))
+
+
+def condition_C_clauses(n: int, p, q, s1, s2) -> tuple:
+    """Condition C as seven (name, lower, value) triples, each requiring
+    lower < value.  Exact on int/Fraction input, elementwise on arrays.
+
+    q > 2 is required on top of the four textbook clauses: the eta attached
+    to s2 and q is only meaningful past q = 2 (its numerator changes sign
+    there), and q <= 2 empties the s2 interval anyway.
+    """
+    if _is_exact(p, q, s1, s2):
+        p, q, s1, s2 = (Fraction(x) for x in (p, q, s1, s2))
+    (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, p, q)
+    return (("q > n", n, q),
+            ("q > 2", 2, q),
+            ("s1 > max(1 + n/2, q/2)", s1_lo, s1),
+            ("s1 < (1 + 2/n) q/2", s1, s1_hi),
+            ("s2 > max(q(n+2)/(2(q+n)), p/2)", s2_lo, s2),
+            ("s2 < min((1 + 2/n) p/2, q/2)", s2, s2_hi),
+            ("p > nq/(n+q)", n * q / (n + q), p))
+
+
+def check_condition_C(n: int, p: Number, q: Number, s1: Number,
+                      s2: Number) -> AdmissibilityReport:
+    """Condition C on (p, q, s1, s2), clause by clause.
 
     All inequalities are strict; boundary equality is inadmissible.  Exact
-    rational arithmetic is used when every input is int/Fraction, otherwise
-    float comparisons with the given slack.  Note q > 2 is required on top
-    of the four textbook clauses: the eta attached to s2 and q is only
-    meaningful past q = 2 (its numerator changes sign there), and q <= 2
-    empties the s2 interval anyway.
+    rational arithmetic is used when every input is int/Fraction, float
+    comparisons otherwise.
     """
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
-    exact = _is_exact(p, q, s1, s2) and slack == 0
-    if exact:
-        p, q, s1, s2 = (Fraction(x) for x in (p, q, s1, s2))
-        two_over_n = Fraction(2, n)
-        half = Fraction(1, 2)
-    else:
+    if not _is_exact(p, q, s1, s2):
         p, q, s1, s2 = float(p), float(q), float(s1), float(s2)
-        two_over_n = 2.0 / n
-        half = 0.5
-
-    # (name, lower, value) meaning lower < value must hold strictly.
-    strict = [
-        ("q > n", n, q),
-        ("q > 2", 2, q),
-        ("s1 > max(1 + n/2, q/2)", max(1 + n * half, q * half), s1),
-        ("s1 < (1 + 2/n) q/2", s1, (1 + two_over_n) * q * half),
-        ("s2 > max(q(n+2)/(2(q+n)), p/2)",
-         max(q * (n + 2) / (2 * (q + n)), p * half), s2),
-        ("s2 < min((1 + 2/n) p/2, q/2)",
-         s2, min((1 + two_over_n) * p * half, q * half)),
-        ("p > nq/(n+q)", n * q / (n + q), p),
-    ]
-    clauses = []
-    for name, lo, val in strict:
-        margin = float(val - lo)
-        clauses.append(Clause(name, (val - lo) > slack, margin))
-    admissible = all(c.passed for c in clauses)
+    table = condition_C_clauses(n, p, q, s1, s2)
+    clauses = tuple(Clause(name, bool(value > lower), float(value - lower))
+                    for name, lower, value in table)
     try:
         etas = compute_etas(p, q, s1, s2)
     except ParameterError:
         etas = None
-    margin = min(c.margin for c in clauses)
-    return AdmissibilityReport(admissible, tuple(clauses), etas, margin)
+    return AdmissibilityReport(all(c.passed for c in clauses), clauses, etas,
+                               min(c.margin for c in clauses))
 
 
 def _check_eta_domain(eta: Number, n: int):

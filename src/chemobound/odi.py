@@ -25,7 +25,8 @@ from .errors import (DivergenceError, InfeasibleError,
                      NonpositiveDenominatorError, ParameterError)
 from .exponents import (C1_coef, C3_coef, EnergyIndices, ModelParams,
                         check_condition_C, corollary1_parameters,
-                        corollary2_parameters, h_exponent, k_exponent)
+                        corollary2_parameters, feasible_box, h_exponent,
+                        k_exponent)
 
 
 class CoefficientConventionWarning(UserWarning):
@@ -276,13 +277,11 @@ class OptConfig:
     boundary_margin: float = 1e-3  # fraction of box width kept off each edge
     quad: QuadConfig = field(default_factory=QuadConfig)
 
-
-def _feasible_box(n: int, p: float, q: float):
-    s1_lo = max(1.0 + n / 2.0, q / 2.0)
-    s1_hi = (1.0 + 2.0 / n) * q / 2.0
-    s2_lo = max(q * (n + 2.0) / (2.0 * (q + n)), p / 2.0)
-    s2_hi = min((1.0 + 2.0 / n) * p / 2.0, q / 2.0)
-    return (s1_lo, s1_hi), (s2_lo, s2_hi)
+    def __post_init__(self):
+        # 0 reaches the open box's edge and epsilon = 0; 0.5 collapses the box
+        if not 0 < self.boundary_margin < 0.5:
+            raise ParameterError(f"boundary_margin must lie in (0, 0.5), "
+                                 f"got {self.boundary_margin}")
 
 
 def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
@@ -294,7 +293,7 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
     (s1, s2, epsilon, BoundResult).
     """
     n = params.dim
-    (s1_lo, s1_hi), (s2_lo, s2_hi) = _feasible_box(n, p, q)
+    (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, float(p), float(q))
     w1, w2 = s1_hi - s1_lo, s2_hi - s2_lo
     if w1 <= 0 or w2 <= 0 or q <= n or q <= 2:
         raise InfeasibleError(

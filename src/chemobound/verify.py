@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .exponents import C1_coef, C3_coef, h_exponent, k_exponent
+from .exponents import (C1_coef, C3_coef, condition_C_clauses, etas_in_range,
+                        feasible_box, h_exponent, k_exponent)
 from .odi import OdiCoefficients, odi_rhs
 from .pde import RadialGrid, Trajectory, cell_gradients
 
@@ -139,11 +140,10 @@ def estimate_gn_constant(grid: RadialGrid, p_gn: float, q_gn: float,
 
 
 def estimate_gn_for_eta(grid: RadialGrid, eta: float,
-                        sampler_cfg: SamplerConfig = SamplerConfig(),
-                        safety: float = 2.0) -> float:
-    """Safety-inflated constant for the squared-field inequality at eta."""
-    return safety * estimate_gn_constant(grid, 2.0 * eta, 2.0, 2.0, 2.0,
-                                         sampler_cfg)
+                        sampler_cfg: SamplerConfig = SamplerConfig()) -> float:
+    """Estimated constant, not yet safety-inflated, for the squared-field
+    inequality at eta."""
+    return estimate_gn_constant(grid, 2.0 * eta, 2.0, 2.0, 2.0, sampler_cfg)
 
 
 def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
@@ -155,7 +155,7 @@ def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
                        + C3 eps^{-h} (int f^2)^{k}.
     """
     n = grid.n
-    if not 1.0 < eta < 1.0 + 2.0 / n:
+    if not etas_in_range((eta,), n):
         raise ParameterError(f"eta={eta} outside (1, 1 + 2/{n})")
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
@@ -216,18 +216,6 @@ def check_remark_ordering(n: int, eta_grid) -> InequalityReport:
                             witness=witness, seed=None, config={"n": n})
 
 
-def _condition_C_mask(n, p, q, s1, s2):
-    """Vectorized strict evaluation of the admissibility clauses."""
-    ok = q > n
-    ok &= q > 2
-    ok &= s1 > np.maximum(1 + n / 2.0, q / 2.0)
-    ok &= s1 < (1 + 2.0 / n) * q / 2.0
-    ok &= s2 > np.maximum(q * (n + 2.0) / (2.0 * (q + n)), p / 2.0)
-    ok &= s2 < np.minimum((1 + 2.0 / n) * p / 2.0, q / 2.0)
-    ok &= p > n * q / (n + q)
-    return ok
-
-
 def _eta_mask(n, p, q, s1, s2):
     eta = np.stack([2 * s2 / p, s1 / (s1 - 1),
                     s2 * (q - 2) / (q * (s2 - 1)), 2 * s1 / q])
@@ -236,9 +224,10 @@ def _eta_mask(n, p, q, s1, s2):
 
 def equivalence_bruteforce(n: int, trial_count: int,
                            seed: int = 0) -> InequalityReport:
-    """Randomized check that the clause-form condition and the eta-interval
-    condition agree on every sampled quadruple.  Half the samples come from
-    a broad box, half concentrate near and inside the admissible region."""
+    """Randomized check that the Condition C clause table of `exponents` and
+    the eta-interval condition agree on every sampled quadruple.  Half the
+    samples come from a broad box, half concentrate near and inside the
+    admissible region (the table's (s1, s2) box)."""
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
     rng = np.random.default_rng(seed)
@@ -252,11 +241,8 @@ def equivalence_bruteforce(n: int, trial_count: int,
 
     q_t = rng.uniform(n, 3.0 * n, n_tight)
     p_t = (n * q_t / (n + q_t)) * rng.uniform(0.8, 2.0, n_tight)
-    s1_lo = np.maximum(1 + n / 2.0, q_t / 2.0)
-    s1_hi = (1 + 2.0 / n) * q_t / 2.0
+    (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, p_t, q_t)
     s1_t = s1_lo + (s1_hi - s1_lo) * rng.uniform(-0.5, 1.5, n_tight)
-    s2_lo = np.maximum(q_t * (n + 2.0) / (2.0 * (q_t + n)), p_t / 2.0)
-    s2_hi = np.minimum((1 + 2.0 / n) * p_t / 2.0, q_t / 2.0)
     s2_t = s2_lo + (s2_hi - s2_lo) * rng.uniform(-0.5, 1.5, n_tight)
     s1_t = np.maximum(s1_t, 1.0 + 1e-6)
     s2_t = np.maximum(s2_t, 1.0 + 1e-6)
@@ -267,7 +253,8 @@ def equivalence_bruteforce(n: int, trial_count: int,
     s1 = np.concatenate([s1_b, s1_t])
     s2 = np.concatenate([s2_b, s2_t])
 
-    lhs = _condition_C_mask(n, p, q, s1, s2)
+    lhs = np.all([lower < value for _, lower, value
+                  in condition_C_clauses(n, p, q, s1, s2)], axis=0)
     rhs = _eta_mask(n, p, q, s1, s2)
     mismatch = lhs != rhs
     violations = int(np.count_nonzero(mismatch))

@@ -66,7 +66,7 @@ def monitored_runs():
         (ModelParams(chi=10.0, xi=0.5, dim=3), GaussianBump(3e4, 0.2)),
     ]
     sampler = SamplerConfig(n_samples=300, ascent_steps=20, seed=0)
-    C_GN = estimate_gn_for_eta(GRID3, 1.5, sampler, safety=2.0)
+    C_GN = 2.0 * estimate_gn_for_eta(GRID3, 1.5, sampler)
     opt = OptConfig(coarse_grid=4, eps_grid=4, refine_iters=20)
     out = []
     for params, profile in cases:
@@ -172,7 +172,7 @@ def test_criterion_05_embed_inequality_sampling():
     total = 0
     etas = (1.1, 3.0 / 2.0, 4.0 / 3.0)  # low, n/(n-1), interval midpoint
     for eta in etas:
-        C = estimate_gn_for_eta(GRID3, eta, sampler, safety=2.0)
+        C = 2.0 * estimate_gn_for_eta(GRID3, eta, sampler)
         total += check_embed_inequality(GRID3, eta, 1.0, C, sampler).violations
     elapsed = time.monotonic() - start
     ok = total == 0 and elapsed < 60.0

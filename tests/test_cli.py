@@ -174,6 +174,14 @@ class TestBound:
         assert payload["C_GN_source"] == "estimated"
         assert payload["C_GN_safety"] == 2.0
 
+    @pytest.mark.parametrize("margin", ["0", "0.5", "0.6", "-0.1"])
+    def test_bad_boundary_margin_named(self, capsys, margin):
+        code = main(["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
+                     "--E0", "1", "--set", "bound.C_GN=1",
+                     "--set", f"opt.boundary_margin={margin}"])
+        assert code == 3
+        assert "boundary_margin" in capsys.readouterr().err
+
     def test_optimize_dominates_corollary1(self, capsys):
         common = ["-n", "3", "-p", "2", "--E0", "1", "--set", "bound.C_GN=1"]
         assert main(["bound", "--corollary", "1"] + common) == 0
@@ -282,6 +290,23 @@ class TestSweep:
 
     def test_deterministic_summary(self, capsys, tmp_path):
         assert self._run(tmp_path, "a") == self._run(tmp_path, "b")
+
+    def test_cell_report_matches_simulate_report(self, capsys, tmp_path):
+        cfg_text = BLOWUP_CONFIG + "verify.ascent_steps = 0\n"
+        (tmp_path / "run.cfg").write_text(cfg_text)
+        assert main(["simulate", "--config", str(tmp_path / "run.cfg"),
+                     "-o", str(tmp_path / "solo")]) == 0
+        (tmp_path / "sweep.cfg").write_text(
+            cfg_text + "sweep.model.chi = 10.0\n"
+            + f"output.dir = {tmp_path / 'sweep'}\n")
+        assert main(["sweep", "--config", str(tmp_path / "sweep.cfg")]) == 0
+        solo = json.loads((tmp_path / "solo" / "report.json").read_text())
+        cell = json.loads(
+            (tmp_path / "sweep" / "run_000" / "report.json").read_text())
+        del solo["metadata"]
+        assert solo.keys() == cell.keys()
+        del solo["config_hash"], cell["config_hash"]
+        assert solo == cell
 
     def test_overflowing_cell_is_recorded_not_fatal(self, capsys, tmp_path):
         # epsilon = 1e-300 overflows epsilon**(-h) while the bound is built

@@ -1,19 +1,22 @@
 """Exact-arithmetic checks of the exponent algebra."""
 
 import io
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemobound.errors import ParameterError, SingularityError
-from chemobound.exponents import (BallDomain, EnergyIndices, ModelParams,
+from chemobound.exponents import (BallDomain, ModelParams,
                                   C1_coef, C3_coef, check_condition_C,
                                   compute_etas, corollary1_parameters,
                                   corollary2_parameters, etas_in_range,
-                                  feasible_region_samples, h_exponent,
+                                  feasible_box, feasible_region_samples,
+                                  h_exponent,
                                   k_exponent, write_region_csv)
 
 F = Fraction
@@ -73,6 +76,22 @@ class TestConditionC:
         d = check_condition_C(3, 2, 4, 3, 1.5).to_json_dict()
         assert d["admissible"] is True
         assert len(d["etas"]) == 4
+        assert json.loads(json.dumps(d)) == d  # plain bools and floats
+
+
+class TestFeasibleBox:
+    def test_exact_on_rationals(self):
+        # n=3, p=2, q=4: s1 in (5/2, 10/3), s2 in (10/7, 5/3)
+        box = feasible_box(3, 2, 4)
+        assert box == ((F(5, 2), F(10, 3)), (F(10, 7), F(5, 3)))
+        assert all(isinstance(x, Fraction) for pair in box for x in pair)
+
+    def test_elementwise_on_arrays(self):
+        p, q = np.array([2.0, 3.0, 4.0]), np.array([4.0, 6.0, 5.0])
+        (a, b), (c, d) = feasible_box(3, p, q)
+        for i in range(len(p)):
+            (ai, bi), (ci, di) = feasible_box(3, float(p[i]), float(q[i]))
+            assert (a[i], b[i], c[i], d[i]) == (ai, bi, ci, di)
 
 
 class TestEtasInRange:
@@ -236,5 +255,5 @@ class TestProperties:
     @given(n=st.integers(3, 8))
     def test_corollary2_always_admissible(self, n):
         p, q, s1, s2 = corollary2_parameters(n)
-        assert EnergyIndices(float(p), float(q), float(s1),
-                             float(s2)).admissible(n)
+        assert check_condition_C(n, float(p), float(q), float(s1),
+                                 float(s2)).admissible

@@ -208,6 +208,11 @@ class TestOptimize:
         with pytest.raises(InfeasibleError):
             optimize_bound(PARAMS, 2.0, 3.0, 1.0, 1.0, self.OPT)
 
+    @pytest.mark.parametrize("margin", [0.0, 0.5, 0.6, -0.1])
+    def test_boundary_margin_outside_open_half_interval(self, margin):
+        with pytest.raises(ParameterError, match="boundary_margin"):
+            OptConfig(boundary_margin=margin)
+
 
 class TestCorollaries:
     def test_corollary2_matches_generic_pipeline(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chemobound import exponents
 from chemobound.errors import ParameterError
 from chemobound.exponents import EnergyIndices, ModelParams
 from chemobound.odi import (max_admissible_epsilon, odi_coefficients)
@@ -39,9 +40,10 @@ class TestGnEstimate:
         assert a == b
 
     def test_safety_inflation(self):
+        # the estimate comes back uninflated; callers apply bound.gn_safety
         cfg = SamplerConfig(n_samples=100, ascent_steps=0, seed=0)
         raw = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0, cfg)
-        assert estimate_gn_for_eta(GRID, 1.5, cfg, safety=2.0) == 2.0 * raw
+        assert 2.0 * estimate_gn_for_eta(GRID, 1.5, cfg) == 2.0 * raw
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ParameterError):
@@ -52,7 +54,7 @@ class TestEmbed:
     @pytest.mark.parametrize("eta", [1.1, 1.5, 4.0 / 3.0])
     def test_no_violations_with_inflated_constant(self, eta):
         cfg = SamplerConfig(n_samples=200, ascent_steps=20, seed=3)
-        C = estimate_gn_for_eta(GRID, eta, cfg, safety=2.0)
+        C = 2.0 * estimate_gn_for_eta(GRID, eta, cfg)
         report = check_embed_inequality(GRID, eta, 1.0, C, cfg)
         assert report.violations == 0
         assert report.worst_margin >= -cfg.report_tol
@@ -111,6 +113,18 @@ class TestEquivalence:
             etas_in_range
         assert not check_condition_C(3, 2, 3, 3, 1.5).admissible
         assert not etas_in_range(compute_etas(2, 3, 3, 1.5), 3)
+
+    def test_defect_in_clause_table_is_caught(self, monkeypatch):
+        # the brute force checks the table check_condition_C uses, so a
+        # box 10% too wide in s1 must show up as mismatches
+        true_box = exponents.feasible_box
+
+        def widened(n, p, q):
+            (s1_lo, s1_hi), s2_box = true_box(n, p, q)
+            return (s1_lo, 1.1 * s1_hi), s2_box
+
+        monkeypatch.setattr(exponents, "feasible_box", widened)
+        assert equivalence_bruteforce(3, 20000, seed=1).violations > 0
 
     def test_deterministic(self):
         a = equivalence_bruteforce(4, 1000, seed=9)
