@@ -5,10 +5,10 @@ from .exponents import (BallDomain, EnergyIndices, ModelParams,
                         check_condition_C, compute_etas,
                         corollary1_parameters, corollary2_parameters,
                         etas_in_range, feasible_region_samples)
-from .odi import (BoundResult, OdiCoefficients, QuadConfig, bound_corollary1,
-                  bound_corollary2, lower_bound_integral,
-                  max_admissible_epsilon, odi_coefficients, odi_rhs,
-                  optimize_bound, zeta_coefficients)
+from .odi import (BoundResult, OdiCoefficients, QuadConfig, bound_at_indices,
+                  lower_bound_integral, max_admissible_epsilon,
+                  odi_coefficients, odi_rhs, optimize_bound,
+                  zeta_coefficients)
 from .pde import (FieldState, RadialGrid, SolverConfig, Trajectory, energy,
                   init_state, make_grid, mass, norms, run, step)
 from .verify import (InequalityReport, SamplerConfig, check_embed_inequality,

@@ -13,7 +13,7 @@ import hashlib
 import math
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .exponents import BallDomain, ModelParams
 from .odi import OptConfig, QuadConfig
 from .pde import (ConstantProfile, GaussianBump, RadialGrid, SolverConfig,
@@ -141,10 +141,14 @@ def config_hash(cfg: dict[str, Any]) -> str:
 # --- builders ---------------------------------------------------------------
 
 def _build(cls, cfg: dict[str, Any], prefix: str, **extra):
-    """`cls` from the `prefix.<field>` keys of its fields, plus `extra`."""
+    """`cls` from the `prefix.<field>` keys of its fields, plus `extra`; a
+    value the constructor rejects is a config error."""
     keys = {f.name: f"{prefix}.{f.name}" for f in dataclasses.fields(cls)}
-    return cls(**{name: cfg[key] for name, key in keys.items()
-                  if key in KNOWN_KEYS}, **extra)
+    try:
+        return cls(**{name: cfg[key] for name, key in keys.items()
+                      if key in KNOWN_KEYS}, **extra)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_model(cfg: dict[str, Any]) -> ModelParams:

@@ -25,8 +25,7 @@ from .errors import (DivergenceError, InfeasibleError,
                      NonpositiveDenominatorError, ParameterError)
 from .exponents import (C1_coef, C3_coef, EnergyIndices, ModelParams,
                         check_condition_C, corollary1_parameters,
-                        corollary2_parameters, feasible_box, h_exponent,
-                        k_exponent)
+                        feasible_box, h_exponent, k_exponent)
 
 
 class CoefficientConventionWarning(UserWarning):
@@ -70,12 +69,6 @@ class OdiCoefficients:
         terms += tuple((mi, float(k)) for mi, k in zip(self.m_i, self.k_exponents))
         return Denominator(terms, self.mu1, self.c)
 
-    def scaled(self, lam: float) -> "OdiCoefficients":
-        """All coefficients multiplied by lam (the bound scales by 1/lam)."""
-        return replace(self, m=lam * self.m,
-                       m_i=tuple(lam * mi for mi in self.m_i),
-                       mu1=lam * self.mu1, c=lam * self.c)
-
     def to_json_dict(self) -> dict:
         return {"m": self.m, "m_i": list(self.m_i), "mu1": self.mu1, "c": self.c}
 
@@ -89,35 +82,35 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class BoundResult:
+    """A truncated bound integral; `bound_at_indices` attaches the indices
+    and coefficients it was assembled from."""
+
     t_lower: float
     S: float
     quadrature_error: float
     tail_upper: float
-    epsilon: float
-    C_GN: float
     indices: EnergyIndices | None = None
     coeffs: OdiCoefficients | None = None
     flags: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
+        """Payload of a `bound_at_indices` result."""
+        idx, coeffs = self.indices, self.coeffs
         out = {
             "t_lower": self.t_lower,
             "S": self.S,
             "quad_error": self.quadrature_error,
             "tail_upper": self.tail_upper,
-            "epsilon": self.epsilon,
-            "C_GN": self.C_GN,
+            "epsilon": coeffs.epsilon,
+            "C_GN": coeffs.C_GN,
+            "indices": {
+                "p": float(idx.p), "q": float(idx.q),
+                "s1": float(idx.s1), "s2": float(idx.s2),
+                "eta": [float(e) for e in idx.eta],
+                "k_eta": [float(k) for k in coeffs.k_exponents],
+            },
+            "coeffs": coeffs.to_json_dict(),
         }
-        if self.indices is not None:
-            out["indices"] = {
-                "p": float(self.indices.p), "q": float(self.indices.q),
-                "s1": float(self.indices.s1), "s2": float(self.indices.s2),
-                "eta": [float(e) for e in self.indices.eta],
-                "k_eta": [float(k) for k in self.coeffs.k_exponents]
-                if self.coeffs else None,
-            }
-        if self.coeffs is not None:
-            out["coeffs"] = self.coeffs.to_json_dict()
         if self.flags:
             out["flags"] = list(self.flags)
         return out
@@ -192,10 +185,9 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
                            epsilon=epsilon, C_GN=C_GN)
 
 
-def odi_rhs(coeffs: OdiCoefficients | Denominator, E):
+def odi_rhs(coeffs: OdiCoefficients, E):
     """F(E); nonnegative E expected."""
-    den = coeffs.denominator() if isinstance(coeffs, OdiCoefficients) else coeffs
-    return den(E)
+    return coeffs.denominator()(E)
 
 
 def _dominant_term(den: Denominator):
@@ -212,7 +204,7 @@ def _dominant_term(den: Denominator):
     return superlinear[a_dom], a_dom
 
 
-def lower_bound_integral(coeffs: OdiCoefficients | Denominator, E0: float,
+def lower_bound_integral(den: Denominator, E0: float,
                          quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
     """Truncated integral of 1/F from E0, with an analytic tail budget.
 
@@ -223,8 +215,6 @@ def lower_bound_integral(coeffs: OdiCoefficients | Denominator, E0: float,
     """
     if not E0 > 0:
         raise ParameterError(f"E0 must be positive, got {E0}")
-    is_odi = isinstance(coeffs, OdiCoefficients)
-    den = coeffs.denominator() if is_odi else coeffs
     if den(E0) <= 0:
         raise NonpositiveDenominatorError(
             f"denominator nonpositive at E0={E0}", root=E0)
@@ -262,11 +252,18 @@ def lower_bound_integral(coeffs: OdiCoefficients | Denominator, E0: float,
     val, err = integrate.quad(integrand, math.log(E0), math.log(S),
                               epsabs=0.0, epsrel=quad_cfg.rel_tol, limit=500)
     tail_upper = tail_factor * S ** (1.0 - a_dom) / (A_dom * (a_dom - 1.0))
-    return BoundResult(
-        t_lower=val, S=S, quadrature_error=err, tail_upper=tail_upper,
-        epsilon=coeffs.epsilon if is_odi else math.nan,
-        C_GN=coeffs.C_GN if is_odi else math.nan,
-        indices=None, coeffs=coeffs if is_odi else None, flags=tuple(flags))
+    return BoundResult(t_lower=val, S=S, quadrature_error=err,
+                       tail_upper=tail_upper, flags=tuple(flags))
+
+
+def bound_at_indices(params: ModelParams, indices: EnergyIndices, E0: float,
+                     C_GN: float, epsilon: float = math.nan,
+                     quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
+    """Bound at fixed indices; a NaN epsilon is half the admissible
+    supremum."""
+    coeffs = odi_coefficients(params, indices, epsilon, C_GN)
+    return replace(lower_bound_integral(coeffs.denominator(), E0, quad_cfg),
+                   indices=indices, coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -295,24 +292,25 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
     n = params.dim
     (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, float(p), float(q))
     w1, w2 = s1_hi - s1_lo, s2_hi - s2_lo
-    if w1 <= 0 or w2 <= 0 or q <= n or q <= 2:
-        raise InfeasibleError(
-            f"empty admissible (s1, s2) box for n={n}, p={p}, q={q}")
     mar = opt_cfg.boundary_margin
     lo1, hi1 = s1_lo + mar * w1, s1_hi - mar * w1
     lo2, hi2 = s2_lo + mar * w2, s2_hi - mar * w2
+    # each clause of Condition C bounds s1 alone, s2 alone or neither, so the
+    # two opposite corners cover every candidate clamped into [lo, hi]
+    if not (check_condition_C(n, p, q, lo1, lo2).admissible
+            and check_condition_C(n, p, q, hi1, hi2).admissible):
+        raise InfeasibleError(
+            f"empty admissible (s1, s2) box for n={n}, p={p}, q={q}")
 
     def evaluate(s1, s2, eps_frac):
         s1 = min(max(s1, lo1), hi1)
         s2 = min(max(s2, lo2), hi2)
         eps_frac = min(max(eps_frac, mar), 1.0 - mar)
-        if not check_condition_C(n, p, q, s1, s2).admissible:
-            return None
         indices = EnergyIndices(p, q, s1, s2)
         eps = eps_frac * max_admissible_epsilon(params, indices)
         try:
-            coeffs = odi_coefficients(params, indices, eps, C_GN)
-            result = lower_bound_integral(coeffs, E0, opt_cfg.quad)
+            result = bound_at_indices(params, indices, E0, C_GN, eps,
+                                      opt_cfg.quad)
         except OverflowError:
             # eta close to the singular point makes eps**(-h) blow past
             # float range; such candidates give a worthless bound anyway
@@ -346,7 +344,7 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
 
     steps = np.array([0.25 * w1, 0.25 * w2, 0.2])
     for _ in range(opt_cfg.refine_iters):
-        s1, s2, f, _, res = best
+        s1, s2, f = best[:3]
         improved = False
         for axis in range(3):
             for sign in (+1.0, -1.0):
@@ -362,30 +360,4 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
                 break
 
     s1, s2, _, eps, result = best
-    result = replace(result, indices=EnergyIndices(p, q, s1, s2))
     return (s1, s2, eps, result)
-
-
-def bound_at_indices(params: ModelParams, indices: EnergyIndices, E0: float,
-                     C_GN: float, epsilon: float = math.nan,
-                     quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
-    """Bound at fixed indices; a NaN epsilon is half the admissible
-    supremum."""
-    coeffs = odi_coefficients(params, indices, epsilon, C_GN)
-    return replace(lower_bound_integral(coeffs, E0, quad_cfg), indices=indices)
-
-
-def bound_corollary1(params: ModelParams, p: float, E0: float, C_GN: float,
-                     quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
-    """Bound at the collapsed selection q = 2p, s1 = p+1, s2 = (p+1)/2."""
-    q, s1, s2 = corollary1_parameters(p, params.dim)
-    indices = EnergyIndices(float(p), float(q), float(s1), float(s2))
-    return bound_at_indices(params, indices, E0, C_GN, quad_cfg=quad_cfg)
-
-
-def bound_corollary2(params: ModelParams, E0: float, C_GN: float,
-                     quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
-    """Bound at the dimension-only selection p = n-1, q = 2(n-1)."""
-    p, q, s1, s2 = corollary2_parameters(params.dim)
-    indices = EnergyIndices(float(p), float(q), float(s1), float(s2))
-    return bound_at_indices(params, indices, E0, C_GN, quad_cfg=quad_cfg)

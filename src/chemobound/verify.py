@@ -35,11 +35,13 @@ class InequalityReport:
         return asdict(self)
 
 
+BUMP_FRACTION = 0.3  # share of sampled profiles that are Gaussian bumps
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     n_samples: int = 1000
     max_modes: int = 12
-    bump_fraction: float = 0.3
     ascent_steps: int = 60
     seed: int = 0
     report_tol: float = 1e-9
@@ -65,7 +67,7 @@ def _sample_profiles(grid: RadialGrid, cfg: SamplerConfig,
                      rng: np.random.Generator):
     """(profiles, labels, cosine_coeffs or None per row)."""
     basis = _cosine_matrix(grid, cfg.max_modes)
-    n_bump = int(cfg.bump_fraction * cfg.n_samples)
+    n_bump = int(BUMP_FRACTION * cfg.n_samples)
     n_cos = cfg.n_samples - n_bump - 1
 
     # one independent stream per profile family, so a smaller sample budget
@@ -269,10 +271,12 @@ def equivalence_bruteforce(n: int, trial_count: int,
                             config={"n": n, "trial_count": trial_count})
 
 
+MONITOR_REL_FLOOR = 1.0  # floor of the odi_monitor margin normalizer
+
+
 @dataclass(frozen=True)
 class MonitorConfig:
     slack: float = 0.0        # absolute additive slack on the right side
-    rel_floor: float = 1.0    # margin normalizer floor
     t_max: float | None = None
 
 
@@ -292,7 +296,7 @@ def odi_monitor(trajectory: Trajectory, coeffs: OdiCoefficients,
     dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
     F = np.asarray(odi_rhs(coeffs, E[1:-1]), dtype=float)
     rhs = F + monitor_cfg.slack
-    margins = (rhs - dEdt) / np.maximum(np.abs(rhs), monitor_cfg.rel_floor)
+    margins = (rhs - dEdt) / np.maximum(np.abs(rhs), MONITOR_REL_FLOOR)
     worst = int(np.argmin(margins))
     violations = int(np.count_nonzero(margins < 0))
     return InequalityReport(

@@ -179,8 +179,18 @@ class TestBound:
         code = main(["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
                      "--E0", "1", "--set", "bound.C_GN=1",
                      "--set", f"opt.boundary_margin={margin}"])
-        assert code == 3
+        assert code == 2
         assert "boundary_margin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("model.alpha=0", "config error: alpha must be positive"),
+        ("model.radius=-1", "config error: domain radius must be positive")],
+        ids=["alpha", "radius"])
+    def test_rejected_model_value_usage_error(self, capsys, override, message):
+        code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+                     "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
 
     def test_optimize_dominates_corollary1(self, capsys):
         common = ["-n", "3", "-p", "2", "--E0", "1", "--set", "bound.C_GN=1"]
@@ -322,6 +332,19 @@ class TestSweep:
         assert lines[2] == "run_001,error,,,"
         error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
         assert error.startswith("OverflowError")
+
+    def test_rejected_config_value_cell_is_recorded(self, capsys, tmp_path):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(BLOWUP_CONFIG
+                            + "sweep.model.alpha = 1.0, 0.0\n"
+                            + "bound.C_GN = 1.0\n"
+                            + f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(cfg_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == 1
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert lines[2] == "run_001,error,,,"
+        error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
+        assert error == "ConfigError: alpha must be positive, got 0.0\n"
 
     def _counted_sweep(self, tmp_path, monkeypatch, axis):
         calls = []

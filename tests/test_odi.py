@@ -2,19 +2,20 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import pytest
 
+from chemobound import odi
 from chemobound.errors import (DivergenceError, InfeasibleError,
                                NonpositiveDenominatorError, ParameterError)
-from chemobound.exponents import EnergyIndices, ModelParams
-from chemobound.odi import (BoundResult, CoefficientConventionWarning,
-                            Denominator, OdiCoefficients, OptConfig,
-                            QuadConfig, bound_corollary1, bound_corollary2,
-                            lower_bound_integral, max_admissible_epsilon,
-                            odi_coefficients, odi_rhs, optimize_bound,
-                            zeta_coefficients)
+from chemobound.exponents import (EnergyIndices, ModelParams,
+                                  check_condition_C, corollary1_parameters,
+                                  corollary2_parameters)
+from chemobound.odi import (CoefficientConventionWarning, Denominator,
+                            OdiCoefficients, OptConfig, QuadConfig,
+                            bound_at_indices, lower_bound_integral,
+                            max_admissible_epsilon, odi_coefficients, odi_rhs,
+                            optimize_bound, zeta_coefficients)
 
 # the Corollary-1.3 selection for n = 3; all four derived exponents are 3/2
 IDX_C13 = EnergyIndices(2.0, 4.0, 3.0, 1.5)
@@ -22,6 +23,19 @@ PARAMS = ModelParams(chi=1.0, xi=1.0, dim=3)
 
 # high-precision reference for integral_1^inf ds / (s^(3/2) + s^3)
 REF_C13_INTEGRAL = 0.3287023034705578933257931
+
+
+def corollary1_bound(p, E0, C_GN):
+    """The program's corollary-1 route: resolved indices, then the bound."""
+    q, s1, s2 = corollary1_parameters(p, PARAMS.dim)
+    indices = EnergyIndices(float(p), float(q), float(s1), float(s2))
+    return bound_at_indices(PARAMS, indices, E0, C_GN)
+
+
+def corollary2_bound(E0, C_GN):
+    p, q, s1, s2 = corollary2_parameters(PARAMS.dim)
+    indices = EnergyIndices(float(p), float(q), float(s1), float(s2))
+    return bound_at_indices(PARAMS, indices, E0, C_GN)
 
 
 class TestZeta:
@@ -152,11 +166,12 @@ class TestLowerBoundIntegral:
         assert a > b
 
     def test_scaling_inverse(self):
-        eps = 0.5 * max_admissible_epsilon(PARAMS, IDX_C13)
-        coeffs = odi_coefficients(PARAMS, IDX_C13, eps, 1.0)
-        base = lower_bound_integral(coeffs, 1.0).t_lower
-        scaled = lower_bound_integral(coeffs.scaled(3.0), 1.0).t_lower
-        assert scaled == pytest.approx(base / 3.0, rel=1e-9)
+        den = odi_coefficients(PARAMS, IDX_C13, math.nan, 1.0).denominator()
+        scaled = Denominator(tuple((3.0 * A, a) for A, a in den.terms),
+                             3.0 * den.mu1, 3.0 * den.c)
+        base = lower_bound_integral(den, 1.0).t_lower
+        assert lower_bound_integral(scaled, 1.0).t_lower == pytest.approx(
+            base / 3.0, rel=1e-9)
 
     def test_divergence_without_superlinear_term(self):
         with pytest.raises(DivergenceError):
@@ -179,11 +194,13 @@ class TestLowerBoundIntegral:
             lower_bound_integral(Denominator(((1.0, 2.0),)), 0.0)
 
     def test_json_keys(self):
-        result = bound_corollary2(PARAMS, 1.0, 1.0)
+        result = corollary2_bound(1.0, 1.0)
         d = result.to_json_dict()
         assert set(d) >= {"t_lower", "S", "quad_error", "tail_upper",
                           "epsilon", "C_GN", "indices", "coeffs"}
         assert d["indices"]["eta"] == [1.5] * 4
+        assert d["epsilon"] == result.coeffs.epsilon
+        assert d["C_GN"] == 1.0
 
 
 class TestOptimize:
@@ -192,7 +209,7 @@ class TestOptimize:
     def test_dominates_corollary1_selection(self):
         s1, s2, eps, result = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0,
                                              self.OPT)
-        reference = bound_corollary1(PARAMS, 2.0, 1.0, 1.0)
+        reference = corollary1_bound(2.0, 1.0, 1.0)
         assert result.t_lower >= reference.t_lower * (1.0 - 1e-12)
 
     def test_returns_interior_admissible_point(self):
@@ -205,8 +222,34 @@ class TestOptimize:
         assert 0 < eps < max_admissible_epsilon(PARAMS, idx)
 
     def test_infeasible_box(self):
-        with pytest.raises(InfeasibleError):
-            optimize_bound(PARAMS, 2.0, 3.0, 1.0, 1.0, self.OPT)
+        # q = n: the s1 interval is empty
+        for p in (2.0, 2.5):
+            with pytest.raises(InfeasibleError, match="empty admissible"):
+                optimize_bound(PARAMS, p, 3.0, 1.0, 1.0, self.OPT)
+
+    def test_condition_C_checked_once_per_query(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_condition_C(*args)
+
+        monkeypatch.setattr(odi, "check_condition_C", counted)
+        optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0, self.OPT)
+        assert len(calls) == 2
+
+    def test_every_scored_candidate_admissible(self, monkeypatch):
+        scored = []
+
+        def spy(params, indices, *args, **kwargs):
+            scored.append(indices)
+            return bound_at_indices(params, indices, *args, **kwargs)
+
+        monkeypatch.setattr(odi, "bound_at_indices", spy)
+        optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0, self.OPT)
+        assert len(scored) > self.OPT.coarse_grid ** 2 * self.OPT.eps_grid
+        for idx in scored:
+            assert check_condition_C(3, idx.p, idx.q, idx.s1, idx.s2).admissible
 
     @pytest.mark.parametrize("margin", [0.0, 0.5, 0.6, -0.1])
     def test_boundary_margin_outside_open_half_interval(self, margin):
@@ -218,21 +261,22 @@ class TestCorollaries:
     def test_corollary2_matches_generic_pipeline(self):
         eps = 0.5 * max_admissible_epsilon(PARAMS, IDX_C13)
         coeffs = odi_coefficients(PARAMS, IDX_C13, eps, 1.0)
-        generic = lower_bound_integral(coeffs, 1.0)
-        shortcut = bound_corollary2(PARAMS, 1.0, 1.0)
+        generic = lower_bound_integral(coeffs.denominator(), 1.0)
+        shortcut = corollary2_bound(1.0, 1.0)
         assert shortcut.t_lower == generic.t_lower
         assert shortcut.S == generic.S
+        assert shortcut.coeffs == coeffs
 
     def test_corollary13_exponents(self):
-        result = bound_corollary2(PARAMS, 1.0, 1.0)
+        result = corollary2_bound(1.0, 1.0)
         assert set(result.coeffs.eta_exponents) == {1.5}
         assert result.coeffs.k_exponents == pytest.approx((3.0,) * 4)
 
     def test_convex_g_zero_denominator_has_no_affine_part(self):
-        result = bound_corollary1(PARAMS, 2.0, 1.0, 1.0)
+        result = corollary1_bound(2.0, 1.0, 1.0)
         assert result.coeffs.mu1 == 0.0
         assert result.coeffs.c == 0.0
 
     def test_corollary1_rejects_small_p(self):
         with pytest.raises(ParameterError):
-            bound_corollary1(PARAMS, 1.0, 1.0, 1.0)
+            corollary1_bound(1.0, 1.0, 1.0)
