@@ -11,7 +11,7 @@ from .odi import (BoundResult, OdiCoefficients, QuadConfig, bound_at_indices,
                   zeta_coefficients)
 from .pde import (FieldState, RadialGrid, SolverConfig, Trajectory, energy,
                   init_state, make_grid, mass, norms, run, step)
-from .verify import (InequalityReport, SamplerConfig, check_embed_inequality,
+from .verify import (InequalityReport, check_embed_inequality,
                      check_remark_ordering, concurrence_diagnostic,
                      equivalence_bruteforce, estimate_gn_constant,
                      odi_monitor)

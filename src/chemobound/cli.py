@@ -104,9 +104,8 @@ def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid
     configured = cfg["bound.C_GN"]
     if not math.isnan(configured):
         return configured, {"C_GN_source": "configured"}
-    sampler = cfgmod.build_sampler(cfg)
     safety = cfg["bound.gn_safety"]
-    per_eta = {float(e): verify.estimate_gn_for_eta(grid, float(e), sampler)
+    per_eta = {float(e): verify.estimate_gn_for_eta(grid, float(e))
                for e in set(etas)}
     value = safety * max(per_eta.values())
     return value, {"C_GN_source": "estimated", "C_GN_safety": safety,
@@ -205,11 +204,10 @@ def cmd_verify_gn(args) -> int:
     cfg, _ = _load_config(args)
     grid = cfgmod.build_grid(cfg)
     eta = cfgmod.require(cfg, "verify.eta")
-    sampler = cfgmod.build_sampler(cfg)
-    estimate = verify.estimate_gn_for_eta(grid, eta, sampler)
+    estimate = verify.estimate_gn_for_eta(grid, eta)
     safety = cfg["bound.gn_safety"]
     _emit({"eta": eta, "estimate": estimate, "safety": safety,
-           "inflated": safety * estimate, "seed": sampler.seed},
+           "inflated": safety * estimate},
           cfg, _output_dir(cfg), "gn_estimate.json")
     return EXIT_OK
 
@@ -220,7 +218,7 @@ def cmd_verify_embed(args) -> int:
     eta = cfgmod.require(cfg, "verify.eta")
     C_GN, _ = resolve_gn_constant(cfg, (eta,), grid)
     report = verify.check_embed_inequality(grid, eta, cfg["verify.epsilon"],
-                                           C_GN, cfgmod.build_sampler(cfg))
+                                           C_GN)
     _emit(report.to_json_dict(), cfg, _output_dir(cfg), "embed.json")
     return EXIT_OK if report.violations == 0 else EXIT_NEGATIVE
 
@@ -272,8 +270,8 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
     """Cartesian sweep: simulate each cell in order, attach the configured
     bound, and write one subdirectory per cell plus summary.csv.
 
-    Cells that resolve the same grid, eta set, sampler, safety factor and
-    configured constant share one C_GN.  Individual cell failures are
+    Cells that resolve the same grid, eta set, safety factor and configured
+    constant share one C_GN.  Individual cell failures are
     recorded and do not stop the sweep."""
     if not sweep_axes:
         raise ConfigError("sweep requires at least one sweep.<key> axis")
@@ -290,7 +288,7 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
             traj, grid, _ = simulate_from_config(cell_cfg)
             indices = resolve_indices(cell_cfg)
             gn_key = (grid.n, grid.R, grid.M, tuple(sorted(set(indices.eta))),
-                      cfgmod.build_sampler(cell_cfg), cell_cfg["bound.gn_safety"],
+                      cell_cfg["bound.gn_safety"],
                       repr(cell_cfg["bound.C_GN"]))  # repr: NaN equals itself
             if gn_key not in gn_memo:
                 gn_memo[gn_key] = resolve_gn_constant(cell_cfg, indices.eta,

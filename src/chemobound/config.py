@@ -18,7 +18,7 @@ from .exponents import BallDomain, ModelParams
 from .odi import OptConfig, QuadConfig
 from .pde import (ConstantProfile, GaussianBump, RadialGrid, SolverConfig,
                   make_grid)
-from .verify import MonitorConfig, SamplerConfig
+from .verify import MonitorConfig
 
 _NAN = float("nan")
 
@@ -57,10 +57,6 @@ _DEFAULTS: dict[str, Any] = {
     "bound.C_GN": _NAN,
     "bound.corollary": 0,
     "bound.gn_safety": 2.0,
-    "verify.samples": SamplerConfig.n_samples,
-    "verify.max_modes": SamplerConfig.max_modes,
-    "verify.ascent_steps": SamplerConfig.ascent_steps,
-    "verify.report_tol": SamplerConfig.report_tol,
     "verify.eta": _NAN,
     "verify.epsilon": 1.0,
     "verify.trials": 100_000,
@@ -68,7 +64,7 @@ _DEFAULTS: dict[str, Any] = {
     "region.p_min": _NAN,
     "region.p_max": _NAN,
     "region.p_step": 0.1,
-    "seed": SamplerConfig.seed,
+    "seed": 0,
     "output.dir": "",
 }
 
@@ -157,7 +153,11 @@ def build_model(cfg: dict[str, Any]) -> ModelParams:
 
 
 def build_grid(cfg: dict[str, Any]) -> RadialGrid:
-    return make_grid(cfg["model.dim"], cfg["model.radius"], cfg["grid.shells"])
+    try:
+        return make_grid(cfg["model.dim"], cfg["model.radius"],
+                         cfg["grid.shells"])
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_profile(cfg: dict[str, Any]):
@@ -182,14 +182,6 @@ def build_quad(cfg: dict[str, Any]) -> QuadConfig:
 
 def build_opt(cfg: dict[str, Any]) -> OptConfig:
     return _build(OptConfig, cfg, "opt", quad=build_quad(cfg))
-
-
-def build_sampler(cfg: dict[str, Any]) -> SamplerConfig:
-    return SamplerConfig(n_samples=cfg["verify.samples"],
-                         max_modes=cfg["verify.max_modes"],
-                         ascent_steps=cfg["verify.ascent_steps"],
-                         seed=cfg["seed"],
-                         report_tol=cfg["verify.report_tol"])
 
 
 def require(cfg: dict[str, Any], key: str) -> float:

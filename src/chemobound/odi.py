@@ -73,11 +73,22 @@ class OdiCoefficients:
         return {"m": self.m, "m_i": list(self.m_i), "mu1": self.mu1, "c": self.c}
 
 
+QUADPACK_REL_FLOOR = 50.0 * np.finfo(float).eps  # smallest epsrel it takes
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     rel_tol: float = 1e-10
     tail_tol: float = 1e-12
     truncation_point: float | None = None  # override the adaptive S
+
+    def __post_init__(self):
+        if not self.rel_tol > QUADPACK_REL_FLOOR:
+            raise ParameterError(f"rel_tol must exceed {QUADPACK_REL_FLOOR:.3g}"
+                                 f", got {self.rel_tol}")
+        if not self.tail_tol > 0:
+            raise ParameterError(f"tail_tol must be positive, got "
+                                 f"{self.tail_tol}")
 
 
 @dataclass(frozen=True)

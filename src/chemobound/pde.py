@@ -264,6 +264,22 @@ class SolverConfig:
     max_steps: int = 2_000_000
     sample_every: int = 20
 
+    def __post_init__(self):
+        # each test is False for NaN
+        for name, rule, ok in (
+                ("t_final", "> 0", self.t_final > 0),
+                ("cfl", "> 0", self.cfl > 0),
+                ("dt_min", "in (0, dt_init]", 0 < self.dt_min <= self.dt_init),
+                ("dt_max", ">= dt_min", self.dt_max >= self.dt_min),
+                ("growth", ">= 1", self.growth >= 1),
+                ("grow_after", ">= 1", self.grow_after >= 1),
+                ("blowup_threshold", "> 0", self.blowup_threshold > 0),
+                ("max_steps", ">= 1", self.max_steps >= 1),
+                ("sample_every", ">= 1", self.sample_every >= 1)):
+            if not ok:
+                raise ParameterError(f"solver {name} must be {rule}, "
+                                     f"got {getattr(self, name)}")
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -357,7 +373,12 @@ def run(grid: RadialGrid, params: ModelParams, state0: FieldState,
     t_detect, trigger = (state.t, "linf_threshold") if blew_up else (None, None)
     while not blew_up and state.t < cfg.t_final and steps < cfg.max_steps:
         vel = _face_velocity(grid, params, state)
-        dt_cap = _stable_dt(grid, params, state, cfg, vel)
+        try:
+            dt_cap = _stable_dt(grid, params, state, cfg, vel)
+        except OverflowError:
+            # a squared speed or a rate beyond the float range: no dt is
+            # stable, so the step size underflows below
+            dt_cap = 0.0
         while dt > dt_cap:
             dt *= 0.5
         if dt < cfg.dt_min:

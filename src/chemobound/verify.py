@@ -1,16 +1,15 @@
 """Empirical checks of the inequalities behind the blow-up bound.
 
 Test functions are radial profiles on the same shell grid the solver uses:
-truncated random cosine series (zero slope at both ends by construction)
-plus centered bumps.  The interpolation-inequality constant is estimated
-from below as a running maximum of the defining ratio over samples, then
-inflated by a safety factor before use; every report records the seed and
-configuration that produced it.
+one fixed, deterministic set of shapes (the constant profile, centred and
+off-centre Gaussians from half a shell to twice the radius wide, and the
+indicators of the innermost cells).  The interpolation-inequality constant
+is estimated from below as the maximum of the defining ratio over that set,
+then inflated by a safety factor before use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -35,16 +34,11 @@ class InequalityReport:
         return asdict(self)
 
 
-BUMP_FRACTION = 0.3  # share of sampled profiles that are Gaussian bumps
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    n_samples: int = 1000
-    max_modes: int = 12
-    ascent_steps: int = 60
-    seed: int = 0
-    report_tol: float = 1e-9
+GAUSSIAN_WIDTHS = 40  # geometric ladder from dr/2 to 2R
+GAUSSIAN_CENTRES = (0.0, 0.25, 0.5, 0.75, 1.0)  # fractions of R
+# the ratio is scale-invariant, the embed inequality is not
+EMBED_AMPLITUDES = np.exp(np.linspace(-1.0, 3.0, 9))
+REPORT_TOL = 1e-9  # relative margin below which a profile violates
 
 
 # --- discrete norms (shell quadrature, shared with the solver) --------------
@@ -58,48 +52,40 @@ def _norm(grid: RadialGrid, F: np.ndarray, p: float) -> np.ndarray:
     return _integral(grid, np.abs(F) ** p) ** (1.0 / p)
 
 
-def _cosine_matrix(grid: RadialGrid, max_modes: int) -> np.ndarray:
-    k = np.arange(max_modes + 1)[:, None]
-    return np.cos(k * math.pi * grid.r_centers[None, :] / grid.R)
+def _widths(grid: RadialGrid) -> np.ndarray:
+    return np.geomspace(0.5 * grid.dr, 2.0 * grid.R, GAUSSIAN_WIDTHS)
 
 
-def _sample_profiles(grid: RadialGrid, cfg: SamplerConfig,
-                     rng: np.random.Generator):
-    """(profiles, labels, cosine_coeffs or None per row)."""
-    basis = _cosine_matrix(grid, cfg.max_modes)
-    n_bump = int(BUMP_FRACTION * cfg.n_samples)
-    n_cos = cfg.n_samples - n_bump - 1
+def profile_set(grid: RadialGrid) -> np.ndarray:
+    """(K, M) test profiles: the constant profile as row 0, the Gaussians
+    exp(-(r - c)^2 / 2w^2) for every centre c and width w, then the
+    indicators of the first j cells, j = 1..M-1."""
+    c = np.repeat(grid.R * np.array(GAUSSIAN_CENTRES), GAUSSIAN_WIDTHS)
+    w = np.tile(_widths(grid), len(GAUSSIAN_CENTRES))
+    return np.vstack([
+        np.ones((1, grid.M)),
+        np.exp(-(grid.r_centers - c[:, None]) ** 2 / (2.0 * w[:, None] ** 2)),
+        np.tri(grid.M - 1, grid.M)])
 
-    # one independent stream per profile family, so a smaller sample budget
-    # is a prefix of a larger one and the running maximum stays monotone
-    rng_coef, rng_scale, rng_width, rng_amp = rng.spawn(4)
-    decay = 1.0 / (1.0 + np.arange(cfg.max_modes + 1)) ** 2
-    coeffs = rng_coef.standard_normal((n_cos, cfg.max_modes + 1)) * decay
-    scales = np.exp(rng_scale.uniform(-1.0, 3.0, size=(n_cos, 1)))
-    coeffs *= scales
-    cos_profiles = coeffs @ basis
 
-    widths = rng_width.uniform(0.05, 0.5, size=n_bump) * grid.R
-    amps = np.exp(rng_amp.uniform(-1.0, 3.0, size=n_bump))
-    bumps = amps[:, None] * np.exp(
-        -grid.r_centers[None, :] ** 2 / (2.0 * widths[:, None] ** 2))
-
-    profiles = np.vstack([np.ones((1, grid.M)), cos_profiles, bumps])
-    labels = (["constant"]
-              + [f"cosine[{i}]" for i in range(n_cos)]
-              + [f"bump[{i}]" for i in range(n_bump)])
-    return profiles, labels, coeffs, basis
+def _profile_label(grid: RadialGrid, row: int) -> str:
+    """Name of row `row` of profile_set(grid)."""
+    n_gauss = len(GAUSSIAN_CENTRES) * GAUSSIAN_WIDTHS
+    if row == 0:
+        return "constant"
+    if row <= n_gauss:
+        c, w = divmod(row - 1, GAUSSIAN_WIDTHS)
+        return (f"gaussian[c={GAUSSIAN_CENTRES[c]}R, "
+                f"w={_widths(grid)[w]:.4g}]")
+    return f"indicator[{row - n_gauss}]"
 
 
 def estimate_gn_constant(grid: RadialGrid, p_gn: float, q_gn: float,
-                         r_gn: float, s_gn: float,
-                         sampler_cfg: SamplerConfig = SamplerConfig()) -> float:
+                         r_gn: float, s_gn: float) -> float:
     """Numerical lower estimate of the interpolation constant.
 
-    Maximum over sampled profiles of
-        ||f||_p^p / (||grad f||_r^{p a} ||f||_q^{p(1-a)} + ||f||_s^p),
-    refined by local ascent in cosine-coefficient space.  Monotone
-    nondecreasing in the sample budget for a fixed seed.
+    Maximum over `profile_set` of
+        ||f||_p^p / (||grad f||_r^{p a} ||f||_q^{p(1-a)} + ||f||_s^p).
     """
     n = grid.n
     if not (r_gn >= 1 and 1 <= q_gn <= p_gn and s_gn >= 1):
@@ -107,62 +93,35 @@ def estimate_gn_constant(grid: RadialGrid, p_gn: float, q_gn: float,
     a = (1.0 / q_gn - 1.0 / p_gn) / (1.0 / q_gn + 1.0 / n - 1.0 / r_gn)
     if not 0.0 <= a <= 1.0:
         raise ParameterError(f"interpolation weight a={a} outside [0, 1]")
-    rng = np.random.default_rng(sampler_cfg.seed)
-    profiles, _, coeffs, basis = _sample_profiles(grid, sampler_cfg, rng)
-
-    def ratio_rows(F):
-        F = np.atleast_2d(F)
-        num = _integral(grid, np.abs(F) ** p_gn)
-        grad_r = _norm(grid, cell_gradients(grid, F), r_gn)
-        den = (grad_r ** (p_gn * a) * _norm(grid, F, q_gn) ** (p_gn * (1 - a))
-               + _norm(grid, F, s_gn) ** p_gn)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(den > 0, num / den, 0.0)
-        return out
-
-    ratios = ratio_rows(profiles)
-    best = float(np.max(ratios))
-
-    # local ascent from the best cosine sample (profiles row 1..n_cos)
-    n_cos = coeffs.shape[0]
-    cos_ratios = ratios[1:1 + n_cos]
-    if n_cos > 0:
-        c = coeffs[int(np.argmax(cos_ratios))].copy()
-        sigma = 0.3
-        current = float(ratio_rows(c @ basis)[0])
-        for _ in range(sampler_cfg.ascent_steps):
-            trial = c + sigma * rng.standard_normal(c.shape) * np.abs(c).max()
-            val = float(ratio_rows(trial @ basis)[0])
-            if val > current:
-                c, current = trial, val
-            else:
-                sigma *= 0.9
-        best = max(best, current)
-    return best
+    F = profile_set(grid)
+    num = _integral(grid, np.abs(F) ** p_gn)
+    grad_r = _norm(grid, cell_gradients(grid, F), r_gn)
+    den = (grad_r ** (p_gn * a) * _norm(grid, F, q_gn) ** (p_gn * (1 - a))
+           + _norm(grid, F, s_gn) ** p_gn)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.max(np.where(den > 0, num / den, 0.0)))
 
 
-def estimate_gn_for_eta(grid: RadialGrid, eta: float,
-                        sampler_cfg: SamplerConfig = SamplerConfig()) -> float:
+def estimate_gn_for_eta(grid: RadialGrid, eta: float) -> float:
     """Estimated constant, not yet safety-inflated, for the squared-field
     inequality at eta."""
-    return estimate_gn_constant(grid, 2.0 * eta, 2.0, 2.0, 2.0, sampler_cfg)
+    return estimate_gn_constant(grid, 2.0 * eta, 2.0, 2.0, 2.0)
 
 
 def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
-                           C_GN: float,
-                           sampler_cfg: SamplerConfig = SamplerConfig()
-                           ) -> InequalityReport:
-    """Sample-based one-sided check of
+                           C_GN: float) -> InequalityReport:
+    """One-sided check of
     int |f|^{2 eta} <= eps C1 int |grad f|^2 + C_GN (int f^2)^eta
-                       + C3 eps^{-h} (int f^2)^{k}.
+                       + C3 eps^{-h} (int f^2)^{k}
+    on `profile_set` scaled by each of EMBED_AMPLITUDES.
     """
     n = grid.n
     if not etas_in_range((eta,), n):
         raise ParameterError(f"eta={eta} outside (1, 1 + 2/{n})")
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    rng = np.random.default_rng(sampler_cfg.seed)
-    profiles, labels, _, _ = _sample_profiles(grid, sampler_cfg, rng)
+    shapes = profile_set(grid)
+    profiles = (EMBED_AMPLITUDES[:, None, None] * shapes).reshape(-1, grid.M)
 
     c1 = float(C1_coef(eta, n))
     c3 = C3_coef(eta, n, C_GN)
@@ -176,11 +135,12 @@ def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
            + c3 * epsilon ** (-h) * f_sq ** k)
     margins = (rhs - lhs) / np.maximum(rhs, 1e-300)
     worst = int(np.argmin(margins))
-    violations = int(np.count_nonzero(margins < -sampler_cfg.report_tol))
+    amp, shape = divmod(worst, len(shapes))
+    violations = int(np.count_nonzero(margins < -REPORT_TOL))
     return InequalityReport(
         samples=profiles.shape[0], violations=violations,
         worst_margin=float(margins[worst]),
-        witness=labels[worst], seed=sampler_cfg.seed,
+        witness=f"{EMBED_AMPLITUDES[amp]:.4g} * {_profile_label(grid, shape)}",
         config={"eta": eta, "epsilon": epsilon, "C_GN": C_GN,
                 "n": n, "M": grid.M})
 

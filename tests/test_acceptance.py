@@ -19,10 +19,9 @@ from chemobound.odi import (Denominator, OptConfig, QuadConfig,
 from chemobound.pde import (ConstantProfile, GaussianBump, SolverConfig,
                             energy, init_state, make_grid, mass, run, step)
 from chemobound.verify import (ConcurrenceThresholds, MonitorConfig,
-                               SamplerConfig, check_embed_inequality,
-                               check_remark_ordering, concurrence_diagnostic,
-                               equivalence_bruteforce, estimate_gn_for_eta,
-                               odi_monitor)
+                               check_embed_inequality, check_remark_ordering,
+                               concurrence_diagnostic, equivalence_bruteforce,
+                               estimate_gn_for_eta, odi_monitor)
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -47,8 +46,6 @@ solver.cfl = 0.2
 solver.blowup_threshold = 1e6
 solver.sample_every = 5
 bound.corollary = 2
-verify.samples = 300
-verify.ascent_steps = 20
 sweep.model.chi = 5, 10, 20
 seed = 0
 """
@@ -65,8 +62,7 @@ def monitored_runs():
         (ModelParams(chi=20.0, xi=0.5, dim=3), GaussianBump(1e4, 0.15)),
         (ModelParams(chi=10.0, xi=0.5, dim=3), GaussianBump(3e4, 0.2)),
     ]
-    sampler = SamplerConfig(n_samples=300, ascent_steps=20, seed=0)
-    C_GN = 2.0 * estimate_gn_for_eta(GRID3, 1.5, sampler)
+    C_GN = 2.0 * estimate_gn_for_eta(GRID3, 1.5)
     opt = OptConfig(coarse_grid=4, eps_grid=4, refine_iters=20)
     out = []
     for params, profile in cases:
@@ -168,15 +164,16 @@ def test_criterion_04_quadrature_oracle():
 
 def test_criterion_05_embed_inequality_sampling():
     start = time.monotonic()
-    sampler = SamplerConfig(n_samples=1000, seed=0)
-    total = 0
+    total = samples = 0
     etas = (1.1, 3.0 / 2.0, 4.0 / 3.0)  # low, n/(n-1), interval midpoint
     for eta in etas:
-        C = 2.0 * estimate_gn_for_eta(GRID3, eta, sampler)
-        total += check_embed_inequality(GRID3, eta, 1.0, C, sampler).violations
+        C = 2.0 * estimate_gn_for_eta(GRID3, eta)
+        report = check_embed_inequality(GRID3, eta, 1.0, C)
+        total += report.violations
+        samples = report.samples
     elapsed = time.monotonic() - start
     ok = total == 0 and elapsed < 60.0
-    _line(5, ok, f"embed inequality, 3 etas x 1e3 samples, {total} "
+    _line(5, ok, f"embed inequality, 3 etas x {samples} profiles, {total} "
                  f"violations, {elapsed:.2f}s")
     assert total == 0
     assert elapsed < 60.0

@@ -7,12 +7,11 @@ import pytest
 from chemobound import verify
 from chemobound.cli import bound_from_config, main
 from chemobound.config import (KNOWN_KEYS, apply_overrides, build_opt,
-                               build_quad, build_sampler, build_solver,
-                               config_hash, parse_config_text)
+                               build_quad, build_solver, config_hash,
+                               parse_config_text)
 from chemobound.errors import ConfigError
 from chemobound.odi import OptConfig, QuadConfig
 from chemobound.pde import SolverConfig
-from chemobound.verify import SamplerConfig
 
 BLOWUP_CONFIG = """
 model.chi = 10.0
@@ -27,7 +26,6 @@ solver.cfl = 0.2
 solver.blowup_threshold = 1e6
 solver.sample_every = 5
 bound.corollary = 2
-verify.samples = 200
 """
 
 
@@ -90,10 +88,12 @@ class TestConfigParsing:
 
     def test_schema_pinned(self):
         # a new dataclass field must not silently become a config key
-        assert len(KNOWN_KEYS) == 59
-        assert config_hash(parse_config_text("")[0]) == "a245ec4e7554dbb9"
+        assert len(KNOWN_KEYS) == 55
+        assert config_hash(parse_config_text("")[0]) == "5c9ba199e48bb7d5"
         for key in ("verify.bump_fraction", "monitor.rel_floor",
-                    "quad.truncation_point", "verify.n_samples"):
+                    "quad.truncation_point", "verify.n_samples",
+                    "verify.samples", "verify.max_modes",
+                    "verify.ascent_steps", "verify.report_tol"):
             assert key not in KNOWN_KEYS
 
     def test_build_functions_give_dataclass_defaults(self):
@@ -101,19 +101,17 @@ class TestConfigParsing:
         assert build_solver(cfg) == SolverConfig()
         assert build_quad(cfg) == QuadConfig()
         assert build_opt(cfg) == OptConfig()
-        assert build_sampler(cfg) == SamplerConfig()
 
     @pytest.mark.parametrize("argv, path, expected", [
         (["verify-gn", "--eta", "1.5", "--set", "verify.eta=1.2"],
          ("eta",), 1.5),
-        (["verify-gn", "--eta", "1.5", "--seed", "3", "--set", "seed=1"],
+        (["verify-equivalence", "--seed", "3", "--set", "seed=1"],
          ("seed",), 3),
         (["verify-equivalence", "-n", "4", "--set", "model.dim=5"],
          ("config", "n"), 4),
     ], ids=["--eta", "--seed", "--dim"])
     def test_flag_wins_over_set(self, capsys, argv, path, expected):
-        small = ["--set", "verify.samples=50", "--set", "verify.ascent_steps=0",
-                 "--set", "grid.shells=16", "--set", "verify.trials=200"]
+        small = ["--set", "grid.shells=16", "--set", "verify.trials=200"]
         assert main(argv + small) == 0
         payload = json.loads(capsys.readouterr().out)
         for key in path:
@@ -166,9 +164,7 @@ class TestBound:
         assert code == 2
 
     def test_estimated_constant_recorded(self, capsys):
-        code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
-                     "--set", "verify.samples=100",
-                     "--set", "verify.ascent_steps=0"])
+        code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["C_GN_source"] == "estimated"
@@ -191,6 +187,12 @@ class TestBound:
                      "--set", override])
         assert code == 2
         assert capsys.readouterr().err.startswith(message)
+
+    def test_rejected_quad_value_usage_error(self, capsys):
+        code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+                     "--set", "bound.C_GN=1", "--set", "quad.rel_tol=-1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: rel_tol")
 
     def test_optimize_dominates_corollary1(self, capsys):
         common = ["-n", "3", "-p", "2", "--E0", "1", "--set", "bound.C_GN=1"]
@@ -240,7 +242,23 @@ class TestSimulate:
         assert (tmp_path / "root" / "report.json").exists()
 
 
+    def test_rejected_solver_value_usage_error(self, capsys):
+        # cfl = 0 would take no step and report a blow-up at t = 0
+        code = main(["simulate", "-n", "3", "--corollary", "2",
+                     "--set", "solver.cfl=0", "--set", "grid.shells=8"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: solver cfl must be > 0")
+
+
 class TestVerifySubcommands:
+    @pytest.mark.parametrize("override", ["grid.shells=0", "model.radius=-1"])
+    def test_rejected_grid_value_usage_error(self, capsys, override):
+        code = main(["verify-gn", "-n", "3", "--eta", "1.5",
+                     "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: need R > 0")
+
     def test_verify_equivalence(self, capsys):
         code = main(["verify-equivalence", "-n", "4",
                      "--set", "verify.trials=2000"])
@@ -249,16 +267,14 @@ class TestVerifySubcommands:
 
     def test_verify_gn(self, capsys):
         code = main(["verify-gn", "-n", "3", "--eta", "1.5",
-                     "--set", "verify.samples=100",
-                     "--set", "verify.ascent_steps=0",
                      "--set", "grid.shells=32"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["inflated"] == pytest.approx(2.0 * payload["estimate"])
+        assert "seed" not in payload
 
     def test_verify_embed(self, capsys):
         code = main(["verify-embed", "-n", "3", "--eta", "1.5",
-                     "--set", "verify.samples=200",
                      "--set", "grid.shells=32"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["violations"] == 0
@@ -271,9 +287,7 @@ class TestVerifySubcommands:
                      "--set", "profile.width=0.2",
                      "--set", "solver.t_final=0.02",
                      "--set", "solver.dt_max=1e-3",
-                     "--set", "solver.sample_every=1",
-                     "--set", "verify.samples=100",
-                     "--set", "verify.ascent_steps=0"])
+                     "--set", "solver.sample_every=1"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["violations"] == 0
 
@@ -283,7 +297,6 @@ class TestSweep:
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(BLOWUP_CONFIG
                             + "sweep.model.chi = 5, 10, 20\n"
-                            + "verify.ascent_steps = 0\n"
                             + f"output.dir = {tmp_path / name}\n")
         assert main(["sweep", "--config", str(cfg_file)]) == 0
         return (tmp_path / name / "summary.csv").read_text()
@@ -302,7 +315,7 @@ class TestSweep:
         assert self._run(tmp_path, "a") == self._run(tmp_path, "b")
 
     def test_cell_report_matches_simulate_report(self, capsys, tmp_path):
-        cfg_text = BLOWUP_CONFIG + "verify.ascent_steps = 0\n"
+        cfg_text = BLOWUP_CONFIG
         (tmp_path / "run.cfg").write_text(cfg_text)
         assert main(["simulate", "--config", str(tmp_path / "run.cfg"),
                      "-o", str(tmp_path / "solo")]) == 0
@@ -323,7 +336,6 @@ class TestSweep:
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(BLOWUP_CONFIG
                             + "sweep.indices.epsilon = 0.001, 1e-300\n"
-                            + "verify.ascent_steps = 0\n"
                             + f"output.dir = {tmp_path / 'out'}\n")
         assert main(["sweep", "--config", str(cfg_file)]) == 0
         assert json.loads(capsys.readouterr().out)["failures"] == 1
@@ -346,6 +358,20 @@ class TestSweep:
         error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
         assert error == "ConfigError: alpha must be positive, got 0.0\n"
 
+    def test_rejected_solver_value_cell_is_recorded(self, capsys, tmp_path):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(BLOWUP_CONFIG
+                            + "sweep.solver.cfl = 0.2, 0.0\n"
+                            + "bound.C_GN = 1.0\n"
+                            + f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(cfg_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == 1
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert lines[1].startswith("run_000,true,")
+        assert lines[2] == "run_001,error,,,"
+        error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
+        assert error == "ConfigError: solver cfl must be > 0, got 0.0\n"
+
     def _counted_sweep(self, tmp_path, monkeypatch, axis):
         calls = []
         estimate = verify.estimate_gn_constant
@@ -355,8 +381,7 @@ class TestSweep:
             return estimate(*args, **kwargs)
 
         monkeypatch.setattr(verify, "estimate_gn_constant", counting)
-        cfg_text = (BLOWUP_CONFIG + "verify.ascent_steps = 0\n"
-                    + f"output.dir = {tmp_path / 'out'}\n")
+        cfg_text = BLOWUP_CONFIG + f"output.dir = {tmp_path / 'out'}\n"
         (tmp_path / "sweep.cfg").write_text(cfg_text + axis)
         assert main(["sweep", "--config", str(tmp_path / "sweep.cfg")]) == 0
         bounds = [json.loads(path.read_text()) for path in
@@ -374,13 +399,14 @@ class TestSweep:
             assert bound["C_GN"] == bounds[0]["C_GN"]
             assert bound["C_GN_per_eta"] == bounds[0]["C_GN_per_eta"]
 
-    def test_seed_axis_estimates_once_per_seed(self, capsys, tmp_path,
-                                                monkeypatch):
+    def test_seed_axis_shares_one_estimate(self, capsys, tmp_path,
+                                           monkeypatch):
+        # the estimate has no seed, so cells that differ only in it share it
         _, calls, bounds = self._counted_sweep(
             tmp_path, monkeypatch, "sweep.seed = 0, 1\n")
-        assert len(calls) == 2
-        assert [args[-1].seed for args in calls] == [0, 1]
+        assert len(calls) == 1
         assert len(bounds) == 2
+        assert bounds[0]["C_GN"] == bounds[1]["C_GN"]
 
     def test_cell_bound_matches_solo_bound(self, capsys, tmp_path,
                                            monkeypatch):

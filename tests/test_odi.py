@@ -257,6 +257,15 @@ class TestOptimize:
             OptConfig(boundary_margin=margin)
 
 
+class TestQuadConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", -1.0), ("rel_tol", 0.0), ("rel_tol", 1e-15),
+        ("rel_tol", math.nan), ("tail_tol", 0.0)])
+    def test_rejects_value_quadpack_cannot_use(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            QuadConfig(**{field: value})
+
+
 class TestCorollaries:
     def test_corollary2_matches_generic_pipeline(self):
         eps = 0.5 * max_admissible_epsilon(PARAMS, IDX_C13)

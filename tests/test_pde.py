@@ -245,6 +245,65 @@ class TestStepProperties:
             assert np.max(np.abs(a - b)) <= 1e-12 * b[0]
 
 
+TRIGGERS = (None, "linf_threshold", "dt_underflow", "nonfinite_state")
+
+
+class TestRunProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(2, 16), chi=st.floats(0.0, 40.0),
+           mu1=st.sampled_from([0.0, 100.0]),
+           u0=st.sampled_from([1.0, 1e2, 1e4, 1e308]),
+           width=st.floats(0.05, 0.5),
+           threshold=st.sampled_from([10.0, 1e4, 1e6, math.inf]),
+           dt_min=st.sampled_from([1e-12, 1e-8, 1e-5, 1e-3]),
+           t_final=st.floats(1e-4, 1e-2))
+    def test_trigger_taxonomy(self, M, chi, mu1, u0, width, threshold,
+                              dt_min, t_final):
+        grid = make_grid(3, 1.0, M)
+        params = ModelParams(chi=chi, xi=0.5, mu1=mu1, dim=3)
+        profile = (ConstantProfile(u0, 0.0, 0.0) if u0 == 1e308
+                   else GaussianBump(u0, width))
+        cfg = SolverConfig(t_final=t_final, dt_init=max(1e-6, dt_min),
+                           dt_min=dt_min, blowup_threshold=threshold,
+                           max_steps=300, sample_every=7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(grid, params, init_state(grid, profile), 2.0, 4.0, cfg)
+        report = traj.report
+        assert report.trigger in TRIGGERS
+        assert report.blew_up == (report.trigger is not None)
+        if report.blew_up:
+            assert report.t_detect == traj.final_state.t == traj.t[-1]
+        else:
+            assert report.t_detect is None
+
+    def test_overflowing_speed_is_dt_underflow(self):
+        # round-off gradients of a 1e308 state give a face speed whose
+        # square overflows in the dt limiter; run reports it, not raises
+        grid = make_grid(3, 1.0, 15)
+        params = ModelParams(chi=16.0, xi=0.5, dim=3)
+        state = init_state(grid, ConstantProfile(1e308, 0.0, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(grid, params, state, 2.0, 4.0,
+                       SolverConfig(t_final=1e-2, blowup_threshold=math.inf))
+        assert traj.report.trigger == "dt_underflow"
+        assert traj.report.t_detect == traj.final_state.t
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("t_final", 0.0), ("cfl", 0.0), ("cfl", math.nan), ("dt_min", 0.0),
+        ("dt_min", 1e-5), ("dt_max", 1e-13), ("growth", 0.5),
+        ("grow_after", 0), ("blowup_threshold", 0.0), ("max_steps", 0),
+        ("sample_every", 0)])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ParameterError, match=f"solver {field} must be"):
+            SolverConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        SolverConfig(dt_init=1e-6, dt_min=1e-6, dt_max=1e-6, growth=1.0,
+                     grow_after=1, max_steps=1, sample_every=1)
+
+
 class TestDiagnostics:
     def test_energy_of_constant_state(self):
         grid = make_grid(3, 1.0, 32)

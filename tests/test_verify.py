@@ -9,41 +9,99 @@ from chemobound.exponents import EnergyIndices, ModelParams
 from chemobound.odi import (max_admissible_epsilon, odi_coefficients)
 from chemobound.pde import (ConstantProfile, GaussianBump, SolverConfig,
                             init_state, make_grid, run)
-from chemobound.verify import (ConcurrenceThresholds, MonitorConfig,
-                               SamplerConfig, check_embed_inequality,
+from chemobound.verify import (REPORT_TOL, ConcurrenceThresholds,
+                               MonitorConfig, check_embed_inequality,
                                check_remark_ordering, concurrence_diagnostic,
                                equivalence_bruteforce, estimate_gn_constant,
-                               estimate_gn_for_eta, odi_monitor)
+                               estimate_gn_for_eta, odi_monitor, profile_set)
 
 GRID = make_grid(3, 1.0, 48)
+
+
+# (n, eta, R, M, lower estimate from 999 seeded random profiles plus 60
+# random ascent steps); the profile set must never fall below these
+SAMPLER_ESTIMATES = [
+    (3, 1.5, 0.5, 16, 1.381976597885342),
+    (3, 1.5, 0.5, 48, 1.3819765978853418),
+    (3, 1.5, 0.5, 64, 1.3819765978853418),
+    (3, 1.5, 1.0, 16, 0.4886025119029199),
+    (3, 1.5, 1.0, 48, 0.48860251190292),
+    (3, 1.5, 1.0, 64, 0.48860251190292),
+    (3, 1.5, 3.0, 16, 0.2215520473763439),
+    (3, 1.5, 3.0, 48, 0.16766481862971547),
+    (3, 1.5, 3.0, 64, 0.1654914714927984),
+    (3, 1.5, 5.0, 16, 0.2079915382641672),
+    (3, 1.5, 5.0, 48, 0.15929564718173694),
+    (3, 1.5, 5.0, 64, 0.15733387195383927),
+    (4, 1.3333333333333333, 0.5, 16, 1.4800739366147124),
+    (4, 1.3333333333333333, 0.5, 48, 1.4800739366147124),
+    (4, 1.3333333333333333, 0.5, 64, 1.4800739366147124),
+    (4, 1.3333333333333333, 1.0, 16, 0.5873677309932273),
+    (4, 1.3333333333333333, 1.0, 48, 0.5873677309932273),
+    (4, 1.3333333333333333, 1.0, 64, 0.5873677309932273),
+    (4, 1.3333333333333333, 3.0, 16, 0.17211880727890116),
+    (4, 1.3333333333333333, 3.0, 48, 0.15865294006501082),
+    (4, 1.3333333333333333, 3.0, 64, 0.15784312578541146),
+    (4, 1.3333333333333333, 5.0, 16, 0.16333148085291943),
+    (4, 1.3333333333333333, 5.0, 48, 0.15103835194888318),
+    (4, 1.3333333333333333, 5.0, 64, 0.1503055973462265),
+    (5, 1.25, 0.5, 16, 1.5702285745221936),
+    (5, 1.25, 0.5, 48, 1.5702285745221933),
+    (5, 1.25, 0.5, 64, 1.5702285745221936),
+    (5, 1.25, 1.0, 16, 0.6601997897223313),
+    (5, 1.25, 1.0, 48, 0.6601997897223312),
+    (5, 1.25, 1.0, 64, 0.6601997897223313),
+    (5, 1.25, 3.0, 16, 0.16721445329690157),
+    (5, 1.25, 3.0, 48, 0.16721445329690157),
+    (5, 1.25, 3.0, 64, 0.16721445329690157),
+    (5, 1.25, 5.0, 16, 0.13466937419939642),
+    (5, 1.25, 5.0, 48, 0.14228291276410207),
+    (5, 1.25, 5.0, 64, 0.14246223575435893)]
+
+# the (n, eta) pairs the benchmark's bound queries estimate C_GN at (M = 64)
+BOUND_QUERY_ETAS = [
+    (3, 1.25), (3, 1.282051282051282), (3, 4.0 / 3.0), (3, 1.388888888888889),
+    (3, 1.4130434782608698), (3, 1.4583333333333333), (3, 1.5),
+    (3, 1.5217391304347827), (3, 1.5476190476190474), (4, 1.25),
+    (4, 1.3170731707317074), (4, 4.0 / 3.0), (4, 1.3499999999999999),
+    (4, 1.3636363636363635), (5, 1.2), (5, 1.2384615384615385), (5, 1.25),
+    (5, 1.2578125), (5, 1.263157894736842), (6, 1.2)]
 
 
 class TestGnEstimate:
     def test_at_least_constant_ratio(self):
         # f = 1 gives ratio exactly 1 when p = s, so the estimate is >= 1
-        cfg = SamplerConfig(n_samples=50, ascent_steps=10, seed=1)
-        assert estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 3.0, cfg) >= 1.0
+        assert estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 3.0) >= 1.0
 
-    def test_monotone_in_sample_budget(self):
-        small = estimate_gn_constant(
-            GRID, 3.0, 2.0, 2.0, 2.0,
-            SamplerConfig(n_samples=100, ascent_steps=0, seed=0))
-        large = estimate_gn_constant(
-            GRID, 3.0, 2.0, 2.0, 2.0,
-            SamplerConfig(n_samples=1000, ascent_steps=0, seed=0))
-        assert large >= small
-
-    def test_deterministic_given_seed(self):
-        cfg = SamplerConfig(n_samples=200, ascent_steps=15, seed=7)
-        a = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0, cfg)
-        b = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0, cfg)
+    def test_deterministic(self):
+        a = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0)
+        b = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0)
         assert a == b
 
     def test_safety_inflation(self):
         # the estimate comes back uninflated; callers apply bound.gn_safety
-        cfg = SamplerConfig(n_samples=100, ascent_steps=0, seed=0)
-        raw = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0, cfg)
-        assert 2.0 * estimate_gn_for_eta(GRID, 1.5, cfg) == 2.0 * raw
+        raw = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0)
+        assert 2.0 * estimate_gn_for_eta(GRID, 1.5) == 2.0 * raw
+
+    def test_dominates_random_sampler(self):
+        for n, eta, R, M, old in SAMPLER_ESTIMATES:
+            new = estimate_gn_for_eta(make_grid(n, R, M), eta)
+            if R > 1.0:
+                assert new > old, (n, R, M)
+            else:  # the constant profile wins on small balls
+                assert new == pytest.approx(old, rel=1e-14, abs=0), (n, R, M)
+
+    @pytest.mark.parametrize("n, eta", BOUND_QUERY_ETAS)
+    def test_constant_profile_wins_on_unit_ball(self, n, eta):
+        grid = make_grid(n, 1.0, 64)
+        assert estimate_gn_for_eta(grid, eta) == pytest.approx(
+            grid.volume ** (1.0 - eta), rel=1e-13, abs=0)
+
+    def test_profile_set_shape(self):
+        profiles = profile_set(GRID)
+        assert profiles.shape == (1 + 5 * 40 + 47, 48)
+        assert np.all(profiles[0] == 1.0)
+        assert np.all(profiles >= 0.0)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ParameterError):
@@ -53,11 +111,18 @@ class TestGnEstimate:
 class TestEmbed:
     @pytest.mark.parametrize("eta", [1.1, 1.5, 4.0 / 3.0])
     def test_no_violations_with_inflated_constant(self, eta):
-        cfg = SamplerConfig(n_samples=200, ascent_steps=20, seed=3)
-        C = 2.0 * estimate_gn_for_eta(GRID, eta, cfg)
-        report = check_embed_inequality(GRID, eta, 1.0, C, cfg)
+        C = 2.0 * estimate_gn_for_eta(GRID, eta)
+        report = check_embed_inequality(GRID, eta, 1.0, C)
         assert report.violations == 0
-        assert report.worst_margin >= -cfg.report_tol
+        assert report.worst_margin >= -REPORT_TOL
+
+    @pytest.mark.parametrize("eta", [1.1, 1.5, 4.0 / 3.0])
+    def test_halved_constant_reports_violations(self, eta):
+        # the check can fail: half the estimate is too small a constant
+        C = 0.5 * estimate_gn_for_eta(GRID, eta)
+        report = check_embed_inequality(GRID, eta, 1.0, C)
+        assert report.violations > 0
+        assert report.worst_margin < -REPORT_TOL
 
     def test_rejects_eta_out_of_interval(self):
         with pytest.raises(ParameterError):
@@ -68,9 +133,9 @@ class TestEmbed:
             check_embed_inequality(GRID, 1.5, 0.0, 10.0)
 
     def test_report_records_configuration(self):
-        cfg = SamplerConfig(n_samples=50, ascent_steps=0, seed=5)
-        report = check_embed_inequality(GRID, 1.5, 0.5, 10.0, cfg)
-        assert report.seed == 5
+        report = check_embed_inequality(GRID, 1.5, 0.5, 10.0)
+        assert report.seed is None
+        assert report.samples == 9 * profile_set(GRID).shape[0]
         assert report.config["eta"] == 1.5
 
 
