@@ -13,6 +13,7 @@ a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import itertools
@@ -133,9 +134,19 @@ def bound_from_config(cfg: dict, E0: float | None = None,
     if E0 is None:
         E0 = cfgmod.require(cfg, "bound.E0")
     C_GN, meta = gn or resolve_gn_constant(cfg, indices.eta, grid)
-    return odi.bound_at_indices(params, indices, E0, C_GN,
-                                cfg["indices.epsilon"],
-                                cfgmod.build_quad(cfg)), meta
+    with _overflow_is_config_error(cfg, C_GN):
+        return odi.bound_at_indices(params, indices, E0, C_GN,
+                                    cfg["indices.epsilon"],
+                                    cfgmod.build_quad(cfg)), meta
+
+
+@contextlib.contextmanager
+def _overflow_is_config_error(cfg: dict, C_GN: float):
+    try:
+        yield
+    except OverflowError as exc:  # e.g. a tiny epsilon's epsilon**(-h)
+        raise ConfigError(f"indices.epsilon={cfg['indices.epsilon']!r} with "
+                          f"C_GN={C_GN!r} overflows the bound") from exc
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -168,9 +179,10 @@ def cmd_optimize_bound(args) -> int:
     indices_seed = exponents.EnergyIndices(
         p, q, *(_feasible_center(cfg["model.dim"], p, q)))
     C_GN, meta = resolve_gn_constant(cfg, indices_seed.eta, grid)
-    s1, s2, eps, result = odi.optimize_bound(params, p, q, E0, C_GN, opt_cfg)
-    payload = {**result.to_json_dict(), **meta,
-               "optimized": {"s1": s1, "s2": s2, "epsilon": eps}}
+    result = odi.optimize_bound(params, p, q, E0, C_GN, opt_cfg)
+    payload = {**result.to_json_dict(), **meta, "optimized": {
+        "s1": float(result.indices.s1), "s2": float(result.indices.s2),
+        "epsilon": result.coeffs.epsilon}}
     _emit(payload, cfg, _output_dir(cfg), "optimize_bound.json")
     return EXIT_OK
 
@@ -236,8 +248,9 @@ def cmd_verify_odi(args) -> int:
     traj, grid, params = simulate_from_config(cfg)
     indices = resolve_indices(cfg)
     C_GN, meta = resolve_gn_constant(cfg, indices.eta, grid)
-    coeffs = odi.odi_coefficients(params, indices, cfg["indices.epsilon"],
-                                  C_GN)
+    with _overflow_is_config_error(cfg, C_GN):
+        coeffs = odi.odi_coefficients(params, indices, cfg["indices.epsilon"],
+                                      C_GN)
     mon = verify.MonitorConfig(slack=cfg["monitor.slack"],
                                t_max=traj.report.t_detect)
     report = verify.odi_monitor(traj, coeffs, mon)
@@ -312,7 +325,6 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
                     "t_lower": repr(bound.t_lower),
                     "margin": "" if margin == "" else repr(margin)}
         except (ChemoboundError, ArithmeticError, ValueError) as exc:
-            # e.g. epsilon**(-h) overflowing for a tiny configured epsilon
             (cell_dir / "error.txt").write_text(f"{type(exc).__name__}: {exc}\n")
             return {"run_id": run_id, "blew_up": "error", "t_detect": "",
                     "t_lower": "", "margin": ""}
@@ -365,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         if "bound" in flags:
             sp.add_argument("--E0", type=float)
             sp.add_argument("--corollary", type=int, choices=(0, 1, 2))
-        sp.add_argument("--seed", type=int)
 
     sp = sub.add_parser("check-params", help="evaluate the admissibility condition")
     common(sp, ("dim", "pq"))
@@ -375,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, ("dim", "pq", "bound"))
     sp.set_defaults(func=cmd_bound)
 
-    sp = sub.add_parser("optimize-bound", help="search (s1, s2, epsilon)")
+    sp = sub.add_parser("optimize-bound", help="search (s1, s2)")
     common(sp, ("dim", "pq", "bound"))
     sp.set_defaults(func=cmd_optimize_bound)
 
@@ -390,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         common(sp, ("dim", "pq", "bound"))
         sp.add_argument("--eta", type=float)
+        if name == "verify-equivalence":
+            sp.add_argument("--seed", type=int)
         sp.set_defaults(func=handler)
 
     sp = sub.add_parser("region", help="admissible (p, q) region table")

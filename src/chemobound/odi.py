@@ -8,8 +8,8 @@ once the auxiliary epsilon is small enough to make both gradient-term
 prefactors (zeta1, zeta2) negative.  Separation of variables then gives
 T >= integral_{E0}^{infinity} ds / F(s); this module assembles the
 coefficients, picks epsilon, evaluates the truncated integral with an
-explicit tail budget, and searches the free parameters (s1, s2, epsilon)
-for the best bound.
+explicit tail budget, and searches the free parameters (s1, s2) for the
+best bound.
 """
 
 from __future__ import annotations
@@ -277,16 +277,17 @@ def bound_at_indices(params: ModelParams, indices: EnergyIndices, E0: float,
                    indices=indices, coeffs=coeffs)
 
 
+COARSE_GRID = 7     # points per (s1, s2) axis of the starting grid
+REFINE_ITERS = 60   # pattern-search sweeps after the grid
+
+
 @dataclass(frozen=True)
 class OptConfig:
-    coarse_grid: int = 7        # points per (s1, s2) axis
-    eps_grid: int = 7           # epsilon fractions per candidate
-    refine_iters: int = 60
-    boundary_margin: float = 1e-3  # fraction of box width kept off each edge
+    boundary_margin: float = 1e-3  # fraction of box width and of sup epsilon
     quad: QuadConfig = field(default_factory=QuadConfig)
 
     def __post_init__(self):
-        # 0 reaches the open box's edge and epsilon = 0; 0.5 collapses the box
+        # 0 reaches the open box's edge and sup epsilon; 0.5 collapses the box
         if not 0 < self.boundary_margin < 0.5:
             raise ParameterError(f"boundary_margin must lie in (0, 0.5), "
                                  f"got {self.boundary_margin}")
@@ -294,11 +295,13 @@ class OptConfig:
 
 def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
                    C_GN: float, opt_cfg: OptConfig = OptConfig()):
-    """Maximize the bound over admissible (s1, s2) and epsilon.
+    """Maximize the bound over admissible (s1, s2): a coarse grid, then a
+    shrinking pattern search, clamped off the open box's edges by the margin.
 
-    Coarse grid search followed by shrinking pattern search; candidates on
-    the (open) box boundary are excluded by the configured margin.  Returns
-    (s1, s2, epsilon, BoundResult).
+    The bound cannot fall as epsilon grows (every m_i falls like
+    epsilon**(-h) and the truncation point rises), so each candidate takes
+    epsilon = (1 - margin) * its supremum.  The result's indices and coeffs
+    carry the optimal s1, s2 and epsilon.
     """
     n = params.dim
     (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, float(p), float(q))
@@ -313,62 +316,44 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
         raise InfeasibleError(
             f"empty admissible (s1, s2) box for n={n}, p={p}, q={q}")
 
-    def evaluate(s1, s2, eps_frac):
-        s1 = min(max(s1, lo1), hi1)
-        s2 = min(max(s2, lo2), hi2)
-        eps_frac = min(max(eps_frac, mar), 1.0 - mar)
-        indices = EnergyIndices(p, q, s1, s2)
-        eps = eps_frac * max_admissible_epsilon(params, indices)
+    def evaluate(s1, s2):
+        indices = EnergyIndices(p, q, min(max(s1, lo1), hi1),
+                                min(max(s2, lo2), hi2))
+        eps = (1.0 - mar) * max_admissible_epsilon(params, indices)
         try:
-            result = bound_at_indices(params, indices, E0, C_GN, eps,
-                                      opt_cfg.quad)
+            return bound_at_indices(params, indices, E0, C_GN, eps,
+                                    opt_cfg.quad)
         except OverflowError:
             # eta close to the singular point makes eps**(-h) blow past
             # float range; such candidates give a worthless bound anyway
             return None
-        return (s1, s2, eps_frac, eps, result)
 
-    candidates = []
-    g1 = np.linspace(lo1, hi1, opt_cfg.coarse_grid)
-    g2 = np.linspace(lo2, hi2, opt_cfg.coarse_grid)
-    gf = np.linspace(0.1, 0.9, opt_cfg.eps_grid)
-    for s1 in g1:
-        for s2 in g2:
-            for f in gf:
-                candidates.append((float(s1), float(s2), float(f)))
+    candidates = [(float(s1), float(s2))
+                  for s1 in np.linspace(lo1, hi1, COARSE_GRID)
+                  for s2 in np.linspace(lo2, hi2, COARSE_GRID)]
     if q == 2 * p:
         # the collapsed selection is an interior feasible point; seed it so
         # the search never does worse than the closed-form route
         _, s1c, s2c = corollary1_parameters(p, n)
-        candidates.append((float(s1c), float(s2c), 0.5))
-
-    best = None
-    for s1, s2, f in candidates:
-        out = evaluate(s1, s2, f)
-        if out is None:
-            continue
-        if best is None or out[4].t_lower > best[4].t_lower:
-            best = out
-
-    if best is None:
+        candidates.append((float(s1c), float(s2c)))
+    scored = [out for out in (evaluate(*c) for c in candidates)
+              if out is not None]
+    if not scored:
         raise InfeasibleError("no admissible candidate found in the box")
+    best = max(scored, key=lambda out: out.t_lower)
 
-    steps = np.array([0.25 * w1, 0.25 * w2, 0.2])
-    for _ in range(opt_cfg.refine_iters):
-        s1, s2, f = best[:3]
+    d1, d2 = 0.25 * w1, 0.25 * w2
+    for _ in range(REFINE_ITERS):
+        s1, s2 = best.indices.s1, best.indices.s2
         improved = False
-        for axis in range(3):
-            for sign in (+1.0, -1.0):
-                trial = [s1, s2, f]
-                trial[axis] += sign * steps[axis]
-                out = evaluate(*trial)
-                if out is not None and out[4].t_lower > best[4].t_lower:
-                    best = out
-                    improved = True
+        for trial in ((s1 + d1, s2), (s1 - d1, s2), (s1, s2 + d2),
+                      (s1, s2 - d2)):
+            out = evaluate(*trial)
+            if out is not None and out.t_lower > best.t_lower:
+                best, improved = out, True
         if not improved:
-            steps *= 0.5
-            if steps.max() < 1e-10:
+            d1, d2 = 0.5 * d1, 0.5 * d2
+            if max(d1, d2) < 1e-10:
                 break
 
-    s1, s2, _, eps, result = best
-    return (s1, s2, eps, result)
+    return best

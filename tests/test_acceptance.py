@@ -14,8 +14,8 @@ from chemobound.errors import ParameterError
 from chemobound.exponents import (ModelParams, corollary1_parameters,
                                   corollary2_parameters, compute_etas,
                                   k_exponent)
-from chemobound.odi import (Denominator, OptConfig, QuadConfig,
-                            lower_bound_integral, optimize_bound)
+from chemobound.odi import (Denominator, QuadConfig, lower_bound_integral,
+                            optimize_bound)
 from chemobound.pde import (ConstantProfile, GaussianBump, SolverConfig,
                             energy, init_state, make_grid, mass, run, step)
 from chemobound.verify import (ConcurrenceThresholds, MonitorConfig,
@@ -63,7 +63,6 @@ def monitored_runs():
         (ModelParams(chi=10.0, xi=0.5, dim=3), GaussianBump(3e4, 0.2)),
     ]
     C_GN = 2.0 * estimate_gn_for_eta(GRID3, 1.5)
-    opt = OptConfig(coarse_grid=4, eps_grid=4, refine_iters=20)
     out = []
     for params, profile in cases:
         state0 = init_state(GRID3, profile)
@@ -71,8 +70,7 @@ def monitored_runs():
             t_final=0.05, dt_max=1e-3, sample_every=1)
         traj = run(GRID3, params, state0, 2.0, 4.0, solver)
         E0 = energy(state0, 2.0, 4.0, GRID3)
-        _, _, _, result = optimize_bound(params, 2.0, 4.0, E0, C_GN, opt)
-        out.append((traj, result.coeffs))
+        out.append((traj, optimize_bound(params, 2.0, 4.0, E0, C_GN).coeffs))
     return out
 
 

@@ -50,7 +50,16 @@ class TestConfigParsing:
          "config error: line 1: unknown sweep key 'jobs'"),
         ("sweep.model.chi = 5, 10\n", ["--jobs", "2"],
          "error: unrecognized arguments: --jobs 2"),
-    ], ids=["thresholds.energy", "sweep.jobs", "--jobs"])
+        ("opt.eps_grid = 4\n", [],
+         "config error: line 1: unknown key 'opt.eps_grid'"),
+        ("sweep.opt.coarse_grid = 4, 7\n", [],
+         "config error: line 1: unknown sweep key 'opt.coarse_grid'"),
+        ("sweep.model.chi = 5, 10\n", ["--set", "opt.refine_iters=20"],
+         "config error: unknown key 'opt.refine_iters'"),
+        ("sweep.model.chi = 5, 10\n", ["--seed", "5"],
+         "error: unrecognized arguments: --seed 5"),
+    ], ids=["thresholds.energy", "sweep.jobs", "--jobs", "opt.eps_grid",
+            "opt.coarse_grid", "opt.refine_iters", "--seed"])
     def test_removed_knob_rejected(self, capsys, tmp_path, text, flags,
                                    message):
         cfg_file = tmp_path / "sweep.cfg"
@@ -88,12 +97,13 @@ class TestConfigParsing:
 
     def test_schema_pinned(self):
         # a new dataclass field must not silently become a config key
-        assert len(KNOWN_KEYS) == 55
-        assert config_hash(parse_config_text("")[0]) == "5c9ba199e48bb7d5"
+        assert len(KNOWN_KEYS) == 52
+        assert config_hash(parse_config_text("")[0]) == "a387beea32c3474d"
         for key in ("verify.bump_fraction", "monitor.rel_floor",
                     "quad.truncation_point", "verify.n_samples",
                     "verify.samples", "verify.max_modes",
-                    "verify.ascent_steps", "verify.report_tol"):
+                    "verify.ascent_steps", "verify.report_tol",
+                    "opt.coarse_grid", "opt.eps_grid", "opt.refine_iters"):
             assert key not in KNOWN_KEYS
 
     def test_build_functions_give_dataclass_defaults(self):
@@ -194,13 +204,28 @@ class TestBound:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: rel_tol")
 
+    # epsilon**(-h) in the m_i, C_GN**(2/denom) in C3, and the truncation
+    # point S of the integral (verify-odi builds no integral) overflow
+    @pytest.mark.parametrize("command, epsilon, C_GN", [
+        ("bound", "1e-300", "1"), ("verify-odi", "1e-300", "1"),
+        ("bound", "nan", "1e300"), ("verify-odi", "nan", "1e300"),
+        ("bound", "nan", "1e-300")])
+    def test_overflowing_value_usage_error(self, capsys, command, epsilon,
+                                           C_GN):
+        code = main([command, "-n", "3", "--corollary", "2", "--E0", "1",
+                     "--set", f"bound.C_GN={C_GN}", "--set", "grid.shells=8",
+                     "--set", "solver.max_steps=5",
+                     "--set", f"indices.epsilon={epsilon}"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: indices.epsilon={float(epsilon)!r} with "
+            f"C_GN={float(C_GN)!r} overflows the bound\n")
+
     def test_optimize_dominates_corollary1(self, capsys):
         common = ["-n", "3", "-p", "2", "--E0", "1", "--set", "bound.C_GN=1"]
         assert main(["bound", "--corollary", "1"] + common) == 0
         reference = json.loads(capsys.readouterr().out)["t_lower"]
-        code = main(["optimize-bound", "-q", "4",
-                     "--set", "opt.coarse_grid=4", "--set", "opt.eps_grid=4",
-                     "--set", "opt.refine_iters=20"] + common)
+        code = main(["optimize-bound", "-q", "4"] + common)
         assert code == 0
         optimized = json.loads(capsys.readouterr().out)["t_lower"]
         assert optimized >= reference * (1.0 - 1e-12)
@@ -343,7 +368,7 @@ class TestSweep:
         assert lines[1].startswith("run_000,true,")
         assert lines[2] == "run_001,error,,,"
         error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
-        assert error.startswith("OverflowError")
+        assert error.startswith("ConfigError: indices.epsilon=1e-300 with")
 
     def test_rejected_config_value_cell_is_recorded(self, capsys, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"

@@ -4,16 +4,18 @@ import math
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chemobound import odi
 from chemobound.errors import (DivergenceError, InfeasibleError,
                                NonpositiveDenominatorError, ParameterError)
-from chemobound.exponents import (EnergyIndices, ModelParams,
+from chemobound.exponents import (BallDomain, EnergyIndices, ModelParams,
                                   check_condition_C, corollary1_parameters,
-                                  corollary2_parameters)
-from chemobound.odi import (CoefficientConventionWarning, Denominator,
-                            OdiCoefficients, OptConfig, QuadConfig,
-                            bound_at_indices, lower_bound_integral,
+                                  corollary2_parameters, feasible_box)
+from chemobound.odi import (COARSE_GRID, CoefficientConventionWarning,
+                            Denominator, OdiCoefficients, OptConfig,
+                            QuadConfig, bound_at_indices, lower_bound_integral,
                             max_admissible_epsilon, odi_coefficients, odi_rhs,
                             optimize_bound, zeta_coefficients)
 
@@ -204,28 +206,24 @@ class TestLowerBoundIntegral:
 
 
 class TestOptimize:
-    OPT = OptConfig(coarse_grid=4, eps_grid=4, refine_iters=25)
-
     def test_dominates_corollary1_selection(self):
-        s1, s2, eps, result = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0,
-                                             self.OPT)
+        result = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0)
         reference = corollary1_bound(2.0, 1.0, 1.0)
         assert result.t_lower >= reference.t_lower * (1.0 - 1e-12)
 
     def test_returns_interior_admissible_point(self):
-        s1, s2, eps, result = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0,
-                                             self.OPT)
+        result = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0)
+        idx = result.indices
         # open box for (n=3, p=2, q=4): s1 in (5/2, 10/3), s2 in (10/7, 5/3)
-        assert 2.5 < s1 < 10.0 / 3.0
-        assert 10.0 / 7.0 < s2 < 5.0 / 3.0
-        idx = EnergyIndices(2.0, 4.0, s1, s2)
-        assert 0 < eps < max_admissible_epsilon(PARAMS, idx)
+        assert 2.5 < idx.s1 < 10.0 / 3.0
+        assert 10.0 / 7.0 < idx.s2 < 5.0 / 3.0
+        assert 0 < result.coeffs.epsilon < max_admissible_epsilon(PARAMS, idx)
 
     def test_infeasible_box(self):
         # q = n: the s1 interval is empty
         for p in (2.0, 2.5):
             with pytest.raises(InfeasibleError, match="empty admissible"):
-                optimize_bound(PARAMS, p, 3.0, 1.0, 1.0, self.OPT)
+                optimize_bound(PARAMS, p, 3.0, 1.0, 1.0)
 
     def test_condition_C_checked_once_per_query(self, monkeypatch):
         calls = []
@@ -235,26 +233,79 @@ class TestOptimize:
             return check_condition_C(*args)
 
         monkeypatch.setattr(odi, "check_condition_C", counted)
-        optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0, self.OPT)
+        optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0)
         assert len(calls) == 2
 
-    def test_every_scored_candidate_admissible(self, monkeypatch):
+    def _scored(self, monkeypatch, opt_cfg=OptConfig()):
+        """Every result optimize_bound scores, and the one it returns."""
         scored = []
 
-        def spy(params, indices, *args, **kwargs):
-            scored.append(indices)
-            return bound_at_indices(params, indices, *args, **kwargs)
+        def spy(*args, **kwargs):
+            scored.append(bound_at_indices(*args, **kwargs))
+            return scored[-1]
 
         monkeypatch.setattr(odi, "bound_at_indices", spy)
-        optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0, self.OPT)
-        assert len(scored) > self.OPT.coarse_grid ** 2 * self.OPT.eps_grid
-        for idx in scored:
+        return scored, optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0, opt_cfg)
+
+    def test_every_scored_candidate_admissible(self, monkeypatch):
+        scored, _ = self._scored(monkeypatch)
+        assert len(scored) > COARSE_GRID ** 2
+        for result in scored:
+            idx = result.indices
             assert check_condition_C(3, idx.p, idx.q, idx.s1, idx.s2).admissible
+
+    @pytest.mark.parametrize("margin", [1e-3, 0.1])
+    def test_epsilon_at_top_of_its_range(self, monkeypatch, margin):
+        scored, best = self._scored(monkeypatch, OptConfig(margin))
+        assert best in scored
+        for result in scored:
+            eps_max = max_admissible_epsilon(PARAMS, result.indices)
+            assert result.coeffs.epsilon == (1.0 - margin) * eps_max
 
     @pytest.mark.parametrize("margin", [0.0, 0.5, 0.6, -0.1])
     def test_boundary_margin_outside_open_half_interval(self, margin):
         with pytest.raises(ParameterError, match="boundary_margin"):
             OptConfig(boundary_margin=margin)
+
+
+class TestEpsilonMonotone:
+    """The search pins epsilon at the top of its range because the bound
+    cannot fall as epsilon grows: each m_i falls and S rises.  The draws
+    keep p, q, s1 and s2 off the edges of Condition C, where float rounding
+    can put an eta on the singular point."""
+
+    # F overflows to inf far out on the range, where 1/F is below 1e-308
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 6), uq=st.floats(0.02, 1),
+           up=st.floats(0.02, 0.98), u1=st.floats(0.02, 0.98),
+           u2=st.floats(0.02, 0.98),
+           fa=st.floats(0.01, 0.999), fb=st.floats(0.01, 0.999),
+           convex=st.booleans(), boundary_c=st.floats(0.01, 10),
+           mu1=st.floats(-5, 5), chi=st.floats(0, 20), xi=st.floats(0, 20),
+           log_E0=st.floats(-2, 2))
+    def test_t_lower_nondecreasing_in_epsilon(self, n, uq, up, u1, u2, fa, fb,
+                                              convex, boundary_c, mu1, chi,
+                                              xi, log_E0):
+        q = n + 3.0 * n * uq
+        p = n * q / (n + q) + (3.0 * n - n * q / (n + q)) * up
+        (a, b), (c, d) = feasible_box(n, p, q)
+        assume(b > a and d > c)
+        indices = EnergyIndices(p, q, a + u1 * (b - a), c + u2 * (d - c))
+        assume(check_condition_C(n, p, q, indices.s1, indices.s2).admissible)
+        params = ModelParams(chi=chi, xi=xi, mu1=mu1, dim=n,
+                             domain=BallDomain(convex=convex),
+                             boundary_c=0.0 if convex else boundary_c)
+        eps_max = max_admissible_epsilon(params, indices)
+        lo, hi = sorted((fa, fb))
+        try:
+            t_lo, t_hi = (
+                bound_at_indices(params, indices, 10.0 ** log_E0, 1.0,
+                                 float(f * eps_max)).t_lower
+                for f in (lo, hi))
+        except (OverflowError, NonpositiveDenominatorError):
+            assume(False)  # eps**(-h) out of float range, or F hits zero
+        assert t_hi >= t_lo * (1.0 - 1e-9)
 
 
 class TestQuadConfig:
