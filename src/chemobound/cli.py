@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import itertools
 import json
 import math
@@ -355,6 +356,7 @@ def cmd_sweep(args) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
+@functools.cache  # parsing leaves the parser unchanged; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chemobound",

@@ -193,7 +193,9 @@ def check_condition_C(n: int, p: Number, q: Number, s1: Number,
 
     All inequalities are strict; boundary equality is inadmissible.  Exact
     rational arithmetic is used when every input is int/Fraction, float
-    comparisons otherwise.
+    comparisons otherwise.  Admissibility also requires every computed eta
+    inside (1, 1 + 2/n): in floats a clause can pass by an ulp while an eta
+    rounds onto an end of that interval, where the bound is singular.
     """
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
@@ -206,7 +208,8 @@ def check_condition_C(n: int, p: Number, q: Number, s1: Number,
         etas = compute_etas(p, q, s1, s2)
     except ParameterError:
         etas = None
-    return AdmissibilityReport(all(c.passed for c in clauses), clauses, etas,
+    admissible = all(c.passed for c in clauses) and etas_in_range(etas, n)
+    return AdmissibilityReport(admissible, clauses, etas,
                                min(c.margin for c in clauses))
 
 

@@ -215,6 +215,101 @@ def _dominant_term(den: Denominator):
     return superlinear[a_dom], a_dom
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: the Kronrod
+# nodes with their weights, and the weights of the 10-point Gauss rule on
+# the odd-position nodes
+GK21_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003])
+GK21_KRONROD_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192])
+GK21_GAUSS_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+    0.295524224714752870173892994651338, 0.269266719309996355091226921569469,
+    0.219086362515982043995534934228163, 0.149451349150580593145776339657697,
+    0.066671344308688137593568809893332])
+
+
+# dqk21 folds each node with its mirror, g(x_j) + g(-x_j), then adds the
+# terms of each sum one at a time: the Kronrod sums take the centre, the
+# Gauss pairs, then the other pairs; the spread sum takes the centre, then
+# the pairs outside in.  Positions index the folded rule, whose centre is
+# last; folding counts the centre twice, so its weight is halved (exactly).
+_FOLDED_WEIGHTS = np.append(GK21_KRONROD_WEIGHTS[:10],
+                            0.5 * GK21_KRONROD_WEIGHTS[10])
+_KRONROD_ORDER = [10, 1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+_SPREAD_ORDER = [10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+
+
+def _fold(g):
+    """g at the 21 nodes folded onto positions 0..10 (g[:9:-1] runs from
+    the last node back to the centre)."""
+    return g[:11] + g[:9:-1]
+
+
+def _gk21_first_pass(den: Denominator, x_lo: float, x_hi: float,
+                     rel_tol: float) -> tuple[float, float] | None:
+    """The first step of QUADPACK's dqagse on the integral of e^x / F(e^x)
+    over [x_lo, x_hi]: one dqk21 pass with its error estimate.
+
+    The integrand values and the order of every sum are those of
+    integrate.quad, so an accepted pass returns quad's value and error bit
+    for bit.  Returns (value, error) when dqagse would accept the pass at
+    epsabs = 0, else None.  A non-finite F or integrand at a node also gives
+    None, so integrate.quad meets an overflowing candidate, warnings
+    included, as it always has.
+    """
+    centre, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+    w = _FOLDED_WEIGHTS
+    with np.errstate(all="ignore"):
+        # math.exp, not np.exp: the two differ in the last bit at some nodes
+        s = np.fromiter(map(math.exp, (centre + half * GK21_NODES).tolist()),
+                        float, 21)
+        F = den(s)
+        if not np.isfinite(F).all():
+            return None
+        f = s / F
+        pairs = _fold(f)
+        res_k = np.cumsum((w * pairs)[_KRONROD_ORDER])[-1]
+        res_g = np.cumsum(GK21_GAUSS_WEIGHTS[:5] * pairs[1:10:2])[-1]
+        res_abs = np.cumsum((w * _fold(np.abs(f)))[_KRONROD_ORDER])[-1]
+        res_asc = np.cumsum(
+            (w * _fold(np.abs(f - 0.5 * res_k)))[_SPREAD_ORDER])[-1]
+    value = float(res_k * half)  # half > 0: S exceeds E0
+    err = abs(float((res_k - res_g) * half))
+    res_abs, res_asc = half * float(res_abs), half * float(res_asc)
+    if res_asc != 0 and err != 0:
+        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+    # dqk21's round-off floor is the same 50 eps that bounds epsrel
+    if res_abs > np.finfo(float).tiny / QUADPACK_REL_FLOOR:
+        err = max(QUADPACK_REL_FLOOR * res_abs, err)
+    # dqagse's first-pass test; its `abserr != resabs` is dqk21's res_asc
+    if math.isfinite(value) and err <= rel_tol * abs(value) and err != res_asc:
+        return value, float(err)
+    return None
+
+
 def lower_bound_integral(den: Denominator, E0: float,
                          quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
     """Truncated integral of 1/F from E0, with an analytic tail budget.
@@ -222,7 +317,10 @@ def lower_bound_integral(den: Denominator, E0: float,
     The truncation point S makes the tail estimate S**(1-a)/(A(a-1)) of the
     dominant power term (coefficient A, exponent a) fall below tail_tol.
     The reported value excludes the tail, so it always under-estimates the
-    exact improper integral.
+    exact improper integral.  The integral is taken in ln s: QUADPACK's first
+    21-point Gauss-Kronrod pass, evaluated as one numpy array, when dqagse
+    would accept it, else integrate.quad; quadrature_error is the error
+    estimate of whichever ran.
     """
     if not E0 > 0:
         raise ParameterError(f"E0 must be positive, got {E0}")
@@ -256,12 +354,17 @@ def lower_bound_integral(den: Denominator, E0: float,
                 f"denominator vanishes at s={root}", root=root)
 
     # integrate in log space: s = exp(x) keeps the long upper range tame
-    def integrand(x):
-        s = math.exp(x)
-        return s / den(s)
+    x_lo, x_hi = math.log(E0), math.log(S)
+    accepted = _gk21_first_pass(den, x_lo, x_hi, quad_cfg.rel_tol)
+    if accepted is not None:
+        val, err = accepted
+    else:
+        def integrand(x):
+            s = math.exp(x)
+            return s / den(s)
 
-    val, err = integrate.quad(integrand, math.log(E0), math.log(S),
-                              epsabs=0.0, epsrel=quad_cfg.rel_tol, limit=500)
+        val, err = integrate.quad(integrand, x_lo, x_hi, epsabs=0.0,
+                                  epsrel=quad_cfg.rel_tol, limit=500)
     tail_upper = tail_factor * S ** (1.0 - a_dom) / (A_dom * (a_dom - 1.0))
     return BoundResult(t_lower=val, S=S, quadrature_error=err,
                        tail_upper=tail_upper, flags=tuple(flags))

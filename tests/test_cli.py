@@ -149,6 +149,13 @@ class TestCheckParams:
                      "--s1", "3", "--s2", "1.5"])
         assert code == 1
 
+    def test_eta_rounded_onto_singular_point_exit_one(self, capsys):
+        # every clause passes in floats, but eta_2 is exactly 1 + 2/6
+        code = main(["check-params", "-n", "6", "-p", "4.285714285714288",
+                     "-q", "15", "--s1", "8.75", "--s2", "2.8571428571428577"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["admissible"] is False
+
     def test_missing_indices_usage_error(self, capsys):
         assert main(["check-params", "-n", "3"]) == 2
 

@@ -67,6 +67,15 @@ class TestConditionC:
         report = check_condition_C(3, 2, 4, F(10, 3), F(3, 2))
         assert not report.admissible
 
+    def test_float_eta_on_singular_point_inadmissible(self):
+        # p two ulps above nq/(n+q): every clause passes by an ulp, yet
+        # eta_2 rounds to exactly 1 + 2/n, where k and h are singular
+        report = check_condition_C(6, 4.285714285714288, 15.0, 8.75,
+                                   2.8571428571428577)
+        assert all(c.passed for c in report.clauses)
+        assert report.etas[2] == 1.0 + 2.0 / 6
+        assert not report.admissible
+
     def test_margin_is_smallest_clause_slack(self):
         report = check_condition_C(3, 2, 4, 3, F(3, 2))
         assert report.margin == min(c.margin for c in report.clauses)

@@ -2,10 +2,13 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from chemobound import odi
 from chemobound.errors import (DivergenceError, InfeasibleError,
@@ -38,6 +41,42 @@ def corollary2_bound(E0, C_GN):
     p, q, s1, s2 = corollary2_parameters(PARAMS.dim)
     indices = EnergyIndices(float(p), float(q), float(s1), float(s2))
     return bound_at_indices(PARAMS, indices, E0, C_GN)
+
+
+def plain_quad(den, E0, S, **kwargs):
+    """integrate.quad on the log-space integrand, called as the fallback
+    calls it."""
+    return integrate.quad(lambda x: math.exp(x) / den(math.exp(x)),
+                          math.log(E0), math.log(S), epsabs=0.0,
+                          epsrel=QuadConfig().rel_tol, limit=500, **kwargs)
+
+
+def quad_calls(monkeypatch):
+    """Route odi's integrate.quad through a spy; returns the list of calls."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return integrate.quad(*args, **kwargs)
+
+    monkeypatch.setattr(odi, "integrate", SimpleNamespace(quad=spy))
+    return calls
+
+
+@st.composite
+def admissible_indices(draw):
+    """(n, indices) admissible under Condition C, with p, q, s1 and s2
+    drawn off the edges of their ranges."""
+    n = draw(st.integers(3, 6))
+    q = n + 3.0 * n * draw(st.floats(0.02, 1))
+    p_lo = n * q / (n + q)
+    p = p_lo + (3.0 * n - p_lo) * draw(st.floats(0.02, 0.98))
+    (a, b), (c, d) = feasible_box(n, p, q)
+    assume(b > a and d > c)
+    indices = EnergyIndices(p, q, a + draw(st.floats(0.02, 0.98)) * (b - a),
+                            c + draw(st.floats(0.02, 0.98)) * (d - c))
+    assume(check_condition_C(n, p, q, indices.s1, indices.s2).admissible)
+    return n, indices
 
 
 class TestZeta:
@@ -167,13 +206,36 @@ class TestLowerBoundIntegral:
         b = lower_bound_integral(den, 2.0).t_lower
         assert a > b
 
-    def test_scaling_inverse(self):
-        den = odi_coefficients(PARAMS, IDX_C13, math.nan, 1.0).denominator()
+    # F overflows to inf far out on the range, where 1/F is below 1e-308
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(ni=admissible_indices(), frac=st.floats(0.01, 0.999),
+           chi=st.floats(0, 20), mu1=st.floats(-5, 5),
+           log_C_GN=st.floats(-1, 1), log_E0=st.floats(-2, 2))
+    def test_scaling_inverse(self, ni, frac, chi, mu1, log_C_GN, log_E0):
+        """Over admissible coefficients, the integral agrees with plain
+        integrate.quad, and 3F integrates to a third of it on the same
+        range."""
+        n, indices = ni
+        params = ModelParams(chi=chi, xi=1.0, mu1=mu1, dim=n)
+        E0 = 10.0 ** log_E0
+        try:
+            den = odi_coefficients(
+                params, indices, frac * max_admissible_epsilon(params, indices),
+                10.0 ** log_C_GN).denominator()
+            base = lower_bound_integral(den, E0)
+        except (OverflowError, NonpositiveDenominatorError):
+            assume(False)  # eps**(-h) out of float range, or F hits zero
+        assert base.t_lower == pytest.approx(plain_quad(den, E0, base.S)[0],
+                                             rel=QuadConfig().rel_tol, abs=0)
         scaled = Denominator(tuple((3.0 * A, a) for A, a in den.terms),
                              3.0 * den.mu1, 3.0 * den.c)
-        base = lower_bound_integral(den, 1.0).t_lower
-        assert lower_bound_integral(scaled, 1.0).t_lower == pytest.approx(
-            base / 3.0, rel=1e-9)
+        with np.errstate(over="ignore"):
+            in_range = math.isfinite(scaled(base.S))
+        if in_range:  # 1/(3F) is (1/F)/3 only where 3F does not overflow
+            same_range = QuadConfig(truncation_point=base.S)
+            assert lower_bound_integral(scaled, E0, same_range).t_lower == \
+                pytest.approx(base.t_lower / 3.0, rel=1e-9, abs=0)
 
     def test_divergence_without_superlinear_term(self):
         with pytest.raises(DivergenceError):
@@ -203,6 +265,49 @@ class TestLowerBoundIntegral:
         assert d["indices"]["eta"] == [1.5] * 4
         assert d["epsilon"] == result.coeffs.epsilon
         assert d["C_GN"] == 1.0
+
+
+class TestGaussKronrodPass:
+    """lower_bound_integral first tries QUADPACK's first 21-point
+    Gauss-Kronrod pass in numpy and calls integrate.quad only when dqagse
+    would not accept that pass."""
+
+    @pytest.mark.parametrize("frac", [0.5, 0.999])
+    @pytest.mark.parametrize("E0", [0.1, 1.0, 10.0])
+    def test_accepted_pass_matches_quadpack(self, monkeypatch, frac, E0):
+        eps = frac * max_admissible_epsilon(PARAMS, IDX_C13)
+        den = odi_coefficients(PARAMS, IDX_C13, eps, 1.0).denominator()
+        calls = quad_calls(monkeypatch)
+        result = lower_bound_integral(den, E0)
+        assert calls == []
+        value, err, info = plain_quad(den, E0, result.S, full_output=1)
+        assert info["neval"] == 21  # QUADPACK stops after its first pass too
+        assert result.t_lower == pytest.approx(value, rel=1e-14, abs=0)
+        assert result.quadrature_error == pytest.approx(err, rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("den, E0, exact", [
+        # slow decay over a long range
+        (Denominator(((1.0, 1.5), (1.0, 3.0))), 1.0, REF_C13_INTEGRAL),
+        # a negative linear term near the root of F = s**2 - s
+        (Denominator(((1.0, 2.0),), mu1=-1.0), 1.05, math.log(21.0)),
+    ], ids=["c13_reference", "near_root"])
+    def test_rejected_pass_falls_back_to_quad(self, monkeypatch, den, E0,
+                                              exact):
+        calls = quad_calls(monkeypatch)
+        result = lower_bound_integral(den, E0)
+        assert len(calls) == 1
+        assert result.quadrature_error == plain_quad(den, E0, result.S)[1]
+        assert result.t_lower == pytest.approx(exact, rel=QuadConfig().rel_tol,
+                                                abs=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_denominator_falls_back_to_quad(self, monkeypatch):
+        # 100**300 overflows at the top of the range [10, 100]
+        den = Denominator(((1.0, 1.5), (1.0, 300.0)))
+        calls = quad_calls(monkeypatch)
+        result = lower_bound_integral(den, 10.0)
+        assert len(calls) == 1
+        assert result.t_lower == plain_quad(den, 10.0, result.S)[0]
 
 
 class TestOptimize:
@@ -270,29 +375,20 @@ class TestOptimize:
 
 class TestEpsilonMonotone:
     """The search pins epsilon at the top of its range because the bound
-    cannot fall as epsilon grows: each m_i falls and S rises.  The draws
-    keep p, q, s1 and s2 off the edges of Condition C, where float rounding
-    can put an eta on the singular point."""
+    cannot fall as epsilon grows: each m_i falls and S rises."""
 
     # F overflows to inf far out on the range, where 1/F is below 1e-308
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(3, 6), uq=st.floats(0.02, 1),
-           up=st.floats(0.02, 0.98), u1=st.floats(0.02, 0.98),
-           u2=st.floats(0.02, 0.98),
+    @given(ni=admissible_indices(),
            fa=st.floats(0.01, 0.999), fb=st.floats(0.01, 0.999),
            convex=st.booleans(), boundary_c=st.floats(0.01, 10),
            mu1=st.floats(-5, 5), chi=st.floats(0, 20), xi=st.floats(0, 20),
            log_E0=st.floats(-2, 2))
-    def test_t_lower_nondecreasing_in_epsilon(self, n, uq, up, u1, u2, fa, fb,
-                                              convex, boundary_c, mu1, chi,
-                                              xi, log_E0):
-        q = n + 3.0 * n * uq
-        p = n * q / (n + q) + (3.0 * n - n * q / (n + q)) * up
-        (a, b), (c, d) = feasible_box(n, p, q)
-        assume(b > a and d > c)
-        indices = EnergyIndices(p, q, a + u1 * (b - a), c + u2 * (d - c))
-        assume(check_condition_C(n, p, q, indices.s1, indices.s2).admissible)
+    def test_t_lower_nondecreasing_in_epsilon(self, ni, fa, fb, convex,
+                                              boundary_c, mu1, chi, xi,
+                                              log_E0):
+        n, indices = ni
         params = ModelParams(chi=chi, xi=xi, mu1=mu1, dim=n,
                              domain=BallDomain(convex=convex),
                              boundary_c=0.0 if convex else boundary_c)
