@@ -145,6 +145,7 @@ class AdmissibilityReport:
     admissible: bool
     clauses: tuple[Clause, ...]
     etas: tuple | None
+    etas_in_range: bool      # every eta strictly inside (1, 1 + 2/n)
     margin: float
 
     def to_json_dict(self) -> dict:
@@ -153,6 +154,7 @@ class AdmissibilityReport:
             "clauses": {c.name: {"passed": c.passed, "margin": c.margin}
                         for c in self.clauses},
             "etas": None if self.etas is None else [float(e) for e in self.etas],
+            "etas_in_range": self.etas_in_range,
             "margin": self.margin,
         }
 
@@ -208,8 +210,9 @@ def check_condition_C(n: int, p: Number, q: Number, s1: Number,
         etas = compute_etas(p, q, s1, s2)
     except ParameterError:
         etas = None
-    admissible = all(c.passed for c in clauses) and etas_in_range(etas, n)
-    return AdmissibilityReport(admissible, clauses, etas,
+    in_range = etas is not None and etas_in_range(etas, n)
+    return AdmissibilityReport(all(c.passed for c in clauses) and in_range,
+                               clauses, etas, in_range,
                                min(c.margin for c in clauses))
 
 

@@ -38,10 +38,12 @@ class RadialGrid:
     shell_measures: np.ndarray  # M; sums to |Omega|
     dr: float
     # finite-volume Laplacian, independent of dt and of the decay rates:
-    # (L f)_i = lap_lower[i-1]*f[i-1] - lap_diag[i]*f[i] + lap_upper[i]*f[i+1]
-    lap_lower: np.ndarray    # M-1
-    lap_upper: np.ndarray    # M-1
-    lap_diag: np.ndarray     # M
+    # (L f)_i = lower[i-1]*f[i-1] - diag[i]*f[i] + upper[i]*f[i+1].  The
+    # fields u, v, w are the blocks of one 3M block-diagonal system with
+    # zero couplings between the blocks, and lap_band holds its bands
+    # -lower (3M-1), -upper (3M-1) and diag (3M) in that order, so that
+    # dt * lap_band is the dt-dependent part of the backward-Euler matrix
+    lap_band: np.ndarray     # 9M-2
 
     @property
     def volume(self) -> float:
@@ -64,17 +66,45 @@ def make_grid(n: int, R: float, M: int) -> RadialGrid:
     diag = np.zeros(M)
     diag[:-1] += upper
     diag[1:] += lower
+    band = np.concatenate([-lower, [0.0], -lower, [0.0], -lower,
+                           -upper, [0.0], -upper, [0.0], -upper,
+                           diag, diag, diag])
     return RadialGrid(n=n, R=R, M=M, r_faces=r_faces, r_centers=r_centers,
                       face_areas=face_areas, shell_measures=shell_measures,
-                      dr=dr, lap_lower=lower, lap_upper=upper, lap_diag=diag)
+                      dr=dr, lap_band=band)
 
 
-@dataclass
 class FieldState:
-    t: float
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    """The fields u, v, w at time t, held as the rows of one (3, M) array
+    `fields`.  FieldState(t, u, v, w) copies the three fields into one.
+
+    A stack of K states has t of shape (K,) and fields of shape (K, 3, M);
+    the diagnostics reduce such a stack state by state."""
+
+    __slots__ = ("t", "fields")
+
+    def __init__(self, t, u, v, w):
+        self.t = t
+        self.fields = np.array((u, v, w), dtype=float)
+
+    @classmethod
+    def from_fields(cls, t, fields: np.ndarray) -> FieldState:
+        """The state with `fields` as its (..., 3, M) array, not copied."""
+        state = cls.__new__(cls)
+        state.t, state.fields = t, fields
+        return state
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.fields[..., 0, :]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.fields[..., 1, :]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.fields[..., 2, :]
 
 
 # --- initial profiles -------------------------------------------------------
@@ -132,7 +162,9 @@ def face_gradients(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
     """One-sided radial gradients at faces along the last axis of f; zero
     at both boundaries."""
     g = np.zeros(f.shape[:-1] + (grid.M + 1,))
-    g[..., 1:-1] = (f[..., 1:] - f[..., :-1]) / grid.dr
+    inner = g[..., 1:-1]
+    np.subtract(f[..., 1:], f[..., :-1], out=inner)
+    np.divide(inner, grid.dr, out=inner)
     return g
 
 
@@ -155,13 +187,11 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     return x
 
 
-def _face_velocity(grid: RadialGrid, params: ModelParams,
-                   state: FieldState) -> np.ndarray:
-    """chi*grad v - xi*grad w at the M-1 interior faces; the velocity at
-    both boundary faces is zero."""
-    gv = (state.v[1:] - state.v[:-1]) / grid.dr
-    gw = (state.w[1:] - state.w[:-1]) / grid.dr
-    return params.chi * gv - params.xi * gw
+def _face_velocity(params: ModelParams, grads: np.ndarray) -> np.ndarray:
+    """chi*grad v - xi*grad w at the M-1 interior faces, from the (3, M+1)
+    face gradients of a state; the velocity at both boundary faces is
+    zero."""
+    return params.chi * grads[1, 1:-1] - params.xi * grads[2, 1:-1]
 
 
 def _advective_divergence(grid: RadialGrid, u, vel):
@@ -183,70 +213,100 @@ def step(state: FieldState, dt: float, grid: RadialGrid, params: ModelParams,
          vel: np.ndarray | None = None) -> tuple[FieldState, int]:
     """One IMEX step; returns the new state and the negativity clip count.
 
-    `vel` is the face velocity of `state` if the caller already has it.  A
-    field that comes out nonfinite is returned as it is, unclipped."""
+    `vel` is the face velocity of `state` if the caller already has it.  The
+    three backward-Euler systems are solved as one block-diagonal system;
+    the new u, v and w are the rows of its (3, M) solution.  A field that
+    comes out nonfinite is returned as it is, unclipped, and it also makes
+    the other two nonfinite: the solve multiplies it by the zero couplings
+    between the blocks, and 0 * inf is NaN.  run rejects any nonfinite
+    state."""
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    u = state.u
+    fields = state.fields
+    u = fields[0]
     if vel is None:
-        vel = _face_velocity(grid, params, state)
-    u_star = u + dt * (_advective_divergence(grid, u, vel)
-                       + _logistic(params, u))
-    # backward Euler: (I + dt*decay - dt*L) f_new = rhs
-    lower, upper = -dt * grid.lap_lower, -dt * grid.lap_upper
-    diag = dt * grid.lap_diag
+        vel = _face_velocity(params, face_gradients(grid, fields))
+    # backward Euler: (I + dt*decay - dt*L) f_new = rhs, field by field
+    M = grid.M
+    rhs = np.empty((3, M))
+    np.add(u, dt * (_advective_divergence(grid, u, vel)
+                    + _logistic(params, u)), out=rhs[0])
+    np.add(fields[1:], np.array([[dt * params.beta], [dt * params.delta]]) * u,
+           out=rhs[1:])
+    band = dt * grid.lap_band
+    diag = band[6 * M - 2:].reshape(3, M)
+    diag += np.array([[1.0], [1.0 + dt * params.alpha],
+                      [1.0 + dt * params.gamma]])
+    new = _gtsv(band[:3 * M - 1], diag.reshape(-1), band[3 * M - 1:6 * M - 2],
+                rhs.reshape(-1)).reshape(3, M)
     clips = 0
-    out = []
-    for decay, rhs in ((0.0, u_star),
-                       (params.alpha, state.v + dt * params.beta * u),
-                       (params.gamma, state.w + dt * params.delta * u)):
-        f = _gtsv(lower.copy(), 1.0 + dt * decay + diag, upper.copy(), rhs)
-        lo, hi = float(f.min()), float(f.max())
+    if np.minimum.reduce(new, axis=None) > 0.0:
+        # nothing to clip, the common case (False if any value is NaN)
+        return FieldState.from_fields(state.t + dt, new), clips
+    for f, lo, hi in zip(new, np.minimum.reduce(new, axis=1).tolist(),
+                         np.maximum.reduce(new, axis=1).tolist()):
         if math.isfinite(lo) and math.isfinite(hi):
             floor = -1e-10 * max(-lo, hi, 1.0)
             if lo < floor:
                 clips += int(np.count_nonzero(f < floor))
             np.maximum(f, 0.0, out=f)
-        out.append(f)
-    return FieldState(t=state.t + dt, u=out[0], v=out[1], w=out[2]), clips
+    return FieldState.from_fields(state.t + dt, new), clips
 
 
 # --- diagnostics ------------------------------------------------------------
+# Each takes one state or a stack of K states (FieldState) and returns a
+# float or an array of K values.
 
-def mass(state: FieldState, grid: RadialGrid) -> float:
-    return float(np.dot(grid.shell_measures, state.u))
+def _per_state(x):
+    """A float for one state, the array for a stack of states."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def _sample_terms(state: FieldState, grid: RadialGrid, p: float):
-    """|u|^p and the face gradients of v and w: what energy and norms both
-    need, so one sample can compute them once and pass them to both."""
-    return (np.abs(state.u) ** p, face_gradients(grid, state.v),
-            face_gradients(grid, state.w))
+def _integral(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Shell-quadrature integral along the last axis.  np.vecdot takes one
+    BLAS dot product per row, the same bits as np.dot(V, row); a
+    matrix-vector product rounds differently in the last bit."""
+    return np.vecdot(values, grid.shell_measures)
+
+
+def mass(state: FieldState, grid: RadialGrid):
+    return _per_state(_integral(grid, state.u))
+
+
+def _sample_terms(state: FieldState, grid: RadialGrid, p: float, grads=None):
+    """The integral of |u|^p and the (..., 2, M+1) face gradients of v and
+    w: what energy and norms both need, so one sample can compute them once
+    and pass them to both.  `grads` is those gradients if the caller
+    already has them."""
+    if grads is None:
+        grads = face_gradients(grid, state.fields[..., 1:, :])
+    return _integral(grid, np.abs(state.u) ** p), grads
 
 
 def energy(state: FieldState, p: float, q: float, grid: RadialGrid,
-           terms=None) -> float:
+           terms=None):
     """(1/p) int |u|^p + (1/q) int |grad v|^q + (1/q) int |grad w|^q.
 
     `terms` is _sample_terms(state, grid, p) if the caller already has it."""
     if p <= 0 or q <= 0:
         raise ParameterError(f"p, q must be positive, got p={p}, q={q}")
-    up, fv, fw = _sample_terms(state, grid, p) if terms is None else terms
-    V = grid.shell_measures
-    term_u = float(np.dot(V, up)) / p
-    gv = np.abs(_face_to_cell(fv))
-    gw = np.abs(_face_to_cell(fw))
-    return term_u + (float(np.dot(V, gv ** q)) + float(np.dot(V, gw ** q))) / q
+    int_up, grads = _sample_terms(state, grid, p) if terms is None else terms
+    int_g = _integral(grid, np.abs(_face_to_cell(grads)) ** q)
+    return _per_state(int_up / p + (int_g[..., 0] + int_g[..., 1]) / q)
 
 
 def norms(state: FieldState, grid: RadialGrid, p: float, terms=None):
     """(||u||_p, ||u||_inf, max face gradient of v, of w).
 
     `terms` is _sample_terms(state, grid, p) if the caller already has it."""
-    up, fv, fw = _sample_terms(state, grid, p) if terms is None else terms
-    lp = float(np.dot(grid.shell_measures, up)) ** (1.0 / p)
-    linf = float(np.abs(state.u).max())
-    return (lp, linf, float(np.abs(fv).max()), float(np.abs(fw).max()))
+    int_up, grads = _sample_terms(state, grid, p) if terms is None else terms
+    # Python's float power: numpy's vectorised one can differ in the last bit
+    lp = np.reshape([s ** (1.0 / p) for s in np.ravel(int_up).tolist()],
+                    np.shape(int_up))
+    linf = np.abs(state.u).max(axis=-1)
+    gmax = np.abs(grads).max(axis=-1)
+    return tuple(_per_state(x) for x in (lp, linf, gmax[..., 0],
+                                         gmax[..., 1]))
 
 
 # --- time stepping driver ---------------------------------------------------
@@ -315,20 +375,27 @@ class Trajectory:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["t", "E_pq", "Lp_u", "Linf_u", "gradinf_v",
                          "gradinf_w", "mass"])
-        for row in zip(self.t, self.E_pq, self.Lp_u, self.Linf_u,
-                       self.gradinf_v, self.gradinf_w, self.mass):
-            writer.writerow([repr(float(x)) for x in row])
+        # csv writes a float as its repr
+        writer.writerows(zip(*(col.tolist() for col in (
+            self.t, self.E_pq, self.Lp_u, self.Linf_u, self.gradinf_v,
+            self.gradinf_w, self.mass))))
 
 
-def _stable_dt(grid: RadialGrid, params: ModelParams, state: FieldState,
-               cfg: SolverConfig, vel: np.ndarray) -> float:
-    """Largest dt the limiter allows; `vel` is _face_velocity(state)."""
-    vel_max = float(np.abs(vel).max())
+# states whose diagnostics run reduces together: ~0.5 MB of fields and
+# gradients at M = 48
+SAMPLE_BLOCK = 256
+
+
+def _stable_dt(grid: RadialGrid, params: ModelParams, cfg: SolverConfig,
+               vel: np.ndarray, grad_u: np.ndarray, umax: float) -> float:
+    """Largest dt the limiter allows at a state with face velocity `vel`,
+    face gradients `grad_u` of u and largest u value `umax`."""
+    # the ufuncs' own reduce: ndarray.max adds a Python-level call
+    vel_max = float(np.maximum.reduce(np.abs(vel)))
     # chemical gradients grow at up to (chi*beta + xi*delta)*|grad u| within
     # the step, so solve dt*(vel + dt*accel) = cfl*dr instead of using the
     # instantaneous velocity alone (vital while v, w are still flat).
-    # Division by dr is monotone, so it can follow the max.
-    gu_max = float(np.abs(state.u[1:] - state.u[:-1]).max()) / grid.dr
+    gu_max = float(np.maximum.reduce(np.abs(grad_u)))
     accel = (params.chi * params.beta + params.xi * params.delta) * gu_max
     limits = [cfg.dt_max]
     target = cfg.cfl * grid.dr
@@ -337,7 +404,6 @@ def _stable_dt(grid: RadialGrid, params: ModelParams, state: FieldState,
                        - vel_max) / (2.0 * accel))
     elif vel_max > 0:
         limits.append(target / vel_max)
-    umax = float(state.u.max())
     rate = abs(params.mu1)
     if params.mu2 > 0 and umax > 0:
         rate += params.mu2 * params.k_logistic * umax ** (params.k_logistic - 1)
@@ -353,28 +419,47 @@ def run(grid: RadialGrid, params: ModelParams, state0: FieldState,
     Blow-up is a reported outcome: the sup norm crossing blowup_threshold,
     a nonfinite state, or the step size falling below dt_min all set the
     flag with the corresponding trigger.
+
+    Each accepted state's face gradients serve the dt limiter, the face
+    velocity and, at a sample, the diagnostics, which are reduced over
+    blocks of SAMPLE_BLOCK sampled states.
     """
     state = state0
     dt = cfg.dt_init
-    samples = []
+    columns = []   # per block of samples: (t, E_pq, Lp_u, Linf_u, ...)
+    pending = []   # sampled (t, fields, face gradients of v and w)
     clip_total = 0
     smooth = 0
     steps = 0
 
-    def record(s: FieldState):
-        terms = _sample_terms(s, grid, p)
-        lp, linf, gv, gw = norms(s, grid, p, terms)
-        samples.append((s.t, energy(s, p, q, grid, terms), lp, linf, gv, gw,
-                        mass(s, grid)))
+    def reduce_pending():
+        ts, fields, grads = zip(*pending)
+        block = FieldState.from_fields(np.array(ts), np.array(fields))
+        terms = _sample_terms(block, grid, p, np.array(grads))
+        columns.append((block.t, energy(block, p, q, grid, terms),
+                        *norms(block, grid, p, terms), mass(block, grid)))
+        pending.clear()
 
-    record(state)
-    # a start already above the threshold is reported before any step
-    blew_up = float(state.u.max()) > cfg.blowup_threshold
-    t_detect, trigger = (state.t, "linf_threshold") if blew_up else (None, None)
+    def record(s: FieldState, grads: np.ndarray):
+        pending.append((s.t, s.fields, grads[1:]))
+        if len(pending) == SAMPLE_BLOCK:
+            reduce_pending()
+
+    grads = face_gradients(grid, state.fields)
+    umax = float(np.maximum.reduce(state.fields[0]))
+    record(state, grads)
+    t_recorded = state.t
+    # a start above the threshold or nonfinite is reported before any step
+    if umax > cfg.blowup_threshold:
+        blew_up, t_detect, trigger = True, state.t, "linf_threshold"
+    elif not np.isfinite(state.fields).all():
+        blew_up, t_detect, trigger = True, state.t, "nonfinite_state"
+    else:
+        blew_up, t_detect, trigger = False, None, None
     while not blew_up and state.t < cfg.t_final and steps < cfg.max_steps:
-        vel = _face_velocity(grid, params, state)
+        vel = _face_velocity(params, grads)
         try:
-            dt_cap = _stable_dt(grid, params, state, cfg, vel)
+            dt_cap = _stable_dt(grid, params, cfg, vel, grads[0], umax)
         except OverflowError:
             # a squared speed or a rate beyond the float range: no dt is
             # stable, so the step size underflows below
@@ -386,9 +471,7 @@ def run(grid: RadialGrid, params: ModelParams, state0: FieldState,
             break
         dt = min(dt, cfg.t_final - state.t)
         new_state, clips = step(state, dt, grid, params, vel=vel)
-        if not (np.isfinite(new_state.u).all() and
-                np.isfinite(new_state.v).all() and
-                np.isfinite(new_state.w).all()):
+        if not np.isfinite(new_state.fields).all():
             dt *= 0.5
             smooth = 0
             if dt < cfg.dt_min:
@@ -396,6 +479,8 @@ def run(grid: RadialGrid, params: ModelParams, state0: FieldState,
                 break
             continue
         state = new_state
+        grads = face_gradients(grid, state.fields)
+        umax = float(np.maximum.reduce(state.fields[0]))
         clip_total += clips
         steps += 1
         smooth += 1
@@ -403,18 +488,19 @@ def run(grid: RadialGrid, params: ModelParams, state0: FieldState,
             dt = min(dt * cfg.growth, cfg.dt_max)
             smooth = 0
         if steps % cfg.sample_every == 0:
-            record(state)
-        if float(state.u.max()) > cfg.blowup_threshold:
+            record(state, grads)
+            t_recorded = state.t
+        if umax > cfg.blowup_threshold:
             blew_up, t_detect, trigger = True, state.t, "linf_threshold"
             break
 
-    if not samples or samples[-1][0] != state.t:
-        record(state)
-    cols = list(zip(*samples))
+    if t_recorded != state.t:
+        record(state, grads)
+    if pending:
+        reduce_pending()
+    cols = [np.concatenate(col) for col in zip(*columns)]
     return Trajectory(
-        t=np.asarray(cols[0]), E_pq=np.asarray(cols[1]),
-        Lp_u=np.asarray(cols[2]), Linf_u=np.asarray(cols[3]),
-        gradinf_v=np.asarray(cols[4]), gradinf_w=np.asarray(cols[5]),
-        mass=np.asarray(cols[6]), p=p, q=q,
+        t=cols[0], E_pq=cols[1], Lp_u=cols[2], Linf_u=cols[3],
+        gradinf_v=cols[4], gradinf_w=cols[5], mass=cols[6], p=p, q=q,
         report=BlowupReport(blew_up, t_detect, trigger),
         solver=cfg, clip_count=clip_total, steps=steps, final_state=state)

@@ -154,7 +154,11 @@ class TestCheckParams:
         code = main(["check-params", "-n", "6", "-p", "4.285714285714288",
                      "-q", "15", "--s1", "8.75", "--s2", "2.8571428571428577"])
         assert code == 1
-        assert json.loads(capsys.readouterr().out)["admissible"] is False
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["admissible"] is False
+        # the payload names the check that failed
+        assert all(c["passed"] for c in payload["clauses"].values())
+        assert payload["etas_in_range"] is False
 
     def test_missing_indices_usage_error(self, capsys):
         assert main(["check-params", "-n", "3"]) == 2

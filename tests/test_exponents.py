@@ -74,6 +74,7 @@ class TestConditionC:
                                    2.8571428571428577)
         assert all(c.passed for c in report.clauses)
         assert report.etas[2] == 1.0 + 2.0 / 6
+        assert not report.etas_in_range
         assert not report.admissible
 
     def test_margin_is_smallest_clause_slack(self):
@@ -84,6 +85,7 @@ class TestConditionC:
     def test_json_round_trip_fields(self):
         d = check_condition_C(3, 2, 4, 3, 1.5).to_json_dict()
         assert d["admissible"] is True
+        assert d["etas_in_range"] is True
         assert len(d["etas"]) == 4
         assert json.loads(json.dumps(d)) == d  # plain bools and floats
 

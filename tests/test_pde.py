@@ -11,10 +11,11 @@ from scipy.linalg import solve_banded
 
 from chemobound.errors import ParameterError
 from chemobound.exponents import ModelParams
-from chemobound.pde import (ConstantProfile, FieldState, GaussianBump,
-                            SolverConfig, TableProfile, cell_gradients,
-                            energy, face_gradients, init_state, make_grid, mass,
-                            norms, run, step, unit_sphere_area)
+from chemobound.pde import (SAMPLE_BLOCK, ConstantProfile, FieldState,
+                            GaussianBump, SolverConfig, TableProfile,
+                            cell_gradients, energy, face_gradients, init_state,
+                            make_grid, mass, norms, run, step,
+                            unit_sphere_area)
 
 DIFFUSION_ONLY = ModelParams(chi=0.0, xi=0.0, dim=3)
 
@@ -288,6 +289,21 @@ class TestRunProperties:
         assert traj.report.trigger == "dt_underflow"
         assert traj.report.t_detect == traj.final_state.t
 
+    def test_nonfinite_chemical_field_start(self):
+        # u and v finite, an inf in w: run reports the start as it is,
+        # before the infinite face speed sends dt below dt_min
+        grid = make_grid(3, 1.0, 16)
+        params = ModelParams(chi=10.0, xi=0.5, dim=3)
+        w = np.zeros(16)
+        w[5] = math.inf
+        state = FieldState(0.0, np.ones(16), np.zeros(16), w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(grid, params, state, 2.0, 4.0, SolverConfig())
+        assert traj.report.trigger == "nonfinite_state"
+        assert traj.report.blew_up
+        assert traj.steps == 0
+        assert traj.report.t_detect == 0.0
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize("field, value", [
@@ -344,6 +360,23 @@ class TestDiagnostics:
         grid = make_grid(4, 1.5, 16)
         state = init_state(grid, ConstantProfile(1.0, 0.0, 0.0))
         assert mass(state, grid) == pytest.approx(grid.volume, rel=1e-12)
+
+    def test_stack_of_states_matches_one_by_one(self):
+        # a leading sample axis gives each state's value bit for bit, and
+        # the shell integrals are plain dot products with the shell measures
+        grid = make_grid(4, 1.3, 21)
+        rng = np.random.default_rng(7)
+        fields = rng.uniform(0.0, 5.0, (40, 3, 21)) ** 3
+        stack = FieldState.from_fields(np.arange(40.0), fields)
+        singles = [FieldState(float(t), *f) for t, f in zip(stack.t, fields)]
+        assert np.array_equal(energy(stack, 2.5, 4.5, grid),
+                              [energy(s, 2.5, 4.5, grid) for s in singles])
+        assert np.array_equal(np.transpose(norms(stack, grid, 2.5)),
+                              [norms(s, grid, 2.5) for s in singles])
+        assert np.array_equal(mass(stack, grid),
+                              [np.dot(grid.shell_measures, f[0])
+                               for f in fields])
+        assert all(type(mass(s, grid)) is float for s in singles)
 
     def test_face_gradient_boundaries_zero(self):
         grid = make_grid(3, 1.0, 16)
@@ -423,6 +456,31 @@ class TestRun:
         rel_change = abs(detections[1] - detections[0]) / detections[0]
         assert rel_change < 0.5
 
+    def test_batched_samples_match_stepwise_reference(self):
+        # more samples than one reduction block; a fixed dt that the limiter
+        # never cuts, so a plain loop over step repeats run's states
+        grid = make_grid(3, 1.0, 16)
+        params = ModelParams(chi=2.0, xi=0.5, mu1=0.5, mu2=0.2, dim=3)
+        state = init_state(grid, GaussianBump(5.0, 0.3, 0.1, 0.2, 0.3))
+        n_steps = SAMPLE_BLOCK + 60
+        cfg = SolverConfig(dt_init=1e-4, dt_max=1e-4, growth=1.0,
+                           max_steps=n_steps, sample_every=1)
+        p, q = 2.5, 4.5
+        traj = run(grid, params, state, p, q, cfg)
+        assert traj.steps == n_steps and not traj.report.blew_up
+        rows = []
+        for k in range(n_steps + 1):
+            if k:
+                state, _ = step(state, 1e-4, grid, params)
+            rows.append((state.t, energy(state, p, q, grid),
+                         *norms(state, grid, p), mass(state, grid)))
+        columns = np.array(rows).T
+        for name, expected in zip(("t", "E_pq", "Lp_u", "Linf_u",
+                                   "gradinf_v", "gradinf_w", "mass"),
+                                  columns):
+            assert np.array_equal(getattr(traj, name), expected), name
+        assert np.array_equal(traj.final_state.fields, state.fields)
+
     def test_trajectory_csv_format(self):
         grid = make_grid(3, 1.0, 16)
         state = init_state(grid, GaussianBump(2.0, 0.3))
@@ -433,3 +491,8 @@ class TestRun:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,E_pq,Lp_u,Linf_u,gradinf_v,gradinf_w,mass"
         assert len(lines) == len(traj.t) + 1
+        # every value as the repr of its float
+        columns = (traj.t, traj.E_pq, traj.Lp_u, traj.Linf_u, traj.gradinf_v,
+                   traj.gradinf_w, traj.mass)
+        assert lines[1:] == [",".join(repr(float(x)) for x in row)
+                             for row in zip(*columns)]
