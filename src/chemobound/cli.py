@@ -114,23 +114,30 @@ def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid
                    "C_GN_per_eta": {str(k): v for k, v in per_eta.items()}}
 
 
-def simulate_from_config(cfg: dict) -> tuple[pde.Trajectory, pde.RadialGrid,
-                                             exponents.ModelParams]:
+def simulation_inputs(cfg: dict) -> tuple:
+    """(params, grid, initial state, indices, solver config) of a run."""
     params = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
     state0 = pde.init_state(grid, cfgmod.build_profile(cfg))
-    indices = resolve_indices(cfg)
+    return (params, grid, state0, resolve_indices(cfg),
+            cfgmod.build_solver(cfg))
+
+
+def simulate_from_config(cfg: dict) -> tuple[pde.Trajectory, pde.RadialGrid,
+                                             exponents.ModelParams]:
+    params, grid, state0, indices, solver = simulation_inputs(cfg)
     traj = pde.run(grid, params, state0, float(indices.p), float(indices.q),
-                   cfgmod.build_solver(cfg))
+                   solver)
     return traj, grid, params
 
 
 def bound_from_config(cfg: dict, E0: float | None = None,
                       gn: tuple[float, dict] | None = None
                       ) -> tuple[odi.BoundResult, dict]:
-    """`gn` is resolve_gn_constant's result if the caller already has it."""
+    """`gn` is resolve_gn_constant's result if the caller already has it;
+    then the grid it was estimated on is not built again."""
     params = cfgmod.build_model(cfg)
-    grid = cfgmod.build_grid(cfg)
+    grid = None if gn else cfgmod.build_grid(cfg)
     indices = resolve_indices(cfg)
     if E0 is None:
         E0 = cfgmod.require(cfg, "bound.E0")
@@ -280,27 +287,57 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
-    """Cartesian sweep: simulate each cell in order, attach the configured
-    bound, and write one subdirectory per cell plus summary.csv.
+CELL_ERRORS = (ChemoboundError, ArithmeticError, ValueError)
 
+
+def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
+    """Cartesian sweep: simulate every cell, attach the configured bound,
+    and write one subdirectory per cell plus summary.csv.
+
+    Cells on one grid with one (p, q) are simulated together, as one
+    batched pde.run; each cell's trajectory is the one it gets alone.
     Cells that resolve the same grid, eta set, safety factor and configured
-    constant share one C_GN.  Individual cell failures are
-    recorded and do not stop the sweep."""
+    constant share one C_GN.  Individual cell failures are recorded and do
+    not stop the sweep."""
     if not sweep_axes:
         raise ConfigError("sweep requires at least one sweep.<key> axis")
     keys = sorted(sweep_axes)
-    gn_memo: dict[tuple, tuple[float, dict]] = {}
-
-    def run_cell(idx, values):
+    cell_cfgs = []
+    inputs = []    # per cell: simulation_inputs, or the error building them
+    grids: dict[tuple, pde.RadialGrid] = {}   # one per (n, R, M)
+    groups: dict[tuple, list[int]] = {}
+    for idx, values in enumerate(itertools.product(
+            *(sweep_axes[k] for k in keys))):
         cell_cfg = dict(cfg)
         cell_cfg.update(zip(keys, values))
+        cell_cfgs.append(cell_cfg)
+        try:
+            params, grid, state0, indices, solver = simulation_inputs(cell_cfg)
+        except CELL_ERRORS as exc:
+            inputs.append(exc)
+            continue
+        grid = grids.setdefault((grid.n, grid.R, grid.M), grid)
+        inputs.append((params, grid, state0, indices, solver))
+        groups.setdefault((grid.n, grid.R, grid.M, float(indices.p),
+                           float(indices.q)), []).append(idx)
+
+    trajectories = list(inputs)   # per cell: a trajectory or an error
+    for (_, _, _, p, q), members in groups.items():
+        for idx, traj in zip(members, _run_cells(
+                [inputs[idx] for idx in members], p, q)):
+            trajectories[idx] = traj
+
+    gn_memo: dict[tuple, tuple[float, dict]] = {}
+
+    def write_cell(idx):
         run_id = f"run_{idx:03d}"
+        cell_cfg, traj = cell_cfgs[idx], trajectories[idx]
         cell_dir = out_dir / run_id
         cell_dir.mkdir(parents=True, exist_ok=True)
         try:
-            traj, grid, _ = simulate_from_config(cell_cfg)
-            indices = resolve_indices(cell_cfg)
+            if isinstance(traj, Exception):
+                raise traj
+            _, grid, _, indices, _ = inputs[idx]
             gn_key = (grid.n, grid.R, grid.M, tuple(sorted(set(indices.eta))),
                       cell_cfg["bound.gn_safety"],
                       repr(cell_cfg["bound.C_GN"]))  # repr: NaN equals itself
@@ -325,13 +362,12 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
                     "t_detect": "" if t_detect is None else repr(t_detect),
                     "t_lower": repr(bound.t_lower),
                     "margin": "" if margin == "" else repr(margin)}
-        except (ChemoboundError, ArithmeticError, ValueError) as exc:
+        except CELL_ERRORS as exc:
             (cell_dir / "error.txt").write_text(f"{type(exc).__name__}: {exc}\n")
             return {"run_id": run_id, "blew_up": "error", "t_detect": "",
                     "t_lower": "", "margin": ""}
 
-    rows = [run_cell(idx, values) for idx, values in enumerate(
-        itertools.product(*(sweep_axes[k] for k in keys)))]
+    rows = [write_cell(idx) for idx in range(len(cell_cfgs))]
     with open(out_dir / "summary.csv", "w") as stream:
         writer = csv.DictWriter(
             stream, fieldnames=["run_id", "blew_up", "t_detect", "t_lower",
@@ -339,6 +375,19 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
         writer.writeheader()
         writer.writerows(rows)
     return rows
+
+
+def _run_cells(inputs: list[tuple], p: float, q: float) -> list:
+    """Trajectories of cells on one grid with one (p, q), from one batched
+    run.  If that run raises, each cell runs alone, so that only a cell
+    that fails gets its error in place of a trajectory."""
+    params, grids, states, _, solvers = zip(*inputs)
+    try:
+        return pde.run(grids[0], params, states, p, q, solvers)
+    except CELL_ERRORS as exc:
+        if len(inputs) == 1:
+            return [exc]
+        return [r for cell in inputs for r in _run_cells([cell], p, q)]
 
 
 def cmd_sweep(args) -> int:

@@ -130,7 +130,10 @@ def apply_overrides(cfg: dict[str, Any], overrides: list[str]) -> None:
 
 
 def config_hash(cfg: dict[str, Any]) -> str:
-    text = "\n".join(f"{k}={cfg[k]!r}" for k in sorted(cfg))
+    """Hash of the config, less the output.* keys: where results are
+    written does not change what is computed."""
+    text = "\n".join(f"{k}={cfg[k]!r}" for k in sorted(cfg)
+                     if not k.startswith("output."))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -25,6 +25,9 @@ Number = int | float | Fraction
 
 
 def _is_exact(*values: Number) -> bool:
+    # a float, the common case, decides at the first value: no float is exact
+    if isinstance(values[0], float):
+        return False
     return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
                for v in values)
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import TextIO
 
 import numpy as np
@@ -39,11 +41,16 @@ class RadialGrid:
     dr: float
     # finite-volume Laplacian, independent of dt and of the decay rates:
     # (L f)_i = lower[i-1]*f[i-1] - diag[i]*f[i] + upper[i]*f[i+1].  The
-    # fields u, v, w are the blocks of one 3M block-diagonal system with
-    # zero couplings between the blocks, and lap_band holds its bands
-    # -lower (3M-1), -upper (3M-1) and diag (3M) in that order, so that
-    # dt * lap_band is the dt-dependent part of the backward-Euler matrix
-    lap_band: np.ndarray     # 9M-2
+    # fields u, v, w of a state are the blocks of one 3M block-diagonal
+    # system, and the states of a stack are the blocks of one K*3M system,
+    # with zero couplings between all blocks.  lap_rows holds one block's
+    # rows of the bands -lower, -upper and diag, for each field; the last
+    # entry of -lower and -upper is the zero coupling to the next block
+    lap_rows: np.ndarray     # (3 bands, 3 fields, 1, M)
+    # the areas of the M-1 interior faces and the negated shell measures,
+    # for the advective divergence; x / -V is -(x / V) to the bit
+    inner_areas: np.ndarray
+    neg_measures: np.ndarray
 
     @property
     def volume(self) -> float:
@@ -66,20 +73,22 @@ def make_grid(n: int, R: float, M: int) -> RadialGrid:
     diag = np.zeros(M)
     diag[:-1] += upper
     diag[1:] += lower
-    band = np.concatenate([-lower, [0.0], -lower, [0.0], -lower,
-                           -upper, [0.0], -upper, [0.0], -upper,
-                           diag, diag, diag])
+    rows = np.zeros((3, M))
+    rows[0, :-1], rows[1, :-1], rows[2] = -lower, -upper, diag
     return RadialGrid(n=n, R=R, M=M, r_faces=r_faces, r_centers=r_centers,
                       face_areas=face_areas, shell_measures=shell_measures,
-                      dr=dr, lap_band=band)
+                      dr=dr, lap_rows=np.stack([rows] * 3, axis=1)[:, :, None],
+                      inner_areas=face_areas[1:-1],
+                      neg_measures=-shell_measures)
 
 
 class FieldState:
     """The fields u, v, w at time t, held as the rows of one (3, M) array
     `fields`.  FieldState(t, u, v, w) copies the three fields into one.
 
-    A stack of K states has t of shape (K,) and fields of shape (K, 3, M);
-    the diagnostics reduce such a stack state by state."""
+    A stack of K states has K times t and fields of shape (K, 3, M); the
+    diagnostics reduce such a stack state by state, and step advances it
+    state by state."""
 
     __slots__ = ("t", "fields")
 
@@ -187,70 +196,134 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     return x
 
 
-def _face_velocity(params: ModelParams, grads: np.ndarray) -> np.ndarray:
-    """chi*grad v - xi*grad w at the M-1 interior faces, from the (3, M+1)
-    face gradients of a state; the velocity at both boundary faces is
-    zero."""
-    return params.chi * grads[1, 1:-1] - params.xi * grads[2, 1:-1]
+class ParamStack:
+    """The coefficients of K cells' models, shaped to broadcast over the
+    fields of a stack of states field by field, (3, K, M), as step holds
+    them.  For K = 1 they have no stack axis: step drops the stack axis of
+    a one-state stack, because numpy combines the smaller arrays, and
+    floats, with less call overhead."""
+
+    __slots__ = ("models", "chi", "xi", "mu1", "rates", "logistic")
+
+    def __init__(self, models):
+        self.models = tuple(models)
+        cols = np.array([(m.chi, m.xi, m.mu1) for m in self.models])
+        # per field: the rate at which u feeds it, and its linear decay;
+        # (2, 3, K)
+        rates = np.moveaxis(np.array(
+            [((1.0, m.beta, m.delta), (0.0, m.alpha, m.gamma))
+             for m in self.models]), 0, -1)
+        if len(self.models) == 1:
+            self.chi, self.xi, self.mu1 = cols[0].tolist()
+            self.rates, rows = rates, [...]   # ... indexes a lone state
+        else:
+            self.chi, self.xi, self.mu1 = (
+                np.ascontiguousarray(cols[:, i:i + 1]) for i in range(3))
+            self.rates, rows = rates[..., None], range(len(self.models))
+        # (row, mu2, k) of each cell with a logistic term: its u ** k is
+        # taken on its own row, with the float exponent of a lone cell
+        self.logistic = [(i, m.mu2, m.k_logistic)
+                         for i, m in zip(rows, self.models) if m.mu2 > 0]
+
+    def take(self, rows) -> ParamStack:
+        return ParamStack([self.models[i] for i in rows])
+
+
+def _face_velocity(params: ParamStack, grad_v: np.ndarray,
+                   grad_w: np.ndarray) -> np.ndarray:
+    """chi*grad v - xi*grad w at the M-1 interior faces, from the (..., M+1)
+    face gradients of v and w of a state or stack of states; the velocity
+    at both boundary faces is zero."""
+    return params.chi * grad_v[..., 1:-1] - params.xi * grad_w[..., 1:-1]
 
 
 def _advective_divergence(grid: RadialGrid, u, vel):
-    """Divergence of the upwinded advective flux u * vel (interior faces)."""
-    flux = np.zeros(grid.M + 1)
-    up = np.where(vel >= 0.0, u[:-1], u[1:])
-    flux[1:-1] = grid.face_areas[1:-1] * vel * up
-    return -(flux[1:] - flux[:-1]) / grid.shell_measures
+    """Divergence of the upwinded advective flux u * vel (interior faces),
+    along the last axis."""
+    flux = np.zeros(u.shape[:-1] + (grid.M + 1,))
+    up = np.where(vel >= 0.0, u[..., :-1], u[..., 1:])
+    np.multiply(grid.inner_areas * vel, up, out=flux[..., 1:-1])
+    return (flux[..., 1:] - flux[..., :-1]) / grid.neg_measures
 
 
-def _logistic(params: ModelParams, u):
+def _logistic(params: ParamStack, u):
     out = params.mu1 * u
-    if params.mu2 > 0:
-        out = out - params.mu2 * u ** params.k_logistic
+    for i, mu2, k in params.logistic:
+        out[i] = out[i] - mu2 * u[i] ** k
     return out
 
 
-def step(state: FieldState, dt: float, grid: RadialGrid, params: ModelParams,
-         vel: np.ndarray | None = None) -> tuple[FieldState, int]:
-    """One IMEX step; returns the new state and the negativity clip count.
+def step(state: FieldState, dt, grid: RadialGrid, params,
+         vel: np.ndarray | None = None):
+    """One IMEX step of one state or of a stack of states; returns the new
+    state and the negativity clip count.
 
-    `vel` is the face velocity of `state` if the caller already has it.  The
-    three backward-Euler systems are solved as one block-diagonal system;
-    the new u, v and w are the rows of its (3, M) solution.  A field that
-    comes out nonfinite is returned as it is, unclipped, and it also makes
-    the other two nonfinite: the solve multiplies it by the zero couplings
-    between the blocks, and 0 * inf is NaN.  run rejects any nonfinite
-    state."""
-    if dt <= 0:
+    For one state, `params` is its ModelParams, `dt` a float and the clip
+    count an int.  For a stack of K states (fields (K, 3, M), t a sequence
+    of K times), `params` is their ParamStack, `dt` a sequence of K
+    per-state steps and the clip count a list of K ints.  `vel` is the face
+    velocity of `state`, (K, M-1) for a stack, if the caller already has it.
+
+    All backward-Euler systems of the step are solved as one block-diagonal
+    system with zero couplings between the blocks (one per field and
+    state).  A zero coupling gives an exact zero multiplier, so each finite
+    block solves to the same values as it would alone.  A field that comes
+    out nonfinite is returned as it is, unclipped, and it makes every other
+    block nonfinite too, since 0 * inf is NaN; run rejects such a step and
+    solves it again state by state."""
+    one = isinstance(params, ModelParams)
+    fields, steps = state.fields, dt
+    if one:
+        params, steps = ParamStack([params]), [dt]
+    K = len(steps)
+    M = grid.M
+    # the fields come first, (3, K, M), and the blocks of the solve are
+    # ordered field by field; no stack axis for K = 1, as in ParamStack
+    if K == 1:
+        fields = fields.reshape(3, M)
+        vel = vel if vel is None else vel.reshape(M - 1)
+        dt_col = steps[0]
+        positive = dt_col > 0
+    else:
+        fields = fields.transpose(1, 0, 2)
+        dt_col = np.array(steps, dtype=float)[:, None]
+        positive = (dt_col > 0).all()
+    if not positive:
         raise ParameterError(f"dt must be positive, got {dt}")
-    fields = state.fields
     u = fields[0]
     if vel is None:
-        vel = _face_velocity(params, face_gradients(grid, fields))
-    # backward Euler: (I + dt*decay - dt*L) f_new = rhs, field by field
-    M = grid.M
-    rhs = np.empty((3, M))
-    np.add(u, dt * (_advective_divergence(grid, u, vel)
-                    + _logistic(params, u)), out=rhs[0])
-    np.add(fields[1:], np.array([[dt * params.beta], [dt * params.delta]]) * u,
-           out=rhs[1:])
-    band = dt * grid.lap_band
-    diag = band[6 * M - 2:].reshape(3, M)
-    diag += np.array([[1.0], [1.0 + dt * params.alpha],
-                      [1.0 + dt * params.gamma]])
-    new = _gtsv(band[:3 * M - 1], diag.reshape(-1), band[3 * M - 1:6 * M - 2],
-                rhs.reshape(-1)).reshape(3, M)
-    clips = 0
-    if np.minimum.reduce(new, axis=None) > 0.0:
-        # nothing to clip, the common case (False if any value is NaN)
-        return FieldState.from_fields(state.t + dt, new), clips
-    for f, lo, hi in zip(new, np.minimum.reduce(new, axis=1).tolist(),
-                         np.maximum.reduce(new, axis=1).tolist()):
-        if math.isfinite(lo) and math.isfinite(hi):
-            floor = -1e-10 * max(-lo, hi, 1.0)
-            if lo < floor:
-                clips += int(np.count_nonzero(f < floor))
-            np.maximum(f, 0.0, out=f)
-    return FieldState.from_fields(state.t + dt, new), clips
+        grads = face_gradients(grid, fields)
+        vel = _face_velocity(params, grads[1], grads[2])
+    # backward Euler: (I + dt*decay - dt*L) f_new = f + dt*source, block by
+    # block, with u's source its advection and logistic terms and the
+    # chemicals' source beta*u and delta*u
+    dt_rates = params.rates * dt_col
+    rhs = np.empty(fields.shape)
+    np.add(u, dt_col * (_advective_divergence(grid, u, vel)
+                        + _logistic(params, u)), out=rhs[0])
+    np.add(fields[1:], dt_rates[0, 1:] * u, out=rhs[1:])
+    lower, upper, diag = (grid.lap_rows * dt_col).reshape(3, -1)
+    blocks = diag.reshape(fields.shape)
+    blocks += 1.0 + dt_rates[1]
+    new = _gtsv(lower[:-1], diag, upper[:-1],
+                rhs.reshape(-1)).reshape(fields.shape)
+    new = new[None] if K == 1 else new.transpose(1, 0, 2)   # (K, 3, M)
+    clips = [0] * K
+    if not np.minimum.reduce(new, axis=None) > 0.0:
+        # something to clip, or a NaN; not the common case
+        lows = np.minimum.reduce(new, axis=-1).tolist()
+        highs = np.maximum.reduce(new, axis=-1).tolist()
+        for i in range(K):
+            for f, lo, hi in zip(new[i], lows[i], highs[i]):
+                if math.isfinite(lo) and math.isfinite(hi) and lo <= 0.0:
+                    floor = -1e-10 * max(-lo, hi, 1.0)
+                    if lo < floor:
+                        clips[i] += int(np.count_nonzero(f < floor))
+                    np.maximum(f, 0.0, out=f)
+    if one:
+        return FieldState.from_fields(state.t + dt, new[0]), clips[0]
+    return FieldState.from_fields(list(map(operator.add, state.t, dt)),
+                                  new), clips
 
 
 # --- diagnostics ------------------------------------------------------------
@@ -381,126 +454,253 @@ class Trajectory:
             self.gradinf_w, self.mass))))
 
 
-# states whose diagnostics run reduces together: ~0.5 MB of fields and
-# gradients at M = 48
-SAMPLE_BLOCK = 256
+# states whose diagnostics run reduces together: ~75 kB of samples at
+# M = 48.  A sample costs about the same to reduce in a block of 64 as in
+# one of 256, and the smaller block's arrays are a quarter the size
+SAMPLE_BLOCK = 64
 
 
-def _stable_dt(grid: RadialGrid, params: ModelParams, cfg: SolverConfig,
-               vel: np.ndarray, grad_u: np.ndarray, umax: float) -> float:
-    """Largest dt the limiter allows at a state with face velocity `vel`,
-    face gradients `grad_u` of u and largest u value `umax`."""
-    # the ufuncs' own reduce: ndarray.max adds a Python-level call
-    vel_max = float(np.maximum.reduce(np.abs(vel)))
-    # chemical gradients grow at up to (chi*beta + xi*delta)*|grad u| within
-    # the step, so solve dt*(vel + dt*accel) = cfl*dr instead of using the
-    # instantaneous velocity alone (vital while v, w are still flat).
-    gu_max = float(np.maximum.reduce(np.abs(grad_u)))
-    accel = (params.chi * params.beta + params.xi * params.delta) * gu_max
-    limits = [cfg.dt_max]
-    target = cfg.cfl * grid.dr
-    if accel > 0:
-        limits.append((math.sqrt(vel_max ** 2 + 4.0 * accel * target)
-                       - vel_max) / (2.0 * accel))
-    elif vel_max > 0:
-        limits.append(target / vel_max)
-    rate = abs(params.mu1)
-    if params.mu2 > 0 and umax > 0:
-        rate += params.mu2 * params.k_logistic * umax ** (params.k_logistic - 1)
-    if rate > 0:
-        limits.append(cfg.cfl / rate)
-    return min(limits)
+class _Samples:
+    """The sampled states of a run's cells, whose diagnostics are reduced
+    together in blocks of SAMPLE_BLOCK states, whatever cell each came
+    from: the diagnostics of a stack of states are each state's own.  A
+    sample is the state's u, as a (1, M) row, and the face gradients of v
+    and w: all that the diagnostics read."""
+
+    def __init__(self, grid: RadialGrid, p: float, q: float):
+        self.grid, self.p, self.q = grid, p, q
+        self.pending = []   # (cell, t, u, face gradients of v and w)
+
+    def add(self, cell: _Cell, u: np.ndarray, grads: np.ndarray):
+        self.pending.append((cell, cell.t, u, grads))
+        if len(self.pending) == SAMPLE_BLOCK:
+            self.reduce()
+
+    def reduce(self) -> None:
+        """Append each pending sample's (t, E_pq, Lp_u, ...) column to its
+        cell's columns."""
+        grid, p, q = self.grid, self.p, self.q
+        cells, ts, us, grads = zip(*self.pending)
+        # a block of states whose fields hold u alone
+        block = FieldState.from_fields(np.array(ts), np.array(us))
+        terms = _sample_terms(block, grid, p, np.array(grads))
+        cols = np.array((block.t, energy(block, p, q, grid, terms),
+                         *norms(block, grid, p, terms), mass(block, grid)))
+        rows = {}
+        for j, cell in enumerate(cells):
+            rows.setdefault(cell, []).append(j)
+        for cell, js in rows.items():
+            cell.columns.append(cols if len(js) == len(cells) else cols[:, js])
+        self.pending.clear()
 
 
-def run(grid: RadialGrid, params: ModelParams, state0: FieldState,
-        p: float, q: float, cfg: SolverConfig = SolverConfig()) -> Trajectory:
+class _Cell:
+    """One cell's adaptive-step control in run."""
+
+    __slots__ = ("params", "cfg", "samples", "accel_rate", "target", "t",
+                 "dt", "umax", "smooth", "steps", "clips", "t_recorded",
+                 "columns", "report", "final_state")
+
+    def __init__(self, params: ModelParams, cfg: SolverConfig,
+                 grid: RadialGrid, samples: _Samples, t):
+        self.params, self.cfg, self.samples = params, cfg, samples
+        # chemical gradients grow at up to (chi*beta + xi*delta)*|grad u|
+        # within the step, so the dt limiter solves dt*(vel + dt*accel) =
+        # cfl*dr instead of using the instantaneous velocity alone (vital
+        # while v, w are still flat)
+        self.accel_rate = params.chi * params.beta + params.xi * params.delta
+        self.target = cfg.cfl * grid.dr
+        self.t, self.dt = t, cfg.dt_init
+        self.smooth = self.steps = self.clips = 0
+        self.columns = []   # (7, n) blocks of (t, E_pq, Lp_u, ...) samples
+        self.report = BlowupReport(False, None, None)
+
+    def start(self, fields: np.ndarray, grads: np.ndarray, i: int,
+              umax: float, finite: bool) -> bool:
+        """Sample the initial state, row i of the stack; True if the cell
+        steps on from it."""
+        self.umax = umax
+        self.record(fields, grads, i)
+        # a start above the threshold or nonfinite is reported before any
+        # step
+        if umax > self.cfg.blowup_threshold:
+            return self.stop("linf_threshold")
+        if not finite:
+            return self.stop("nonfinite_state")
+        return self.t < self.cfg.t_final
+
+    def stop(self, trigger: str) -> bool:
+        self.report = BlowupReport(True, self.t, trigger)
+        return False
+
+    def record(self, fields: np.ndarray, grads: np.ndarray, i: int) -> None:
+        """Sample the cell's state, row i of a stack's fields and face
+        gradients.  A row of a larger stack is copied, so that the sample
+        does not keep the whole stack alive."""
+        u, g = fields[i, :1], grads[i, 1:]
+        if len(fields) > 1:
+            u, g = u.copy(), g.copy()
+        self.samples.add(self, u, g)
+        self.t_recorded = self.t
+
+    def next_dt(self, vel_max: float, gu_max: float):
+        """The cell's next step, at a state whose face velocity and u face
+        gradients peak at `vel_max` and `gu_max` in absolute value; None if
+        it fell below dt_min."""
+        cfg, params = self.cfg, self.params
+        try:
+            dt_cap = cfg.dt_max
+            accel = self.accel_rate * gu_max
+            if accel > 0:
+                dt_cap = min(dt_cap, (math.sqrt(vel_max ** 2 + 4.0 * accel
+                                                * self.target) - vel_max)
+                             / (2.0 * accel))
+            elif vel_max > 0:
+                dt_cap = min(dt_cap, self.target / vel_max)
+            rate = abs(params.mu1)
+            if params.mu2 > 0 and self.umax > 0:
+                rate += (params.mu2 * params.k_logistic
+                         * self.umax ** (params.k_logistic - 1))
+            if rate > 0:
+                dt_cap = min(dt_cap, cfg.cfl / rate)
+        except OverflowError:
+            # a squared speed or a rate beyond the float range: no dt is
+            # stable, so the step size underflows below
+            dt_cap = 0.0
+        dt = self.dt
+        while dt > dt_cap:
+            dt *= 0.5
+        if dt < cfg.dt_min:
+            return self.stop("dt_underflow") or None
+        self.dt = dt = min(dt, cfg.t_final - self.t)
+        return dt
+
+    def reject(self) -> bool:
+        """Retry a step that came out nonfinite at half the step; True if
+        the cell goes on."""
+        self.dt *= 0.5
+        self.smooth = 0
+        return (self.dt >= self.cfg.dt_min
+                or self.stop("nonfinite_state"))
+
+    def accept(self, t, clips: int, umax: float, fields: np.ndarray,
+               grads: np.ndarray, i: int) -> bool:
+        """Take the step to time t, whose state is row i of the stack; True
+        if the cell goes on."""
+        cfg = self.cfg
+        self.t, self.umax = t, umax
+        self.clips += clips
+        self.steps = steps = self.steps + 1
+        smooth = self.smooth + 1
+        if smooth >= cfg.grow_after:
+            self.dt = min(self.dt * cfg.growth, cfg.dt_max)
+            smooth = 0
+        self.smooth = smooth
+        if steps % cfg.sample_every == 0:
+            self.record(fields, grads, i)
+        if umax > cfg.blowup_threshold:
+            return self.stop("linf_threshold")
+        return t < cfg.t_final and steps < cfg.max_steps
+
+    def finish(self, fields: np.ndarray, grads: np.ndarray, i: int) -> None:
+        """Stop at row i of the stack: sample it unless it is sampled."""
+        if self.t_recorded != self.t:
+            self.record(fields, grads, i)
+        self.final_state = FieldState.from_fields(self.t, fields[i].copy())
+
+    def trajectory(self, p: float, q: float) -> Trajectory:
+        """The trajectory, once every sample is reduced."""
+        cols = np.concatenate(self.columns, axis=1)
+        return Trajectory(
+            t=cols[0], E_pq=cols[1], Lp_u=cols[2], Linf_u=cols[3],
+            gradinf_v=cols[4], gradinf_w=cols[5], mass=cols[6], p=p, q=q,
+            report=self.report, solver=self.cfg, clip_count=self.clips,
+            steps=self.steps, final_state=self.final_state)
+
+
+def run(grid: RadialGrid, params, state0, p: float, q: float,
+        cfg=SolverConfig()):
     """Adaptive time stepping with numerical blow-up detection.
 
     Blow-up is a reported outcome: the sup norm crossing blowup_threshold,
     a nonfinite state, or the step size falling below dt_min all set the
     flag with the corresponding trigger.
 
+    `params`, `state0` and `cfg` are one cell's ModelParams, FieldState and
+    SolverConfig, and the result is its Trajectory.  Or they are sequences
+    of K cells' on the one grid, and the result is the list of their K
+    trajectories: the cells advance as one (K, 3, M) stack, with one step
+    call per iteration for all of them and each with its own dt, and a cell
+    leaves the stack as soon as it stops.  Each trajectory is the one the
+    cell gets alone: a step that comes out nonfinite is solved again cell
+    by cell, and each cell accepts or retries its own.
+
     Each accepted state's face gradients serve the dt limiter, the face
     velocity and, at a sample, the diagnostics, which are reduced over
-    blocks of SAMPLE_BLOCK sampled states.
+    blocks of SAMPLE_BLOCK sampled states of any of the cells.
     """
-    state = state0
-    dt = cfg.dt_init
-    columns = []   # per block of samples: (t, E_pq, Lp_u, Linf_u, ...)
-    pending = []   # sampled (t, fields, face gradients of v and w)
-    clip_total = 0
-    smooth = 0
-    steps = 0
-
-    def reduce_pending():
-        ts, fields, grads = zip(*pending)
-        block = FieldState.from_fields(np.array(ts), np.array(fields))
-        terms = _sample_terms(block, grid, p, np.array(grads))
-        columns.append((block.t, energy(block, p, q, grid, terms),
-                        *norms(block, grid, p, terms), mass(block, grid)))
-        pending.clear()
-
-    def record(s: FieldState, grads: np.ndarray):
-        pending.append((s.t, s.fields, grads[1:]))
-        if len(pending) == SAMPLE_BLOCK:
-            reduce_pending()
-
-    grads = face_gradients(grid, state.fields)
-    umax = float(np.maximum.reduce(state.fields[0]))
-    record(state, grads)
-    t_recorded = state.t
-    # a start above the threshold or nonfinite is reported before any step
-    if umax > cfg.blowup_threshold:
-        blew_up, t_detect, trigger = True, state.t, "linf_threshold"
-    elif not np.isfinite(state.fields).all():
-        blew_up, t_detect, trigger = True, state.t, "nonfinite_state"
-    else:
-        blew_up, t_detect, trigger = False, None, None
-    while not blew_up and state.t < cfg.t_final and steps < cfg.max_steps:
-        vel = _face_velocity(params, grads)
-        try:
-            dt_cap = _stable_dt(grid, params, cfg, vel, grads[0], umax)
-        except OverflowError:
-            # a squared speed or a rate beyond the float range: no dt is
-            # stable, so the step size underflows below
-            dt_cap = 0.0
-        while dt > dt_cap:
-            dt *= 0.5
-        if dt < cfg.dt_min:
-            blew_up, t_detect, trigger = True, state.t, "dt_underflow"
-            break
-        dt = min(dt, cfg.t_final - state.t)
-        new_state, clips = step(state, dt, grid, params, vel=vel)
-        if not np.isfinite(new_state.fields).all():
-            dt *= 0.5
-            smooth = 0
-            if dt < cfg.dt_min:
-                blew_up, t_detect, trigger = True, state.t, "nonfinite_state"
+    single = isinstance(state0, FieldState)
+    if single:
+        params, state0, cfg = [params], [state0], [cfg]
+    samples = _Samples(grid, p, q)
+    cells = [_Cell(m, c, grid, samples, s.t)
+             for m, c, s in zip(params, cfg, state0, strict=True)]
+    fields = np.array([s.fields for s in state0], dtype=float)
+    grads = face_gradients(grid, fields)
+    going = [cell.start(fields, grads, i, umax, finite) for i, (
+        cell, umax, finite) in enumerate(zip(
+            cells, np.maximum.reduce(fields[:, 0], axis=-1).tolist(),
+            np.isfinite(fields).all(axis=(1, 2)).tolist()))]
+    live, stack, t = cells, ParamStack(params), [cell.t for cell in cells]
+    while True:
+        if not all(going):
+            # the cells that stopped leave the stack
+            keep = [i for i, go in enumerate(going) if go]
+            for i, cell in enumerate(live):
+                if not going[i]:
+                    cell.finish(fields, grads, i)
+            if not keep:
                 break
-            continue
-        state = new_state
-        grads = face_gradients(grid, state.fields)
-        umax = float(np.maximum.reduce(state.fields[0]))
-        clip_total += clips
-        steps += 1
-        smooth += 1
-        if smooth >= cfg.grow_after:
-            dt = min(dt * cfg.growth, cfg.dt_max)
-            smooth = 0
-        if steps % cfg.sample_every == 0:
-            record(state, grads)
-            t_recorded = state.t
-        if umax > cfg.blowup_threshold:
-            blew_up, t_detect, trigger = True, state.t, "linf_threshold"
-            break
-
-    if t_recorded != state.t:
-        record(state, grads)
-    if pending:
-        reduce_pending()
-    cols = [np.concatenate(col) for col in zip(*columns)]
-    return Trajectory(
-        t=cols[0], E_pq=cols[1], Lp_u=cols[2], Linf_u=cols[3],
-        gradinf_v=cols[4], gradinf_w=cols[5], mass=cols[6], p=p, q=q,
-        report=BlowupReport(blew_up, t_detect, trigger),
-        solver=cfg, clip_count=clip_total, steps=steps, final_state=state)
+            live = [live[i] for i in keep]
+            stack = stack.take(keep)
+            fields, grads = fields[keep], grads[keep]
+            t = [cell.t for cell in live]
+        vel = _face_velocity(stack, grads[:, 1], grads[:, 2])
+        dts = list(map(_Cell.next_dt, live,
+                       np.maximum.reduce(np.abs(vel), axis=-1).tolist(),
+                       np.maximum.reduce(np.abs(grads[:, 0]),
+                                         axis=-1).tolist()))
+        if None in dts:
+            going = [dt is not None for dt in dts]
+            continue   # a cell whose dt underflowed leaves the stack
+        new, clips = step(FieldState.from_fields(t, fields), dts, grid, stack,
+                          vel=vel)
+        accepted = repeat(True)
+        if not np.logical_and.reduce(np.isfinite(new.fields), axis=None):
+            if len(live) > 1:
+                # a nonfinite block spreads NaN to every other block: solve
+                # each cell alone
+                alone = [step(FieldState.from_fields(t[i:i + 1],
+                                                     fields[i:i + 1]),
+                              dts[i:i + 1], grid, stack.take([i]),
+                              vel=vel[i:i + 1]) for i in range(len(live))]
+                new = FieldState.from_fields(
+                    new.t, np.concatenate([s.fields for s, _ in alone]))
+                clips = [c[0] for _, c in alone]
+            finite = np.isfinite(new.fields).all(axis=(1, 2))
+            new.fields[~finite] = fields[~finite]   # a rejected cell stays
+            new.t[:] = [t_i if ok else t_old for t_i, t_old, ok in zip(
+                new.t, t, finite.tolist())]
+            accepted = finite.tolist()
+        t, fields = new.t, new.fields
+        grads = face_gradients(grid, fields)
+        going = [cell.accept(t_i, c, umax, fields, grads, i) if ok
+                 else cell.reject()
+                 for i, (cell, t_i, c, umax, ok) in enumerate(zip(
+                     live, t, clips,
+                     np.maximum.reduce(fields[:, 0], axis=-1).tolist(),
+                     accepted))]
+    if samples.pending:
+        samples.reduce()
+    result = [cell.trajectory(p, q) for cell in cells]
+    return result[0] if single else result

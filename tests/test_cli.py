@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from chemobound import verify
+from chemobound import pde, verify
 from chemobound.cli import bound_from_config, main
 from chemobound.config import (KNOWN_KEYS, apply_overrides, build_opt,
                                build_quad, build_solver, config_hash,
                                parse_config_text)
-from chemobound.errors import ConfigError
+from chemobound.errors import ChemoboundError, ConfigError
 from chemobound.odi import OptConfig, QuadConfig
 from chemobound.pde import SolverConfig
 
@@ -98,7 +98,7 @@ class TestConfigParsing:
     def test_schema_pinned(self):
         # a new dataclass field must not silently become a config key
         assert len(KNOWN_KEYS) == 52
-        assert config_hash(parse_config_text("")[0]) == "a387beea32c3474d"
+        assert config_hash(parse_config_text("")[0]) == "8bbb874c815c1807"
         for key in ("verify.bump_fraction", "monitor.rel_floor",
                     "quad.truncation_point", "verify.n_samples",
                     "verify.samples", "verify.max_modes",
@@ -133,6 +133,17 @@ class TestConfigParsing:
         b, _ = parse_config_text("model.chi = 1.0\n")
         c, _ = parse_config_text("model.chi = 2.0\n")
         assert config_hash(a) == config_hash(b) != config_hash(c)
+
+    def test_hash_ignores_output_dir(self, capsys, tmp_path):
+        # one query written to two directories is one computation
+        hashes = []
+        for name in ("hA", "hB"):
+            assert main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+                         "-o", str(tmp_path / name)]) == 0
+            capsys.readouterr()
+            payload = json.loads((tmp_path / name / "bound.json").read_text())
+            hashes.append(payload["config_hash"])
+        assert hashes[0] == hashes[1]
 
 
 class TestCheckParams:
@@ -407,6 +418,60 @@ class TestSweep:
         assert lines[2] == "run_001,error,,,"
         error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
         assert error == "ConfigError: solver cfl must be > 0, got 0.0\n"
+
+    def _sweep_and_solo_runs(self, tmp_path, axis, solo_lines):
+        """Run the sweep over `axis`; then, for each config line of
+        solo_lines, the simulate run of that cell alone.  Returns the
+        summary lines and (cell, solo) pairs of trajectory.csv bytes."""
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(BLOWUP_CONFIG + axis + "bound.C_GN = 1.0\n"
+                            + f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(cfg_file)]) == 0
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        pairs = []
+        for idx, line in solo_lines.items():
+            solo_cfg = tmp_path / f"solo{idx}.cfg"
+            solo_cfg.write_text(BLOWUP_CONFIG + line)
+            assert main(["simulate", "--config", str(solo_cfg),
+                         "-o", str(tmp_path / f"solo{idx}")]) == 0
+            pairs.append((
+                (tmp_path / "out" / f"run_{idx:03d}" / "trajectory.csv"
+                 ).read_bytes(),
+                (tmp_path / f"solo{idx}" / "trajectory.csv").read_bytes()))
+        return lines, pairs
+
+    def test_error_cell_mid_axis_leaves_the_batch_alone(self, capsys,
+                                                         tmp_path):
+        lines, pairs = self._sweep_and_solo_runs(
+            tmp_path, "sweep.model.chi = 5, -1, 10\n",
+            {0: "model.chi = 5\n", 2: "model.chi = 10\n"})
+        assert lines[2] == "run_001,error,,,"
+        assert lines[1].startswith("run_000,true,")
+        assert lines[3].startswith("run_002,true,")
+        for cell, solo in pairs:
+            assert cell == solo
+
+    def test_cell_failing_in_the_batch_runs_alone(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # a batch that raises is run again cell by cell: only the failing
+        # cell gets an error row
+        real_step = pde.step
+
+        def failing_step(state, dt, grid, params, vel=None):
+            models = getattr(params, "models", (params,))
+            if any(m.chi == 20.0 for m in models):
+                raise ChemoboundError("solver failure")
+            return real_step(state, dt, grid, params, vel)
+
+        monkeypatch.setattr(pde, "step", failing_step)
+        lines, pairs = self._sweep_and_solo_runs(
+            tmp_path, "sweep.model.chi = 5, 20, 10\n",
+            {0: "model.chi = 5\n", 2: "model.chi = 10\n"})
+        assert lines[2] == "run_001,error,,,"
+        error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
+        assert error == "ChemoboundError: solver failure\n"
+        for cell, solo in pairs:
+            assert cell == solo
 
     def _counted_sweep(self, tmp_path, monkeypatch, axis):
         calls = []

@@ -12,10 +12,10 @@ from scipy.linalg import solve_banded
 from chemobound.errors import ParameterError
 from chemobound.exponents import ModelParams
 from chemobound.pde import (SAMPLE_BLOCK, ConstantProfile, FieldState,
-                            GaussianBump, SolverConfig, TableProfile,
-                            cell_gradients, energy, face_gradients, init_state,
-                            make_grid, mass, norms, run, step,
-                            unit_sphere_area)
+                            GaussianBump, ParamStack, SolverConfig,
+                            TableProfile, cell_gradients, energy,
+                            face_gradients, init_state, make_grid, mass, norms,
+                            run, step, unit_sphere_area)
 
 DIFFUSION_ONLY = ModelParams(chi=0.0, xi=0.0, dim=3)
 
@@ -496,3 +496,129 @@ class TestRun:
                    traj.gradinf_w, traj.mass)
         assert lines[1:] == [",".join(repr(float(x)) for x in row)
                              for row in zip(*columns)]
+
+
+# cells of one batch on one grid: each stops its own way.  The threshold
+# 2e5 is under the grid's cap on u, mass/|shell 0| (5e5 for the first cell)
+BATCH_CELLS = (
+    # blow-up through the threshold, at two sampling rates
+    (ModelParams(chi=10.0, xi=0.5, dim=3), GaussianBump(1e4, 0.15),
+     SolverConfig(t_final=1.0, grow_after=1, cfl=0.2, blowup_threshold=2e5,
+                  sample_every=5)),
+    (ModelParams(chi=20.0, xi=1.0, dim=3), GaussianBump(3e4, 0.2),
+     SolverConfig(t_final=1.0, grow_after=2, cfl=0.2, blowup_threshold=2e5,
+                  sample_every=3)),
+    # a linear source; stops at t_final
+    (ModelParams(chi=5.0, xi=0.25, mu1=2.0, dim=3), GaussianBump(2e3, 0.3),
+     SolverConfig(t_final=2e-3, dt_max=1e-4, sample_every=7)),
+    # a logistic term with its own exponent; stops at max_steps
+    (ModelParams(chi=2.0, xi=0.5, mu1=0.5, mu2=0.2, k_logistic=1.05, dim=3),
+     GaussianBump(5.0, 0.3, 0.1, 0.2, 0.3),
+     SolverConfig(max_steps=40, sample_every=1)),
+    # mu1 * u overflows at every dt: retries until dt_min
+    (ModelParams(chi=10.0, xi=0.5, mu1=100.0, dim=3),
+     ConstantProfile(1e308, 0.0, 0.0),
+     SolverConfig(dt_init=1e-2, blowup_threshold=math.inf)),
+    # above the threshold from the start
+    (DIFFUSION_ONLY, ConstantProfile(1e9, 0.0, 0.0),
+     SolverConfig(dt_init=1e-2)),
+)
+
+
+def _assert_same_trajectory(a, b):
+    for name in ("t", "E_pq", "Lp_u", "Linf_u", "gradinf_v", "gradinf_w",
+                 "mass"):
+        assert np.array_equal(getattr(a, name), getattr(b, name),
+                              equal_nan=True), name
+    assert a.report == b.report
+    assert (a.steps, a.clip_count, a.solver) == (b.steps, b.clip_count,
+                                                 b.solver)
+    assert a.final_state.t == b.final_state.t
+    assert np.array_equal(a.final_state.fields, b.final_state.fields)
+
+
+class TestBatchedRun:
+    def test_stack_step_matches_lone_steps(self):
+        # a zero coupling between blocks keeps each finite block's solve,
+        # clip and count bit for bit, at dt up to 1e-2 where u clips
+        grid = make_grid(4, 1.0, 24)
+        rng = np.random.default_rng(11)
+        models = [ModelParams(chi=50.0, xi=5.0, alpha=0.4, beta=3.0,
+                              gamma=5.0, delta=0.2, mu1=1.5, mu2=0.8,
+                              k_logistic=1.05, dim=4),
+                  ModelParams(chi=10.0, xi=0.5, dim=4),
+                  ModelParams(chi=1.0, xi=20.0, mu1=-2.0, dim=4),
+                  ModelParams(chi=30.0, xi=0.0, mu2=0.3, k_logistic=1.02,
+                              dim=4)]
+        clipped = 0
+        for _ in range(20):
+            states = [FieldState(float(t), *(rng.uniform(0.0, 10.0, 24)
+                                             * rng.choice([1.0, 100.0])
+                                             for _ in range(3)))
+                      for t in rng.uniform(0.0, 1.0, len(models))]
+            dts = rng.choice([1e-6, 1e-4, 1e-2], len(models)).tolist()
+            stack = FieldState.from_fields([s.t for s in states],
+                                           np.array([s.fields
+                                                     for s in states]))
+            new, clips = step(stack, dts, grid, ParamStack(models))
+            for i, (state, dt, params) in enumerate(zip(states, dts, models)):
+                alone, alone_clips = step(state, dt, grid, params)
+                assert new.t[i] == alone.t
+                assert clips[i] == alone_clips
+                assert np.array_equal(new.fields[i], alone.fields)
+                clipped += alone_clips
+        assert clipped > 0
+
+    def test_logistic_term_stays_on_its_row(self):
+        # u ** k of a mu2 > 0 state is not taken on a mu2 = 0 state's row,
+        # where it would overflow at u = 1e300 and give 0 * inf = NaN
+        grid = make_grid(3, 1.0, 8)
+        models = [ModelParams(chi=0.0, xi=0.0, dim=3),
+                  ModelParams(chi=0.0, xi=0.0, mu2=0.5, k_logistic=1.05,
+                              dim=3)]
+        states = [init_state(grid, ConstantProfile(1e300, 0.0, 0.0)),
+                  init_state(grid, ConstantProfile(1.0, 0.0, 0.0))]
+        stack = FieldState.from_fields([0.0, 0.0], np.array(
+            [s.fields for s in states]))
+        new, _ = step(stack, [1e-6, 1e-6], grid, ParamStack(models))
+        for i, (state, params) in enumerate(zip(states, models)):
+            alone, _ = step(state, 1e-6, grid, params)
+            assert np.all(np.isfinite(alone.fields))
+            assert np.array_equal(new.fields[i], alone.fields)
+
+    def test_nonfinite_block_spreads_to_the_stack(self):
+        # why run solves a nonfinite step again cell by cell
+        grid = make_grid(3, 1.0, 16)
+        models = [ModelParams(chi=10.0, xi=0.5, mu1=100.0, dim=3),
+                  ModelParams(chi=10.0, xi=0.5, dim=3)]
+        states = [init_state(grid, ConstantProfile(1e308, 0.0, 0.0)),
+                  init_state(grid, GaussianBump(5.0, 0.2))]
+        stack = FieldState.from_fields([0.0, 0.0], np.array(
+            [s.fields for s in states]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            new, _ = step(stack, [1e-2, 1e-4], grid, ParamStack(models))
+        alone, _ = step(states[1], 1e-4, grid, models[1])
+        assert np.all(np.isfinite(alone.fields))
+        assert not np.any(np.isfinite(new.fields[1]))
+
+    def test_batch_matches_solo_runs(self):
+        grid = make_grid(3, 1.0, 16)
+        params, profiles, cfgs = zip(*BATCH_CELLS)
+        states = [init_state(grid, profile) for profile in profiles]
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = run(grid, params, states, 2.0, 4.0, cfgs)
+            solo = [run(grid, m, state, 2.0, 4.0, cfg)
+                    for m, state, cfg in zip(params, states, cfgs)]
+        triggers = [traj.report.trigger for traj in solo]
+        assert triggers == ["linf_threshold", "linf_threshold", None, None,
+                            "nonfinite_state", "linf_threshold"]
+        assert solo[2].final_state.t == cfgs[2].t_final
+        assert solo[3].steps == cfgs[3].max_steps
+        assert solo[5].steps == 0
+        assert len(batch) == len(solo)
+        for a, b in zip(batch, solo):
+            _assert_same_trajectory(a, b)
+        # a batch does not touch its initial states
+        for state, profile in zip(states, profiles):
+            assert np.array_equal(state.fields,
+                                  init_state(grid, profile).fields)
