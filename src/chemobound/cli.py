@@ -134,10 +134,9 @@ def simulate_from_config(cfg: dict) -> tuple[pde.Trajectory, pde.RadialGrid,
 def bound_from_config(cfg: dict, E0: float | None = None,
                       gn: tuple[float, dict] | None = None
                       ) -> tuple[odi.BoundResult, dict]:
-    """`gn` is resolve_gn_constant's result if the caller already has it;
-    then the grid it was estimated on is not built again."""
+    """`gn` is resolve_gn_constant's result if the caller already has it."""
     params = cfgmod.build_model(cfg)
-    grid = None if gn else cfgmod.build_grid(cfg)
+    grid = cfgmod.build_grid(cfg)
     indices = resolve_indices(cfg)
     if E0 is None:
         E0 = cfgmod.require(cfg, "bound.E0")
@@ -295,49 +294,24 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
     and write one subdirectory per cell plus summary.csv.
 
     Cells on one grid with one (p, q) are simulated together, as one
-    batched pde.run; each cell's trajectory is the one it gets alone.
-    Cells that resolve the same grid, eta set, safety factor and configured
-    constant share one C_GN.  Individual cell failures are recorded and do
-    not stop the sweep."""
+    batched pde.run, and written as soon as it returns; each cell's
+    trajectory is the one it gets alone.  Cells that resolve the same grid,
+    eta set, safety factor and configured constant share one C_GN.
+    Individual cell failures are recorded and do not stop the sweep."""
     if not sweep_axes:
         raise ConfigError("sweep requires at least one sweep.<key> axis")
     keys = sorted(sweep_axes)
-    cell_cfgs = []
-    inputs = []    # per cell: simulation_inputs, or the error building them
-    grids: dict[tuple, pde.RadialGrid] = {}   # one per (n, R, M)
-    groups: dict[tuple, list[int]] = {}
-    for idx, values in enumerate(itertools.product(
-            *(sweep_axes[k] for k in keys))):
-        cell_cfg = dict(cfg)
-        cell_cfg.update(zip(keys, values))
-        cell_cfgs.append(cell_cfg)
-        try:
-            params, grid, state0, indices, solver = simulation_inputs(cell_cfg)
-        except CELL_ERRORS as exc:
-            inputs.append(exc)
-            continue
-        grid = grids.setdefault((grid.n, grid.R, grid.M), grid)
-        inputs.append((params, grid, state0, indices, solver))
-        groups.setdefault((grid.n, grid.R, grid.M, float(indices.p),
-                           float(indices.q)), []).append(idx)
-
-    trajectories = list(inputs)   # per cell: a trajectory or an error
-    for (_, _, _, p, q), members in groups.items():
-        for idx, traj in zip(members, _run_cells(
-                [inputs[idx] for idx in members], p, q)):
-            trajectories[idx] = traj
-
     gn_memo: dict[tuple, tuple[float, dict]] = {}
 
-    def write_cell(idx):
+    def write_cell(idx, cell_cfg, inputs, traj):
+        """`traj` is the cell's trajectory, or the error that stopped it."""
         run_id = f"run_{idx:03d}"
-        cell_cfg, traj = cell_cfgs[idx], trajectories[idx]
         cell_dir = out_dir / run_id
         cell_dir.mkdir(parents=True, exist_ok=True)
         try:
             if isinstance(traj, Exception):
                 raise traj
-            _, grid, _, indices, _ = inputs[idx]
+            _, grid, _, indices, _ = inputs
             gn_key = (grid.n, grid.R, grid.M, tuple(sorted(set(indices.eta))),
                       cell_cfg["bound.gn_safety"],
                       repr(cell_cfg["bound.C_GN"]))  # repr: NaN equals itself
@@ -367,7 +341,27 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
             return {"run_id": run_id, "blew_up": "error", "t_detect": "",
                     "t_lower": "", "margin": ""}
 
-    rows = [write_cell(idx) for idx in range(len(cell_cfgs))]
+    rows = {}   # by cell index
+    groups: dict[tuple, list[tuple]] = {}   # (idx, config, inputs) by batch
+    for idx, values in enumerate(itertools.product(
+            *(sweep_axes[k] for k in keys))):
+        cell_cfg = dict(cfg)
+        cell_cfg.update(zip(keys, values))
+        try:
+            inputs = simulation_inputs(cell_cfg)
+        except CELL_ERRORS as exc:
+            rows[idx] = write_cell(idx, cell_cfg, None, exc)
+            continue
+        _, grid, _, indices, _ = inputs
+        groups.setdefault((grid.n, grid.R, grid.M, float(indices.p),
+                           float(indices.q)), []).append(
+                               (idx, cell_cfg, inputs))
+    for (_, _, _, p, q), members in groups.items():
+        for (idx, cell_cfg, inputs), traj in zip(members, _run_cells(
+                [inputs for _, _, inputs in members], p, q)):
+            rows[idx] = write_cell(idx, cell_cfg, inputs, traj)
+
+    rows = [rows[idx] for idx in sorted(rows)]
     with open(out_dir / "summary.csv", "w") as stream:
         writer = csv.DictWriter(
             stream, fieldnames=["run_id", "blew_up", "t_detect", "t_lower",

@@ -203,7 +203,8 @@ class ParamStack:
     a one-state stack, because numpy combines the smaller arrays, and
     floats, with less call overhead."""
 
-    __slots__ = ("models", "chi", "xi", "mu1", "rates", "logistic")
+    __slots__ = ("models", "chi", "xi", "mu1", "rates", "logistic",
+                 "source")
 
     def __init__(self, models):
         self.models = tuple(models)
@@ -224,17 +225,23 @@ class ParamStack:
         # taken on its own row, with the float exponent of a lone cell
         self.logistic = [(i, m.mu2, m.k_logistic)
                          for i, m in zip(rows, self.models) if m.mu2 > 0]
+        # whether some cell has a source term, mu2 > 0 or mu1 other than
+        # +0.0.  Without one, step leaves out mu1*u: u + dt*(a + 0.0*u) is
+        # u + dt*a to the bit, signed zeros included, for every finite u
+        # (a nonfinite u makes the right-hand side nonfinite either way)
+        self.source = bool(self.logistic) or any(
+            m.mu1 or math.copysign(1.0, m.mu1) < 0 for m in self.models)
 
     def take(self, rows) -> ParamStack:
         return ParamStack([self.models[i] for i in rows])
 
 
-def _face_velocity(params: ParamStack, grad_v: np.ndarray,
-                   grad_w: np.ndarray) -> np.ndarray:
-    """chi*grad v - xi*grad w at the M-1 interior faces, from the (..., M+1)
-    face gradients of v and w of a state or stack of states; the velocity
-    at both boundary faces is zero."""
-    return params.chi * grad_v[..., 1:-1] - params.xi * grad_w[..., 1:-1]
+def _face_velocity(params: ParamStack, grads: np.ndarray) -> np.ndarray:
+    """chi*grad v - xi*grad w at the M-1 interior faces, from the (..., 3,
+    M+1) face gradients of a state or stack of states; the velocity at both
+    boundary faces is zero."""
+    return (params.chi * grads[..., 1, 1:-1]
+            - params.xi * grads[..., 2, 1:-1])
 
 
 def _advective_divergence(grid: RadialGrid, u, vel):
@@ -272,49 +279,49 @@ def step(state: FieldState, dt, grid: RadialGrid, params,
     block nonfinite too, since 0 * inf is NaN; run rejects such a step and
     solves it again state by state."""
     one = isinstance(params, ModelParams)
-    fields, steps = state.fields, dt
     if one:
-        params, steps = ParamStack([params]), [dt]
-    K = len(steps)
-    M = grid.M
+        params = ParamStack([params])
+    fields = state.fields
+    if vel is None:
+        vel = _face_velocity(params, face_gradients(grid, fields))
     # the fields come first, (3, K, M), and the blocks of the solve are
-    # ordered field by field; no stack axis for K = 1, as in ParamStack
-    if K == 1:
-        fields = fields.reshape(3, M)
-        vel = vel if vel is None else vel.reshape(M - 1)
-        dt_col = steps[0]
+    # ordered field by field; no stack axis for one state, as in ParamStack
+    if one:
+        dt_col = dt
+        positive = dt > 0
+    elif len(dt) == 1:
+        fields, vel, dt_col = fields[0], vel[0], dt[0]
         positive = dt_col > 0
     else:
         fields = fields.transpose(1, 0, 2)
-        dt_col = np.array(steps, dtype=float)[:, None]
+        dt_col = np.array(dt, dtype=float)[:, None]
         positive = (dt_col > 0).all()
     if not positive:
         raise ParameterError(f"dt must be positive, got {dt}")
     u = fields[0]
-    if vel is None:
-        grads = face_gradients(grid, fields)
-        vel = _face_velocity(params, grads[1], grads[2])
     # backward Euler: (I + dt*decay - dt*L) f_new = f + dt*source, block by
     # block, with u's source its advection and logistic terms and the
     # chemicals' source beta*u and delta*u
     dt_rates = params.rates * dt_col
     rhs = np.empty(fields.shape)
-    np.add(u, dt_col * (_advective_divergence(grid, u, vel)
-                        + _logistic(params, u)), out=rhs[0])
+    du = _advective_divergence(grid, u, vel)
+    if params.source:
+        du = du + _logistic(params, u)
+    np.add(u, dt_col * du, out=rhs[0])
     np.add(fields[1:], dt_rates[0, 1:] * u, out=rhs[1:])
-    lower, upper, diag = (grid.lap_rows * dt_col).reshape(3, -1)
-    blocks = diag.reshape(fields.shape)
+    bands, n = (grid.lap_rows * dt_col).reshape(-1), rhs.size
+    blocks = bands[2 * n:].reshape(fields.shape)
     blocks += 1.0 + dt_rates[1]
-    new = _gtsv(lower[:-1], diag, upper[:-1],
+    new = _gtsv(bands[:n - 1], bands[2 * n:], bands[n:2 * n - 1],
                 rhs.reshape(-1)).reshape(fields.shape)
-    new = new[None] if K == 1 else new.transpose(1, 0, 2)   # (K, 3, M)
-    clips = [0] * K
+    new = new[None] if new.ndim == 2 else new.transpose(1, 0, 2)  # (K, 3, M)
+    clips = [0] * len(new)
     if not np.minimum.reduce(new, axis=None) > 0.0:
         # something to clip, or a NaN; not the common case
         lows = np.minimum.reduce(new, axis=-1).tolist()
         highs = np.maximum.reduce(new, axis=-1).tolist()
-        for i in range(K):
-            for f, lo, hi in zip(new[i], lows[i], highs[i]):
+        for i, state_new in enumerate(new):
+            for f, lo, hi in zip(state_new, lows[i], highs[i]):
                 if math.isfinite(lo) and math.isfinite(hi) and lo <= 0.0:
                     floor = -1e-10 * max(-lo, hi, 1.0)
                     if lo < floor:
@@ -454,25 +461,30 @@ class Trajectory:
             self.gradinf_w, self.mass))))
 
 
-# states whose diagnostics run reduces together: ~75 kB of samples at
-# M = 48.  A sample costs about the same to reduce in a block of 64 as in
-# one of 256, and the smaller block's arrays are a quarter the size
-SAMPLE_BLOCK = 64
+# states whose diagnostics run reduces together: up to ~0.6 MB of pending
+# arrays at M = 48
+SAMPLE_BLOCK = 256
 
 
 class _Samples:
     """The sampled states of a run's cells, whose diagnostics are reduced
     together in blocks of SAMPLE_BLOCK states, whatever cell each came
-    from: the diagnostics of a stack of states are each state's own.  A
-    sample is the state's u, as a (1, M) row, and the face gradients of v
-    and w: all that the diagnostics read."""
+    from: the diagnostics of a stack of states are each state's own."""
 
     def __init__(self, grid: RadialGrid, p: float, q: float):
         self.grid, self.p, self.q = grid, p, q
         self.pending = []   # (cell, t, u, face gradients of v and w)
+        # the fields and face gradients of the stack of run's live cells
+        self.fields = self.grads = None
 
-    def add(self, cell: _Cell, u: np.ndarray, grads: np.ndarray):
-        self.pending.append((cell, cell.t, u, grads))
+    def add(self, cell: _Cell) -> None:
+        """Sample the cell's state: its u and face gradients of v and w, a
+        view of its row of the stack if the stack holds it alone, and a
+        copy otherwise, so that the sample does not keep the stack alive."""
+        u, g = self.fields[cell.row, :1], self.grads[cell.row, 1:]
+        if len(self.fields) > 1:
+            u, g = u.copy(), g.copy()
+        self.pending.append((cell, cell.t, u, g))
         if len(self.pending) == SAMPLE_BLOCK:
             self.reduce()
 
@@ -481,29 +493,33 @@ class _Samples:
         cell's columns."""
         grid, p, q = self.grid, self.p, self.q
         cells, ts, us, grads = zip(*self.pending)
-        # a block of states whose fields hold u alone
-        block = FieldState.from_fields(np.array(ts), np.array(us))
-        terms = _sample_terms(block, grid, p, np.array(grads))
+        self.pending.clear()
+        # a block of states whose fields hold u alone; the samples' own
+        # arrays are freed once they are copied into it
+        us, grads = np.array(us), np.array(grads)
+        block = FieldState.from_fields(np.array(ts), us)
+        terms = _sample_terms(block, grid, p, grads)
         cols = np.array((block.t, energy(block, p, q, grid, terms),
                          *norms(block, grid, p, terms), mass(block, grid)))
         rows = {}
         for j, cell in enumerate(cells):
             rows.setdefault(cell, []).append(j)
         for cell, js in rows.items():
-            cell.columns.append(cols if len(js) == len(cells) else cols[:, js])
-        self.pending.clear()
+            cell.columns.append(cols[:, js])
 
 
 class _Cell:
-    """One cell's adaptive-step control in run."""
+    """One cell's adaptive-step control in run: the float code of a run of
+    that cell alone.  `row` is the cell's row of the stack."""
 
-    __slots__ = ("params", "cfg", "samples", "accel_rate", "target", "t",
-                 "dt", "umax", "smooth", "steps", "clips", "t_recorded",
+    __slots__ = ("params", "cfg", "samples", "row", "accel_rate", "target",
+                 "t", "dt", "smooth", "steps", "clips", "t_recorded",
                  "columns", "report", "final_state")
 
     def __init__(self, params: ModelParams, cfg: SolverConfig,
-                 grid: RadialGrid, samples: _Samples, t):
+                 grid: RadialGrid, samples: _Samples, t, row: int):
         self.params, self.cfg, self.samples = params, cfg, samples
+        self.row = row
         # chemical gradients grow at up to (chi*beta + xi*delta)*|grad u|
         # within the step, so the dt limiter solves dt*(vel + dt*accel) =
         # cfl*dr instead of using the instantaneous velocity alone (vital
@@ -515,39 +531,54 @@ class _Cell:
         self.columns = []   # (7, n) blocks of (t, E_pq, Lp_u, ...) samples
         self.report = BlowupReport(False, None, None)
 
-    def start(self, fields: np.ndarray, grads: np.ndarray, i: int,
-              umax: float, finite: bool) -> bool:
-        """Sample the initial state, row i of the stack; True if the cell
-        steps on from it."""
-        self.umax = umax
-        self.record(fields, grads, i)
+    def start(self, finite: bool, clips: int, umax: float, vel_max: float,
+              gu_max: float):
+        """Sample the initial state; the first step, or None if the cell does
+        not step.  It takes advance's arguments (`clips` is 0)."""
+        self.samples.add(self)
+        self.t_recorded = self.t
         # a start above the threshold or nonfinite is reported before any
         # step
         if umax > self.cfg.blowup_threshold:
             return self.stop("linf_threshold")
         if not finite:
             return self.stop("nonfinite_state")
-        return self.t < self.cfg.t_final
+        if self.t < self.cfg.t_final:
+            return self.advance(None, clips, umax, vel_max, gu_max)
+        return None
 
-    def stop(self, trigger: str) -> bool:
-        self.report = BlowupReport(True, self.t, trigger)
-        return False
-
-    def record(self, fields: np.ndarray, grads: np.ndarray, i: int) -> None:
-        """Sample the cell's state, row i of a stack's fields and face
-        gradients.  A row of a larger stack is copied, so that the sample
-        does not keep the whole stack alive."""
-        u, g = fields[i, :1], grads[i, 1:]
-        if len(fields) > 1:
-            u, g = u.copy(), g.copy()
-        self.samples.add(self, u, g)
-        self.t_recorded = self.t
-
-    def next_dt(self, vel_max: float, gu_max: float):
-        """The cell's next step, at a state whose face velocity and u face
-        gradients peak at `vel_max` and `gu_max` in absolute value; None if
-        it fell below dt_min."""
-        cfg, params = self.cfg, self.params
+    def advance(self, accepted, clips: int, umax: float, vel_max: float,
+                gu_max: float):
+        """Take the step of size dt, or retry it at half the step if it came
+        out nonfinite (`accepted` False); the next step, or None if the cell
+        stops.  `umax`, `vel_max` and `gu_max` are the peaks of u and of the
+        absolute face velocity and u face gradient at the cell's state.
+        With `accepted` None, only the next step at the state."""
+        cfg = self.cfg
+        if accepted:
+            # the time that step gives the state, t + dt
+            self.t = t = self.t + self.dt
+            self.clips += clips
+            self.steps = steps = self.steps + 1
+            smooth = self.smooth + 1
+            if smooth >= cfg.grow_after:
+                self.dt = min(self.dt * cfg.growth, cfg.dt_max)
+                smooth = 0
+            self.smooth = smooth
+            if steps % cfg.sample_every == 0:
+                self.samples.add(self)
+                self.t_recorded = t
+            if umax > cfg.blowup_threshold:
+                return self.stop("linf_threshold")
+            if not (t < cfg.t_final and steps < cfg.max_steps):
+                return None
+        elif accepted is not None:
+            self.dt *= 0.5
+            self.smooth = 0
+            if self.dt < cfg.dt_min:
+                return self.stop("nonfinite_state")
+        # the step limiter
+        params = self.params
         try:
             dt_cap = cfg.dt_max
             accel = self.accel_rate * gu_max
@@ -558,9 +589,9 @@ class _Cell:
             elif vel_max > 0:
                 dt_cap = min(dt_cap, self.target / vel_max)
             rate = abs(params.mu1)
-            if params.mu2 > 0 and self.umax > 0:
+            if params.mu2 > 0 and umax > 0:
                 rate += (params.mu2 * params.k_logistic
-                         * self.umax ** (params.k_logistic - 1))
+                         * umax ** (params.k_logistic - 1))
             if rate > 0:
                 dt_cap = min(dt_cap, cfg.cfl / rate)
         except OverflowError:
@@ -571,42 +602,20 @@ class _Cell:
         while dt > dt_cap:
             dt *= 0.5
         if dt < cfg.dt_min:
-            return self.stop("dt_underflow") or None
+            return self.stop("dt_underflow")
         self.dt = dt = min(dt, cfg.t_final - self.t)
         return dt
 
-    def reject(self) -> bool:
-        """Retry a step that came out nonfinite at half the step; True if
-        the cell goes on."""
-        self.dt *= 0.5
-        self.smooth = 0
-        return (self.dt >= self.cfg.dt_min
-                or self.stop("nonfinite_state"))
+    def stop(self, trigger: str) -> None:
+        self.report = BlowupReport(True, self.t, trigger)
 
-    def accept(self, t, clips: int, umax: float, fields: np.ndarray,
-               grads: np.ndarray, i: int) -> bool:
-        """Take the step to time t, whose state is row i of the stack; True
-        if the cell goes on."""
-        cfg = self.cfg
-        self.t, self.umax = t, umax
-        self.clips += clips
-        self.steps = steps = self.steps + 1
-        smooth = self.smooth + 1
-        if smooth >= cfg.grow_after:
-            self.dt = min(self.dt * cfg.growth, cfg.dt_max)
-            smooth = 0
-        self.smooth = smooth
-        if steps % cfg.sample_every == 0:
-            self.record(fields, grads, i)
-        if umax > cfg.blowup_threshold:
-            return self.stop("linf_threshold")
-        return t < cfg.t_final and steps < cfg.max_steps
-
-    def finish(self, fields: np.ndarray, grads: np.ndarray, i: int) -> None:
-        """Stop at row i of the stack: sample it unless it is sampled."""
+    def finish(self) -> None:
+        """Stop at the cell's row of the stack: sample it unless it is
+        sampled."""
         if self.t_recorded != self.t:
-            self.record(fields, grads, i)
-        self.final_state = FieldState.from_fields(self.t, fields[i].copy())
+            self.samples.add(self)
+        self.final_state = FieldState.from_fields(
+            self.t, self.samples.fields[self.row].copy())
 
     def trajectory(self, p: float, q: float) -> Trajectory:
         """The trajectory, once every sample is reduced."""
@@ -643,63 +652,59 @@ def run(grid: RadialGrid, params, state0, p: float, q: float,
     if single:
         params, state0, cfg = [params], [state0], [cfg]
     samples = _Samples(grid, p, q)
-    cells = [_Cell(m, c, grid, samples, s.t)
-             for m, c, s in zip(params, cfg, state0, strict=True)]
-    fields = np.array([s.fields for s in state0], dtype=float)
-    grads = face_gradients(grid, fields)
-    going = [cell.start(fields, grads, i, umax, finite) for i, (
-        cell, umax, finite) in enumerate(zip(
-            cells, np.maximum.reduce(fields[:, 0], axis=-1).tolist(),
-            np.isfinite(fields).all(axis=(1, 2)).tolist()))]
-    live, stack, t = cells, ParamStack(params), [cell.t for cell in cells]
+    live = cells = [_Cell(m, c, grid, samples, s.t, i) for i, (m, c, s) in
+                    enumerate(zip(params, cfg, state0, strict=True))]
+    stack = ParamStack(params)
+    state = FieldState.from_fields(
+        [s.t for s in state0], np.array([s.fields for s in state0],
+                                        dtype=float))
+    accepted = np.isfinite(state.fields).all(axis=(1, 2)).tolist()
+    advance, clips, peak = _Cell.start, repeat(0), np.maximum.reduce
     while True:
-        if not all(going):
+        fields = state.fields
+        samples.fields = fields
+        samples.grads = grads = face_gradients(grid, fields)
+        vel = _face_velocity(stack, grads)
+        # per cell: the largest u, absolute face velocity and absolute u
+        # face gradient
+        dts = list(map(advance, live, accepted, clips,
+                       peak(fields[:, 0], axis=-1).tolist(),
+                       peak(np.abs(vel), axis=-1).tolist(),
+                       peak(np.abs(grads[:, 0]), axis=-1).tolist()))
+        if None in dts:
             # the cells that stopped leave the stack
-            keep = [i for i, go in enumerate(going) if go]
-            for i, cell in enumerate(live):
-                if not going[i]:
-                    cell.finish(fields, grads, i)
+            keep = [i for i, dt in enumerate(dts) if dt is not None]
+            for i in range(len(live)):
+                if dts[i] is None:
+                    live[i].finish()
             if not keep:
                 break
-            live = [live[i] for i in keep]
-            stack = stack.take(keep)
-            fields, grads = fields[keep], grads[keep]
-            t = [cell.t for cell in live]
-        vel = _face_velocity(stack, grads[:, 1], grads[:, 2])
-        dts = list(map(_Cell.next_dt, live,
-                       np.maximum.reduce(np.abs(vel), axis=-1).tolist(),
-                       np.maximum.reduce(np.abs(grads[:, 0]),
-                                         axis=-1).tolist()))
-        if None in dts:
-            going = [dt is not None for dt in dts]
-            continue   # a cell whose dt underflowed leaves the stack
-        new, clips = step(FieldState.from_fields(t, fields), dts, grid, stack,
-                          vel=vel)
+            live, stack = [live[i] for i in keep], stack.take(keep)
+            for i, cell in enumerate(live):
+                cell.row = i
+            state = FieldState.from_fields([state.t[i] for i in keep],
+                                           fields[keep])
+            vel, dts = vel[keep], [dts[i] for i in keep]
+        new, clips = step(state, dts, grid, stack, vel=vel)
         accepted = repeat(True)
         if not np.logical_and.reduce(np.isfinite(new.fields), axis=None):
             if len(live) > 1:
                 # a nonfinite block spreads NaN to every other block: solve
                 # each cell alone
-                alone = [step(FieldState.from_fields(t[i:i + 1],
-                                                     fields[i:i + 1]),
+                alone = [step(FieldState.from_fields(state.t[i:i + 1],
+                                                     state.fields[i:i + 1]),
                               dts[i:i + 1], grid, stack.take([i]),
                               vel=vel[i:i + 1]) for i in range(len(live))]
                 new = FieldState.from_fields(
                     new.t, np.concatenate([s.fields for s, _ in alone]))
                 clips = [c[0] for _, c in alone]
             finite = np.isfinite(new.fields).all(axis=(1, 2))
-            new.fields[~finite] = fields[~finite]   # a rejected cell stays
-            new.t[:] = [t_i if ok else t_old for t_i, t_old, ok in zip(
-                new.t, t, finite.tolist())]
+            # a rejected cell stays where it was
+            new.fields[~finite] = state.fields[~finite]
+            new.t[:] = [t_new if ok else t for t_new, t, ok in zip(
+                new.t, state.t, finite.tolist())]
             accepted = finite.tolist()
-        t, fields = new.t, new.fields
-        grads = face_gradients(grid, fields)
-        going = [cell.accept(t_i, c, umax, fields, grads, i) if ok
-                 else cell.reject()
-                 for i, (cell, t_i, c, umax, ok) in enumerate(zip(
-                     live, t, clips,
-                     np.maximum.reduce(fields[:, 0], axis=-1).tolist(),
-                     accepted))]
+        state, advance = new, _Cell.advance
     if samples.pending:
         samples.reduce()
     result = [cell.trajectory(p, q) for cell in cells]

@@ -473,6 +473,30 @@ class TestSweep:
         for cell, solo in pairs:
             assert cell == solo
 
+    def test_each_batch_is_written_before_the_next_runs(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # cells 0 and 2 share a grid, cell 1 has its own: two batches, and
+        # the rows stay in axis order
+        real_run = pde.run
+        written = []
+
+        def run(grid, *args):
+            out = tmp_path / "out"
+            written.append(sorted(p.name for p in out.iterdir())
+                           if out.exists() else [])
+            return real_run(grid, *args)
+
+        monkeypatch.setattr(pde, "run", run)
+        lines, pairs = self._sweep_and_solo_runs(
+            tmp_path, "sweep.grid.shells = 40, 56, 40\n",
+            {i: f"grid.shells = {m}\n" for i, m in enumerate((40, 56, 40))})
+        assert written[:2] == [[], ["run_000", "run_002"]]
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["run_000", "true"], ["run_001", "true"], ["run_002", "true"]]
+        for cell, solo in pairs:
+            assert cell == solo
+
     def _counted_sweep(self, tmp_path, monkeypatch, axis):
         calls = []
         estimate = verify.estimate_gn_constant

@@ -481,6 +481,16 @@ class TestRun:
             assert np.array_equal(getattr(traj, name), expected), name
         assert np.array_equal(traj.final_state.fields, state.fields)
 
+    def test_samples_filling_the_last_block_exactly(self):
+        # the start and SAMPLE_BLOCK - 1 steps: the last sample completes a
+        # block, and no sample is left over at the end
+        grid = make_grid(3, 1.0, 16)
+        state = init_state(grid, GaussianBump(2.0, 0.3))
+        cfg = SolverConfig(max_steps=SAMPLE_BLOCK - 1, sample_every=1)
+        traj = run(grid, DIFFUSION_ONLY, state, 2.0, 4.0, cfg)
+        assert traj.steps == SAMPLE_BLOCK - 1
+        assert len(traj.t) == SAMPLE_BLOCK and traj.t[-1] == traj.final_state.t
+
     def test_trajectory_csv_format(self):
         grid = make_grid(3, 1.0, 16)
         state = init_state(grid, GaussianBump(2.0, 0.3))
@@ -585,6 +595,24 @@ class TestBatchedRun:
             alone, _ = step(state, 1e-6, grid, params)
             assert np.all(np.isfinite(alone.fields))
             assert np.array_equal(new.fields[i], alone.fields)
+
+    def test_zero_source_left_out_to_the_bit(self):
+        # a state without a logistic source skips mu1*u, which a stack with
+        # a source takes on every row: the two agree to the bit, signed
+        # zeros included (mu1 = -0.0 takes the source path)
+        grid = make_grid(3, 1.0, 8)
+        u = np.array([0.0, -0.0, 1.0, 0.0, 2.0, -0.0, 0.0, 3.0])
+        state = FieldState(0.0, u, np.zeros(8), np.zeros(8))
+        source = ModelParams(chi=0.0, xi=0.0, mu1=1.0)
+        for params in (ModelParams(chi=0.0, xi=0.0),
+                       ModelParams(chi=0.0, xi=0.0, mu1=-0.0),
+                       ModelParams(chi=1.0, xi=0.5)):
+            alone, _ = step(state, 1e-3, grid, params)
+            stack = FieldState.from_fields([0.0, 0.0], np.array(
+                [state.fields, state.fields]))
+            new, _ = step(stack, [1e-3, 1e-3], grid,
+                          ParamStack([params, source]))
+            assert new.fields[0].tobytes() == alone.fields.tobytes()
 
     def test_nonfinite_block_spreads_to_the_stack(self):
         # why run solves a nonfinite step again cell by cell
