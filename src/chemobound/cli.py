@@ -3,7 +3,8 @@
 Subcommands: check-params, bound, optimize-bound, simulate, verify-gn,
 verify-embed, verify-equivalence, verify-odi, region, sweep.  Exit codes:
 0 success (or admissible), 1 negative domain result (inadmissible),
-2 usage/config error, 3 runtime failure.
+2 usage or config error (any value the package rejects), 3 runtime failure
+(the bound fails at valid inputs).
 
 Every emitted JSON carries the resolved config hash; wall-clock timestamps
 live in a separate `metadata` field so payloads stay byte-reproducible for
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import exponents, odi, pde, verify
-from .errors import ChemoboundError, ConfigError
+from .errors import ChemoboundError, ConfigError, ParameterError
 
 OUTPUT_ROOT_ENV = "CHEMOBOUND_OUTPUT_ROOT"
 
@@ -38,21 +39,31 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
+# flag -> (option strings, argparse options, config key).  argparse stores
+# each flag under its config key, and a flag that is given wins over --set.
+FLAGS = {
+    "output": (("-o", "--output"), {"help": "output directory"}, "output.dir"),
+    "dim": (("-n", "--dim"), {"type": int}, "model.dim"),
+    "p": (("-p",), {"type": float}, "indices.p"),
+    "q": (("-q",), {"type": float}, "indices.q"),
+    "s1": (("--s1",), {"type": float}, "indices.s1"),
+    "s2": (("--s2",), {"type": float}, "indices.s2"),
+    "E0": (("--E0",), {"type": float}, "bound.E0"),
+    "corollary": (("--corollary",), {"type": int, "choices": (0, 1, 2)},
+                  "bound.corollary"),
+    "eta": (("--eta",), {"type": float}, "verify.eta"),
+    "seed": (("--seed",), {"type": int}, "seed"),
+}
+
+
 def _load_config(args) -> tuple[dict, dict]:
     text = Path(args.config).read_text() if args.config else ""
     cfg, sweep_axes = cfgmod.parse_config_text(text)
     cfgmod.apply_overrides(cfg, args.set or [])
-    # a flag wins over --set
-    for flag, key in (("dim", "model.dim"), ("p", "indices.p"),
-                      ("q", "indices.q"), ("s1", "indices.s1"),
-                      ("s2", "indices.s2"), ("E0", "bound.E0"),
-                      ("corollary", "bound.corollary"), ("seed", "seed"),
-                      ("eta", "verify.eta")):
-        value = getattr(args, flag, None)
+    for _, _, key in FLAGS.values():
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if getattr(args, "output", None):
-        cfg["output.dir"] = args.output
     return cfg, sweep_axes
 
 
@@ -68,16 +79,20 @@ def _output_dir(cfg: dict) -> Path | None:
     return path
 
 
+def _json_text(payload: dict) -> str:
+    """The text of every JSON file written and of each payload _emit
+    prints."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(payload: dict, cfg: dict, out_dir: Path | None, name: str) -> None:
     payload = dict(payload)
     payload["config_hash"] = cfgmod.config_hash(cfg)
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    print(_json_text(payload), end="")
     if out_dir is not None:
         payload["metadata"] = {
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-        (out_dir / name).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        (out_dir / name).write_text(_json_text(payload))
 
 
 # --- shared pipeline pieces -------------------------------------------------
@@ -99,16 +114,23 @@ def resolve_indices(cfg: dict) -> exponents.EnergyIndices:
         cfgmod.require(cfg, "indices.s1"), cfgmod.require(cfg, "indices.s2"))
 
 
-def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid
-                        ) -> tuple[float, dict]:
+def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid,
+                        gn_memo: dict | None = None) -> tuple[float, dict]:
     """Configured constant, or the maximum over the eta values of the
-    estimated constant times the safety factor."""
+    estimated constant times the safety factor.  `gn_memo` keeps the
+    estimates by (n, R, M, eta), all that one depends on, for the calls
+    that pass it."""
     configured = cfg["bound.C_GN"]
     if not math.isnan(configured):
         return configured, {"C_GN_source": "configured"}
     safety = cfg["bound.gn_safety"]
-    per_eta = {float(e): verify.estimate_gn_for_eta(grid, float(e))
-               for e in set(etas)}
+    gn_memo = {} if gn_memo is None else gn_memo
+    per_eta = {}
+    for eta in map(float, set(etas)):
+        key = (grid.n, grid.R, grid.M, eta)
+        if key not in gn_memo:
+            gn_memo[key] = verify.estimate_gn_for_eta(grid, eta)
+        per_eta[eta] = gn_memo[key]
     value = safety * max(per_eta.values())
     return value, {"C_GN_source": "estimated", "C_GN_safety": safety,
                    "C_GN_per_eta": {str(k): v for k, v in per_eta.items()}}
@@ -132,15 +154,15 @@ def simulate_from_config(cfg: dict) -> tuple[pde.Trajectory, pde.RadialGrid,
 
 
 def bound_from_config(cfg: dict, E0: float | None = None,
-                      gn: tuple[float, dict] | None = None
+                      gn_memo: dict | None = None
                       ) -> tuple[odi.BoundResult, dict]:
-    """`gn` is resolve_gn_constant's result if the caller already has it."""
+    """`gn_memo` is passed on to resolve_gn_constant."""
     params = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
     indices = resolve_indices(cfg)
     if E0 is None:
         E0 = cfgmod.require(cfg, "bound.E0")
-    C_GN, meta = gn or resolve_gn_constant(cfg, indices.eta, grid)
+    C_GN, meta = resolve_gn_constant(cfg, indices.eta, grid, gn_memo)
     with _overflow_is_config_error(cfg, C_GN):
         return odi.bound_at_indices(params, indices, E0, C_GN,
                                     cfg["indices.epsilon"],
@@ -272,6 +294,9 @@ def cmd_region(args) -> int:
     p_min = cfg["region.p_min"]
     p_max = cfg["region.p_max"]
     step = cfg["region.p_step"]
+    if not 0.0 < step < math.inf:
+        raise ConfigError(
+            f"region.p_step must be positive and finite, got {step!r}")
     if math.isnan(p_min):
         p_min = n / 2.0 + step
     if math.isnan(p_max):
@@ -295,15 +320,14 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
 
     Cells on one grid with one (p, q) are simulated together, as one
     batched pde.run, and written as soon as it returns; each cell's
-    trajectory is the one it gets alone.  Cells that resolve the same grid,
-    eta set, safety factor and configured constant share one C_GN.
+    trajectory is the one it gets alone.  The cells share one C_GN memo.
     Individual cell failures are recorded and do not stop the sweep."""
     if not sweep_axes:
         raise ConfigError("sweep requires at least one sweep.<key> axis")
     keys = sorted(sweep_axes)
-    gn_memo: dict[tuple, tuple[float, dict]] = {}
+    gn_memo: dict[tuple, float] = {}
 
-    def write_cell(idx, cell_cfg, inputs, traj):
+    def write_cell(idx, cell_cfg, traj):
         """`traj` is the cell's trajectory, or the error that stopped it."""
         run_id = f"run_{idx:03d}"
         cell_dir = out_dir / run_id
@@ -311,25 +335,15 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
         try:
             if isinstance(traj, Exception):
                 raise traj
-            _, grid, _, indices, _ = inputs
-            gn_key = (grid.n, grid.R, grid.M, tuple(sorted(set(indices.eta))),
-                      cell_cfg["bound.gn_safety"],
-                      repr(cell_cfg["bound.C_GN"]))  # repr: NaN equals itself
-            if gn_key not in gn_memo:
-                gn_memo[gn_key] = resolve_gn_constant(cell_cfg, indices.eta,
-                                                      grid)
             bound, meta = bound_from_config(cell_cfg, E0=float(traj.E_pq[0]),
-                                            gn=gn_memo[gn_key])
+                                            gn_memo=gn_memo)
             with open(cell_dir / "trajectory.csv", "w") as stream:
                 traj.to_csv(stream)
             digest = cfgmod.config_hash(cell_cfg)
-            report = {**_run_report(traj), "config_hash": digest}
-            (cell_dir / "report.json").write_text(
-                json.dumps(report, sort_keys=True, indent=2) + "\n")
-            (cell_dir / "bound.json").write_text(
-                json.dumps({**bound.to_json_dict(), **meta,
-                            "config_hash": digest},
-                           sort_keys=True, indent=2) + "\n")
+            (cell_dir / "report.json").write_text(_json_text(
+                {**_run_report(traj), "config_hash": digest}))
+            (cell_dir / "bound.json").write_text(_json_text(
+                {**bound.to_json_dict(), **meta, "config_hash": digest}))
             t_detect = traj.report.t_detect
             margin = (t_detect - bound.t_lower) if t_detect is not None else ""
             return {"run_id": run_id, "blew_up": str(traj.report.blew_up).lower(),
@@ -350,16 +364,16 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
         try:
             inputs = simulation_inputs(cell_cfg)
         except CELL_ERRORS as exc:
-            rows[idx] = write_cell(idx, cell_cfg, None, exc)
+            rows[idx] = write_cell(idx, cell_cfg, exc)
             continue
         _, grid, _, indices, _ = inputs
         groups.setdefault((grid.n, grid.R, grid.M, float(indices.p),
                            float(indices.q)), []).append(
                                (idx, cell_cfg, inputs))
     for (_, _, _, p, q), members in groups.items():
-        for (idx, cell_cfg, inputs), traj in zip(members, _run_cells(
+        for (idx, cell_cfg, _), traj in zip(members, _run_cells(
                 [inputs for _, _, inputs in members], p, q)):
-            rows[idx] = write_cell(idx, cell_cfg, inputs, traj)
+            rows[idx] = write_cell(idx, cell_cfg, traj)
 
     rows = [rows[idx] for idx in sorted(rows)]
     with open(out_dir / "summary.csv", "w") as stream:
@@ -399,6 +413,29 @@ def cmd_sweep(args) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
+_PQ = ("p", "q", "s1", "s2")
+_BOUND = (*_PQ, "E0", "corollary")
+
+# (name, help, handler, FLAGS it takes besides --output and --dim)
+COMMANDS = (
+    ("check-params", "evaluate the admissibility condition", cmd_check_params,
+     _PQ),
+    ("bound", "blow-up time lower bound", cmd_bound, _BOUND),
+    ("optimize-bound", "search (s1, s2)", cmd_optimize_bound, _BOUND),
+    ("simulate", "run the radial solver", cmd_simulate, _BOUND),
+    ("verify-gn", "estimate C_GN at one eta", cmd_verify_gn,
+     (*_BOUND, "eta")),
+    ("verify-embed", "check the embedding inequality at one eta",
+     cmd_verify_embed, (*_BOUND, "eta")),
+    ("verify-equivalence", "check Condition C against the eta intervals",
+     cmd_verify_equivalence, (*_BOUND, "eta", "seed")),
+    ("verify-odi", "check dE/dt <= F(E) along a simulated run",
+     cmd_verify_odi, (*_BOUND, "eta")),
+    ("region", "admissible (p, q) region table", cmd_region, ()),
+    ("sweep", "cartesian experiment sweep", cmd_sweep, _BOUND),
+)
+
+
 @functools.cache  # parsing leaves the parser unchanged; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -406,57 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Blow-up bound toolkit for an attraction-repulsion "
                     "chemotaxis system")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, flags=()):
+    for name, help_text, handler, flags in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config entry")
-        sp.add_argument("-o", "--output", help="output directory")
-        if "dim" in flags:
-            sp.add_argument("-n", "--dim", type=int)
-        if "pq" in flags:
-            sp.add_argument("-p", type=float)
-            sp.add_argument("-q", type=float)
-            sp.add_argument("--s1", type=float)
-            sp.add_argument("--s2", type=float)
-        if "bound" in flags:
-            sp.add_argument("--E0", type=float)
-            sp.add_argument("--corollary", type=int, choices=(0, 1, 2))
-
-    sp = sub.add_parser("check-params", help="evaluate the admissibility condition")
-    common(sp, ("dim", "pq"))
-    sp.set_defaults(func=cmd_check_params)
-
-    sp = sub.add_parser("bound", help="blow-up time lower bound")
-    common(sp, ("dim", "pq", "bound"))
-    sp.set_defaults(func=cmd_bound)
-
-    sp = sub.add_parser("optimize-bound", help="search (s1, s2)")
-    common(sp, ("dim", "pq", "bound"))
-    sp.set_defaults(func=cmd_optimize_bound)
-
-    sp = sub.add_parser("simulate", help="run the radial solver")
-    common(sp, ("dim", "pq", "bound"))
-    sp.set_defaults(func=cmd_simulate)
-
-    for name, handler in (("verify-gn", cmd_verify_gn),
-                          ("verify-embed", cmd_verify_embed),
-                          ("verify-equivalence", cmd_verify_equivalence),
-                          ("verify-odi", cmd_verify_odi)):
-        sp = sub.add_parser(name)
-        common(sp, ("dim", "pq", "bound"))
-        sp.add_argument("--eta", type=float)
-        if name == "verify-equivalence":
-            sp.add_argument("--seed", type=int)
+        for flag in ("output", "dim", *flags):
+            names, options, key = FLAGS[flag]
+            sp.add_argument(*names, dest=key, **options)
         sp.set_defaults(func=handler)
-
-    sp = sub.add_parser("region", help="admissible (p, q) region table")
-    common(sp, ("dim",))
-    sp.set_defaults(func=cmd_region)
-
-    sp = sub.add_parser("sweep", help="cartesian experiment sweep")
-    common(sp, ("dim", "pq", "bound"))
-    sp.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -465,7 +460,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ChemoboundError as exc:

@@ -13,7 +13,7 @@ import hashlib
 import math
 from typing import Any
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .exponents import BallDomain, ModelParams
 from .odi import OptConfig, QuadConfig
 from .pde import (ConstantProfile, GaussianBump, RadialGrid, SolverConfig,
@@ -140,14 +140,10 @@ def config_hash(cfg: dict[str, Any]) -> str:
 # --- builders ---------------------------------------------------------------
 
 def _build(cls, cfg: dict[str, Any], prefix: str, **extra):
-    """`cls` from the `prefix.<field>` keys of its fields, plus `extra`; a
-    value the constructor rejects is a config error."""
+    """`cls` from the `prefix.<field>` keys of its fields, plus `extra`."""
     keys = {f.name: f"{prefix}.{f.name}" for f in dataclasses.fields(cls)}
-    try:
-        return cls(**{name: cfg[key] for name, key in keys.items()
-                      if key in KNOWN_KEYS}, **extra)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(**{name: cfg[key] for name, key in keys.items()
+                  if key in KNOWN_KEYS}, **extra)
 
 
 def build_model(cfg: dict[str, Any]) -> ModelParams:
@@ -156,11 +152,7 @@ def build_model(cfg: dict[str, Any]) -> ModelParams:
 
 
 def build_grid(cfg: dict[str, Any]) -> RadialGrid:
-    try:
-        return make_grid(cfg["model.dim"], cfg["model.radius"],
-                         cfg["grid.shells"])
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return make_grid(cfg["model.dim"], cfg["model.radius"], cfg["grid.shells"])
 
 
 def build_profile(cfg: dict[str, Any]):

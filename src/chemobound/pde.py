@@ -443,8 +443,6 @@ class Trajectory:
     gradinf_v: np.ndarray
     gradinf_w: np.ndarray
     mass: np.ndarray
-    p: float
-    q: float
     report: BlowupReport
     solver: SolverConfig
     clip_count: int
@@ -617,12 +615,12 @@ class _Cell:
         self.final_state = FieldState.from_fields(
             self.t, self.samples.fields[self.row].copy())
 
-    def trajectory(self, p: float, q: float) -> Trajectory:
+    def trajectory(self) -> Trajectory:
         """The trajectory, once every sample is reduced."""
         cols = np.concatenate(self.columns, axis=1)
         return Trajectory(
             t=cols[0], E_pq=cols[1], Lp_u=cols[2], Linf_u=cols[3],
-            gradinf_v=cols[4], gradinf_w=cols[5], mass=cols[6], p=p, q=q,
+            gradinf_v=cols[4], gradinf_w=cols[5], mass=cols[6],
             report=self.report, solver=self.cfg, clip_count=self.clips,
             steps=self.steps, final_state=self.final_state)
 
@@ -715,5 +713,5 @@ def run(grid: RadialGrid, params, state0, p: float, q: float,
         state, advance = new, _Cell.advance
     if samples.pending:
         samples.reduce()
-    result = [cell.trajectory(p, q) for cell in cells]
+    result = [cell.trajectory() for cell in cells]
     return result[0] if single else result

@@ -18,7 +18,7 @@ from .errors import ParameterError
 from .exponents import (C1_coef, C3_coef, condition_C_clauses, etas_in_range,
                         feasible_box, h_exponent, k_exponent)
 from .odi import OdiCoefficients, odi_rhs
-from .pde import RadialGrid, Trajectory, cell_gradients
+from .pde import RadialGrid, Trajectory, _integral, cell_gradients
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,7 @@ EMBED_AMPLITUDES = np.exp(np.linspace(-1.0, 3.0, 9))
 REPORT_TOL = 1e-9  # relative margin below which a profile violates
 
 
-# --- discrete norms (shell quadrature, shared with the solver) --------------
-
-def _integral(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Shell-quadrature integral; values is (..., M)."""
-    return values @ grid.shell_measures
-
+# --- discrete norms (the solver's shell quadrature) -------------------------
 
 def _norm(grid: RadialGrid, F: np.ndarray, p: float) -> np.ndarray:
     return _integral(grid, np.abs(F) ** p) ** (1.0 / p)
@@ -192,6 +187,10 @@ def equivalence_bruteforce(n: int, trial_count: int,
     admissible region (the table's (s1, s2) box)."""
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
+    if trial_count < 1:
+        raise ParameterError(f"trial count must be >= 1, got {trial_count}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n_broad = trial_count // 2
     n_tight = trial_count - n_broad

@@ -6,11 +6,12 @@ import pytest
 
 from chemobound import pde, verify
 from chemobound.cli import bound_from_config, main
-from chemobound.config import (KNOWN_KEYS, apply_overrides, build_opt,
-                               build_quad, build_solver, config_hash,
-                               parse_config_text)
+from chemobound.config import (KNOWN_KEYS, apply_overrides, build_model,
+                               build_opt, build_quad, build_solver,
+                               config_hash, parse_config_text)
 from chemobound.errors import ChemoboundError, ConfigError
-from chemobound.odi import OptConfig, QuadConfig
+from chemobound.exponents import EnergyIndices
+from chemobound.odi import OptConfig, QuadConfig, bound_at_indices
 from chemobound.pde import SolverConfig
 
 BLOWUP_CONFIG = """
@@ -190,6 +191,25 @@ class TestBound:
         assert payload["indices"]["k_eta"] == pytest.approx([3.0] * 4)
         assert payload["t_lower"] > 0
 
+    def test_explicit_indices(self, capsys):
+        # bound.corollary = 0 by default: the bound is at the given indices
+        code = main(["bound", "-n", "3", "-p", "3", "-q", "6", "--s1", "4",
+                     "--s2", "2", "--E0", "1", "--set", "bound.C_GN=1"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        direct = bound_at_indices(build_model(parse_config_text("")[0]),
+                                  EnergyIndices(3.0, 6.0, 4.0, 2.0), 1.0, 1.0)
+        expected = json.loads(json.dumps(direct.to_json_dict()))
+        assert {k: payload[k] for k in expected} == expected
+
+    def test_failing_bound_runtime_error(self, capsys):
+        # valid inputs at which the bound fails exit 3, not 2
+        code = main(["bound", "--corollary", "2", "-n", "3", "--E0", "1e-12",
+                     "--set", "model.mu1=-1", "--set", "bound.C_GN=1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: denominator nonpositive at E0=1e-12\n")
+
     def test_missing_E0_usage_error(self, capsys):
         code = main(["bound", "-n", "3", "--corollary", "2",
                      "--set", "bound.C_GN=1"])
@@ -263,6 +283,49 @@ class TestRegion:
         assert lines[0] == "p,q_low,q_high"
         assert lines[1] == "2.0,3.0,6.0"
         assert lines[2] == "3.0,3.0,inf"
+
+    def test_default_p_range(self, capsys):
+        # p runs from n/2 + p_step to 3n
+        assert main(["region", "-n", "3", "--set", "region.p_step=0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            repr(2.0 + 0.5 * i) for i in range(15)]
+
+
+class TestExitCodes:
+    """Every value the package rejects exits 2 with one config error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "-n", "3", "--set", "region.p_step=0"],
+        ["region", "-n", "3", "--set", "region.p_step=-0.1"],
+        ["region", "-n", "3", "--set", "region.p_step=nan"],
+        ["verify-equivalence", "-n", "3", "--set", "verify.trials=0"],
+        ["verify-equivalence", "-n", "3", "--set", "verify.trials=-1"],
+        ["verify-equivalence", "-n", "3", "--seed", "-1"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "0",
+         "--set", "bound.C_GN=1"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+         "--set", "bound.gn_safety=-1", "--set", "grid.shells=8"],
+        ["simulate", "-n", "3", "--corollary", "2",
+         "--set", "profile.amplitude=-1", "--set", "grid.shells=8"],
+        ["verify-embed", "-n", "3", "--eta", "1.5",
+         "--set", "verify.epsilon=0", "--set", "grid.shells=8"],
+        ["verify-gn", "-n", "3", "--eta", "0.5", "--set", "grid.shells=8"],
+    ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
+            "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
+            "eta=0.5"])
+    def test_rejected_value_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
+    def test_bad_corollary_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
+                  "--E0", "1", "--corollary", "5"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 5" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -403,7 +466,7 @@ class TestSweep:
         lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert lines[2] == "run_001,error,,,"
         error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
-        assert error == "ConfigError: alpha must be positive, got 0.0\n"
+        assert error == "ParameterError: alpha must be positive, got 0.0\n"
 
     def test_rejected_solver_value_cell_is_recorded(self, capsys, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
@@ -417,7 +480,7 @@ class TestSweep:
         assert lines[1].startswith("run_000,true,")
         assert lines[2] == "run_001,error,,,"
         error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
-        assert error == "ConfigError: solver cfl must be > 0, got 0.0\n"
+        assert error == "ParameterError: solver cfl must be > 0, got 0.0\n"
 
     def _sweep_and_solo_runs(self, tmp_path, axis, solo_lines):
         """Run the sweep over `axis`; then, for each config line of
@@ -523,6 +586,14 @@ class TestSweep:
             assert bound["C_GN_source"] == "estimated"
             assert bound["C_GN"] == bounds[0]["C_GN"]
             assert bound["C_GN_per_eta"] == bounds[0]["C_GN_per_eta"]
+
+    def test_safety_axis_shares_one_estimate(self, capsys, tmp_path,
+                                             monkeypatch):
+        # the safety factor scales the estimate but does not change it
+        _, calls, bounds = self._counted_sweep(
+            tmp_path, monkeypatch, "sweep.bound.gn_safety = 2, 3\n")
+        assert len(calls) == 1
+        assert bounds[1]["C_GN"] == 3.0 * bounds[0]["C_GN_per_eta"]["1.5"]
 
     def test_seed_axis_shares_one_estimate(self, capsys, tmp_path,
                                            monkeypatch):

@@ -247,6 +247,13 @@ class TestLowerBoundIntegral:
             lower_bound_integral(den, 0.001)
         assert exc_info.value.root is not None
 
+    def test_negative_mu1_root_bracketed(self):
+        # F(s) = s^2 - 3s + 2 is positive at E0 = 0.5 and vanishes at s = 1
+        den = Denominator(((1.0, 2.0),), mu1=-3.0, c=2.0)
+        with pytest.raises(NonpositiveDenominatorError) as exc_info:
+            lower_bound_integral(den, 0.5)
+        assert exc_info.value.root == pytest.approx(1.0)
+
     def test_negative_mu1_flagged_when_positive(self):
         den = Denominator(((1.0, 2.0),), mu1=-0.1)
         result = lower_bound_integral(den, 1.0)
