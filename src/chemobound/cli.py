@@ -145,23 +145,21 @@ def simulation_inputs(cfg: dict) -> tuple:
             cfgmod.build_solver(cfg))
 
 
-def simulate_from_config(cfg: dict) -> tuple[pde.Trajectory, pde.RadialGrid,
-                                             exponents.ModelParams]:
-    params, grid, state0, indices, solver = simulation_inputs(cfg)
+def simulate_from_config(cfg: dict) -> tuple[pde.Trajectory, tuple]:
+    """The trajectory of a run and its simulation_inputs."""
+    inputs = simulation_inputs(cfg)
+    params, grid, state0, indices, solver = inputs
     traj = pde.run(grid, params, state0, float(indices.p), float(indices.q),
                    solver)
-    return traj, grid, params
+    return traj, inputs
 
 
-def bound_from_config(cfg: dict, E0: float | None = None,
-                      gn_memo: dict | None = None
+def bound_from_config(cfg: dict, params: exponents.ModelParams,
+                      grid: pde.RadialGrid, indices: exponents.EnergyIndices,
+                      E0: float, gn_memo: dict | None = None
                       ) -> tuple[odi.BoundResult, dict]:
-    """`gn_memo` is passed on to resolve_gn_constant."""
-    params = cfgmod.build_model(cfg)
-    grid = cfgmod.build_grid(cfg)
-    indices = resolve_indices(cfg)
-    if E0 is None:
-        E0 = cfgmod.require(cfg, "bound.E0")
+    """The bound at the model, grid and indices the caller built from
+    `cfg`.  `gn_memo` is passed on to resolve_gn_constant."""
     C_GN, meta = resolve_gn_constant(cfg, indices.eta, grid, gn_memo)
     with _overflow_is_config_error(cfg, C_GN):
         return odi.bound_at_indices(params, indices, E0, C_GN,
@@ -192,7 +190,10 @@ def cmd_check_params(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg, _ = _load_config(args)
-    result, meta = bound_from_config(cfg)
+    # built in this order so that the first bad value is the one reported
+    result, meta = bound_from_config(
+        cfg, cfgmod.build_model(cfg), cfgmod.build_grid(cfg),
+        resolve_indices(cfg), cfgmod.require(cfg, "bound.E0"))
     _emit({**result.to_json_dict(), **meta}, cfg, _output_dir(cfg), "bound.json")
     return EXIT_OK
 
@@ -232,7 +233,7 @@ def _run_report(traj: pde.Trajectory) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg, _ = _load_config(args)
-    traj, _, _ = simulate_from_config(cfg)
+    traj, _ = simulate_from_config(cfg)
     out_dir = _output_dir(cfg)
     if out_dir is not None:
         with open(out_dir / "trajectory.csv", "w") as stream:
@@ -274,8 +275,7 @@ def cmd_verify_equivalence(args) -> int:
 
 def cmd_verify_odi(args) -> int:
     cfg, _ = _load_config(args)
-    traj, grid, params = simulate_from_config(cfg)
-    indices = resolve_indices(cfg)
+    traj, (params, grid, _, indices, _) = simulate_from_config(cfg)
     C_GN, meta = resolve_gn_constant(cfg, indices.eta, grid)
     with _overflow_is_config_error(cfg, C_GN):
         coeffs = odi.odi_coefficients(params, indices, cfg["indices.epsilon"],
@@ -327,16 +327,18 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
     keys = sorted(sweep_axes)
     gn_memo: dict[tuple, float] = {}
 
-    def write_cell(idx, cell_cfg, traj):
-        """`traj` is the cell's trajectory, or the error that stopped it."""
+    def write_cell(idx, cell_cfg, inputs, traj):
+        """`traj` is the cell's trajectory, run from its simulation_inputs
+        `inputs`, or the error that stopped it."""
         run_id = f"run_{idx:03d}"
         cell_dir = out_dir / run_id
         cell_dir.mkdir(parents=True, exist_ok=True)
         try:
             if isinstance(traj, Exception):
                 raise traj
-            bound, meta = bound_from_config(cell_cfg, E0=float(traj.E_pq[0]),
-                                            gn_memo=gn_memo)
+            params, grid, _, indices, _ = inputs
+            bound, meta = bound_from_config(cell_cfg, params, grid, indices,
+                                            float(traj.E_pq[0]), gn_memo)
             with open(cell_dir / "trajectory.csv", "w") as stream:
                 traj.to_csv(stream)
             digest = cfgmod.config_hash(cell_cfg)
@@ -364,16 +366,16 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
         try:
             inputs = simulation_inputs(cell_cfg)
         except CELL_ERRORS as exc:
-            rows[idx] = write_cell(idx, cell_cfg, exc)
+            rows[idx] = write_cell(idx, cell_cfg, None, exc)
             continue
         _, grid, _, indices, _ = inputs
         groups.setdefault((grid.n, grid.R, grid.M, float(indices.p),
                            float(indices.q)), []).append(
                                (idx, cell_cfg, inputs))
     for (_, _, _, p, q), members in groups.items():
-        for (idx, cell_cfg, _), traj in zip(members, _run_cells(
+        for (idx, cell_cfg, inputs), traj in zip(members, _run_cells(
                 [inputs for _, _, inputs in members], p, q)):
-            rows[idx] = write_cell(idx, cell_cfg, traj)
+            rows[idx] = write_cell(idx, cell_cfg, inputs, traj)
 
     rows = [rows[idx] for idx in sorted(rows)]
     with open(out_dir / "summary.csv", "w") as stream:

@@ -40,8 +40,9 @@ class BallDomain:
     convex: bool = True
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ParameterError(f"domain radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ParameterError(
+                f"domain radius must be positive and finite, got {self.radius}")
 
 
 @dataclass(frozen=True)

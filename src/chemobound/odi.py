@@ -322,8 +322,8 @@ def lower_bound_integral(den: Denominator, E0: float,
     would accept it, else integrate.quad; quadrature_error is the error
     estimate of whichever ran.
     """
-    if not E0 > 0:
-        raise ParameterError(f"E0 must be positive, got {E0}")
+    if not 0 < E0 < math.inf:
+        raise ParameterError(f"E0 must be positive and finite, got {E0}")
     if den(E0) <= 0:
         raise NonpositiveDenominatorError(
             f"denominator nonpositive at E0={E0}", root=E0)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import asdict, dataclass
 from typing import TextIO
 
@@ -59,8 +58,9 @@ class RadialGrid:
 def make_grid(n: int, R: float, M: int) -> RadialGrid:
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
-    if R <= 0 or M < 2:
-        raise ParameterError(f"need R > 0 and M >= 2, got R={R}, M={M}")
+    if not 0 < R < math.inf or M < 2:
+        raise ParameterError(
+            f"need R > 0 and finite and M >= 2, got R={R}, M={M}")
     omega = unit_sphere_area(n)
     r_faces = np.linspace(0.0, R, M + 1)
     r_centers = 0.5 * (r_faces[:-1] + r_faces[1:])
@@ -86,8 +86,8 @@ class FieldState:
     `fields`.  FieldState(t, u, v, w) copies the three fields into one.
 
     A stack of K states has K times t and fields of shape (K, 3, M); the
-    diagnostics reduce such a stack state by state, and step advances it
-    state by state."""
+    diagnostics reduce such a stack state by state.  step takes a stack as
+    its bare fields array, without times: run keeps each cell's time."""
 
     __slots__ = ("t", "fields")
 
@@ -133,13 +133,6 @@ class GaussianBump:
     w0: float = 0.0
 
 
-@dataclass(frozen=True)
-class TableProfile:
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-
 def init_state(grid: RadialGrid, profile) -> FieldState:
     if isinstance(profile, ConstantProfile):
         fields = [np.full(grid.M, x, dtype=float)
@@ -149,13 +142,6 @@ def init_state(grid: RadialGrid, profile) -> FieldState:
         u = profile.u_background + profile.amplitude * np.exp(
             -r ** 2 / (2.0 * profile.width ** 2))
         fields = [u, np.full(grid.M, profile.v0), np.full(grid.M, profile.w0)]
-    elif isinstance(profile, TableProfile):
-        fields = [np.asarray(x, dtype=float) for x in
-                  (profile.u, profile.v, profile.w)]
-        for f in fields:
-            if f.shape != (grid.M,):
-                raise ParameterError(
-                    f"table profile must have {grid.M} entries, got {f.shape}")
     else:
         raise ParameterError(f"unknown profile type {type(profile).__name__}")
     for f in fields:
@@ -259,15 +245,16 @@ def _logistic(params: ParamStack, u):
     return out
 
 
-def step(state: FieldState, dt, grid: RadialGrid, params,
+def step(state: FieldState | np.ndarray, dt, grid: RadialGrid, params,
          vel: np.ndarray | None = None):
     """One IMEX step of one state or of a stack of states; returns the new
     state and the negativity clip count.
 
-    For one state, `params` is its ModelParams, `dt` a float and the clip
-    count an int.  For a stack of K states (fields (K, 3, M), t a sequence
-    of K times), `params` is their ParamStack, `dt` a sequence of K
-    per-state steps and the clip count a list of K ints.  `vel` is the face
+    For one state, `state` is a FieldState, `params` its ModelParams, `dt`
+    a float, and the result a FieldState at t + dt and an int.  For a stack
+    of K states, `state` is their (K, 3, M) fields array, `params` their
+    ParamStack, `dt` a sequence of K per-state steps, and the result the
+    new (K, 3, M) fields and a list of K clip counts.  `vel` is the face
     velocity of `state`, (K, M-1) for a stack, if the caller already has it.
 
     All backward-Euler systems of the step are solved as one block-diagonal
@@ -279,8 +266,9 @@ def step(state: FieldState, dt, grid: RadialGrid, params,
     solves it again state by state."""
     one = isinstance(params, ModelParams)
     if one:
-        params = ParamStack([params])
-    fields = state.fields
+        params, fields = ParamStack([params]), state.fields
+    else:
+        fields = state
     if vel is None:
         vel = _face_velocity(params, face_gradients(grid, fields))
     # the fields come first, (3, K, M), and the blocks of the solve are
@@ -328,9 +316,7 @@ def step(state: FieldState, dt, grid: RadialGrid, params,
                     np.maximum(f, 0.0, out=f)
     if one:
         return FieldState.from_fields(state.t + dt, new[0]), clips[0]
-    t = ([state.t[0] + dt_col] if len(dt) == 1
-         else list(map(operator.add, state.t, dt)))
-    return FieldState.from_fields(t, new), clips
+    return new, clips
 
 
 # --- diagnostics ------------------------------------------------------------
@@ -554,7 +540,8 @@ class _Cell:
         With `accepted` None, only the next step at the state."""
         cfg = self.cfg
         if accepted:
-            # the time that step gives the state, t + dt
+            # the state's time, kept here alone: t + dt, as step gives a
+            # lone state
             self.t = t = self.t + self.dt
             self.clips += clips
             self.steps = steps = self.steps + 1
@@ -653,14 +640,11 @@ def run(grid: RadialGrid, params, state0, p: float, q: float,
     live = cells = [_Cell(m, c, grid, samples, s.t, i) for i, (m, c, s) in
                     enumerate(zip(params, cfg, state0, strict=True))]
     stack = ParamStack(params)
-    state = FieldState.from_fields(
-        [s.t for s in state0], np.array([s.fields for s in state0],
-                                        dtype=float))
-    accepted = np.isfinite(state.fields).all(axis=(1, 2)).tolist()
+    fields = np.array([s.fields for s in state0], dtype=float)
+    accepted = np.isfinite(fields).all(axis=(1, 2)).tolist()
     every = [True] * len(cells)
     advance, clips, peak = _Cell.start, [0] * len(cells), np.maximum.reduce
     while True:
-        fields = state.fields
         samples.fields = fields
         samples.grads = grads = face_gradients(grid, fields)
         vel = _face_velocity(stack, grads)
@@ -688,29 +672,23 @@ def run(grid: RadialGrid, params, state0, p: float, q: float,
             live, stack = [live[i] for i in keep], stack.take(keep)
             for i, cell in enumerate(live):
                 cell.row = i
-            state = FieldState.from_fields([state.t[i] for i in keep],
-                                           fields[keep])
-            vel, dts = vel[keep], [dts[i] for i in keep]
-        new, clips = step(state, dts, grid, stack, vel=vel)
+            fields, vel, dts = fields[keep], vel[keep], [dts[i] for i in keep]
+        new, clips = step(fields, dts, grid, stack, vel=vel)
         accepted = every
-        if not np.logical_and.reduce(np.isfinite(new.fields), axis=None):
+        if not np.logical_and.reduce(np.isfinite(new), axis=None):
             if len(live) > 1:
                 # a nonfinite block spreads NaN to every other block: solve
                 # each cell alone
-                alone = [step(FieldState.from_fields(state.t[i:i + 1],
-                                                     state.fields[i:i + 1]),
-                              dts[i:i + 1], grid, stack.take([i]),
-                              vel=vel[i:i + 1]) for i in range(len(live))]
-                new = FieldState.from_fields(
-                    new.t, np.concatenate([s.fields for s, _ in alone]))
+                alone = [step(fields[i:i + 1], dts[i:i + 1], grid,
+                              stack.take([i]), vel=vel[i:i + 1])
+                         for i in range(len(live))]
+                new = np.concatenate([f for f, _ in alone])
                 clips = [c[0] for _, c in alone]
-            finite = np.isfinite(new.fields).all(axis=(1, 2))
+            finite = np.isfinite(new).all(axis=(1, 2))
             # a rejected cell stays where it was
-            new.fields[~finite] = state.fields[~finite]
-            new.t[:] = [t_new if ok else t for t_new, t, ok in zip(
-                new.t, state.t, finite.tolist())]
+            new[~finite] = fields[~finite]
             accepted = finite.tolist()
-        state, advance = new, _Cell.advance
+        fields, advance = new, _Cell.advance
     if samples.pending:
         samples.reduce()
     result = [cell.trajectory() for cell in cells]

@@ -1,13 +1,15 @@
 """Command-line interface: dispatch, exit codes, persistence, determinism."""
 
+import collections
 import json
 
 import pytest
 
-from chemobound import pde, verify
+from chemobound import cli, pde, verify
+from chemobound import config as cfgmod
 from chemobound.cli import bound_from_config, main
-from chemobound.config import (KNOWN_KEYS, apply_overrides, build_model,
-                               build_opt, build_quad, build_solver,
+from chemobound.config import (KNOWN_KEYS, apply_overrides, build_grid,
+                               build_model, build_opt, build_quad, build_solver,
                                config_hash, parse_config_text)
 from chemobound.errors import ChemoboundError, ConfigError
 from chemobound.exponents import EnergyIndices
@@ -311,9 +313,13 @@ class TestExitCodes:
         ["verify-embed", "-n", "3", "--eta", "1.5",
          "--set", "verify.epsilon=0", "--set", "grid.shells=8"],
         ["verify-gn", "-n", "3", "--eta", "0.5", "--set", "grid.shells=8"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "inf",
+         "--set", "bound.C_GN=1"],
+        ["optimize-bound", "-n", "3", "-p", "2", "-q", "4", "--E0", "inf",
+         "--set", "bound.C_GN=1"],
     ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
             "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
-            "eta=0.5"])
+            "eta=0.5", "E0=inf", "optimize-E0=inf"])
     def test_rejected_value_exits_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -362,7 +368,9 @@ class TestSimulate:
 
 
 class TestVerifySubcommands:
-    @pytest.mark.parametrize("override", ["grid.shells=0", "model.radius=-1"])
+    @pytest.mark.parametrize("override", ["grid.shells=0", "model.radius=-1",
+                                          "model.radius=nan",
+                                          "model.radius=inf"])
     def test_rejected_grid_value_usage_error(self, capsys, override):
         code = main(["verify-gn", "-n", "3", "--eta", "1.5",
                      "--set", override])
@@ -612,10 +620,27 @@ class TestSweep:
         cell_cfg["model.chi"] = 20.0
         with open(tmp_path / "out" / "run_002" / "trajectory.csv") as stream:
             E0 = float(stream.read().splitlines()[1].split(",")[1])
-        solo, meta = bound_from_config(cell_cfg, E0=E0)
+        solo, meta = bound_from_config(
+            cell_cfg, build_model(cell_cfg), build_grid(cell_cfg),
+            cli.resolve_indices(cell_cfg), E0)
         assert bounds[2]["t_lower"] == solo.t_lower
         assert bounds[2]["C_GN"] == meta["C_GN_safety"] * max(
             meta["C_GN_per_eta"].values())
+
+    def test_each_cell_built_once(self, capsys, tmp_path, monkeypatch):
+        # the model, grid and indices a cell runs with serve its bound too
+        calls = collections.Counter()
+        for module, name in ((cfgmod, "build_model"), (cfgmod, "build_grid"),
+                             (cli, "resolve_indices")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        self._counted_sweep(tmp_path, monkeypatch,
+                            "sweep.model.chi = 5, 10, 20\n")
+        assert calls == {"build_model": 3, "build_grid": 3,
+                         "resolve_indices": 3}
 
     def test_sweep_without_axes_is_usage_error(self, capsys, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"

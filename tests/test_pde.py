@@ -13,9 +13,9 @@ from chemobound.errors import ParameterError
 from chemobound.exponents import ModelParams
 from chemobound.pde import (SAMPLE_BLOCK, ConstantProfile, FieldState,
                             GaussianBump, ParamStack, SolverConfig,
-                            TableProfile, cell_gradients, energy,
-                            face_gradients, init_state, make_grid, mass, norms,
-                            run, step, unit_sphere_area)
+                            cell_gradients, energy, face_gradients,
+                            init_state, make_grid, mass, norms, run, step,
+                            unit_sphere_area)
 
 DIFFUSION_ONLY = ModelParams(chi=0.0, xi=0.0, dim=3)
 
@@ -101,15 +101,8 @@ class TestInitState:
 
     def test_negative_table_rejected(self):
         grid = make_grid(3, 1.0, 8)
-        bad = np.ones(8)
-        bad[3] = -0.1
         with pytest.raises(ParameterError):
-            init_state(grid, TableProfile(bad, np.zeros(8), np.zeros(8)))
-
-    def test_wrong_table_length_rejected(self):
-        grid = make_grid(3, 1.0, 8)
-        with pytest.raises(ParameterError):
-            init_state(grid, TableProfile(np.ones(7), np.zeros(7), np.zeros(7)))
+            init_state(grid, GaussianBump(-0.1, 0.2))
 
 
 class TestStep:
@@ -339,8 +332,7 @@ class TestDiagnostics:
         grid = make_grid(3, 1.0, 256)
         r = grid.r_centers
         u = 1.0 + np.cos(math.pi * r)
-        state = init_state(grid, TableProfile(u, np.zeros_like(u),
-                                              np.zeros_like(u)))
+        state = FieldState(0.0, u, np.zeros_like(u), np.zeros_like(u))
         # independent quadrature of (1/2) int u^2 over the ball
         omega = unit_sphere_area(3)
         rr = np.linspace(0.0, 1.0, 20001)
@@ -567,15 +559,12 @@ class TestBatchedRun:
                                              for _ in range(3)))
                       for t in rng.uniform(0.0, 1.0, len(models))]
             dts = rng.choice([1e-6, 1e-4, 1e-2], len(models)).tolist()
-            stack = FieldState.from_fields([s.t for s in states],
-                                           np.array([s.fields
-                                                     for s in states]))
+            stack = np.array([s.fields for s in states])
             new, clips = step(stack, dts, grid, ParamStack(models))
             for i, (state, dt, params) in enumerate(zip(states, dts, models)):
                 alone, alone_clips = step(state, dt, grid, params)
-                assert new.t[i] == alone.t
                 assert clips[i] == alone_clips
-                assert np.array_equal(new.fields[i], alone.fields)
+                assert np.array_equal(new[i], alone.fields)
                 clipped += alone_clips
         assert clipped > 0
 
@@ -588,13 +577,12 @@ class TestBatchedRun:
                               dim=3)]
         states = [init_state(grid, ConstantProfile(1e300, 0.0, 0.0)),
                   init_state(grid, ConstantProfile(1.0, 0.0, 0.0))]
-        stack = FieldState.from_fields([0.0, 0.0], np.array(
-            [s.fields for s in states]))
+        stack = np.array([s.fields for s in states])
         new, _ = step(stack, [1e-6, 1e-6], grid, ParamStack(models))
         for i, (state, params) in enumerate(zip(states, models)):
             alone, _ = step(state, 1e-6, grid, params)
             assert np.all(np.isfinite(alone.fields))
-            assert np.array_equal(new.fields[i], alone.fields)
+            assert np.array_equal(new[i], alone.fields)
 
     def test_zero_source_left_out_to_the_bit(self):
         # a state without a logistic source skips mu1*u, which a stack with
@@ -608,11 +596,10 @@ class TestBatchedRun:
                        ModelParams(chi=0.0, xi=0.0, mu1=-0.0),
                        ModelParams(chi=1.0, xi=0.5)):
             alone, _ = step(state, 1e-3, grid, params)
-            stack = FieldState.from_fields([0.0, 0.0], np.array(
-                [state.fields, state.fields]))
+            stack = np.array([state.fields, state.fields])
             new, _ = step(stack, [1e-3, 1e-3], grid,
                           ParamStack([params, source]))
-            assert new.fields[0].tobytes() == alone.fields.tobytes()
+            assert new[0].tobytes() == alone.fields.tobytes()
 
     def test_nonfinite_block_spreads_to_the_stack(self):
         # why run solves a nonfinite step again cell by cell
@@ -621,13 +608,12 @@ class TestBatchedRun:
                   ModelParams(chi=10.0, xi=0.5, dim=3)]
         states = [init_state(grid, ConstantProfile(1e308, 0.0, 0.0)),
                   init_state(grid, GaussianBump(5.0, 0.2))]
-        stack = FieldState.from_fields([0.0, 0.0], np.array(
-            [s.fields for s in states]))
+        stack = np.array([s.fields for s in states])
         with np.errstate(over="ignore", invalid="ignore"):
             new, _ = step(stack, [1e-2, 1e-4], grid, ParamStack(models))
         alone, _ = step(states[1], 1e-4, grid, models[1])
         assert np.all(np.isfinite(alone.fields))
-        assert not np.any(np.isfinite(new.fields[1]))
+        assert not np.any(np.isfinite(new[1]))
 
     def test_batch_matches_solo_runs(self):
         grid = make_grid(3, 1.0, 16)
