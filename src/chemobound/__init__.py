@@ -1,13 +1,13 @@
 """Blow-up time lower bounds and desk-scale simulation for a fully
 parabolic attraction-repulsion chemotaxis system with a logistic source."""
 
-from .exponents import (BallDomain, EnergyIndices, ModelParams,
+from .exponents import (EnergyIndices, ModelParams,
                         check_condition_C, compute_etas,
                         corollary1_parameters, corollary2_parameters,
                         etas_in_range, feasible_region_samples)
 from .odi import (BoundResult, OdiCoefficients, QuadConfig, bound_at_indices,
                   lower_bound_integral, max_admissible_epsilon,
-                  odi_coefficients, odi_rhs, optimize_bound,
+                  odi_coefficients, optimize_bound,
                   zeta_coefficients)
 from .pde import (FieldState, RadialGrid, SolverConfig, Trajectory, energy,
                   init_state, make_grid, mass, norms, run, step)

@@ -129,7 +129,7 @@ def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid,
     for eta in map(float, set(etas)):
         key = (grid.n, grid.R, grid.M, eta)
         if key not in gn_memo:
-            gn_memo[key] = verify.estimate_gn_for_eta(grid, eta)
+            gn_memo[key] = verify.estimate_gn_constant(grid, eta)
         per_eta[eta] = gn_memo[key]
     value = safety * max(per_eta.values())
     return value, {"C_GN_source": "estimated", "C_GN_safety": safety,
@@ -246,7 +246,7 @@ def cmd_verify_gn(args) -> int:
     cfg, _ = _load_config(args)
     grid = cfgmod.build_grid(cfg)
     eta = cfgmod.require(cfg, "verify.eta")
-    estimate = verify.estimate_gn_for_eta(grid, eta)
+    estimate = verify.estimate_gn_constant(grid, eta)
     safety = cfg["bound.gn_safety"]
     _emit({"eta": eta, "estimate": estimate, "safety": safety,
            "inflated": safety * estimate},

@@ -14,7 +14,7 @@ import math
 from typing import Any
 
 from .errors import ConfigError
-from .exponents import BallDomain, ModelParams
+from .exponents import ModelParams
 from .odi import OptConfig, QuadConfig
 from .pde import (ConstantProfile, GaussianBump, RadialGrid, SolverConfig,
                   make_grid)
@@ -25,18 +25,18 @@ _NAN = float("nan")
 
 def _derived(prefix: str, cls) -> dict[str, Any]:
     """`prefix.name` -> default for every field of `cls` whose default is a
-    plain bool, int, float or str."""
+    plain int, float or str."""
     return {f"{prefix}.{f.name}": f.default for f in dataclasses.fields(cls)
-            if type(f.default) in (bool, int, float, str)}
+            if type(f.default) in (int, float, str)}
 
 
-# key -> default: the dataclass defaults under their field names, then the
+# key -> default: the dataclass defaults under their field names, and the
 # keys no dataclass field maps onto one to one
 _DEFAULTS: dict[str, Any] = {
     "model.chi": 10.0,
     "model.xi": 1.0,
     **_derived("model", ModelParams),
-    **_derived("model", BallDomain),
+    "model.radius": 1.0,  # the R of make_grid
     "indices.p": _NAN,
     "indices.q": _NAN,
     "indices.s1": _NAN,
@@ -44,12 +44,8 @@ _DEFAULTS: dict[str, Any] = {
     "indices.epsilon": _NAN,
     "grid.shells": 64,
     "profile.kind": "gaussian",
-    "profile.u0": 1.0,
-    "profile.v0": 0.0,
-    "profile.w0": 0.0,
-    "profile.amplitude": 100.0,
-    "profile.width": 0.2,
-    "profile.background": 0.0,
+    **_derived("profile", ConstantProfile),
+    **_derived("profile", GaussianBump),
     **_derived("solver", SolverConfig),
     **_derived("quad", QuadConfig),
     **_derived("opt", OptConfig),
@@ -68,8 +64,8 @@ _DEFAULTS: dict[str, Any] = {
     "output.dir": "",
 }
 
-# key -> (type tag, default); the tag is the default's type: float, int,
-# str or bool
+# key -> (type tag, default); the tag is the default's type: float, int
+# or str
 KNOWN_KEYS: dict[str, tuple[str, Any]] = {
     key: (type(default).__name__, default)
     for key, default in _DEFAULTS.items()}
@@ -83,12 +79,6 @@ def _parse_value(key: str, raw: str):
             return float(raw)
         if tag == "int":
             return int(raw)
-        if tag == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
@@ -147,24 +137,21 @@ def _build(cls, cfg: dict[str, Any], prefix: str, **extra):
 
 
 def build_model(cfg: dict[str, Any]) -> ModelParams:
-    return _build(ModelParams, cfg, "model",
-                  domain=_build(BallDomain, cfg, "model"))
+    return _build(ModelParams, cfg, "model")
 
 
 def build_grid(cfg: dict[str, Any]) -> RadialGrid:
     return make_grid(cfg["model.dim"], cfg["model.radius"], cfg["grid.shells"])
 
 
+PROFILES = {"constant": ConstantProfile, "gaussian": GaussianBump}
+
+
 def build_profile(cfg: dict[str, Any]):
     kind = cfg["profile.kind"]
-    if kind == "constant":
-        return ConstantProfile(cfg["profile.u0"], cfg["profile.v0"],
-                               cfg["profile.w0"])
-    if kind == "gaussian":
-        return GaussianBump(cfg["profile.amplitude"], cfg["profile.width"],
-                            cfg["profile.background"], cfg["profile.v0"],
-                            cfg["profile.w0"])
-    raise ConfigError(f"unknown profile.kind {kind!r}")
+    if kind not in PROFILES:
+        raise ConfigError(f"unknown profile.kind {kind!r}")
+    return _build(PROFILES[kind], cfg, "profile")
 
 
 def build_solver(cfg: dict[str, Any]) -> SolverConfig:

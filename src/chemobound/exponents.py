@@ -33,27 +33,14 @@ def _is_exact(*values: Number) -> bool:
 
 
 @dataclass(frozen=True)
-class BallDomain:
-    """Ball of given radius; convexity controls the boundary constant."""
-
-    radius: float = 1.0
-    convex: bool = True
-
-    def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ParameterError(
-                f"domain radius must be positive and finite, got {self.radius}")
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Physical coefficients of the chemotaxis system.
 
     chi: attraction strength, xi: repulsion strength; (alpha, beta) couple
     the attractant equation, (gamma, delta) the repellent equation.
     The logistic source is mu1*u - mu2*u**k_logistic.  boundary_c is the
-    constant absorbing the boundary trace term on non-convex domains; it
-    must be 0 when the domain is convex (the trace term vanishes there).
+    constant absorbing the boundary trace term, which vanishes on a convex
+    domain such as the ball (boundary_c = 0); F carries 2*boundary_c.
     """
 
     chi: float
@@ -66,7 +53,6 @@ class ModelParams:
     mu2: float = 0.0
     k_logistic: float = 1.1
     dim: int = 3
-    domain: BallDomain = field(default_factory=BallDomain)
     boundary_c: float = 0.0
 
     def __post_init__(self):
@@ -88,14 +74,21 @@ class ModelParams:
                 raise ParameterError(
                     f"k_logistic must lie in (1, {k_hi}) for dim={self.dim} "
                     f"when mu2 > 0, got {self.k_logistic}")
-        if self.boundary_c < 0:
-            raise ParameterError(f"boundary_c must be nonnegative, got {self.boundary_c}")
-        if self.domain.convex and self.boundary_c != 0:
-            raise ParameterError("boundary_c must be 0 on a convex domain")
+        if not 0 <= self.boundary_c < math.inf:
+            raise ParameterError(f"boundary_c must be nonnegative and finite, "
+                                 f"got {self.boundary_c}")
+
+
+def eta_formulas(p, q, s1, s2) -> tuple:
+    """(2*s2/p, s1/(s1-1), s2*(q-2)/(q*(s2-1)), 2*s1/q), unchecked;
+    elementwise on arrays."""
+    return (2 * s2 / p, s1 / (s1 - 1), s2 * (q - 2) / (q * (s2 - 1)),
+            2 * s1 / q)
 
 
 def compute_etas(p: Number, q: Number, s1: Number, s2: Number):
-    """Four derived exponents (2*s2/p, s1/(s1-1), s2*(q-2)/(q*(s2-1)), 2*s1/q).
+    """The four derived exponents of eta_formulas, for p, q > 0 and
+    s1, s2 > 1.
 
     Exact when all inputs are int/Fraction, float otherwise.
     """
@@ -105,11 +98,7 @@ def compute_etas(p: Number, q: Number, s1: Number, s2: Number):
         raise ParameterError(f"s1, s2 must exceed 1, got s1={s1}, s2={s2}")
     if _is_exact(p, q, s1, s2):
         p, q, s1, s2 = (Fraction(x) for x in (p, q, s1, s2))
-    eta0 = 2 * s2 / p
-    eta1 = s1 / (s1 - 1)
-    eta2 = s2 * (q - 2) / (q * (s2 - 1))
-    eta3 = 2 * s1 / q
-    return (eta0, eta1, eta2, eta3)
+    return eta_formulas(p, q, s1, s2)
 
 
 def etas_in_range(etas: Sequence[Number], n: int) -> bool:
@@ -199,14 +188,18 @@ def check_condition_C(n: int, p: Number, q: Number, s1: Number,
 
     All inequalities are strict; boundary equality is inadmissible.  Exact
     rational arithmetic is used when every input is int/Fraction, float
-    comparisons otherwise.  Admissibility also requires every computed eta
-    inside (1, 1 + 2/n): in floats a clause can pass by an ulp while an eta
-    rounds onto an end of that interval, where the bound is singular.
+    comparisons otherwise; a nonfinite float is rejected.  Admissibility
+    also requires every computed eta inside (1, 1 + 2/n): in floats a clause
+    can pass by an ulp while an eta rounds onto an end of that interval,
+    where the bound is singular.
     """
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
     if not _is_exact(p, q, s1, s2):
         p, q, s1, s2 = float(p), float(q), float(s1), float(s2)
+        if not all(map(math.isfinite, (p, q, s1, s2))):
+            raise ParameterError(f"p, q, s1, s2 must be finite, got "
+                                 f"p={p}, q={q}, s1={s1}, s2={s2}")
     table = condition_C_clauses(n, p, q, s1, s2)
     clauses = tuple(Clause(name, bool(value > lower), float(value - lower))
                     for name, lower, value in table)
@@ -255,10 +248,11 @@ def C1_coef(eta: Number, n: int):
 
 
 def C3_coef(eta: Number, n: int, C_GN: float) -> float:
-    """((n + 2 - n eta)/2) * C_GN**(2/(n + 2 - n eta))."""
+    """((n + 2 - n eta)/2) * C_GN**(2/(n + 2 - n eta)); the one check that
+    C_GN is positive and finite."""
     _check_eta_domain(eta, n)
-    if not C_GN > 0:
-        raise ParameterError(f"C_GN must be positive, got {C_GN}")
+    if not 0 < C_GN < math.inf:
+        raise ParameterError(f"C_GN must be positive and finite, got {C_GN}")
     eta = float(eta)
     denom = n + 2 - n * eta
     return (denom / 2.0) * C_GN ** (2.0 / denom)
@@ -285,14 +279,11 @@ def corollary2_parameters(n: int):
     return (n - 1, 2 * (n - 1), n, Fraction(n, 2))
 
 
-UNBOUNDED = math.inf
-
-
 @dataclass(frozen=True)
 class RegionRow:
     p: float
     q_low: float
-    q_high: float  # UNBOUNDED sentinel when p >= n
+    q_high: float  # inf when p >= n
 
 
 def feasible_region_samples(n: int, p_grid: Iterable[Number]) -> list[RegionRow]:
@@ -307,16 +298,15 @@ def feasible_region_samples(n: int, p_grid: Iterable[Number]) -> list[RegionRow]
         if 2 * p <= n:
             continue
         if p >= n:
-            rows.append(RegionRow(float(p), float(n), UNBOUNDED))
+            rows.append(RegionRow(float(p), float(n), math.inf))
         else:
             rows.append(RegionRow(float(p), float(n), float(n * p / (n - p))))
     return rows
 
 
 def write_region_csv(rows: Sequence[RegionRow], stream: TextIO) -> None:
-    """Emit rows as `p,q_low,q_high` with the literal `inf` for no upper bound."""
+    """Emit rows as `p,q_low,q_high`; repr writes no upper bound as `inf`."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["p", "q_low", "q_high"])
     for row in rows:
-        q_high = "inf" if math.isinf(row.q_high) else repr(row.q_high)
-        writer.writerow([repr(row.p), repr(row.q_low), q_high])
+        writer.writerow([repr(row.p), repr(row.q_low), repr(row.q_high)])

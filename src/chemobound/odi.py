@@ -175,8 +175,6 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
     if not 0 < epsilon < eps_max:
         raise ParameterError(
             f"epsilon={epsilon} outside admissible range (0, {eps_max})")
-    if not C_GN > 0:
-        raise ParameterError(f"C_GN must be positive, got {C_GN}")
     if params.delta != params.beta or params.gamma != params.alpha:
         warnings.warn(
             "assembled constants use (alpha, beta) in both gradient "
@@ -190,15 +188,10 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
     m = C_GN * M
     m_i = tuple(M * C3_coef(e, n, C_GN) * epsilon ** (-float(h_exponent(e, n)))
                 for e in etas)
-    c = 0.0 if params.domain.convex else 2.0 * params.boundary_c
-    return OdiCoefficients(m=m, m_i=m_i, mu1=params.mu1, c=c,
+    return OdiCoefficients(m=m, m_i=m_i, mu1=params.mu1,
+                           c=2.0 * params.boundary_c,
                            eta_exponents=etas, k_exponents=ks,
                            epsilon=epsilon, C_GN=C_GN)
-
-
-def odi_rhs(coeffs: OdiCoefficients, E):
-    """F(E); nonnegative E expected."""
-    return coeffs.denominator()(E)
 
 
 def _dominant_term(den: Denominator):

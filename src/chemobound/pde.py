@@ -116,19 +116,20 @@ class FieldState:
 
 
 # --- initial profiles -------------------------------------------------------
+# the field defaults are the defaults of the profile.* config keys
 
 @dataclass(frozen=True)
 class ConstantProfile:
-    u0: float
-    v0: float
-    w0: float
+    u0: float = 1.0
+    v0: float = 0.0
+    w0: float = 0.0
 
 
 @dataclass(frozen=True)
 class GaussianBump:
-    amplitude: float
-    width: float
-    u_background: float = 0.0
+    amplitude: float = 100.0
+    width: float = 0.2
+    background: float = 0.0
     v0: float = 0.0
     w0: float = 0.0
 
@@ -139,7 +140,7 @@ def init_state(grid: RadialGrid, profile) -> FieldState:
                   for x in (profile.u0, profile.v0, profile.w0)]
     elif isinstance(profile, GaussianBump):
         r = grid.r_centers
-        u = profile.u_background + profile.amplitude * np.exp(
+        u = profile.background + profile.amplitude * np.exp(
             -r ** 2 / (2.0 * profile.width ** 2))
         fields = [u, np.full(grid.M, profile.v0), np.full(grid.M, profile.w0)]
     else:

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .exponents import (C1_coef, C3_coef, condition_C_clauses, etas_in_range,
-                        feasible_box, h_exponent, k_exponent)
-from .odi import OdiCoefficients, odi_rhs
+from .exponents import (C1_coef, C3_coef, condition_C_clauses, eta_formulas,
+                        etas_in_range, feasible_box, h_exponent, k_exponent)
+from .odi import OdiCoefficients
 from .pde import RadialGrid, Trajectory, _integral, cell_gradients
 
 
@@ -75,32 +75,30 @@ def _profile_label(grid: RadialGrid, row: int) -> str:
     return f"indicator[{row - n_gauss}]"
 
 
-def estimate_gn_constant(grid: RadialGrid, p_gn: float, q_gn: float,
-                         r_gn: float, s_gn: float) -> float:
-    """Numerical lower estimate of the interpolation constant.
+def estimate_gn_constant(grid: RadialGrid, eta: float) -> float:
+    """Numerical lower estimate, not yet safety-inflated, of the constant of
+    the squared-field interpolation inequality at eta in [1, n/(n-2)].
 
     Maximum over `profile_set` of
-        ||f||_p^p / (||grad f||_r^{p a} ||f||_q^{p(1-a)} + ||f||_s^p).
+        ||f||_p^p / (||grad f||_2^{p a} ||f||_2^{p(1-a)} + ||f||_2^p),
+    p = 2 eta, with the interpolation weight a = (1/2 - 1/p) / (1/n).
     """
     n = grid.n
-    if not (r_gn >= 1 and 1 <= q_gn <= p_gn and s_gn >= 1):
-        raise ParameterError("exponents must satisfy r >= 1, 1 <= q <= p, s >= 1")
-    a = (1.0 / q_gn - 1.0 / p_gn) / (1.0 / q_gn + 1.0 / n - 1.0 / r_gn)
-    if not 0.0 <= a <= 1.0:
-        raise ParameterError(f"interpolation weight a={a} outside [0, 1]")
+    if not eta >= 1.0:
+        raise ParameterError(f"eta must be >= 1, got {eta}")
+    p_gn = 2.0 * eta
+    # 1/n taken as 1/2 + 1/n - 1/2 keeps the estimate's last bits
+    a = (0.5 - 1.0 / p_gn) / (0.5 + 1.0 / n - 0.5)
+    if not a <= 1.0:
+        raise ParameterError(f"eta={eta} is past n/(n-2): interpolation "
+                             f"weight a={a} outside [0, 1]")
     F = profile_set(grid)
     num = _integral(grid, np.abs(F) ** p_gn)
-    grad_r = _norm(grid, cell_gradients(grid, F), r_gn)
-    den = (grad_r ** (p_gn * a) * _norm(grid, F, q_gn) ** (p_gn * (1 - a))
-           + _norm(grid, F, s_gn) ** p_gn)
+    grad_2 = _norm(grid, cell_gradients(grid, F), 2.0)
+    f_2 = _norm(grid, F, 2.0)
+    den = grad_2 ** (p_gn * a) * f_2 ** (p_gn * (1 - a)) + f_2 ** p_gn
     with np.errstate(invalid="ignore", divide="ignore"):
         return float(np.max(np.where(den > 0, num / den, 0.0)))
-
-
-def estimate_gn_for_eta(grid: RadialGrid, eta: float) -> float:
-    """Estimated constant, not yet safety-inflated, for the squared-field
-    inequality at eta."""
-    return estimate_gn_constant(grid, 2.0 * eta, 2.0, 2.0, 2.0)
 
 
 def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
@@ -173,12 +171,6 @@ def check_remark_ordering(n: int, eta_grid) -> InequalityReport:
                             witness=witness, seed=None, config={"n": n})
 
 
-def _eta_mask(n, p, q, s1, s2):
-    eta = np.stack([2 * s2 / p, s1 / (s1 - 1),
-                    s2 * (q - 2) / (q * (s2 - 1)), 2 * s1 / q])
-    return np.all((eta > 1.0) & (eta < 1.0 + 2.0 / n), axis=0)
-
-
 def equivalence_bruteforce(n: int, trial_count: int,
                            seed: int = 0) -> InequalityReport:
     """Randomized check that the Condition C clause table of `exponents` and
@@ -216,7 +208,8 @@ def equivalence_bruteforce(n: int, trial_count: int,
 
     lhs = np.all([lower < value for _, lower, value
                   in condition_C_clauses(n, p, q, s1, s2)], axis=0)
-    rhs = _eta_mask(n, p, q, s1, s2)
+    eta = np.stack(eta_formulas(p, q, s1, s2))
+    rhs = np.all((eta > 1.0) & (eta < 1.0 + 2.0 / n), axis=0)
     mismatch = lhs != rhs
     violations = int(np.count_nonzero(mismatch))
     witness = None
@@ -253,8 +246,7 @@ def odi_monitor(trajectory: Trajectory, coeffs: OdiCoefficients,
     if len(t) < 3:
         raise ParameterError("trajectory too short for centered differences")
     dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
-    F = np.asarray(odi_rhs(coeffs, E[1:-1]), dtype=float)
-    rhs = F + monitor_cfg.slack
+    rhs = coeffs.denominator()(E[1:-1]) + monitor_cfg.slack
     margins = (rhs - dEdt) / np.maximum(np.abs(rhs), MONITOR_REL_FLOOR)
     worst = int(np.argmin(margins))
     violations = int(np.count_nonzero(margins < 0))

@@ -21,7 +21,7 @@ from chemobound.pde import (ConstantProfile, GaussianBump, SolverConfig,
 from chemobound.verify import (ConcurrenceThresholds, MonitorConfig,
                                check_embed_inequality, check_remark_ordering,
                                concurrence_diagnostic, equivalence_bruteforce,
-                               estimate_gn_for_eta, odi_monitor)
+                               estimate_gn_constant, odi_monitor)
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -62,7 +62,7 @@ def monitored_runs():
         (ModelParams(chi=20.0, xi=0.5, dim=3), GaussianBump(1e4, 0.15)),
         (ModelParams(chi=10.0, xi=0.5, dim=3), GaussianBump(3e4, 0.2)),
     ]
-    C_GN = 2.0 * estimate_gn_for_eta(GRID3, 1.5)
+    C_GN = 2.0 * estimate_gn_constant(GRID3, 1.5)
     out = []
     for params, profile in cases:
         state0 = init_state(GRID3, profile)
@@ -165,7 +165,7 @@ def test_criterion_05_embed_inequality_sampling():
     total = samples = 0
     etas = (1.1, 3.0 / 2.0, 4.0 / 3.0)  # low, n/(n-1), interval midpoint
     for eta in etas:
-        C = 2.0 * estimate_gn_for_eta(GRID3, eta)
+        C = 2.0 * estimate_gn_constant(GRID3, eta)
         report = check_embed_inequality(GRID3, eta, 1.0, C)
         total += report.violations
         samples = report.samples

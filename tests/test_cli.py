@@ -61,8 +61,10 @@ class TestConfigParsing:
          "config error: unknown key 'opt.refine_iters'"),
         ("sweep.model.chi = 5, 10\n", ["--seed", "5"],
          "error: unrecognized arguments: --seed 5"),
+        ("model.convex = false\n", [],
+         "config error: line 1: unknown key 'model.convex'"),
     ], ids=["thresholds.energy", "sweep.jobs", "--jobs", "opt.eps_grid",
-            "opt.coarse_grid", "opt.refine_iters", "--seed"])
+            "opt.coarse_grid", "opt.refine_iters", "--seed", "model.convex"])
     def test_removed_knob_rejected(self, capsys, tmp_path, text, flags,
                                    message):
         cfg_file = tmp_path / "sweep.cfg"
@@ -100,8 +102,8 @@ class TestConfigParsing:
 
     def test_schema_pinned(self):
         # a new dataclass field must not silently become a config key
-        assert len(KNOWN_KEYS) == 52
-        assert config_hash(parse_config_text("")[0]) == "8bbb874c815c1807"
+        assert len(KNOWN_KEYS) == 51
+        assert config_hash(parse_config_text("")[0]) == "856f45c0534e16c3"
         for key in ("verify.bump_fraction", "monitor.rel_floor",
                     "quad.truncation_point", "verify.n_samples",
                     "verify.samples", "verify.max_modes",
@@ -204,6 +206,13 @@ class TestBound:
         expected = json.loads(json.dumps(direct.to_json_dict()))
         assert {k: payload[k] for k in expected} == expected
 
+    def test_boundary_constant_on_the_ball(self, capsys):
+        # boundary_c needs no convexity switch; F carries 2 * boundary_c
+        code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+                     "--set", "model.boundary_c=0.5"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["coeffs"]["c"] == 1.0
+
     def test_failing_bound_runtime_error(self, capsys):
         # valid inputs at which the bound fails exit 3, not 2
         code = main(["bound", "--corollary", "2", "-n", "3", "--E0", "1e-12",
@@ -234,7 +243,7 @@ class TestBound:
 
     @pytest.mark.parametrize("override, message", [
         ("model.alpha=0", "config error: alpha must be positive"),
-        ("model.radius=-1", "config error: domain radius must be positive")],
+        ("model.radius=-1", "config error: need R > 0 and finite")],
         ids=["alpha", "radius"])
     def test_rejected_model_value_usage_error(self, capsys, override, message):
         code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
@@ -317,9 +326,18 @@ class TestExitCodes:
          "--set", "bound.C_GN=1"],
         ["optimize-bound", "-n", "3", "-p", "2", "-q", "4", "--E0", "inf",
          "--set", "bound.C_GN=1"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+         "--set", "bound.C_GN=inf"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+         "--set", "bound.gn_safety=inf", "--set", "grid.shells=8"],
+        ["optimize-bound", "-n", "3", "-p", "2", "-q", "4", "--E0", "1",
+         "--set", "bound.C_GN=inf"],
+        ["check-params", "-n", "3", "-p", "inf", "-q", "4", "--s1", "1",
+         "--s2", "1"],
     ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
             "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
-            "eta=0.5", "E0=inf", "optimize-E0=inf"])
+            "eta=0.5", "E0=inf", "optimize-E0=inf", "C_GN=inf",
+            "gn_safety=inf", "optimize-C_GN=inf", "check-p=inf"])
     def test_rejected_value_exits_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err

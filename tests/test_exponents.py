@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chemobound.errors import ParameterError, SingularityError
-from chemobound.exponents import (BallDomain, ModelParams,
+from chemobound.exponents import (ModelParams,
                                   C1_coef, C3_coef, check_condition_C,
                                   compute_etas, corollary1_parameters,
                                   corollary2_parameters, etas_in_range,
@@ -76,6 +76,16 @@ class TestConditionC:
         assert report.etas[2] == 1.0 + 2.0 / 6
         assert not report.etas_in_range
         assert not report.admissible
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nonfinite_float_rejected(self, slot, bad):
+        # the float comparisons would read inf as a passing or failing
+        # clause and report an infinite margin
+        args = [2.0, 4.0, 3.0, 1.5]
+        args[slot] = bad
+        with pytest.raises(ParameterError, match="must be finite"):
+            check_condition_C(3, *args)
 
     def test_margin_is_smallest_clause_slack(self):
         report = check_condition_C(3, 2, 4, 3, F(3, 2))
@@ -147,8 +157,11 @@ class TestExponentMaps:
         assert C3_coef(F(3, 2), 3, 2.0) == pytest.approx(0.25 * 2.0 ** 4)
 
     def test_c3_rejects_nonpositive_constant(self):
-        with pytest.raises(ParameterError):
-            C3_coef(1.2, 3, 0.0)
+        # C3_coef is where every bound path checks C_GN; inf is rejected too
+        for C_GN in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ParameterError,
+                               match="C_GN must be positive and finite"):
+                C3_coef(1.2, 3, C_GN)
 
 
 class TestCorollarySelections:
@@ -188,12 +201,11 @@ class TestFeasibleRegion:
         assert feasible_region_samples(3, [1.5]) == []
 
     def test_csv_sentinel(self):
+        # a row with p >= n has no upper bound, which repr writes as inf
         buf = io.StringIO()
-        write_region_csv(feasible_region_samples(3, [2, 3]), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "p,q_low,q_high"
-        assert lines[1] == "2.0,3.0,6.0"
-        assert lines[2].endswith(",inf")
+        write_region_csv(feasible_region_samples(3, [2, 3, 4.5]), buf)
+        assert buf.getvalue().splitlines() == [
+            "p,q_low,q_high", "2.0,3.0,6.0", "3.0,3.0,inf", "4.5,3.0,inf"]
 
 
 class TestModelParams:
@@ -217,12 +229,12 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(chi=1.0, xi=1.0, mu2=0.5, k_logistic=1.13, dim=5)
 
-    def test_convex_domain_requires_zero_boundary_constant(self):
-        with pytest.raises(ParameterError):
-            ModelParams(chi=1.0, xi=1.0, boundary_c=0.5,
-                        domain=BallDomain(1.0, convex=True))
-        ModelParams(chi=1.0, xi=1.0, boundary_c=0.5,
-                    domain=BallDomain(1.0, convex=False))
+    def test_boundary_constant_nonnegative(self):
+        assert ModelParams(chi=1.0, xi=1.0).boundary_c == 0.0
+        ModelParams(chi=1.0, xi=1.0, boundary_c=0.5)
+        for bad in (-0.5, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="boundary_c"):
+                ModelParams(chi=1.0, xi=1.0, boundary_c=bad)
 
 
 rationals = st.fractions(min_value=F(1, 10), max_value=10,

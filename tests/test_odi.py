@@ -13,13 +13,13 @@ from scipy import integrate
 from chemobound import odi
 from chemobound.errors import (DivergenceError, InfeasibleError,
                                NonpositiveDenominatorError, ParameterError)
-from chemobound.exponents import (BallDomain, EnergyIndices, ModelParams,
+from chemobound.exponents import (EnergyIndices, ModelParams,
                                   check_condition_C, corollary1_parameters,
                                   corollary2_parameters, feasible_box)
 from chemobound.odi import (COARSE_GRID, CoefficientConventionWarning,
                             Denominator, OdiCoefficients, OptConfig,
                             QuadConfig, bound_at_indices, lower_bound_integral,
-                            max_admissible_epsilon, odi_coefficients, odi_rhs,
+                            max_admissible_epsilon, odi_coefficients,
                             optimize_bound, zeta_coefficients)
 
 # the Corollary-1.3 selection for n = 3; all four derived exponents are 3/2
@@ -124,6 +124,11 @@ class TestCoefficients:
         eps = 0.5 * max_admissible_epsilon(PARAMS, IDX_C13)
         assert odi_coefficients(PARAMS, IDX_C13, eps, 1.0).c == 0.0
 
+    def test_boundary_constant_enters_twice(self):
+        params = ModelParams(chi=1.0, xi=1.0, dim=3, boundary_c=0.5)
+        eps = 0.5 * max_admissible_epsilon(params, IDX_C13)
+        assert odi_coefficients(params, IDX_C13, eps, 1.0).c == 1.0
+
     def test_epsilon_power_law(self):
         eps = 0.25 * max_admissible_epsilon(PARAMS, IDX_C13)
         a = odi_coefficients(PARAMS, IDX_C13, eps, 1.0)
@@ -162,15 +167,16 @@ class TestRhs:
                                k_exponents=(3.0,) * 4, epsilon=0.01, C_GN=1.0)
 
     def test_at_zero(self):
-        assert odi_rhs(self._coeffs(c=0.7), 0.0) == pytest.approx(0.7)
+        assert self._coeffs(c=0.7).denominator()(0.0) == pytest.approx(0.7)
 
     def test_at_one(self):
         coeffs = self._coeffs(mu1=0.3, c=0.7)
-        assert odi_rhs(coeffs, 1.0) == pytest.approx(4 * 2.0 + 10.0 + 0.3 + 0.7)
+        assert coeffs.denominator()(1.0) == pytest.approx(
+            4 * 2.0 + 10.0 + 0.3 + 0.7)
 
     def test_monotone(self):
         coeffs = self._coeffs(mu1=0.1)
-        vals = [odi_rhs(coeffs, e) for e in (0.0, 0.5, 1.0, 5.0)]
+        vals = [coeffs.denominator()(e) for e in (0.0, 0.5, 1.0, 5.0)]
         assert vals == sorted(vals)
 
 
@@ -389,16 +395,14 @@ class TestEpsilonMonotone:
     @settings(max_examples=100, deadline=None)
     @given(ni=admissible_indices(),
            fa=st.floats(0.01, 0.999), fb=st.floats(0.01, 0.999),
-           convex=st.booleans(), boundary_c=st.floats(0.01, 10),
+           boundary_c=st.one_of(st.just(0.0), st.floats(0.01, 10)),
            mu1=st.floats(-5, 5), chi=st.floats(0, 20), xi=st.floats(0, 20),
            log_E0=st.floats(-2, 2))
-    def test_t_lower_nondecreasing_in_epsilon(self, ni, fa, fb, convex,
-                                              boundary_c, mu1, chi, xi,
-                                              log_E0):
+    def test_t_lower_nondecreasing_in_epsilon(self, ni, fa, fb, boundary_c,
+                                              mu1, chi, xi, log_E0):
         n, indices = ni
         params = ModelParams(chi=chi, xi=xi, mu1=mu1, dim=n,
-                             domain=BallDomain(convex=convex),
-                             boundary_c=0.0 if convex else boundary_c)
+                             boundary_c=boundary_c)
         eps_max = max_admissible_epsilon(params, indices)
         lo, hi = sorted((fa, fb))
         try:

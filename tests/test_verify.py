@@ -13,7 +13,7 @@ from chemobound.verify import (REPORT_TOL, ConcurrenceThresholds,
                                MonitorConfig, check_embed_inequality,
                                check_remark_ordering, concurrence_diagnostic,
                                equivalence_bruteforce, estimate_gn_constant,
-                               estimate_gn_for_eta, odi_monitor, profile_set)
+                               odi_monitor, profile_set)
 
 GRID = make_grid(3, 1.0, 48)
 
@@ -68,24 +68,42 @@ BOUND_QUERY_ETAS = [
     (5, 1.2578125), (5, 1.263157894736842), (6, 1.2)]
 
 
+def gn_ratios(grid, eta):
+    """||f||_{2 eta}^{2 eta} / (||f'||_2^{2 eta a} ||f||_2^{2 eta (1-a)}
+    + ||f||_2^{2 eta}) for each row f of profile_set, a = n (eta - 1)/(2 eta),
+    by plain sums over the shells."""
+    F = profile_set(grid)
+    dF = np.diff(F, axis=1) / grid.dr
+    grad = 0.5 * (np.pad(dF, ((0, 0), (1, 0))) + np.pad(dF, ((0, 0), (0, 1))))
+    V = grid.shell_measures
+    a = grid.n * (eta - 1.0) / (2.0 * eta)
+    f2 = (F ** 2) @ V
+    return (F ** (2.0 * eta)) @ V / (
+        ((grad ** 2) @ V) ** (eta * a) * f2 ** (eta * (1.0 - a)) + f2 ** eta)
+
+
 class TestGnEstimate:
     def test_at_least_constant_ratio(self):
-        # f = 1 gives ratio exactly 1 when p = s, so the estimate is >= 1
-        assert estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 3.0) >= 1.0
+        # f = 1 has no gradient and gives the ratio |Omega|^(1 - eta)
+        assert estimate_gn_constant(GRID, 1.5) >= \
+            GRID.volume ** -0.5 * (1.0 - 1e-13)
 
     def test_deterministic(self):
-        a = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0)
-        b = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0)
+        a = estimate_gn_constant(GRID, 1.5)
+        b = estimate_gn_constant(GRID, 1.5)
         assert a == b
 
     def test_safety_inflation(self):
-        # the estimate comes back uninflated; callers apply bound.gn_safety
-        raw = estimate_gn_constant(GRID, 3.0, 2.0, 2.0, 2.0)
-        assert 2.0 * estimate_gn_for_eta(GRID, 1.5) == 2.0 * raw
+        # the estimate is the largest ratio over the profile set, not yet
+        # multiplied by bound.gn_safety
+        for n, eta, R in ((3, 1.5, 3.0), (4, 1.3, 1.0), (5, 1.6, 5.0)):
+            grid = make_grid(n, R, 32)
+            assert estimate_gn_constant(grid, eta) == pytest.approx(
+                gn_ratios(grid, eta).max(), rel=1e-12, abs=0)
 
     def test_dominates_random_sampler(self):
         for n, eta, R, M, old in SAMPLER_ESTIMATES:
-            new = estimate_gn_for_eta(make_grid(n, R, M), eta)
+            new = estimate_gn_constant(make_grid(n, R, M), eta)
             if R > 1.0:
                 assert new > old, (n, R, M)
             else:  # the constant profile wins on small balls
@@ -94,7 +112,7 @@ class TestGnEstimate:
     @pytest.mark.parametrize("n, eta", BOUND_QUERY_ETAS)
     def test_constant_profile_wins_on_unit_ball(self, n, eta):
         grid = make_grid(n, 1.0, 64)
-        assert estimate_gn_for_eta(grid, eta) == pytest.approx(
+        assert estimate_gn_constant(grid, eta) == pytest.approx(
             grid.volume ** (1.0 - eta), rel=1e-13, abs=0)
 
     def test_profile_set_shape(self):
@@ -104,14 +122,24 @@ class TestGnEstimate:
         assert np.all(profiles >= 0.0)
 
     def test_rejects_bad_exponents(self):
-        with pytest.raises(ParameterError):
-            estimate_gn_constant(GRID, 2.0, 3.0, 2.0, 2.0)  # q > p
+        for eta in (0.5, 0.999, np.nan):
+            with pytest.raises(ParameterError, match="eta must be >= 1"):
+                estimate_gn_constant(GRID, eta)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rejects_eta_past_n_over_n_minus_2(self, n):
+        # the interpolation weight a = n (eta - 1)/(2 eta) passes 1 there
+        grid = make_grid(n, 1.0, 16)
+        estimate_gn_constant(grid, 0.99 * n / (n - 2))
+        for eta in (1.01 * n / (n - 2), np.inf):
+            with pytest.raises(ParameterError, match="past n/\\(n-2\\)"):
+                estimate_gn_constant(grid, eta)
 
 
 class TestEmbed:
     @pytest.mark.parametrize("eta", [1.1, 1.5, 4.0 / 3.0])
     def test_no_violations_with_inflated_constant(self, eta):
-        C = 2.0 * estimate_gn_for_eta(GRID, eta)
+        C = 2.0 * estimate_gn_constant(GRID, eta)
         report = check_embed_inequality(GRID, eta, 1.0, C)
         assert report.violations == 0
         assert report.worst_margin >= -REPORT_TOL
@@ -119,7 +147,7 @@ class TestEmbed:
     @pytest.mark.parametrize("eta", [1.1, 1.5, 4.0 / 3.0])
     def test_halved_constant_reports_violations(self, eta):
         # the check can fail: half the estimate is too small a constant
-        C = 0.5 * estimate_gn_for_eta(GRID, eta)
+        C = 0.5 * estimate_gn_constant(GRID, eta)
         report = check_embed_inequality(GRID, eta, 1.0, C)
         assert report.violations > 0
         assert report.worst_margin < -REPORT_TOL
