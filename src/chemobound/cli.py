@@ -114,6 +114,15 @@ def resolve_indices(cfg: dict) -> exponents.EnergyIndices:
         cfgmod.require(cfg, "indices.s1"), cfgmod.require(cfg, "indices.s2"))
 
 
+def gn_safety(cfg: dict) -> float:
+    """bound.gn_safety, the factor on an estimated C_GN."""
+    safety = cfg["bound.gn_safety"]
+    if not 0 < safety < math.inf:
+        raise ConfigError(f"bound.gn_safety must be positive and finite, "
+                          f"got {safety!r}")
+    return safety
+
+
 def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid,
                         gn_memo: dict | None = None) -> tuple[float, dict]:
     """Configured constant, or the maximum over the eta values of the
@@ -123,7 +132,7 @@ def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid,
     configured = cfg["bound.C_GN"]
     if not math.isnan(configured):
         return configured, {"C_GN_source": "configured"}
-    safety = cfg["bound.gn_safety"]
+    safety = gn_safety(cfg)
     gn_memo = {} if gn_memo is None else gn_memo
     per_eta = {}
     for eta in map(float, set(etas)):
@@ -246,8 +255,8 @@ def cmd_verify_gn(args) -> int:
     cfg, _ = _load_config(args)
     grid = cfgmod.build_grid(cfg)
     eta = cfgmod.require(cfg, "verify.eta")
+    safety = gn_safety(cfg)
     estimate = verify.estimate_gn_constant(grid, eta)
-    safety = cfg["bound.gn_safety"]
     _emit({"eta": eta, "estimate": estimate, "safety": safety,
            "inflated": safety * estimate},
           cfg, _output_dir(cfg), "gn_estimate.json")

@@ -87,7 +87,7 @@ def eta_formulas(p, q, s1, s2) -> tuple:
 
 
 def compute_etas(p: Number, q: Number, s1: Number, s2: Number):
-    """The four derived exponents of eta_formulas, for p, q > 0 and
+    """The four derived exponents of eta_formulas, for finite p, q > 0 and
     s1, s2 > 1.
 
     Exact when all inputs are int/Fraction, float otherwise.
@@ -96,6 +96,9 @@ def compute_etas(p: Number, q: Number, s1: Number, s2: Number):
         raise ParameterError(f"p, q must be positive, got p={p}, q={q}")
     if not (s1 > 1 and s2 > 1):
         raise ParameterError(f"s1, s2 must exceed 1, got s1={s1}, s2={s2}")
+    if math.inf in (p, q, s1, s2):  # the checks above let no other through
+        raise ParameterError(f"p, q, s1, s2 must be finite, got "
+                             f"p={p}, q={q}, s1={s1}, s2={s2}")
     if _is_exact(p, q, s1, s2):
         p, q, s1, s2 = (Fraction(x) for x in (p, q, s1, s2))
     return eta_formulas(p, q, s1, s2)

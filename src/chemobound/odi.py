@@ -17,6 +17,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate, optimize
@@ -34,6 +37,42 @@ class CoefficientConventionWarning(UserWarning):
     equation's own coefficients would not reproduce them."""
 
 
+# numpy takes a scalar power s ** e with one of these e by the paired
+# function, which can differ in the last bit from its power of arrays
+_FAST_POWERS = {2.0: np.square, 0.5: np.sqrt, -1.0: np.reciprocal}
+
+
+def _power_table(dens):
+    """(coefficients, exponents, fast exponents) of K denominators with J
+    terms each: two contiguous (J, K) arrays, term first, and the exponents
+    of _FAST_POWERS among the terms."""
+    terms = np.fromiter(
+        chain.from_iterable(chain.from_iterable([d.terms for d in dens])),
+        float).reshape(len(dens), -1, 2)
+    coefs, expos = terms.T.copy()
+    used = {e for d in dens for _, e in d.terms}
+    return coefs, expos, tuple(e for e in _FAST_POWERS if e in used)
+
+
+def _power_sums(s, coefs, expos, fast, c, mu1):
+    """c + sum_j coefs[j] * s**expos[j] + mu1 * s.
+
+    Every power is taken in one call and every product in another, and the
+    terms are added one at a time in that order (numpy's sum would add
+    pairwise; its cumsum would not, but is slower on these shapes), so each
+    value is the one a loop over the terms gives, bit for bit.  coefs and
+    expos hold the J terms on their first axis; the rest of their shape, s,
+    c and mu1 broadcast together.
+    """
+    powers = s ** expos
+    for e in fast:
+        np.copyto(powers, _FAST_POWERS[e](s), where=expos == e)
+    out = c
+    for term in np.multiply(coefs, powers, out=powers):
+        out = out + term
+    return out + mu1 * s
+
+
 @dataclass(frozen=True)
 class Denominator:
     """Power-sum denominator F(s) = sum A_j s**a_j + mu1*s + c."""
@@ -42,12 +81,16 @@ class Denominator:
     mu1: float = 0.0
     c: float = 0.0
 
+    @cached_property
+    def _table(self):
+        return _power_table([self])
+
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        out = np.full_like(s, self.c, dtype=float)
-        for coef, expo in self.terms:
-            out += coef * s ** expo
-        out += self.mu1 * s
+        coefs, expos, fast = self._table
+        shape = (-1,) + (1,) * s.ndim  # the terms on an axis before s's
+        out = _power_sums(s, coefs.reshape(shape), expos.reshape(shape), fast,
+                          self.c, self.mu1)
         return out if out.ndim else float(out)
 
 
@@ -256,68 +299,82 @@ _SPREAD_ORDER = [10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
 
 
 def _fold(g):
-    """g at the 21 nodes folded onto positions 0..10 (g[:9:-1] runs from
-    the last node back to the centre)."""
-    return g[:11] + g[:9:-1]
+    """g at the 21 nodes of its last axis folded onto positions 0..10
+    (g[..., :9:-1] runs from the last node back to the centre)."""
+    return g[..., :11] + g[..., :9:-1]
 
 
-def _gk21_first_pass(den: Denominator, x_lo: float, x_hi: float,
-                     rel_tol: float) -> tuple[float, float] | None:
+def _ordered_sum(terms, order=None):
+    """The terms on the last axis added one at a time, taken in `order` if
+    given (np.add.accumulate adds in order; np.sum would add pairwise)."""
+    if order is not None:
+        terms = terms.take(order, axis=-1)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+# dqk21 floors its error estimate at 50 eps * resabs above this resabs
+_FLOORED_RESABS = np.finfo(float).tiny / QUADPACK_REL_FLOOR
+
+
+def _gk21_first_pass(table, x_lo: float, x_hi: list[float],
+                     rel_tol: float) -> list[tuple[float, float] | None]:
     """The first step of QUADPACK's dqagse on the integral of e^x / F(e^x)
-    over [x_lo, x_hi]: one dqk21 pass with its error estimate.
+    over [x_lo, x_hi[k]] for each of K rows F: one dqk21 pass with its
+    error estimate, with F at all K x 21 nodes taken in one call.
 
-    The integrand values and the order of every sum are those of
+    `table` holds the rows' (coefs, expos, fast, c, mu1): the (J, K) term
+    arrays and fast exponents of _power_table, and (K,) arrays of c and
+    mu1.  The integrand values and the order of every sum are those of
     integrate.quad, so an accepted pass returns quad's value and error bit
-    for bit.  Returns (value, error) when dqagse would accept the pass at
-    epsabs = 0, else None.  A non-finite F or integrand at a node also gives
-    None, so integrate.quad meets an overflowing candidate, warnings
-    included, as it always has.
+    for bit.  A row's entry is (value, error) when dqagse would accept its
+    pass at epsabs = 0, else None.  A non-finite F or integrand at a node
+    also gives None, so integrate.quad meets an overflowing candidate,
+    warnings included, as it always has.
     """
+    coefs, expos, fast, c, mu1 = table
+    x_hi = np.array(x_hi)
     centre, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+    x = (centre[:, None] + half[:, None] * GK21_NODES).ravel().tolist()
     w = _FOLDED_WEIGHTS
     with np.errstate(all="ignore"):
         # math.exp, not np.exp: the two differ in the last bit at some nodes
-        s = np.fromiter(map(math.exp, (centre + half * GK21_NODES).tolist()),
-                        float, 21)
-        F = den(s)
-        if not np.isfinite(F).all():
-            return None
+        s = np.fromiter(map(math.exp, x), float, len(x)).reshape(-1, 21)
+        F = _power_sums(s, coefs[..., None], expos[..., None], fast,
+                        c[:, None], mu1[:, None])
+        finite = np.isfinite(F).all(axis=1).tolist()
         f = s / F
         pairs = _fold(f)
-        res_k = np.cumsum((w * pairs)[_KRONROD_ORDER])[-1]
-        res_g = np.cumsum(GK21_GAUSS_WEIGHTS[:5] * pairs[1:10:2])[-1]
-        res_abs = np.cumsum((w * _fold(np.abs(f)))[_KRONROD_ORDER])[-1]
-        res_asc = np.cumsum(
-            (w * _fold(np.abs(f - 0.5 * res_k)))[_SPREAD_ORDER])[-1]
-    value = float(res_k * half)  # half > 0: S exceeds E0
-    err = abs(float((res_k - res_g) * half))
-    res_abs, res_asc = half * float(res_abs), half * float(res_asc)
-    if res_asc != 0 and err != 0:
-        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
-    # dqk21's round-off floor is the same 50 eps that bounds epsrel
-    if res_abs > np.finfo(float).tiny / QUADPACK_REL_FLOOR:
-        err = max(QUADPACK_REL_FLOOR * res_abs, err)
-    # dqagse's first-pass test; its `abserr != resabs` is dqk21's res_asc
-    if math.isfinite(value) and err <= rel_tol * abs(value) and err != res_asc:
-        return value, float(err)
-    return None
+        res_k = _ordered_sum(w * pairs, _KRONROD_ORDER)
+        res_g = _ordered_sum(GK21_GAUSS_WEIGHTS[:5] * pairs[:, 1:10:2])
+        res_abs = _ordered_sum(w * _fold(np.abs(f)), _KRONROD_ORDER)
+        res_asc = _ordered_sum(w * _fold(np.abs(f - 0.5 * res_k[:, None])),
+                               _SPREAD_ORDER)
+    values = (res_k * half).tolist()  # half > 0: S exceeds E0
+    errs = np.abs((res_k - res_g) * half).tolist()
+    res_abs, res_asc = (half * res_abs).tolist(), (half * res_asc).tolist()
+    passes = []
+    for ok, value, err, r_abs, r_asc in zip(finite, values, errs, res_abs,
+                                            res_asc):
+        if not ok:
+            passes.append(None)
+            continue
+        if r_asc != 0 and err != 0:
+            err = r_asc * min(1.0, (200.0 * err / r_asc) ** 1.5)
+        # dqk21's round-off floor is the same 50 eps that bounds epsrel
+        if r_abs > _FLOORED_RESABS:
+            err = max(QUADPACK_REL_FLOOR * r_abs, err)
+        # dqagse's first-pass test; its `abserr != resabs` is dqk21's res_asc
+        accepted = (math.isfinite(value) and err <= rel_tol * abs(value)
+                    and err != r_asc)
+        passes.append((value, float(err)) if accepted else None)
+    return passes
 
 
-def lower_bound_integral(den: Denominator, E0: float,
-                         quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
-    """Truncated integral of 1/F from E0, with an analytic tail budget.
-
-    The truncation point S makes the tail estimate S**(1-a)/(A(a-1)) of the
-    dominant power term (coefficient A, exponent a) fall below tail_tol.
-    The reported value excludes the tail, so it always under-estimates the
-    exact improper integral.  The integral is taken in ln s: QUADPACK's first
-    21-point Gauss-Kronrod pass, evaluated as one numpy array, when dqagse
-    would accept it, else integrate.quad; quadrature_error is the error
-    estimate of whichever ran.
-    """
-    if not 0 < E0 < math.inf:
-        raise ParameterError(f"E0 must be positive and finite, got {E0}")
-    if den(E0) <= 0:
+def _truncation(den: Denominator, E0: float, F0: float,
+                quad_cfg: QuadConfig) -> tuple[float, float, tuple[str, ...]]:
+    """Check F(E0) = F0 and pick the truncation point S; returns S, the
+    tail budget and the flags."""
+    if F0 <= 0:
         raise NonpositiveDenominatorError(
             f"denominator nonpositive at E0={E0}", root=E0)
     A_dom, a_dom = _dominant_term(den)
@@ -345,22 +402,86 @@ def lower_bound_integral(den: Denominator, E0: float,
                 if idx > 0 else E0
             raise NonpositiveDenominatorError(
                 f"denominator vanishes at s={root}", root=root)
+    tail_upper = tail_factor * S ** (1.0 - a_dom) / (A_dom * (a_dom - 1.0))
+    return S, tail_upper, tuple(flags)
+
+
+def lower_bound_integral(den: Denominator | Sequence[Denominator], E0: float,
+                         quad_cfg: QuadConfig = QuadConfig(),
+                         skip: type[Exception] | tuple = ()):
+    """Truncated integral of 1/F from E0, with an analytic tail budget.
+
+    The truncation point S makes the tail estimate S**(1-a)/(A(a-1)) of the
+    dominant power term (coefficient A, exponent a) fall below tail_tol.
+    The reported value excludes the tail, so it always under-estimates the
+    exact improper integral.  The integral is taken in ln s: QUADPACK's first
+    21-point Gauss-Kronrod pass, evaluated in numpy, when dqagse would accept
+    it, else integrate.quad; quadrature_error is the error estimate of
+    whichever ran.
+
+    `den` is one Denominator, and the result its BoundResult.  Or it is a
+    sequence of K denominators with one number of terms, and the result is
+    the list of their K BoundResults, each bit for bit the one its
+    denominator gets alone: F(E0) of every row is one call, the
+    Gauss-Kronrod pass over every row is another, and a row that pass does
+    not settle goes to integrate.quad on its own.  The rows are checked and
+    given their S in order before any is integrated, and the first that
+    fails raises what it raises alone; a row whose set-up raises one of the
+    exception types `skip` gives None instead.
+    """
+    single = isinstance(den, Denominator)
+    dens = [den] if single else list(den)
+    if not dens:
+        return []
+    if not 0 < E0 < math.inf:
+        raise ParameterError(f"E0 must be positive and finite, got {E0}")
+    if len({len(d.terms) for d in dens}) > 1:
+        raise ParameterError("the denominators of a batch need one number "
+                             "of terms")
+    coefs, expos, fast = _power_table(dens)
+    c = np.array([d.c for d in dens])
+    mu1 = np.array([d.mu1 for d in dens])
+    F0 = _power_sums(np.asarray(E0, dtype=float), coefs, expos, fast, c, mu1)
+    setups = []
+    for d, f0 in zip(dens, F0.tolist()):
+        try:
+            setups.append(_truncation(d, E0, f0, quad_cfg))
+        except skip:
+            setups.append(None)
+    kept = [i for i, setup in enumerate(setups) if setup is not None]
+    if len(kept) < len(dens):
+        coefs, expos = coefs[:, kept], expos[:, kept]
+        c, mu1 = c[kept], mu1[kept]
 
     # integrate in log space: s = exp(x) keeps the long upper range tame
-    x_lo, x_hi = math.log(E0), math.log(S)
-    accepted = _gk21_first_pass(den, x_lo, x_hi, quad_cfg.rel_tol)
-    if accepted is not None:
-        val, err = accepted
-    else:
-        def integrand(x):
-            s = math.exp(x)
-            return s / den(s)
+    x_lo = math.log(E0)
+    x_his = [math.log(setups[i][0]) for i in kept]
+    passes = iter(_gk21_first_pass((coefs, expos, fast, c, mu1), x_lo, x_his,
+                                   quad_cfg.rel_tol))
+    results = []
+    for d, setup in zip(dens, setups):
+        if setup is None:
+            results.append(None)
+            continue
+        S, tail_upper, flags = setup
+        accepted = next(passes)
+        if accepted is not None:
+            val, err = accepted
+        else:
+            val, err = integrate.quad(_log_integrand(d), x_lo, math.log(S),
+                                      epsabs=0.0, epsrel=quad_cfg.rel_tol,
+                                      limit=500)
+        results.append(BoundResult(t_lower=val, S=S, quadrature_error=err,
+                                   tail_upper=tail_upper, flags=flags))
+    return results[0] if single else results
 
-        val, err = integrate.quad(integrand, x_lo, x_hi, epsabs=0.0,
-                                  epsrel=quad_cfg.rel_tol, limit=500)
-    tail_upper = tail_factor * S ** (1.0 - a_dom) / (A_dom * (a_dom - 1.0))
-    return BoundResult(t_lower=val, S=S, quadrature_error=err,
-                       tail_upper=tail_upper, flags=tuple(flags))
+
+def _log_integrand(den: Denominator):
+    """x -> e^x / F(e^x), the bound's integrand in ln s."""
+    def integrand(x):
+        s = math.exp(x)
+        return s / den(s)
+    return integrand
 
 
 def bound_at_indices(params: ModelParams, indices: EnergyIndices, E0: float,
@@ -396,8 +517,10 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
 
     The bound cannot fall as epsilon grows (every m_i falls like
     epsilon**(-h) and the truncation point rises), so each candidate takes
-    epsilon = (1 - margin) * its supremum.  The result's indices and coeffs
-    carry the optimal s1, s2 and epsilon.
+    epsilon = (1 - margin) * its supremum.  The grid is scored as one
+    batch of lower_bound_integral, and so is each sweep's four trials; the
+    best is picked in candidate order with a strict `>`, as one at a time.
+    The result's indices and coeffs carry the optimal s1, s2 and epsilon.
     """
     n = params.dim
     (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, float(p), float(q))
@@ -412,17 +535,28 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
         raise InfeasibleError(
             f"empty admissible (s1, s2) box for n={n}, p={p}, q={q}")
 
-    def evaluate(s1, s2):
+    def assemble(s1, s2):
         indices = EnergyIndices(p, q, min(max(s1, lo1), hi1),
                                 min(max(s2, lo2), hi2))
         eps = (1.0 - mar) * max_admissible_epsilon(params, indices)
         try:
-            return bound_at_indices(params, indices, E0, C_GN, eps,
-                                    opt_cfg.quad)
+            return indices, odi_coefficients(params, indices, eps, C_GN)
         except OverflowError:
             # eta close to the singular point makes eps**(-h) blow past
             # float range; such candidates give a worthless bound anyway
             return None
+
+    def score(candidates):
+        """The bounds of the candidates, in order, as one batch; a candidate
+        whose coefficients or truncation point overflow is left out."""
+        rows = [row for row in (assemble(*c) for c in candidates)
+                if row is not None]
+        bounds = lower_bound_integral(
+            [coeffs.denominator() for _, coeffs in rows], E0, opt_cfg.quad,
+            skip=OverflowError)
+        return [replace(out, indices=indices, coeffs=coeffs)
+                for (indices, coeffs), out in zip(rows, bounds)
+                if out is not None]
 
     candidates = [(float(s1), float(s2))
                   for s1 in np.linspace(lo1, hi1, COARSE_GRID)
@@ -432,8 +566,7 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
         # the search never does worse than the closed-form route
         _, s1c, s2c = corollary1_parameters(p, n)
         candidates.append((float(s1c), float(s2c)))
-    scored = [out for out in (evaluate(*c) for c in candidates)
-              if out is not None]
+    scored = score(candidates)
     if not scored:
         raise InfeasibleError("no admissible candidate found in the box")
     best = max(scored, key=lambda out: out.t_lower)
@@ -442,10 +575,9 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
     for _ in range(REFINE_ITERS):
         s1, s2 = best.indices.s1, best.indices.s2
         improved = False
-        for trial in ((s1 + d1, s2), (s1 - d1, s2), (s1, s2 + d2),
-                      (s1, s2 - d2)):
-            out = evaluate(*trial)
-            if out is not None and out.t_lower > best.t_lower:
+        for out in score(((s1 + d1, s2), (s1 - d1, s2), (s1, s2 + d2),
+                          (s1, s2 - d2))):
+            if out.t_lower > best.t_lower:
                 best, improved = out, True
         if not improved:
             d1, d2 = 0.5 * d1, 0.5 * d2

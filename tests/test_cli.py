@@ -334,10 +334,34 @@ class TestExitCodes:
          "--set", "bound.C_GN=inf"],
         ["check-params", "-n", "3", "-p", "inf", "-q", "4", "--s1", "1",
          "--s2", "1"],
+        ["bound", "-n", "3", "-p", "3", "-q", "inf", "--s1", "4", "--s2", "2",
+         "--E0", "1", "--set", "bound.C_GN=1"],
+        ["bound", "-n", "3", "-p", "3", "-q", "6", "--s1", "inf", "--s2", "2",
+         "--E0", "1", "--set", "bound.C_GN=1"],
+        ["bound", "-n", "3", "-p", "3", "-q", "6", "--s1", "4", "--s2", "inf",
+         "--E0", "1", "--set", "bound.C_GN=1"],
+        ["bound", "-n", "3", "-p", "inf", "--corollary", "1", "--E0", "1",
+         "--set", "bound.C_GN=1"],
+        ["simulate", "-n", "3", "-p", "inf", "-q", "6", "--s1", "4", "--s2",
+         "2", "--set", "grid.shells=8", "--set", "solver.max_steps=5"],
+        ["verify-gn", "-n", "3", "--eta", "1.5", "--set", "bound.gn_safety=-1",
+         "--set", "grid.shells=8"],
+        ["verify-gn", "-n", "3", "--eta", "1.5", "--set", "bound.gn_safety=0",
+         "--set", "grid.shells=8"],
+        ["verify-gn", "-n", "3", "--eta", "1.5", "--set",
+         "bound.gn_safety=inf", "--set", "grid.shells=8"],
+        ["verify-gn", "-n", "3", "--eta", "1.5", "--set",
+         "bound.gn_safety=nan", "--set", "grid.shells=8"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+         "--set", "bound.gn_safety=nan", "--set", "grid.shells=8"],
     ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
             "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
             "eta=0.5", "E0=inf", "optimize-E0=inf", "C_GN=inf",
-            "gn_safety=inf", "optimize-C_GN=inf", "check-p=inf"])
+            "gn_safety=inf", "optimize-C_GN=inf", "check-p=inf", "q=inf",
+            "s1=inf", "s2=inf", "corollary1-p=inf", "simulate-p=inf",
+            "verify-gn-gn_safety<0", "verify-gn-gn_safety=0",
+            "verify-gn-gn_safety=inf", "verify-gn-gn_safety=nan",
+            "gn_safety=nan"])
     def test_rejected_value_exits_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err

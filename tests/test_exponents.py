@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chemobound.errors import ParameterError, SingularityError
-from chemobound.exponents import (ModelParams,
+from chemobound.exponents import (EnergyIndices, ModelParams,
                                   C1_coef, C3_coef, check_condition_C,
                                   compute_etas, corollary1_parameters,
                                   corollary2_parameters, etas_in_range,
@@ -45,6 +45,16 @@ class TestComputeEtas:
     def test_rejects_nonpositive_pq(self):
         with pytest.raises(ParameterError):
             compute_etas(0, 4, 3, 2)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_rejects_nonfinite_float(self, slot, bad):
+        args = [3.0, 6.0, 4.0, 2.0]
+        args[slot] = bad
+        with pytest.raises(ParameterError):
+            compute_etas(*args)
+        with pytest.raises(ParameterError):
+            EnergyIndices(*args)
 
 
 class TestConditionC:

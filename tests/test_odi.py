@@ -16,9 +16,10 @@ from chemobound.errors import (DivergenceError, InfeasibleError,
 from chemobound.exponents import (EnergyIndices, ModelParams,
                                   check_condition_C, corollary1_parameters,
                                   corollary2_parameters, feasible_box)
-from chemobound.odi import (COARSE_GRID, CoefficientConventionWarning,
-                            Denominator, OdiCoefficients, OptConfig,
-                            QuadConfig, bound_at_indices, lower_bound_integral,
+from chemobound.odi import (COARSE_GRID, REFINE_ITERS,
+                            CoefficientConventionWarning, Denominator,
+                            OdiCoefficients, OptConfig, QuadConfig,
+                            bound_at_indices, lower_bound_integral,
                             max_admissible_epsilon, odi_coefficients,
                             optimize_bound, zeta_coefficients)
 
@@ -323,6 +324,119 @@ class TestGaussKronrodPass:
         assert result.t_lower == plain_quad(den, 10.0, result.S)[0]
 
 
+def per_term_loop(den, s):
+    """F with one power call per term, added in the same order."""
+    s = np.asarray(s, dtype=float)
+    out = np.full_like(s, den.c, dtype=float)
+    for coef, expo in den.terms:
+        out += coef * s ** expo
+    out += den.mu1 * s
+    return out if out.ndim else float(out)
+
+
+class TestDenominator:
+    # numpy takes s ** 2.0, s ** 0.5 and s ** -1.0 by square, sqrt and
+    # reciprocal for a scalar exponent; 300 overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("expos", [
+        (1.47, 1.61, 1.57, 1.32, 4.81, 1.93, 2.5, 3.0),
+        (1.5, 300.0),
+        (2.0, 0.5, -1.0, 1.0, 1.7),
+    ], ids=["eight_terms", "overflowing", "numpy_fast_powers"])
+    def test_one_power_call_matches_per_term_loop(self, expos):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            coefs = (10.0 ** rng.uniform(-4, 4, len(expos))).tolist()
+            den = Denominator(tuple(zip(coefs, expos)),
+                              float(rng.uniform(-3, 3)),
+                              float(rng.choice([0.0, rng.uniform(0, 5)])))
+            for s in (float(rng.uniform(0.01, 100)),
+                      np.exp(rng.uniform(-3, 8, 21)),
+                      np.exp(rng.uniform(-3, 3, (3, 4)))):
+                value, expected = den(s), per_term_loop(den, s)
+                assert type(value) is type(expected)
+                assert np.shape(value) == np.shape(expected)
+                assert np.asarray(value).tobytes() == \
+                    np.asarray(expected).tobytes()
+
+
+# rows of one number of terms (zero coefficients pad them to eight), each
+# taking one path of lower_bound_integral at E0 = 10
+_PAD = ((0.0, 1.5),) * 6
+BATCH_ROWS = {
+    # the first Gauss-Kronrod pass is accepted
+    "accepted": odi_coefficients(
+        PARAMS, IDX_C13, 0.5 * max_admissible_epsilon(PARAMS, IDX_C13),
+        1.0).denominator(),
+    # the pass is rejected and integrate.quad runs
+    "quad": Denominator(((1.0, 1.5), (1.0, 3.0)) + _PAD),
+    # 100**300 overflows at the top of the range [10, 100]
+    "overflowing": Denominator(((1.0, 1.5), (1.0, 300.0)) + _PAD),
+    # a negative linear term, scanned for a root and flagged
+    "negative_mu1": Denominator(((1.0, 1.5), (1.0, 2.0)) + _PAD, mu1=-0.5),
+}
+# F(10) = 100 - 100 = 0
+NONPOSITIVE = Denominator(((1.0, 2.0), (0.0, 1.5)) + _PAD, mu1=-10.0)
+# no superlinear term with a positive coefficient
+DIVERGENT = Denominator(((2.0, 1.0), (0.0, 1.5)) + _PAD, c=1.0)
+# S = (2e-17)**(-100) is past float range
+OVERFLOWING_S = Denominator(((1e-3, 1.01), (1e-3, 1.01)) + _PAD)
+
+
+class TestBatchedIntegral:
+    """A sequence of K denominators is one batch, and each row's result
+    is bit for bit the one it gets alone."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_batch_matches_solo_calls(self, monkeypatch):
+        dens = list(BATCH_ROWS.values())
+        solo = [lower_bound_integral(d, 10.0) for d in dens]
+        calls = quad_calls(monkeypatch)
+        batch = lower_bound_integral(dens * 2, 10.0)
+        assert len(calls) == 6  # quad, overflowing and negative_mu1, twice
+        assert batch == solo * 2  # every field, compared with ==
+        assert [r.flags for r in batch[:4]] == \
+            [(), (), (), ("negative_linear_term",)]
+
+    def test_lone_denominator_is_a_batch_of_one(self):
+        den = BATCH_ROWS["accepted"]
+        assert lower_bound_integral([den], 10.0) == \
+            [lower_bound_integral(den, 10.0)]
+        assert lower_bound_integral([], 10.0) == []
+
+    @pytest.mark.parametrize("rows, error", [
+        ([NONPOSITIVE, DIVERGENT], NonpositiveDenominatorError),
+        ([DIVERGENT, NONPOSITIVE], DivergenceError),
+        ([OVERFLOWING_S, NONPOSITIVE], OverflowError),
+    ], ids=["nonpositive_first", "divergent_first", "overflow_first"])
+    def test_first_failing_row_raises_its_solo_error(self, rows, error):
+        with pytest.raises(error) as solo:
+            lower_bound_integral(rows[0], 10.0)
+        good = list(BATCH_ROWS.values())[:2]
+        with pytest.raises(error) as batch:
+            lower_bound_integral(good + rows + good, 10.0)
+        assert str(batch.value) == str(solo.value)
+        if error is NonpositiveDenominatorError:
+            assert batch.value.root == solo.value.root == 10.0
+
+    def test_skipped_rows_give_none(self):
+        good = BATCH_ROWS["accepted"]
+        assert lower_bound_integral([OVERFLOWING_S, good, OVERFLOWING_S],
+                                    10.0, skip=OverflowError) == \
+            [None, lower_bound_integral(good, 10.0), None]
+        assert lower_bound_integral([OVERFLOWING_S], 10.0,
+                                    skip=OverflowError) == [None]
+        # only the exception types named are skipped
+        with pytest.raises(NonpositiveDenominatorError):
+            lower_bound_integral([good, NONPOSITIVE], 10.0,
+                                 skip=OverflowError)
+
+    def test_rows_need_one_number_of_terms(self):
+        with pytest.raises(ParameterError, match="number of terms"):
+            lower_bound_integral([BATCH_ROWS["quad"],
+                                  Denominator(((1.0, 2.0),))], 10.0)
+
+
 class TestOptimize:
     def test_dominates_corollary1_selection(self):
         result = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0)
@@ -355,30 +469,86 @@ class TestOptimize:
         assert len(calls) == 2
 
     def _scored(self, monkeypatch, opt_cfg=OptConfig()):
-        """Every result optimize_bound scores, and the one it returns."""
-        scored = []
+        """Every (indices, coefficients) optimize_bound assembles, the
+        denominators of each lower_bound_integral batch it scores, and the
+        result it returns."""
+        assembled, batches = [], []
 
-        def spy(*args, **kwargs):
-            scored.append(bound_at_indices(*args, **kwargs))
-            return scored[-1]
+        def coefficients(*args, **kwargs):
+            assembled.append((args[1], odi_coefficients(*args, **kwargs)))
+            return assembled[-1][1]
 
-        monkeypatch.setattr(odi, "bound_at_indices", spy)
-        return scored, optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0, opt_cfg)
+        def integral(dens, *args, **kwargs):
+            batches.append(list(dens))
+            return lower_bound_integral(dens, *args, **kwargs)
+
+        monkeypatch.setattr(odi, "odi_coefficients", coefficients)
+        monkeypatch.setattr(odi, "lower_bound_integral", integral)
+        best = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0, opt_cfg)
+        return assembled, batches, best
 
     def test_every_scored_candidate_admissible(self, monkeypatch):
-        scored, _ = self._scored(monkeypatch)
-        assert len(scored) > COARSE_GRID ** 2
-        for result in scored:
-            idx = result.indices
+        assembled, batches, _ = self._scored(monkeypatch)
+        assert len(assembled) > COARSE_GRID ** 2
+        # every assembled candidate is integrated, in order
+        assert [d for batch in batches for d in batch] == \
+            [coeffs.denominator() for _, coeffs in assembled]
+        for idx, _ in assembled:
             assert check_condition_C(3, idx.p, idx.q, idx.s1, idx.s2).admissible
 
     @pytest.mark.parametrize("margin", [1e-3, 0.1])
     def test_epsilon_at_top_of_its_range(self, monkeypatch, margin):
-        scored, best = self._scored(monkeypatch, OptConfig(margin))
-        assert best in scored
-        for result in scored:
-            eps_max = max_admissible_epsilon(PARAMS, result.indices)
-            assert result.coeffs.epsilon == (1.0 - margin) * eps_max
+        assembled, _, best = self._scored(monkeypatch, OptConfig(margin))
+        assert (best.indices, best.coeffs) in assembled
+        for indices, coeffs in assembled:
+            eps_max = max_admissible_epsilon(PARAMS, indices)
+            assert coeffs.epsilon == (1.0 - margin) * eps_max
+
+    def test_scores_grid_and_sweeps_in_batches(self, monkeypatch):
+        _, batches, _ = self._scored(monkeypatch)
+        # the grid and the seed q = 2p adds, less the overflowing candidates
+        assert 4 < len(batches[0]) <= COARSE_GRID ** 2 + 1
+        assert 1 < len(batches) <= 1 + REFINE_ITERS
+        assert all(1 <= len(batch) <= 4 for batch in batches[1:])
+
+    # (t_lower, s1, s2, epsilon) with chi = xi = 1, E0 = 1 and C_GN = 1 at
+    # the optimize-bound points of the benchmark, as scored one candidate at
+    # a time before the batches
+    @pytest.mark.parametrize("n, p, q, expected", [
+        (3, 2.0, 4.0, (2.0517899031969823e-11, 2.9948191425452637,
+                       1.5018063608357415, 0.024524521543859236)),
+        (3, 3.0, 6.0, (3.459702702452726e-05, 3.951780788600445,
+                       2.0051780048913006, 0.02046608053939534)),
+        (4, 3.0, 6.0, (3.529300603464041e-09, 3.984252443537116,
+                       2.0011257491074494, 0.014529145331343803)),
+        (5, 4.0, 8.0, (1.2856767899389032e-08, 4.974202286824585,
+                       2.498762570608121, 0.009312803328412021)),
+    ])
+    def test_pinned_optimum(self, n, p, q, expected):
+        best = optimize_bound(ModelParams(chi=1.0, xi=1.0, dim=n), p, q, 1.0,
+                              1.0)
+        assert (best.t_lower, best.indices.s1, best.indices.s2,
+                best.coeffs.epsilon) == expected
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_truncation_point_is_left_out(self, monkeypatch):
+        """At p = 50, q = 100 some candidates' S overflows float range; they
+        are left out, as when each candidate was scored alone."""
+        left_out = []
+
+        def integral(dens, *args, **kwargs):
+            out = lower_bound_integral(dens, *args, **kwargs)
+            left_out.extend(row for row in out if row is None)
+            return out
+
+        monkeypatch.setattr(odi, "lower_bound_integral", integral)
+        best = optimize_bound(PARAMS, 50.0, 100.0, 1.0, 1.0)
+        assert left_out
+        assert (best.t_lower, best.indices.s1, best.indices.s2,
+                best.coeffs.epsilon) == (0.020927072452845925,
+                                         51.67631658534195,
+                                         25.016666666666666,
+                                         0.001563730734606484)
 
     @pytest.mark.parametrize("margin", [0.0, 0.5, 0.6, -0.1])
     def test_boundary_margin_outside_open_half_interval(self, margin):
