@@ -11,8 +11,8 @@ from .odi import (BoundResult, OdiCoefficients, QuadConfig, bound_at_indices,
                   zeta_coefficients)
 from .pde import (FieldState, RadialGrid, SolverConfig, Trajectory, energy,
                   init_state, make_grid, mass, norms, run, step)
-from .verify import (InequalityReport, check_embed_inequality,
-                     check_remark_ordering, concurrence_diagnostic,
+from .verify import (InequalityReport, check_concurrence,
+                     check_embed_inequality, check_remark_ordering,
                      equivalence_bruteforce, estimate_gn_constant,
                      odi_monitor)
 

@@ -57,15 +57,17 @@ class ModelParams:
 
     def __post_init__(self):
         # chi = xi = 0 is allowed so pure-diffusion control runs can share
-        # the same parameter type
-        for name in ("chi", "xi"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        for name in ("alpha", "beta", "gamma", "delta"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.mu2 < 0:
-            raise ParameterError(f"mu2 must be nonnegative, got {self.mu2}")
+        # the same parameter type; each test is False for NaN
+        for names, rule, ok in (
+                (("chi", "xi", "mu2", "boundary_c"), "nonnegative and finite",
+                 lambda x: 0 <= x < math.inf),
+                (("alpha", "beta", "gamma", "delta"), "positive and finite",
+                 lambda x: 0 < x < math.inf),
+                (("mu1",), "finite", math.isfinite)):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ParameterError(f"{name} must be {rule}, "
+                                         f"got {getattr(self, name)}")
         if self.dim < 3:
             raise ParameterError(f"dim must be >= 3, got {self.dim}")
         if self.mu2 > 0:
@@ -74,9 +76,6 @@ class ModelParams:
                 raise ParameterError(
                     f"k_logistic must lie in (1, {k_hi}) for dim={self.dim} "
                     f"when mu2 > 0, got {self.k_logistic}")
-        if not 0 <= self.boundary_c < math.inf:
-            raise ParameterError(f"boundary_c must be nonnegative and finite, "
-                                 f"got {self.boundary_c}")
 
 
 def eta_formulas(p, q, s1, s2) -> tuple:

@@ -187,7 +187,12 @@ class ParamStack:
     fields of a stack of states field by field, (3, K, M), as step holds
     them.  For K = 1 they have no stack axis: step drops the stack axis of
     a one-state stack, because numpy combines the smaller arrays, and
-    floats, with less call overhead."""
+    floats, with less call overhead.  This lone-cell layout (these floats,
+    step's dropped axis and run's 1-D reductions) is chosen by the stack
+    size alone.  On the benchmark's `blowup` workload (K = 1) its removal
+    raised op_s from 0.324-0.353 to 0.378-0.403 machine-scaled seconds,
+    about 16 %, over 6 alternating pairs of 10 s runs; `sweep` runs
+    K = 36, the other side of the choice."""
 
     __slots__ = ("models", "chi", "xi", "mu1", "rates", "logistic",
                  "source")
@@ -246,17 +251,13 @@ def _logistic(params: ParamStack, u):
     return out
 
 
-def step(state: FieldState | np.ndarray, dt, grid: RadialGrid, params,
+def step(fields: np.ndarray, dt, grid: RadialGrid, params: ParamStack,
          vel: np.ndarray | None = None):
-    """One IMEX step of one state or of a stack of states; returns the new
-    state and the negativity clip count.
-
-    For one state, `state` is a FieldState, `params` its ModelParams, `dt`
-    a float, and the result a FieldState at t + dt and an int.  For a stack
-    of K states, `state` is their (K, 3, M) fields array, `params` their
-    ParamStack, `dt` a sequence of K per-state steps, and the result the
-    new (K, 3, M) fields and a list of K clip counts.  `vel` is the face
-    velocity of `state`, (K, M-1) for a stack, if the caller already has it.
+    """One IMEX step of a stack of K states: `fields` is their (K, 3, M)
+    array, `dt` a sequence of K per-state steps and `params` their
+    ParamStack.  Returns the new (K, 3, M) fields and a list of K clip
+    counts.  `vel` is the (K, M-1) face velocity of `fields`, if the caller
+    already has it.
 
     All backward-Euler systems of the step are solved as one block-diagonal
     system with zero couplings between the blocks (one per field and
@@ -265,19 +266,11 @@ def step(state: FieldState | np.ndarray, dt, grid: RadialGrid, params,
     out nonfinite is returned as it is, unclipped, and it makes every other
     block nonfinite too, since 0 * inf is NaN; run rejects such a step and
     solves it again state by state."""
-    one = isinstance(params, ModelParams)
-    if one:
-        params, fields = ParamStack([params]), state.fields
-    else:
-        fields = state
     if vel is None:
         vel = _face_velocity(params, face_gradients(grid, fields))
     # the fields come first, (3, K, M), and the blocks of the solve are
     # ordered field by field; no stack axis for one state, as in ParamStack
-    if one:
-        dt_col = dt
-        positive = dt > 0
-    elif len(dt) == 1:
+    if len(dt) == 1:
         fields, vel, dt_col = fields[0], vel[0], dt[0]
         positive = dt_col > 0
     else:
@@ -315,8 +308,6 @@ def step(state: FieldState | np.ndarray, dt, grid: RadialGrid, params,
                     if lo < floor:
                         clips[i] += int(np.count_nonzero(f < floor))
                     np.maximum(f, 0.0, out=f)
-    if one:
-        return FieldState.from_fields(state.t + dt, new[0]), clips[0]
     return new, clips
 
 
@@ -541,8 +532,7 @@ class _Cell:
         With `accepted` None, only the next step at the state."""
         cfg = self.cfg
         if accepted:
-            # the state's time, kept here alone: t + dt, as step gives a
-            # lone state
+            # the state's time, kept here alone
             self.t = t = self.t + self.dt
             self.clips += clips
             self.steps = steps = self.steps + 1
@@ -651,7 +641,10 @@ def run(grid: RadialGrid, params, state0, p: float, q: float,
         vel = _face_velocity(stack, grads)
         # per cell: the largest u, absolute face velocity and absolute u
         # face gradient.  A lone cell takes plain 1-D reductions and one
-        # call, which saves ~2 % of its step against the per-cell lists
+        # call: against the per-cell lists, this branch alone moves the
+        # `blowup` benchmark's median op_s from 0.3424 to 0.3355
+        # machine-scaled seconds, about 2 % (5 alternating pairs of 10 s
+        # runs)
         if len(live) > 1:
             dts = list(map(advance, live, accepted, clips,
                            peak(fields[:, 0], axis=-1).tolist(),

@@ -10,6 +10,7 @@ then inflated by a safety factor before use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -111,8 +112,9 @@ def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
     n = grid.n
     if not etas_in_range((eta,), n):
         raise ParameterError(f"eta={eta} outside (1, 1 + 2/{n})")
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ParameterError(f"epsilon must be positive and finite, "
+                             f"got {epsilon}")
     shapes = profile_set(grid)
     profiles = (EMBED_AMPLITUDES[:, None, None] * shapes).reshape(-1, grid.M)
 
@@ -129,7 +131,7 @@ def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
     margins = (rhs - lhs) / np.maximum(rhs, 1e-300)
     worst = int(np.argmin(margins))
     amp, shape = divmod(worst, len(shapes))
-    violations = int(np.count_nonzero(margins < -REPORT_TOL))
+    violations = int(np.count_nonzero(~(margins >= -REPORT_TOL)))
     return InequalityReport(
         samples=profiles.shape[0], violations=violations,
         worst_margin=float(margins[worst]),
@@ -231,6 +233,11 @@ class MonitorConfig:
     slack: float = 0.0        # absolute additive slack on the right side
     t_max: float | None = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.slack):
+            raise ParameterError(f"monitor slack must be finite, "
+                                 f"got {self.slack}")
+
 
 def odi_monitor(trajectory: Trajectory, coeffs: OdiCoefficients,
                 monitor_cfg: MonitorConfig = MonitorConfig()) -> InequalityReport:
@@ -249,7 +256,7 @@ def odi_monitor(trajectory: Trajectory, coeffs: OdiCoefficients,
     rhs = coeffs.denominator()(E[1:-1]) + monitor_cfg.slack
     margins = (rhs - dEdt) / np.maximum(np.abs(rhs), MONITOR_REL_FLOOR)
     worst = int(np.argmin(margins))
-    violations = int(np.count_nonzero(margins < 0))
+    violations = int(np.count_nonzero(~(margins >= 0)))
     return InequalityReport(
         samples=len(margins), violations=violations,
         worst_margin=float(margins[worst]),
@@ -261,41 +268,39 @@ def odi_monitor(trajectory: Trajectory, coeffs: OdiCoefficients,
                           "constant dominating the true discrete one"})
 
 
-@dataclass(frozen=True)
-class ConcurrenceThresholds:
-    energy: float
-    linf: float
+def check_concurrence(trajectory: Trajectory, energy_level: float,
+                      linf_level: float) -> InequalityReport:
+    """Check that a run that blew up had its energy pass `energy_level` and
+    its sup norm pass `linf_level` by the detection time.
 
-
-@dataclass(frozen=True)
-class ConcurrenceReport:
-    blew_up: bool
-    crossed_energy: bool
-    crossed_linf: bool
-    t_energy: float | None
-    t_linf: float | None
-    lag: float | None
-    t_detect: float | None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def concurrence_diagnostic(trajectory: Trajectory,
-                           thresholds: ConcurrenceThresholds
-                           ) -> ConcurrenceReport:
-    """Lag between the energy and the sup norm crossing their thresholds.
-
-    Purely diagnostic: reports crossings and the lag, asserts nothing."""
-    def first_crossing(series, level):
-        idx = np.nonzero(series > level)[0]
-        return float(trajectory.t[idx[0]]) if idx.size else None
-
-    t_e = first_crossing(trajectory.E_pq, thresholds.energy)
-    t_l = first_crossing(trajectory.Linf_u, thresholds.linf)
-    lag = (t_l - t_e) if (t_e is not None and t_l is not None) else None
-    return ConcurrenceReport(
-        blew_up=trajectory.report.blew_up,
-        crossed_energy=t_e is not None, crossed_linf=t_l is not None,
-        t_energy=t_e, t_linf=t_l, lag=lag,
-        t_detect=trajectory.report.t_detect)
+    On a run that blew up, the two series E_pq and Linf_u are the samples,
+    and a series violates unless some sample up to t_detect exceeds its
+    level; its margin is (peak - level) / |level|, and a NaN margin is a
+    violation.  A run that did not blow up checks nothing (samples = 0).
+    The config holds the levels, the first sample time at which each
+    series exceeds its level (None if none does), the lag of the sup norm
+    behind the energy and t_detect; the witness names the series that
+    violate."""
+    t, report = trajectory.t, trajectory.report
+    levels = {"E_pq": float(energy_level), "Linf_u": float(linf_level)}
+    crossings = {}
+    for name, level in levels.items():
+        idx = np.nonzero(getattr(trajectory, name) > level)[0]
+        crossings[name] = float(t[idx[0]]) if idx.size else None
+    t_e, t_l = crossings["E_pq"], crossings["Linf_u"]
+    config = {"energy_level": levels["E_pq"], "linf_level": levels["Linf_u"],
+              "t_energy": t_e, "t_linf": t_l,
+              "lag": None if t_e is None or t_l is None else t_l - t_e,
+              "t_detect": report.t_detect}
+    if not report.blew_up:
+        # the minimum over no margins
+        return InequalityReport(samples=0, violations=0,
+                                worst_margin=math.inf, config=config)
+    keep = t <= report.t_detect
+    margins = {name: (float(np.max(getattr(trajectory, name)[keep])) - level)
+               / max(abs(level), 1e-300) for name, level in levels.items()}
+    failed = [name for name, margin in margins.items() if not margin > 0]
+    return InequalityReport(
+        samples=len(margins), violations=len(failed),
+        worst_margin=float(np.min(list(margins.values()))),
+        witness=", ".join(failed) or None, config=config)

@@ -16,12 +16,13 @@ from chemobound.exponents import (ModelParams, corollary1_parameters,
                                   k_exponent)
 from chemobound.odi import (Denominator, QuadConfig, lower_bound_integral,
                             optimize_bound)
-from chemobound.pde import (ConstantProfile, GaussianBump, SolverConfig,
-                            energy, init_state, make_grid, mass, run, step)
-from chemobound.verify import (ConcurrenceThresholds, MonitorConfig,
+from chemobound.pde import (ConstantProfile, FieldState, GaussianBump,
+                            ParamStack, SolverConfig, energy, init_state,
+                            make_grid, mass, run, step)
+from chemobound.verify import (MonitorConfig, check_concurrence,
                                check_embed_inequality, check_remark_ordering,
-                               concurrence_diagnostic, equivalence_bruteforce,
-                               estimate_gn_constant, odi_monitor)
+                               equivalence_bruteforce, estimate_gn_constant,
+                               odi_monitor)
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -178,34 +179,34 @@ def test_criterion_05_embed_inequality_sampling():
 
 
 def test_criterion_06_solver_conservation():
-    free = ModelParams(chi=0.0, xi=0.0, dim=3)
+    # step advances a stack of states, here one: fields of shape (1, 3, M)
+    free = ParamStack([ModelParams(chi=0.0, xi=0.0, dim=3)])
     grid = make_grid(3, 1.0, 32)
 
-    state = init_state(grid, GaussianBump(5.0, 0.2))
-    m0 = mass(state, grid)
+    start = init_state(grid, GaussianBump(5.0, 0.2))
+    m0 = mass(start, grid)
+    fields = start.fields[None]
     for _ in range(10_000):
-        state, _ = step(state, 1e-4, grid, free)
-    drift = abs(mass(state, grid) - m0) / m0
+        fields, _ = step(fields, [1e-4], grid, free)
+    drift = abs(mass(FieldState.from_fields(1.0, fields[0]), grid) - m0) / m0
 
-    full = ModelParams(chi=2.0, xi=1.0, alpha=2.0, beta=1.0, gamma=3.0,
-                       delta=1.5, dim=3)
+    full = ParamStack([ModelParams(chi=2.0, xi=1.0, alpha=2.0, beta=1.0,
+                                   gamma=3.0, delta=1.5, dim=3)])
     steady = init_state(grid, ConstantProfile(1.0, 0.5, 0.5))
-    state = steady
+    fields = steady.fields[None]
     for _ in range(10_000):
-        state, _ = step(state, 1e-4, grid, full)
-    steady_err = max(float(np.max(np.abs(state.u - steady.u))),
-                     float(np.max(np.abs(state.v - steady.v))),
-                     float(np.max(np.abs(state.w - steady.w))))
+        fields, _ = step(fields, [1e-4], grid, full)
+    steady_err = float(np.max(np.abs(fields[0] - steady.fields)))
 
     # spatial order on int u^2 at fixed time, three-level refinement
     t_end, dt = 0.01, 1e-5
     values = []
     for M in (16, 32, 64):
         g = make_grid(3, 1.0, M)
-        s = init_state(g, GaussianBump(5.0, 0.2))
+        s = init_state(g, GaussianBump(5.0, 0.2)).fields[None]
         for _ in range(round(t_end / dt)):
-            s, _ = step(s, dt, g, free)
-        values.append(float(np.dot(g.shell_measures, s.u ** 2)))
+            s, _ = step(s, [dt], g, free)
+        values.append(float(np.dot(g.shell_measures, s[0, 0] ** 2)))
     order = math.log2(abs(values[0] - values[1]) / abs(values[1] - values[2]))
 
     ok = drift < 1e-10 and steady_err < 1e-10 and order >= 1.8
@@ -252,27 +253,24 @@ def test_criterion_08_bound_validity(sweep_dirs):
 
 
 def test_criterion_09_concurrence_diagnostic(monitored_runs):
-    checked = 0
-    ok = True
+    checked = violations = 0
     lags = []
     for traj, _ in monitored_runs:
+        report = check_concurrence(traj, 10.0 * traj.E_pq[0],
+                                   10.0 * traj.Linf_u[0])
         if not traj.report.blew_up:
+            assert report.samples == 0
             continue
         checked += 1
-        thresholds = ConcurrenceThresholds(energy=10.0 * traj.E_pq[0],
-                                           linf=10.0 * traj.Linf_u[0])
-        report = concurrence_diagnostic(traj, thresholds)
-        if not (report.crossed_energy and report.crossed_linf):
-            ok = False
-            continue
-        ok &= report.t_energy <= report.t_detect
-        ok &= report.t_linf <= report.t_detect
-        lags.append(report.lag)
-    ok = ok and checked == 3
-    _line(9, ok, f"energy and sup-norm thresholds crossed before detection "
-                 f"on {checked} blow-up runs, lags {lags}")
+        assert report.samples == 2
+        violations += report.violations
+        lags.append(report.config["lag"])
+    ok = checked == 3 and violations == 0
+    _line(9, ok, f"energy and sup-norm levels passed by detection on "
+                 f"{checked} blow-up runs, {violations} violations, "
+                 f"lags {lags}")
     assert checked == 3
-    assert ok
+    assert violations == 0
 
 
 def test_criterion_10_sweep_determinism(sweep_dirs):

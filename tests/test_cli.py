@@ -243,8 +243,11 @@ class TestBound:
 
     @pytest.mark.parametrize("override, message", [
         ("model.alpha=0", "config error: alpha must be positive"),
-        ("model.radius=-1", "config error: need R > 0 and finite")],
-        ids=["alpha", "radius"])
+        ("model.radius=-1", "config error: need R > 0 and finite"),
+        ("model.chi=nan", "config error: chi must be nonnegative and finite"),
+        ("model.alpha=inf", "config error: alpha must be positive and finite"),
+        ("model.mu1=-inf", "config error: mu1 must be finite")],
+        ids=["alpha", "radius", "chi=nan", "alpha=inf", "mu1=-inf"])
     def test_rejected_model_value_usage_error(self, capsys, override, message):
         code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
                      "--set", override])
@@ -354,6 +357,26 @@ class TestExitCodes:
          "bound.gn_safety=nan", "--set", "grid.shells=8"],
         ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
          "--set", "bound.gn_safety=nan", "--set", "grid.shells=8"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+         "--set", "bound.C_GN=1", "--set", "model.mu1=nan"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+         "--set", "bound.C_GN=1", "--set", "model.mu1=inf"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+         "--set", "bound.C_GN=1", "--set", "model.chi=nan"],
+        ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+         "--set", "bound.C_GN=1", "--set", "model.alpha=inf"],
+        ["simulate", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
+         "--set", "model.chi=nan", "--set", "solver.max_steps=5"],
+        ["verify-odi", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
+         "--set", "solver.t_final=0.001", "--set", "monitor.slack=nan"],
+        ["verify-odi", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
+         "--set", "solver.t_final=0.001", "--set", "monitor.slack=inf"],
+        ["verify-odi", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
+         "--set", "solver.t_final=0.001", "--set", "monitor.slack=-inf"],
+        ["verify-embed", "-n", "3", "--eta", "1.5", "--set", "grid.shells=8",
+         "--set", "verify.epsilon=nan"],
+        ["verify-embed", "-n", "3", "--eta", "1.5", "--set", "grid.shells=8",
+         "--set", "verify.epsilon=inf"],
     ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
             "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
             "eta=0.5", "E0=inf", "optimize-E0=inf", "C_GN=inf",
@@ -361,7 +384,9 @@ class TestExitCodes:
             "s1=inf", "s2=inf", "corollary1-p=inf", "simulate-p=inf",
             "verify-gn-gn_safety<0", "verify-gn-gn_safety=0",
             "verify-gn-gn_safety=inf", "verify-gn-gn_safety=nan",
-            "gn_safety=nan"])
+            "gn_safety=nan", "mu1=nan", "mu1=inf", "chi=nan", "alpha=inf",
+            "simulate-chi=nan", "slack=nan", "slack=inf", "slack=-inf",
+            "epsilon=nan", "epsilon=inf"])
     def test_rejected_value_exits_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -516,7 +541,8 @@ class TestSweep:
         lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert lines[2] == "run_001,error,,,"
         error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
-        assert error == "ParameterError: alpha must be positive, got 0.0\n"
+        assert error == ("ParameterError: alpha must be positive and "
+                         "finite, got 0.0\n")
 
     def test_rejected_solver_value_cell_is_recorded(self, capsys, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"

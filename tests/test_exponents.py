@@ -239,6 +239,13 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(chi=1.0, xi=1.0, mu2=0.5, k_logistic=1.13, dim=5)
 
+    @pytest.mark.parametrize("name", ["chi", "xi", "alpha", "beta", "gamma",
+                                      "delta", "mu1", "mu2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_coefficient(self, name, bad):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            ModelParams(**{"chi": 1.0, "xi": 1.0, name: bad})
+
     def test_boundary_constant_nonnegative(self):
         assert ModelParams(chi=1.0, xi=1.0).boundary_c == 0.0
         ModelParams(chi=1.0, xi=1.0, boundary_c=0.5)

@@ -67,6 +67,13 @@ def _reference_step(state, dt, grid, params):
     return FieldState(state.t + dt, *fields), clips
 
 
+def _step_one(state, dt, grid, params):
+    """step on the one-state stack of `state`: the new state at t + dt, as
+    run advances a cell's time, and its clip count."""
+    new, clips = step(state.fields[None], [dt], grid, ParamStack([params]))
+    return FieldState.from_fields(state.t + dt, new[0]), clips[0]
+
+
 def _nonneg_fields(M):
     return st.lists(st.floats(0.0, 1e3), min_size=M, max_size=M).map(
         lambda xs: np.array(xs))
@@ -112,7 +119,7 @@ class TestStep:
         grid = make_grid(3, 1.0, 32)
         state = init_state(grid, ConstantProfile(
             1.0, params.beta / params.alpha, params.delta / params.gamma))
-        new, clips = step(state, 1e-3, grid, params)
+        new, clips = _step_one(state, 1e-3, grid, params)
         assert clips == 0
         assert np.max(np.abs(new.u - state.u)) < 1e-12
         assert np.max(np.abs(new.v - state.v)) < 1e-12
@@ -123,7 +130,7 @@ class TestStep:
         state = init_state(grid, GaussianBump(3.0, 0.2))
         m0 = mass(state, grid)
         for _ in range(200):
-            state, _ = step(state, 5e-4, grid, DIFFUSION_ONLY)
+            state, _ = _step_one(state, 5e-4, grid, DIFFUSION_ONLY)
         assert abs(mass(state, grid) - m0) / m0 < 1e-12
 
     def test_logistic_mass_growth(self):
@@ -133,7 +140,7 @@ class TestStep:
         m0 = mass(state, grid)
         dt, nsteps = 1e-4, 500
         for _ in range(nsteps):
-            state, _ = step(state, dt, grid, params)
+            state, _ = _step_one(state, dt, grid, params)
         expected = m0 * math.exp(params.mu1 * dt * nsteps)
         assert mass(state, grid) == pytest.approx(expected, rel=1e-3)
 
@@ -141,7 +148,7 @@ class TestStep:
         grid = make_grid(3, 1.0, 8)
         state = init_state(grid, ConstantProfile(1.0, 0.0, 0.0))
         with pytest.raises(ParameterError):
-            step(state, 0.0, grid, DIFFUSION_ONLY)
+            _step_one(state, 0.0, grid, DIFFUSION_ONLY)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("M", [8, 48])
@@ -161,7 +168,7 @@ class TestStep:
                     state = FieldState(0.25, *(rng.uniform(0.0, 10.0, M)
                                                * rng.choice([1.0, 100.0])
                                                for _ in range(3)))
-                    new, clips = step(state, dt, grid, params)
+                    new, clips = _step_one(state, dt, grid, params)
                     ref, ref_clips = _reference_step(state, dt, grid, params)
                     assert new.t == ref.t
                     assert clips == ref_clips
@@ -177,7 +184,7 @@ class TestStep:
         params = ModelParams(chi=10.0, xi=0.5, mu1=100.0, dim=3)
         state = init_state(grid, ConstantProfile(1e308, 0.0, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            new, clips = step(state, 1e-2, grid, params)
+            new, clips = _step_one(state, 1e-2, grid, params)
         assert not np.all(np.isfinite(new.u))
         assert clips == 0
 
@@ -204,7 +211,7 @@ class TestStepProperties:
                              dim=n)
         state = FieldState(0.0, *(data.draw(_nonneg_fields(M))
                                   for _ in range(3)))
-        new, clips = step(state, dt, grid, params)
+        new, clips = _step_one(state, dt, grid, params)
         assert clips >= 0
         for f in (new.u, new.v, new.w):
             assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
@@ -219,7 +226,7 @@ class TestStepProperties:
         u = data.draw(_nonneg_fields(M).filter(lambda f: f.sum() > 1e-3))
         state = FieldState(0.0, u, np.zeros(M), np.zeros(M))
         m0 = mass(state, grid)
-        new, _ = step(state, dt, grid, params)
+        new, _ = _step_one(state, dt, grid, params)
         assert abs(mass(new, grid) - m0) / m0 < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -233,7 +240,7 @@ class TestStepProperties:
         params = ModelParams(chi=chi, xi=xi, alpha=alpha, beta=1.0,
                              gamma=gamma, delta=1.0, dim=n)
         state = init_state(grid, ConstantProfile(u0, u0 / alpha, u0 / gamma))
-        new, clips = step(state, dt, grid, params)
+        new, clips = _step_one(state, dt, grid, params)
         assert clips == 0
         for a, b in ((new.u, state.u), (new.v, state.v), (new.w, state.w)):
             assert np.max(np.abs(a - b)) <= 1e-12 * b[0]
@@ -463,7 +470,7 @@ class TestRun:
         rows = []
         for k in range(n_steps + 1):
             if k:
-                state, _ = step(state, 1e-4, grid, params)
+                state, _ = _step_one(state, 1e-4, grid, params)
             rows.append((state.t, energy(state, p, q, grid),
                          *norms(state, grid, p), mass(state, grid)))
         columns = np.array(rows).T
@@ -562,7 +569,7 @@ class TestBatchedRun:
             stack = np.array([s.fields for s in states])
             new, clips = step(stack, dts, grid, ParamStack(models))
             for i, (state, dt, params) in enumerate(zip(states, dts, models)):
-                alone, alone_clips = step(state, dt, grid, params)
+                alone, alone_clips = _step_one(state, dt, grid, params)
                 assert clips[i] == alone_clips
                 assert np.array_equal(new[i], alone.fields)
                 clipped += alone_clips
@@ -580,7 +587,7 @@ class TestBatchedRun:
         stack = np.array([s.fields for s in states])
         new, _ = step(stack, [1e-6, 1e-6], grid, ParamStack(models))
         for i, (state, params) in enumerate(zip(states, models)):
-            alone, _ = step(state, 1e-6, grid, params)
+            alone, _ = _step_one(state, 1e-6, grid, params)
             assert np.all(np.isfinite(alone.fields))
             assert np.array_equal(new[i], alone.fields)
 
@@ -595,7 +602,7 @@ class TestBatchedRun:
         for params in (ModelParams(chi=0.0, xi=0.0),
                        ModelParams(chi=0.0, xi=0.0, mu1=-0.0),
                        ModelParams(chi=1.0, xi=0.5)):
-            alone, _ = step(state, 1e-3, grid, params)
+            alone, _ = _step_one(state, 1e-3, grid, params)
             stack = np.array([state.fields, state.fields])
             new, _ = step(stack, [1e-3, 1e-3], grid,
                           ParamStack([params, source]))
@@ -611,7 +618,7 @@ class TestBatchedRun:
         stack = np.array([s.fields for s in states])
         with np.errstate(over="ignore", invalid="ignore"):
             new, _ = step(stack, [1e-2, 1e-4], grid, ParamStack(models))
-        alone, _ = step(states[1], 1e-4, grid, models[1])
+        alone, _ = _step_one(states[1], 1e-4, grid, models[1])
         assert np.all(np.isfinite(alone.fields))
         assert not np.any(np.isfinite(new[1]))
 

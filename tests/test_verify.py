@@ -1,17 +1,19 @@
 """Empirical inequality checks and trajectory monitoring."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from chemobound import exponents
+from chemobound import exponents, verify
 from chemobound.errors import ParameterError
 from chemobound.exponents import EnergyIndices, ModelParams
 from chemobound.odi import (max_admissible_epsilon, odi_coefficients)
 from chemobound.pde import (ConstantProfile, GaussianBump, SolverConfig,
                             init_state, make_grid, run)
-from chemobound.verify import (REPORT_TOL, ConcurrenceThresholds,
-                               MonitorConfig, check_embed_inequality,
-                               check_remark_ordering, concurrence_diagnostic,
+from chemobound.verify import (REPORT_TOL, MonitorConfig, check_concurrence,
+                               check_embed_inequality, check_remark_ordering,
                                equivalence_bruteforce, estimate_gn_constant,
                                odi_monitor, profile_set)
 
@@ -160,6 +162,20 @@ class TestEmbed:
         with pytest.raises(ParameterError):
             check_embed_inequality(GRID, 1.5, 0.0, 10.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_rejects_nonfinite_epsilon(self, epsilon):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            check_embed_inequality(GRID, 1.5, epsilon, 10.0)
+
+    def test_nan_margin_is_a_violation(self, monkeypatch):
+        # every profile at a NaN amplitude has a NaN margin; each counts
+        C = 2.0 * estimate_gn_constant(GRID, 1.5)
+        monkeypatch.setattr(verify, "EMBED_AMPLITUDES", np.array([1.0, np.nan]))
+        report = check_embed_inequality(GRID, 1.5, 1.0, C)
+        assert report.samples == 2 * profile_set(GRID).shape[0]
+        assert report.violations == profile_set(GRID).shape[0]
+        assert math.isnan(report.worst_margin)
+
     def test_report_records_configuration(self):
         report = check_embed_inequality(GRID, 1.5, 0.5, 10.0)
         assert report.seed is None
@@ -250,6 +266,26 @@ class TestOdiMonitor:
         assert report.violations == 0
         assert "conditional" in report.config["caveat"]
 
+    def test_nan_margin_is_a_violation(self):
+        params = ModelParams(chi=0.0, xi=0.0, dim=3)
+        state = init_state(GRID, GaussianBump(5.0, 0.2))
+        cfg = SolverConfig(t_final=0.02, dt_max=1e-3, sample_every=1)
+        traj = run(GRID, params, state, 2.0, 4.0, cfg)
+        E = traj.E_pq.copy()
+        # a NaN energy at sample 5 enters the centred differences at
+        # samples 4 and 6 and F(E) at sample 5
+        E[5] = np.nan
+        report = odi_monitor(dataclasses.replace(traj, E_pq=E),
+                             _coeffs_for(params, self.IDX))
+        assert report.violations == 3
+        assert math.isnan(report.worst_margin)
+        assert report.witness == f"t={traj.t[4]}"
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_slack(self, slack):
+        with pytest.raises(ParameterError, match="slack must be finite"):
+            MonitorConfig(slack=slack)
+
     def test_short_trajectory_rejected(self):
         params = ModelParams(chi=0.0, xi=0.0, dim=3)
         state = init_state(GRID, ConstantProfile(1.0, 0.0, 0.0))
@@ -260,28 +296,52 @@ class TestOdiMonitor:
 
 
 class TestConcurrence:
-    def test_no_crossing_on_quiet_run(self):
-        params = ModelParams(chi=0.0, xi=0.0, dim=3)
-        state = init_state(GRID, GaussianBump(5.0, 0.2))
-        cfg = SolverConfig(t_final=0.01, dt_max=1e-3, sample_every=2)
-        traj = run(GRID, params, state, 2.0, 4.0, cfg)
-        report = concurrence_diagnostic(
-            traj, ConcurrenceThresholds(energy=1e9, linf=1e9))
-        assert not report.blew_up
-        assert not report.crossed_energy and not report.crossed_linf
-        assert report.lag is None
-
-    def test_blowup_run_reports_lag(self):
+    @staticmethod
+    def _blowup_run():
         params = ModelParams(chi=10.0, xi=0.5, dim=3)
         state = init_state(GRID, GaussianBump(1e4, 0.15))
         cfg = SolverConfig(t_final=1.0, grow_after=1, cfl=0.2,
                            blowup_threshold=1e6, sample_every=2)
         traj = run(GRID, params, state, 2.0, 4.0, cfg)
         assert traj.report.blew_up
-        report = concurrence_diagnostic(
-            traj, ConcurrenceThresholds(energy=10.0 * traj.E_pq[0],
-                                        linf=10.0 * traj.Linf_u[0]))
-        assert report.crossed_energy and report.crossed_linf
-        assert report.lag is not None
-        assert report.t_energy <= report.t_detect
-        assert report.t_linf <= report.t_detect
+        return traj
+
+    def test_no_crossing_on_quiet_run(self):
+        # a run that does not blow up checks nothing
+        params = ModelParams(chi=0.0, xi=0.0, dim=3)
+        state = init_state(GRID, GaussianBump(5.0, 0.2))
+        cfg = SolverConfig(t_final=0.01, dt_max=1e-3, sample_every=2)
+        traj = run(GRID, params, state, 2.0, 4.0, cfg)
+        report = check_concurrence(traj, 1e9, 1e9)
+        assert not traj.report.blew_up
+        assert report.samples == 0 and report.violations == 0
+        assert report.config["t_energy"] is None
+        assert report.config["t_linf"] is None
+        assert report.config["lag"] is None
+
+    def test_blowup_run_reports_lag(self):
+        traj = self._blowup_run()
+        report = check_concurrence(traj, 10.0 * traj.E_pq[0],
+                                   10.0 * traj.Linf_u[0])
+        assert report.samples == 2 and report.violations == 0
+        assert report.witness is None and report.worst_margin > 0
+        config = report.config
+        assert config["lag"] == config["t_linf"] - config["t_energy"]
+        assert config["t_energy"] <= config["t_detect"]
+        assert config["t_linf"] <= config["t_detect"]
+
+    def test_level_above_peak_energy_is_a_violation(self):
+        traj = self._blowup_run()
+        report = check_concurrence(traj, 2.0 * traj.E_pq.max(),
+                                   10.0 * traj.Linf_u[0])
+        assert report.samples == 2 and report.violations == 1
+        assert report.witness == "E_pq"
+        assert report.worst_margin == pytest.approx(-0.5, rel=1e-12)
+        assert report.config["t_energy"] is None
+
+    def test_nan_margin_is_a_violation(self):
+        traj = self._blowup_run()
+        report = check_concurrence(traj, 10.0 * traj.E_pq[0], math.nan)
+        assert report.violations == 1
+        assert report.witness == "Linf_u"
+        assert math.isnan(report.worst_margin)
