@@ -9,8 +9,8 @@ from .odi import (BoundResult, OdiCoefficients, QuadConfig, bound_at_indices,
                   lower_bound_integral, max_admissible_epsilon,
                   odi_coefficients, optimize_bound,
                   zeta_coefficients)
-from .pde import (FieldState, RadialGrid, SolverConfig, Trajectory, energy,
-                  init_state, make_grid, mass, norms, run, step)
+from .pde import (RadialGrid, SolverConfig, Trajectory, energy, init_state,
+                  make_grid, mass, norms, run, step)
 from .verify import (InequalityReport, check_concurrence,
                      check_embed_inequality, check_remark_ordering,
                      equivalence_bruteforce, estimate_gn_constant,

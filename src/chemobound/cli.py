@@ -146,19 +146,19 @@ def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid,
 
 
 def simulation_inputs(cfg: dict) -> tuple:
-    """(params, grid, initial state, indices, solver config) of a run."""
+    """(params, grid, initial fields, indices, solver config) of a run."""
     params = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
-    state0 = pde.init_state(grid, cfgmod.build_profile(cfg))
-    return (params, grid, state0, resolve_indices(cfg),
+    fields0 = pde.init_state(grid, cfgmod.build_profile(cfg))
+    return (params, grid, fields0, resolve_indices(cfg),
             cfgmod.build_solver(cfg))
 
 
 def simulate_from_config(cfg: dict) -> tuple[pde.Trajectory, tuple]:
     """The trajectory of a run and its simulation_inputs."""
     inputs = simulation_inputs(cfg)
-    params, grid, state0, indices, solver = inputs
-    traj = pde.run(grid, params, state0, float(indices.p), float(indices.q),
+    params, grid, fields0, indices, solver = inputs
+    traj = pde.run(grid, params, fields0, float(indices.p), float(indices.q),
                    solver)
     return traj, inputs
 
@@ -306,6 +306,9 @@ def cmd_region(args) -> int:
     if not 0.0 < step < math.inf:
         raise ConfigError(
             f"region.p_step must be positive and finite, got {step!r}")
+    for key, value in (("region.p_min", p_min), ("region.p_max", p_max)):
+        if math.isinf(value):
+            raise ConfigError(f"{key} must be finite or unset, got {value!r}")
     if math.isnan(p_min):
         p_min = n / 2.0 + step
     if math.isnan(p_max):
@@ -400,9 +403,9 @@ def _run_cells(inputs: list[tuple], p: float, q: float) -> list:
     """Trajectories of cells on one grid with one (p, q), from one batched
     run.  If that run raises, each cell runs alone, so that only a cell
     that fails gets its error in place of a trajectory."""
-    params, grids, states, _, solvers = zip(*inputs)
+    params, grids, fields0, _, solvers = zip(*inputs)
     try:
-        return pde.run(grids[0], params, states, p, q, solvers)
+        return pde.run(grids[0], params, fields0, p, q, solvers)
     except CELL_ERRORS as exc:
         if len(inputs) == 1:
             return [exc]

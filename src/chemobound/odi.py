@@ -211,10 +211,17 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
     """Assemble (m, m_0..m_3, mu1, c) for the given epsilon and C_GN.
 
     A NaN epsilon (unset) is half the admissible supremum."""
-    n = params.dim
     eps_max = max_admissible_epsilon(params, indices)
     if math.isnan(epsilon):
         epsilon = 0.5 * eps_max
+    return _assemble_coefficients(params, indices, epsilon, eps_max, C_GN)
+
+
+def _assemble_coefficients(params: ModelParams, indices: EnergyIndices,
+                           epsilon: float, eps_max: float,
+                           C_GN: float) -> OdiCoefficients:
+    """odi_coefficients at an epsilon in (0, eps_max), the admissible
+    supremum max_admissible_epsilon(params, indices) of the caller."""
     if not 0 < epsilon < eps_max:
         raise ParameterError(
             f"epsilon={epsilon} outside admissible range (0, {eps_max})")
@@ -222,7 +229,8 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
         warnings.warn(
             "assembled constants use (alpha, beta) in both gradient "
             "estimates; delta/gamma of the repellent equation differ and do "
-            "not enter them", CoefficientConventionWarning, stacklevel=2)
+            "not enter them", CoefficientConventionWarning, stacklevel=3)
+    n = params.dim
     p, q = float(indices.p), float(indices.q)
     etas = tuple(float(e) for e in indices.eta)
     ks = tuple(float(k_exponent(e, n)) for e in etas)
@@ -538,9 +546,11 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
     def assemble(s1, s2):
         indices = EnergyIndices(p, q, min(max(s1, lo1), hi1),
                                 min(max(s2, lo2), hi2))
-        eps = (1.0 - mar) * max_admissible_epsilon(params, indices)
+        # the supremum is taken once, here, for both epsilon and its check
+        eps_max = max_admissible_epsilon(params, indices)
         try:
-            return indices, odi_coefficients(params, indices, eps, C_GN)
+            return indices, _assemble_coefficients(
+                params, indices, (1.0 - mar) * eps_max, eps_max, C_GN)
         except OverflowError:
             # eta close to the singular point makes eps**(-h) blow past
             # float range; such candidates give a worthless bound anyway

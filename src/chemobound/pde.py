@@ -81,40 +81,6 @@ def make_grid(n: int, R: float, M: int) -> RadialGrid:
                       neg_measures=-shell_measures)
 
 
-class FieldState:
-    """The fields u, v, w at time t, held as the rows of one (3, M) array
-    `fields`.  FieldState(t, u, v, w) copies the three fields into one.
-
-    A stack of K states has K times t and fields of shape (K, 3, M); the
-    diagnostics reduce such a stack state by state.  step takes a stack as
-    its bare fields array, without times: run keeps each cell's time."""
-
-    __slots__ = ("t", "fields")
-
-    def __init__(self, t, u, v, w):
-        self.t = t
-        self.fields = np.array((u, v, w), dtype=float)
-
-    @classmethod
-    def from_fields(cls, t, fields: np.ndarray) -> FieldState:
-        """The state with `fields` as its (..., 3, M) array, not copied."""
-        state = cls.__new__(cls)
-        state.t, state.fields = t, fields
-        return state
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.fields[..., 0, :]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.fields[..., 1, :]
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.fields[..., 2, :]
-
-
 # --- initial profiles -------------------------------------------------------
 # the field defaults are the defaults of the profile.* config keys
 
@@ -133,8 +99,14 @@ class GaussianBump:
     v0: float = 0.0
     w0: float = 0.0
 
+    def __post_init__(self):
+        if not 0 < self.width < math.inf:
+            raise ParameterError(
+                f"profile width must be positive and finite, got {self.width}")
 
-def init_state(grid: RadialGrid, profile) -> FieldState:
+
+def init_state(grid: RadialGrid, profile) -> np.ndarray:
+    """The profile's state: the (3, M) array of its u, v, w on the grid."""
     if isinstance(profile, ConstantProfile):
         fields = [np.full(grid.M, x, dtype=float)
                   for x in (profile.u0, profile.v0, profile.w0)]
@@ -148,7 +120,7 @@ def init_state(grid: RadialGrid, profile) -> FieldState:
     for f in fields:
         if np.any(f < 0) or not np.all(np.isfinite(f)):
             raise ParameterError("initial profile must be nonnegative and finite")
-    return FieldState(t=0.0, u=fields[0], v=fields[1], w=fields[2])
+    return np.array(fields, dtype=float)
 
 
 # --- spatial operators ------------------------------------------------------
@@ -312,8 +284,9 @@ def step(fields: np.ndarray, dt, grid: RadialGrid, params: ParamStack,
 
 
 # --- diagnostics ------------------------------------------------------------
-# Each takes one state or a stack of K states (FieldState) and returns a
-# float or an array of K values.
+# Each takes the (3, M) fields of one state or the (..., 3, M) fields of a
+# stack of states and returns a float or an array of values, one per state.
+# Given the gradients in `terms`, they read only u, the fields' row 0.
 
 def _per_state(x):
     """A float for one state, the array for a stack of states."""
@@ -327,41 +300,42 @@ def _integral(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     return np.vecdot(values, grid.shell_measures)
 
 
-def mass(state: FieldState, grid: RadialGrid):
-    return _per_state(_integral(grid, state.u))
+def mass(fields: np.ndarray, grid: RadialGrid):
+    return _per_state(_integral(grid, fields[..., 0, :]))
 
 
-def _sample_terms(state: FieldState, grid: RadialGrid, p: float, grads=None):
+def _sample_terms(fields: np.ndarray, grid: RadialGrid, p: float,
+                  grads=None):
     """The integral of |u|^p and the (..., 2, M+1) face gradients of v and
     w: what energy and norms both need, so one sample can compute them once
     and pass them to both.  `grads` is those gradients if the caller
     already has them."""
     if grads is None:
-        grads = face_gradients(grid, state.fields[..., 1:, :])
-    return _integral(grid, np.abs(state.u) ** p), grads
+        grads = face_gradients(grid, fields[..., 1:, :])
+    return _integral(grid, np.abs(fields[..., 0, :]) ** p), grads
 
 
-def energy(state: FieldState, p: float, q: float, grid: RadialGrid,
+def energy(fields: np.ndarray, p: float, q: float, grid: RadialGrid,
            terms=None):
     """(1/p) int |u|^p + (1/q) int |grad v|^q + (1/q) int |grad w|^q.
 
-    `terms` is _sample_terms(state, grid, p) if the caller already has it."""
+    `terms` is _sample_terms(fields, grid, p) if the caller already has it."""
     if p <= 0 or q <= 0:
         raise ParameterError(f"p, q must be positive, got p={p}, q={q}")
-    int_up, grads = _sample_terms(state, grid, p) if terms is None else terms
+    int_up, grads = _sample_terms(fields, grid, p) if terms is None else terms
     int_g = _integral(grid, np.abs(_face_to_cell(grads)) ** q)
     return _per_state(int_up / p + (int_g[..., 0] + int_g[..., 1]) / q)
 
 
-def norms(state: FieldState, grid: RadialGrid, p: float, terms=None):
+def norms(fields: np.ndarray, grid: RadialGrid, p: float, terms=None):
     """(||u||_p, ||u||_inf, max face gradient of v, of w).
 
-    `terms` is _sample_terms(state, grid, p) if the caller already has it."""
-    int_up, grads = _sample_terms(state, grid, p) if terms is None else terms
+    `terms` is _sample_terms(fields, grid, p) if the caller already has it."""
+    int_up, grads = _sample_terms(fields, grid, p) if terms is None else terms
     # Python's float power: numpy's vectorised one can differ in the last bit
     lp = np.reshape([s ** (1.0 / p) for s in np.ravel(int_up).tolist()],
                     np.shape(int_up))
-    linf = np.abs(state.u).max(axis=-1)
+    linf = np.abs(fields[..., 0, :]).max(axis=-1)
     gmax = np.abs(grads).max(axis=-1)
     return tuple(_per_state(x) for x in (lp, linf, gmax[..., 0],
                                          gmax[..., 1]))
@@ -383,12 +357,15 @@ class SolverConfig:
     sample_every: int = 20
 
     def __post_init__(self):
-        # each test is False for NaN
+        # each test is False for NaN.  An infinite dt_init would halve for
+        # ever in the step limiter
         for name, rule, ok in (
-                ("t_final", "> 0", self.t_final > 0),
+                ("t_final", "> 0 and finite", 0 < self.t_final < math.inf),
                 ("cfl", "> 0", self.cfl > 0),
+                ("dt_init", "finite", self.dt_init < math.inf),
                 ("dt_min", "in (0, dt_init]", 0 < self.dt_min <= self.dt_init),
-                ("dt_max", ">= dt_min", self.dt_max >= self.dt_min),
+                ("dt_max", ">= dt_min and finite",
+                 self.dt_min <= self.dt_max < math.inf),
                 ("growth", ">= 1", self.growth >= 1),
                 ("grow_after", ">= 1", self.grow_after >= 1),
                 ("blowup_threshold", "> 0", self.blowup_threshold > 0),
@@ -425,7 +402,7 @@ class Trajectory:
     solver: SolverConfig
     clip_count: int
     steps: int
-    final_state: FieldState
+    final_fields: np.ndarray   # the state at t[-1]
 
     def to_csv(self, stream: TextIO) -> None:
         writer = csv.writer(stream, lineterminator="\n")
@@ -470,12 +447,12 @@ class _Samples:
         grid, p, q = self.grid, self.p, self.q
         cells, ts, us, grads = zip(*self.pending)
         self.pending.clear()
-        # a block of states whose fields hold u alone; the samples' own
-        # arrays are freed once they are copied into it
-        us, grads = np.array(us), np.array(grads)
-        block = FieldState.from_fields(np.array(ts), us)
+        # a (N, 1, M) block of states whose fields hold u alone, with their
+        # gradients passed in; the samples' own arrays are freed once they
+        # are copied into it
+        block, grads = np.array(us), np.array(grads)
         terms = _sample_terms(block, grid, p, grads)
-        cols = np.array((block.t, energy(block, p, q, grid, terms),
+        cols = np.array((ts, energy(block, p, q, grid, terms),
                          *norms(block, grid, p, terms), mass(block, grid)))
         rows = {}
         for j, cell in enumerate(cells):
@@ -490,10 +467,10 @@ class _Cell:
 
     __slots__ = ("params", "cfg", "samples", "row", "accel_rate", "target",
                  "t", "dt", "smooth", "steps", "clips", "t_recorded",
-                 "columns", "report", "final_state")
+                 "columns", "report", "final_fields")
 
     def __init__(self, params: ModelParams, cfg: SolverConfig,
-                 grid: RadialGrid, samples: _Samples, t, row: int):
+                 grid: RadialGrid, samples: _Samples, row: int):
         self.params, self.cfg, self.samples = params, cfg, samples
         self.row = row
         # chemical gradients grow at up to (chi*beta + xi*delta)*|grad u|
@@ -502,7 +479,7 @@ class _Cell:
         # while v, w are still flat)
         self.accel_rate = params.chi * params.beta + params.xi * params.delta
         self.target = cfg.cfl * grid.dr
-        self.t, self.dt = t, cfg.dt_init
+        self.t, self.dt = 0.0, cfg.dt_init
         self.smooth = self.steps = self.clips = 0
         self.columns = []   # (7, n) blocks of (t, E_pq, Lp_u, ...) samples
         self.report = BlowupReport(False, None, None)
@@ -590,8 +567,7 @@ class _Cell:
         sampled."""
         if self.t_recorded != self.t:
             self.samples.add(self)
-        self.final_state = FieldState.from_fields(
-            self.t, self.samples.fields[self.row].copy())
+        self.final_fields = self.samples.fields[self.row].copy()
 
     def trajectory(self) -> Trajectory:
         """The trajectory, once every sample is reduced."""
@@ -600,10 +576,10 @@ class _Cell:
             t=cols[0], E_pq=cols[1], Lp_u=cols[2], Linf_u=cols[3],
             gradinf_v=cols[4], gradinf_w=cols[5], mass=cols[6],
             report=self.report, solver=self.cfg, clip_count=self.clips,
-            steps=self.steps, final_state=self.final_state)
+            steps=self.steps, final_fields=self.final_fields)
 
 
-def run(grid: RadialGrid, params, state0, p: float, q: float,
+def run(grid: RadialGrid, params, fields0, p: float, q: float,
         cfg=SolverConfig()):
     """Adaptive time stepping with numerical blow-up detection.
 
@@ -611,27 +587,28 @@ def run(grid: RadialGrid, params, state0, p: float, q: float,
     a nonfinite state, or the step size falling below dt_min all set the
     flag with the corresponding trigger.
 
-    `params`, `state0` and `cfg` are one cell's ModelParams, FieldState and
-    SolverConfig, and the result is its Trajectory.  Or they are sequences
-    of K cells' on the one grid, and the result is the list of their K
-    trajectories: the cells advance as one (K, 3, M) stack, with one step
-    call per iteration for all of them and each with its own dt, and a cell
-    leaves the stack as soon as it stops.  Each trajectory is the one the
-    cell gets alone: a step that comes out nonfinite is solved again cell
-    by cell, and each cell accepts or retries its own.
+    `params`, `fields0` and `cfg` are one cell's ModelParams, (3, M) initial
+    fields and SolverConfig, and the result is its Trajectory.  Or they are
+    sequences of K cells' on the one grid, and the result is the list of
+    their K trajectories: the cells advance as one (K, 3, M) stack, with
+    one step call per iteration for all of them and each with its own dt,
+    and a cell leaves the stack as soon as it stops.  Each trajectory is
+    the one the cell gets alone: a step that comes out nonfinite is solved
+    again cell by cell, and each cell accepts or retries its own.  Every
+    cell starts at t = 0, and its time is kept by its _Cell alone.
 
     Each accepted state's face gradients serve the dt limiter, the face
     velocity and, at a sample, the diagnostics, which are reduced over
     blocks of SAMPLE_BLOCK sampled states of any of the cells.
     """
-    single = isinstance(state0, FieldState)
+    single = isinstance(params, ModelParams)
     if single:
-        params, state0, cfg = [params], [state0], [cfg]
+        params, fields0, cfg = [params], [fields0], [cfg]
+    fields = np.array(fields0, dtype=float)
     samples = _Samples(grid, p, q)
-    live = cells = [_Cell(m, c, grid, samples, s.t, i) for i, (m, c, s) in
-                    enumerate(zip(params, cfg, state0, strict=True))]
+    live = cells = [_Cell(m, c, grid, samples, i) for i, (m, c, _) in
+                    enumerate(zip(params, cfg, fields, strict=True))]
     stack = ParamStack(params)
-    fields = np.array([s.fields for s in state0], dtype=float)
     accepted = np.isfinite(fields).all(axis=(1, 2)).tolist()
     every = [True] * len(cells)
     advance, clips, peak = _Cell.start, [0] * len(cells), np.maximum.reduce

@@ -16,9 +16,9 @@ from chemobound.exponents import (ModelParams, corollary1_parameters,
                                   k_exponent)
 from chemobound.odi import (Denominator, QuadConfig, lower_bound_integral,
                             optimize_bound)
-from chemobound.pde import (ConstantProfile, FieldState, GaussianBump,
-                            ParamStack, SolverConfig, energy, init_state,
-                            make_grid, mass, run, step)
+from chemobound.pde import (ConstantProfile, GaussianBump, ParamStack,
+                            SolverConfig, energy, init_state, make_grid, mass,
+                            run, step)
 from chemobound.verify import (MonitorConfig, check_concurrence,
                                check_embed_inequality, check_remark_ordering,
                                equivalence_bruteforce, estimate_gn_constant,
@@ -185,25 +185,25 @@ def test_criterion_06_solver_conservation():
 
     start = init_state(grid, GaussianBump(5.0, 0.2))
     m0 = mass(start, grid)
-    fields = start.fields[None]
+    fields = start[None]
     for _ in range(10_000):
         fields, _ = step(fields, [1e-4], grid, free)
-    drift = abs(mass(FieldState.from_fields(1.0, fields[0]), grid) - m0) / m0
+    drift = abs(mass(fields[0], grid) - m0) / m0
 
     full = ParamStack([ModelParams(chi=2.0, xi=1.0, alpha=2.0, beta=1.0,
                                    gamma=3.0, delta=1.5, dim=3)])
     steady = init_state(grid, ConstantProfile(1.0, 0.5, 0.5))
-    fields = steady.fields[None]
+    fields = steady[None]
     for _ in range(10_000):
         fields, _ = step(fields, [1e-4], grid, full)
-    steady_err = float(np.max(np.abs(fields[0] - steady.fields)))
+    steady_err = float(np.max(np.abs(fields[0] - steady)))
 
     # spatial order on int u^2 at fixed time, three-level refinement
     t_end, dt = 0.01, 1e-5
     values = []
     for M in (16, 32, 64):
         g = make_grid(3, 1.0, M)
-        s = init_state(g, GaussianBump(5.0, 0.2)).fields[None]
+        s = init_state(g, GaussianBump(5.0, 0.2))[None]
         for _ in range(round(t_end / dt)):
             s, _ = step(s, [dt], g, free)
         values.append(float(np.dot(g.shell_measures, s[0, 0] ** 2)))

@@ -377,6 +377,18 @@ class TestExitCodes:
          "--set", "verify.epsilon=nan"],
         ["verify-embed", "-n", "3", "--eta", "1.5", "--set", "grid.shells=8",
          "--set", "verify.epsilon=inf"],
+        ["simulate", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
+         "--set", "solver.max_steps=5", "--set", "solver.t_final=inf"],
+        ["simulate", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
+         "--set", "solver.max_steps=5", "--set", "solver.dt_max=inf"],
+        ["simulate", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
+         "--set", "solver.max_steps=5", "--set", "profile.width=0"],
+        ["simulate", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
+         "--set", "solver.max_steps=5", "--set", "profile.width=-1"],
+        ["simulate", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
+         "--set", "solver.max_steps=5", "--set", "profile.width=inf"],
+        ["region", "-n", "3", "--set", "region.p_max=inf"],
+        ["region", "-n", "3", "--set", "region.p_min=-inf"],
     ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
             "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
             "eta=0.5", "E0=inf", "optimize-E0=inf", "C_GN=inf",
@@ -386,7 +398,8 @@ class TestExitCodes:
             "verify-gn-gn_safety=inf", "verify-gn-gn_safety=nan",
             "gn_safety=nan", "mu1=nan", "mu1=inf", "chi=nan", "alpha=inf",
             "simulate-chi=nan", "slack=nan", "slack=inf", "slack=-inf",
-            "epsilon=nan", "epsilon=inf"])
+            "epsilon=nan", "epsilon=inf", "t_final=inf", "dt_max=inf",
+            "width=0", "width<0", "width=inf", "p_max=inf", "p_min=-inf"])
     def test_rejected_value_exits_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -159,6 +159,10 @@ class TestCoefficients:
         eps = 0.5 * max_admissible_epsilon(params, IDX_C13)
         with pytest.warns(CoefficientConventionWarning):
             odi_coefficients(params, IDX_C13, eps, 1.0)
+        # and on the optimizer's path, which assembles without
+        # odi_coefficients
+        with pytest.warns(CoefficientConventionWarning):
+            optimize_bound(params, 2.0, 4.0, 1.0, 1.0)
 
 
 class TestRhs:
@@ -473,16 +477,17 @@ class TestOptimize:
         denominators of each lower_bound_integral batch it scores, and the
         result it returns."""
         assembled, batches = [], []
+        assemble = odi._assemble_coefficients
 
         def coefficients(*args, **kwargs):
-            assembled.append((args[1], odi_coefficients(*args, **kwargs)))
+            assembled.append((args[1], assemble(*args, **kwargs)))
             return assembled[-1][1]
 
         def integral(dens, *args, **kwargs):
             batches.append(list(dens))
             return lower_bound_integral(dens, *args, **kwargs)
 
-        monkeypatch.setattr(odi, "odi_coefficients", coefficients)
+        monkeypatch.setattr(odi, "_assemble_coefficients", coefficients)
         monkeypatch.setattr(odi, "lower_bound_integral", integral)
         best = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0, opt_cfg)
         return assembled, batches, best

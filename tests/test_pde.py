@@ -11,11 +11,10 @@ from scipy.linalg import solve_banded
 
 from chemobound.errors import ParameterError
 from chemobound.exponents import ModelParams
-from chemobound.pde import (SAMPLE_BLOCK, ConstantProfile, FieldState,
-                            GaussianBump, ParamStack, SolverConfig,
-                            cell_gradients, energy, face_gradients,
-                            init_state, make_grid, mass, norms, run, step,
-                            unit_sphere_area)
+from chemobound.pde import (SAMPLE_BLOCK, ConstantProfile, GaussianBump,
+                            ParamStack, SolverConfig, cell_gradients, energy,
+                            face_gradients, init_state, make_grid, mass,
+                            norms, run, step, unit_sphere_area)
 
 DIFFUSION_ONLY = ModelParams(chi=0.0, xi=0.0, dim=3)
 
@@ -37,41 +36,48 @@ def _banded_reference(grid, dt, decay):
 
 
 def _reference_step(state, dt, grid, params):
-    """Independent IMEX step: padded face gradients, np.diff divergence and
-    scipy's solve_banded, with the same clipping rule as step."""
+    """Independent IMEX step of a (3, M) state: padded face gradients,
+    np.diff divergence and scipy's solve_banded, with the same clipping
+    rule as step."""
     def grad(f):
         g = np.zeros(grid.M + 1)
         g[1:-1] = np.diff(f) / grid.dr
         return g
 
-    vel = (params.chi * grad(state.v) - params.xi * grad(state.w))[1:-1]
+    u, v, w = state
+    vel = (params.chi * grad(v) - params.xi * grad(w))[1:-1]
     flux = np.zeros(grid.M + 1)
-    up = np.where(vel >= 0.0, state.u[:-1], state.u[1:])
+    up = np.where(vel >= 0.0, u[:-1], u[1:])
     flux[1:-1] = grid.face_areas[1:-1] * vel * up
-    source = params.mu1 * state.u
+    source = params.mu1 * u
     if params.mu2 > 0:
-        source = source - params.mu2 * state.u ** params.k_logistic
+        source = source - params.mu2 * u ** params.k_logistic
     expl = -np.diff(flux) / grid.shell_measures + source
     fields = [
         solve_banded((1, 1), _banded_reference(grid, dt, 0.0),
-                     state.u + dt * expl),
+                     u + dt * expl),
         solve_banded((1, 1), _banded_reference(grid, dt, params.alpha),
-                     state.v + dt * params.beta * state.u),
+                     v + dt * params.beta * u),
         solve_banded((1, 1), _banded_reference(grid, dt, params.gamma),
-                     state.w + dt * params.delta * state.u)]
+                     w + dt * params.delta * u)]
     clips = 0
     for i, f in enumerate(fields):
         floor = -1e-10 * max(float(np.max(np.abs(f))), 1.0)
         clips += int(np.count_nonzero(f < floor))
         fields[i] = np.maximum(f, 0.0)
-    return FieldState(state.t + dt, *fields), clips
+    return np.array(fields), clips
 
 
 def _step_one(state, dt, grid, params):
-    """step on the one-state stack of `state`: the new state at t + dt, as
-    run advances a cell's time, and its clip count."""
-    new, clips = step(state.fields[None], [dt], grid, ParamStack([params]))
-    return FieldState.from_fields(state.t + dt, new[0]), clips[0]
+    """step on the one-state stack of the (3, M) `state`: the new (3, M)
+    state and its clip count."""
+    new, clips = step(state[None], [dt], grid, ParamStack([params]))
+    return new[0], clips[0]
+
+
+def _state(u, v, w):
+    """The (3, M) state of the fields u, v, w."""
+    return np.array((u, v, w), dtype=float)
 
 
 def _nonneg_fields(M):
@@ -121,9 +127,8 @@ class TestStep:
             1.0, params.beta / params.alpha, params.delta / params.gamma))
         new, clips = _step_one(state, 1e-3, grid, params)
         assert clips == 0
-        assert np.max(np.abs(new.u - state.u)) < 1e-12
-        assert np.max(np.abs(new.v - state.v)) < 1e-12
-        assert np.max(np.abs(new.w - state.w)) < 1e-12
+        for a, b in zip(new, state):
+            assert np.max(np.abs(a - b)) < 1e-12
 
     def test_mass_conserved_without_sources(self):
         grid = make_grid(3, 1.0, 24)
@@ -165,16 +170,14 @@ class TestStep:
         for params in cases:
             for dt in (1e-6, 1e-4, 1e-2):
                 for _ in range(5):
-                    state = FieldState(0.25, *(rng.uniform(0.0, 10.0, M)
-                                               * rng.choice([1.0, 100.0])
-                                               for _ in range(3)))
+                    state = _state(*(rng.uniform(0.0, 10.0, M)
+                                     * rng.choice([1.0, 100.0])
+                                     for _ in range(3)))
                     new, clips = _step_one(state, dt, grid, params)
                     ref, ref_clips = _reference_step(state, dt, grid, params)
-                    assert new.t == ref.t
                     assert clips == ref_clips
                     clipped += clips
-                    for a, b in ((new.u, ref.u), (new.v, ref.v),
-                                 (new.w, ref.w)):
+                    for a, b in zip(new, ref):
                         assert np.array_equal(a, b)
         # the large-dt cases drive u negative, so the clip path is covered
         assert clipped > 0
@@ -185,7 +188,7 @@ class TestStep:
         state = init_state(grid, ConstantProfile(1e308, 0.0, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
             new, clips = _step_one(state, 1e-2, grid, params)
-        assert not np.all(np.isfinite(new.u))
+        assert not np.all(np.isfinite(new[0]))
         assert clips == 0
 
     def test_nonfinite_steps_reach_retry_and_trigger(self):
@@ -209,11 +212,10 @@ class TestStepProperties:
         grid = make_grid(n, 1.0, M)
         params = ModelParams(chi=chi, xi=xi, alpha=decay, gamma=decay,
                              dim=n)
-        state = FieldState(0.0, *(data.draw(_nonneg_fields(M))
-                                  for _ in range(3)))
+        state = _state(*(data.draw(_nonneg_fields(M)) for _ in range(3)))
         new, clips = _step_one(state, dt, grid, params)
         assert clips >= 0
-        for f in (new.u, new.v, new.w):
+        for f in new:
             assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
 
     @settings(max_examples=60, deadline=None)
@@ -224,7 +226,7 @@ class TestStepProperties:
         grid = make_grid(n, 1.0, M)
         params = ModelParams(chi=0.0, xi=0.0, mu1=0.0, mu2=0.0, dim=n)
         u = data.draw(_nonneg_fields(M).filter(lambda f: f.sum() > 1e-3))
-        state = FieldState(0.0, u, np.zeros(M), np.zeros(M))
+        state = _state(u, np.zeros(M), np.zeros(M))
         m0 = mass(state, grid)
         new, _ = _step_one(state, dt, grid, params)
         assert abs(mass(new, grid) - m0) / m0 < 1e-12
@@ -242,7 +244,7 @@ class TestStepProperties:
         state = init_state(grid, ConstantProfile(u0, u0 / alpha, u0 / gamma))
         new, clips = _step_one(state, dt, grid, params)
         assert clips == 0
-        for a, b in ((new.u, state.u), (new.v, state.v), (new.w, state.w)):
+        for a, b in zip(new, state):
             assert np.max(np.abs(a - b)) <= 1e-12 * b[0]
 
 
@@ -273,7 +275,7 @@ class TestRunProperties:
         assert report.trigger in TRIGGERS
         assert report.blew_up == (report.trigger is not None)
         if report.blew_up:
-            assert report.t_detect == traj.final_state.t == traj.t[-1]
+            assert report.t_detect == traj.t[-1]
         else:
             assert report.t_detect is None
 
@@ -287,7 +289,7 @@ class TestRunProperties:
             traj = run(grid, params, state, 2.0, 4.0,
                        SolverConfig(t_final=1e-2, blowup_threshold=math.inf))
         assert traj.report.trigger == "dt_underflow"
-        assert traj.report.t_detect == traj.final_state.t
+        assert traj.report.t_detect == traj.t[-1]
 
     def test_nonfinite_chemical_field_start(self):
         # u and v finite, an inf in w: run reports the start as it is,
@@ -296,7 +298,7 @@ class TestRunProperties:
         params = ModelParams(chi=10.0, xi=0.5, dim=3)
         w = np.zeros(16)
         w[5] = math.inf
-        state = FieldState(0.0, np.ones(16), np.zeros(16), w)
+        state = _state(np.ones(16), np.zeros(16), w)
         with np.errstate(over="ignore", invalid="ignore"):
             traj = run(grid, params, state, 2.0, 4.0, SolverConfig())
         assert traj.report.trigger == "nonfinite_state"
@@ -310,7 +312,8 @@ class TestSolverConfig:
         ("t_final", 0.0), ("cfl", 0.0), ("cfl", math.nan), ("dt_min", 0.0),
         ("dt_min", 1e-5), ("dt_max", 1e-13), ("growth", 0.5),
         ("grow_after", 0), ("blowup_threshold", 0.0), ("max_steps", 0),
-        ("sample_every", 0)])
+        ("sample_every", 0), ("t_final", math.inf), ("dt_init", math.inf),
+        ("dt_init", math.nan), ("dt_max", math.inf)])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ParameterError, match=f"solver {field} must be"):
             SolverConfig(**{field: value})
@@ -339,7 +342,7 @@ class TestDiagnostics:
         grid = make_grid(3, 1.0, 256)
         r = grid.r_centers
         u = 1.0 + np.cos(math.pi * r)
-        state = FieldState(0.0, u, np.zeros_like(u), np.zeros_like(u))
+        state = _state(u, np.zeros_like(u), np.zeros_like(u))
         # independent quadrature of (1/2) int u^2 over the ball
         omega = unit_sphere_area(3)
         rr = np.linspace(0.0, 1.0, 20001)
@@ -365,16 +368,15 @@ class TestDiagnostics:
         # the shell integrals are plain dot products with the shell measures
         grid = make_grid(4, 1.3, 21)
         rng = np.random.default_rng(7)
-        fields = rng.uniform(0.0, 5.0, (40, 3, 21)) ** 3
-        stack = FieldState.from_fields(np.arange(40.0), fields)
-        singles = [FieldState(float(t), *f) for t, f in zip(stack.t, fields)]
+        stack = rng.uniform(0.0, 5.0, (40, 3, 21)) ** 3
+        singles = list(stack)
         assert np.array_equal(energy(stack, 2.5, 4.5, grid),
                               [energy(s, 2.5, 4.5, grid) for s in singles])
         assert np.array_equal(np.transpose(norms(stack, grid, 2.5)),
                               [norms(s, grid, 2.5) for s in singles])
         assert np.array_equal(mass(stack, grid),
                               [np.dot(grid.shell_measures, f[0])
-                               for f in fields])
+                               for f in stack])
         assert all(type(mass(s, grid)) is float for s in singles)
 
     def test_face_gradient_boundaries_zero(self):
@@ -467,18 +469,20 @@ class TestRun:
         p, q = 2.5, 4.5
         traj = run(grid, params, state, p, q, cfg)
         assert traj.steps == n_steps and not traj.report.blew_up
-        rows = []
+        rows, t = [], 0.0
         for k in range(n_steps + 1):
             if k:
+                # run advances a cell's time by its dt at each step
                 state, _ = _step_one(state, 1e-4, grid, params)
-            rows.append((state.t, energy(state, p, q, grid),
+                t += 1e-4
+            rows.append((t, energy(state, p, q, grid),
                          *norms(state, grid, p), mass(state, grid)))
         columns = np.array(rows).T
         for name, expected in zip(("t", "E_pq", "Lp_u", "Linf_u",
                                    "gradinf_v", "gradinf_w", "mass"),
                                   columns):
             assert np.array_equal(getattr(traj, name), expected), name
-        assert np.array_equal(traj.final_state.fields, state.fields)
+        assert np.array_equal(traj.final_fields, state)
 
     def test_samples_filling_the_last_block_exactly(self):
         # the start and SAMPLE_BLOCK - 1 steps: the last sample completes a
@@ -488,7 +492,10 @@ class TestRun:
         cfg = SolverConfig(max_steps=SAMPLE_BLOCK - 1, sample_every=1)
         traj = run(grid, DIFFUSION_ONLY, state, 2.0, 4.0, cfg)
         assert traj.steps == SAMPLE_BLOCK - 1
-        assert len(traj.t) == SAMPLE_BLOCK and traj.t[-1] == traj.final_state.t
+        assert len(traj.t) == SAMPLE_BLOCK
+        # the last sample is the final state
+        assert traj.Linf_u[-1] == traj.final_fields[0].max()
+        assert traj.mass[-1] == mass(traj.final_fields, grid)
 
     def test_trajectory_csv_format(self):
         grid = make_grid(3, 1.0, 16)
@@ -542,8 +549,7 @@ def _assert_same_trajectory(a, b):
     assert a.report == b.report
     assert (a.steps, a.clip_count, a.solver) == (b.steps, b.clip_count,
                                                  b.solver)
-    assert a.final_state.t == b.final_state.t
-    assert np.array_equal(a.final_state.fields, b.final_state.fields)
+    assert np.array_equal(a.final_fields, b.final_fields)
 
 
 class TestBatchedRun:
@@ -561,17 +567,16 @@ class TestBatchedRun:
                               dim=4)]
         clipped = 0
         for _ in range(20):
-            states = [FieldState(float(t), *(rng.uniform(0.0, 10.0, 24)
-                                             * rng.choice([1.0, 100.0])
-                                             for _ in range(3)))
-                      for t in rng.uniform(0.0, 1.0, len(models))]
+            states = [_state(*(rng.uniform(0.0, 10.0, 24)
+                               * rng.choice([1.0, 100.0]) for _ in range(3)))
+                      for _ in models]
             dts = rng.choice([1e-6, 1e-4, 1e-2], len(models)).tolist()
-            stack = np.array([s.fields for s in states])
+            stack = np.array(states)
             new, clips = step(stack, dts, grid, ParamStack(models))
             for i, (state, dt, params) in enumerate(zip(states, dts, models)):
                 alone, alone_clips = _step_one(state, dt, grid, params)
                 assert clips[i] == alone_clips
-                assert np.array_equal(new[i], alone.fields)
+                assert np.array_equal(new[i], alone)
                 clipped += alone_clips
         assert clipped > 0
 
@@ -584,12 +589,12 @@ class TestBatchedRun:
                               dim=3)]
         states = [init_state(grid, ConstantProfile(1e300, 0.0, 0.0)),
                   init_state(grid, ConstantProfile(1.0, 0.0, 0.0))]
-        stack = np.array([s.fields for s in states])
+        stack = np.array(states)
         new, _ = step(stack, [1e-6, 1e-6], grid, ParamStack(models))
         for i, (state, params) in enumerate(zip(states, models)):
             alone, _ = _step_one(state, 1e-6, grid, params)
-            assert np.all(np.isfinite(alone.fields))
-            assert np.array_equal(new[i], alone.fields)
+            assert np.all(np.isfinite(alone))
+            assert np.array_equal(new[i], alone)
 
     def test_zero_source_left_out_to_the_bit(self):
         # a state without a logistic source skips mu1*u, which a stack with
@@ -597,16 +602,16 @@ class TestBatchedRun:
         # zeros included (mu1 = -0.0 takes the source path)
         grid = make_grid(3, 1.0, 8)
         u = np.array([0.0, -0.0, 1.0, 0.0, 2.0, -0.0, 0.0, 3.0])
-        state = FieldState(0.0, u, np.zeros(8), np.zeros(8))
+        state = _state(u, np.zeros(8), np.zeros(8))
         source = ModelParams(chi=0.0, xi=0.0, mu1=1.0)
         for params in (ModelParams(chi=0.0, xi=0.0),
                        ModelParams(chi=0.0, xi=0.0, mu1=-0.0),
                        ModelParams(chi=1.0, xi=0.5)):
             alone, _ = _step_one(state, 1e-3, grid, params)
-            stack = np.array([state.fields, state.fields])
+            stack = np.array([state, state])
             new, _ = step(stack, [1e-3, 1e-3], grid,
                           ParamStack([params, source]))
-            assert new[0].tobytes() == alone.fields.tobytes()
+            assert new[0].tobytes() == alone.tobytes()
 
     def test_nonfinite_block_spreads_to_the_stack(self):
         # why run solves a nonfinite step again cell by cell
@@ -615,11 +620,11 @@ class TestBatchedRun:
                   ModelParams(chi=10.0, xi=0.5, dim=3)]
         states = [init_state(grid, ConstantProfile(1e308, 0.0, 0.0)),
                   init_state(grid, GaussianBump(5.0, 0.2))]
-        stack = np.array([s.fields for s in states])
+        stack = np.array(states)
         with np.errstate(over="ignore", invalid="ignore"):
             new, _ = step(stack, [1e-2, 1e-4], grid, ParamStack(models))
         alone, _ = _step_one(states[1], 1e-4, grid, models[1])
-        assert np.all(np.isfinite(alone.fields))
+        assert np.all(np.isfinite(alone))
         assert not np.any(np.isfinite(new[1]))
 
     def test_batch_matches_solo_runs(self):
@@ -633,7 +638,7 @@ class TestBatchedRun:
         triggers = [traj.report.trigger for traj in solo]
         assert triggers == ["linf_threshold", "linf_threshold", None, None,
                             "nonfinite_state", "linf_threshold"]
-        assert solo[2].final_state.t == cfgs[2].t_final
+        assert solo[2].t[-1] == cfgs[2].t_final
         assert solo[3].steps == cfgs[3].max_steps
         assert solo[5].steps == 0
         assert len(batch) == len(solo)
@@ -641,5 +646,4 @@ class TestBatchedRun:
             _assert_same_trajectory(a, b)
         # a batch does not touch its initial states
         for state, profile in zip(states, profiles):
-            assert np.array_equal(state.fields,
-                                  init_state(grid, profile).fields)
+            assert np.array_equal(state, init_state(grid, profile))
