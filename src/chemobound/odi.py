@@ -220,8 +220,8 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
 def _assemble_coefficients(params: ModelParams, indices: EnergyIndices,
                            epsilon: float, eps_max: float,
                            C_GN: float) -> OdiCoefficients:
-    """odi_coefficients at an epsilon in (0, eps_max), the admissible
-    supremum max_admissible_epsilon(params, indices) of the caller."""
+    """odi_coefficients once the caller has taken eps_max, the admissible
+    supremum max_admissible_epsilon(params, indices)."""
     if not 0 < epsilon < eps_max:
         raise ParameterError(
             f"epsilon={epsilon} outside admissible range (0, {eps_max})")
