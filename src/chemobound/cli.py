@@ -38,6 +38,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
+# the most p samples region writes: a ceiling on the np.arange it asks for
+REGION_MAX_SAMPLES = 10**6
+
 
 # flag -> (option strings, argparse options, config key).  argparse stores
 # each flag under its config key, and a flag that is given wins over --set.
@@ -313,6 +316,11 @@ def cmd_region(args) -> int:
         p_min = n / 2.0 + step
     if math.isnan(p_max):
         p_max = 3.0 * n
+    if not (p_max - p_min) / step <= REGION_MAX_SAMPLES:
+        raise ConfigError(
+            f"region.p_min={p_min!r}, region.p_max={p_max!r} and "
+            f"region.p_step={step!r} ask for more than {REGION_MAX_SAMPLES} "
+            f"p samples")
     grid = np.arange(p_min, p_max + 0.5 * step, step)
     rows = exponents.feasible_region_samples(n, grid.tolist())
     out_dir = _output_dir(cfg)

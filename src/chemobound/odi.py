@@ -22,7 +22,6 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import (DivergenceError, InfeasibleError,
                      NonpositiveDenominatorError, ParameterError)
@@ -406,8 +405,11 @@ def _truncation(den: Denominator, E0: float, F0: float,
         vals = den(s_scan)
         if np.any(vals <= 0):
             idx = int(np.argmax(vals <= 0))
-            root = optimize.brentq(den, s_scan[idx - 1], s_scan[idx]) \
-                if idx > 0 else E0
+            root = E0
+            if idx > 0:
+                # imported here: no other path needs scipy.optimize
+                from scipy.optimize import brentq
+                root = brentq(den, s_scan[idx - 1], s_scan[idx])
             raise NonpositiveDenominatorError(
                 f"denominator vanishes at s={root}", root=root)
     tail_upper = tail_factor * S ** (1.0 - a_dom) / (A_dom * (a_dom - 1.0))
@@ -476,6 +478,8 @@ def lower_bound_integral(den: Denominator | Sequence[Denominator], E0: float,
         if accepted is not None:
             val, err = accepted
         else:
+            # imported at the first fallback: an accepted pass needs no scipy
+            from scipy import integrate
             val, err = integrate.quad(_log_integrand(d), x_lo, math.log(S),
                                       epsabs=0.0, epsrel=quad_cfg.rel_tol,
                                       limit=500)

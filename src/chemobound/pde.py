@@ -10,13 +10,11 @@ r = 0 has zero area, so the geometric 1/r factor is never evaluated.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ChemoboundError, ParameterError
 from .exponents import ModelParams
@@ -147,11 +145,22 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
           rhs: np.ndarray) -> np.ndarray:
     """Solve a tridiagonal system with LAPACK's gtsv, overwriting all four
     arrays.  There is no finiteness check, so a nonfinite rhs gives a
-    nonfinite solution for the caller to reject."""
-    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
-    if info != 0:
-        raise ChemoboundError(f"tridiagonal solve failed (gtsv info={info})")
-    return x
+    nonfinite solution for the caller to reject.
+
+    The first call imports scipy.linalg's LAPACK and rebinds _gtsv to the
+    solver below, so only a command that solves loads scipy and no step
+    pays for the lookup."""
+    global _gtsv
+    from scipy.linalg.lapack import dgtsv
+
+    def _gtsv(lower, diag, upper, rhs):
+        _, _, _, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+        if info != 0:
+            raise ChemoboundError(
+                f"tridiagonal solve failed (gtsv info={info})")
+        return x
+
+    return _gtsv(lower, diag, upper, rhs)
 
 
 class ParamStack:
@@ -405,13 +414,13 @@ class Trajectory:
     final_fields: np.ndarray   # the state at t[-1]
 
     def to_csv(self, stream: TextIO) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["t", "E_pq", "Lp_u", "Linf_u", "gradinf_v",
-                         "gradinf_w", "mass"])
-        # csv writes a float as its repr
-        writer.writerows(zip(*(col.tolist() for col in (
-            self.t, self.E_pq, self.Lp_u, self.Linf_u, self.gradinf_v,
-            self.gradinf_w, self.mass))))
+        stream.write("t,E_pq,Lp_u,Linf_u,gradinf_v,gradinf_w,mass\n")
+        # the bytes of csv.writer, which writes a float as its repr and
+        # never quotes one
+        stream.writelines(",".join(map(repr, row)) + "\n" for row in zip(
+            *(col.tolist() for col in (
+                self.t, self.E_pq, self.Lp_u, self.Linf_u, self.gradinf_v,
+                self.gradinf_w, self.mass))))
 
 
 # states whose diagnostics run reduces together: up to ~0.6 MB of pending

@@ -2,9 +2,14 @@
 
 import collections
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chemobound
 from chemobound import cli, pde, verify
 from chemobound import config as cfgmod
 from chemobound.cli import bound_from_config, main
@@ -389,6 +394,8 @@ class TestExitCodes:
          "--set", "solver.max_steps=5", "--set", "profile.width=inf"],
         ["region", "-n", "3", "--set", "region.p_max=inf"],
         ["region", "-n", "3", "--set", "region.p_min=-inf"],
+        ["region", "-n", "3", "--set", "region.p_max=1e300"],
+        ["region", "-n", "3", "--set", "region.p_min=-1e300"],
     ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
             "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
             "eta=0.5", "E0=inf", "optimize-E0=inf", "C_GN=inf",
@@ -399,7 +406,8 @@ class TestExitCodes:
             "gn_safety=nan", "mu1=nan", "mu1=inf", "chi=nan", "alpha=inf",
             "simulate-chi=nan", "slack=nan", "slack=inf", "slack=-inf",
             "epsilon=nan", "epsilon=inf", "t_final=inf", "dt_max=inf",
-            "width=0", "width<0", "width=inf", "p_max=inf", "p_min=-inf"])
+            "width=0", "width<0", "width=inf", "p_max=inf", "p_min=-inf",
+            "p_max=1e300", "p_min=-1e300"])
     def test_rejected_value_exits_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -727,3 +735,70 @@ class TestSweep:
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(f"output.dir = {tmp_path / 'x'}\n")
         assert main(["sweep", "--config", str(cfg_file)]) == 2
+
+
+# the scipy submodules a command loads only on the paths that call them
+LAZY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special",
+              "scipy.linalg")
+
+FRESH_RUN = """
+import contextlib, io, json, sys
+from chemobound import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    runs.append({"code": code, "out": out.getvalue(), "loaded": [
+        m for m in json.loads(sys.argv[2]) if m in sys.modules]})
+print(json.dumps(runs))
+"""
+
+
+class TestColdStart:
+    """A fresh interpreter loads a scipy submodule only on a path that
+    calls it; one subprocess per test."""
+
+    @staticmethod
+    def fresh_run(tmp_path, *argvs):
+        """Run each argv through cli.main, in order, in one fresh
+        interpreter; returns each one's exit code, stdout and the modules
+        of LAZY_SCIPY loaded once it has returned."""
+        env = {k: v for k, v in os.environ.items()
+               if k != cli.OUTPUT_ROOT_ENV}
+        src = str(Path(chemobound.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_RUN, json.dumps(argvs),
+             json.dumps(LAZY_SCIPY)],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_bound_and_check_params_load_no_scipy(self, tmp_path):
+        runs = self.fresh_run(
+            tmp_path, ["bound", "-n", "3", "--corollary", "2", "--E0", "1"],
+            ["check-params", "-n", "3", "-p", "3", "-q", "6", "--s1", "4",
+             "--s2", "2"])
+        assert [run["code"] for run in runs] == [0, 0]
+        assert [run["loaded"] for run in runs] == [[], []]
+
+    def test_simulate_loads_linalg_alone(self, tmp_path):
+        [run] = self.fresh_run(
+            tmp_path, ["simulate", "-n", "3", "--corollary", "2",
+                       "--set", "grid.shells=16",
+                       "--set", "solver.t_final=0.001"])
+        assert run["code"] == 0
+        assert run["loaded"] == ["scipy.linalg"]
+
+    def test_quad_fallback_matches_in_process(self, tmp_path, capsys):
+        # some of this query's rows fall back to integrate.quad
+        argv = ["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
+                "--E0", "1"]
+        [run] = self.fresh_run(tmp_path, argv)
+        assert run["code"] == 0
+        assert "scipy.integrate" in run["loaded"]
+        assert main(argv) == 0
+        in_process = json.loads(capsys.readouterr().out)["t_lower"]
+        assert json.loads(run["out"])["t_lower"] == in_process

@@ -2,13 +2,12 @@
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 from chemobound import odi
 from chemobound.errors import (DivergenceError, InfeasibleError,
@@ -53,14 +52,16 @@ def plain_quad(den, E0, S, **kwargs):
 
 
 def quad_calls(monkeypatch):
-    """Route odi's integrate.quad through a spy; returns the list of calls."""
+    """Route integrate.quad, which odi looks up at each fallback, through a
+    spy; returns the list of calls."""
     calls = []
+    quad = integrate.quad
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return integrate.quad(*args, **kwargs)
+        return quad(*args, **kwargs)
 
-    monkeypatch.setattr(odi, "integrate", SimpleNamespace(quad=spy))
+    monkeypatch.setattr(integrate, "quad", spy)
     return calls
 
 
@@ -258,12 +259,22 @@ class TestLowerBoundIntegral:
             lower_bound_integral(den, 0.001)
         assert exc_info.value.root is not None
 
-    def test_negative_mu1_root_bracketed(self):
+    def test_negative_mu1_root_bracketed(self, monkeypatch):
         # F(s) = s^2 - 3s + 2 is positive at E0 = 0.5 and vanishes at s = 1
         den = Denominator(((1.0, 2.0),), mu1=-3.0, c=2.0)
+        brackets = []
+        brentq = optimize.brentq
+
+        def spy(f, a, b):
+            brackets.append((a, b))
+            return brentq(f, a, b)
+
+        monkeypatch.setattr(optimize, "brentq", spy)
         with pytest.raises(NonpositiveDenominatorError) as exc_info:
             lower_bound_integral(den, 0.5)
         assert exc_info.value.root == pytest.approx(1.0)
+        [(a, b)] = brackets
+        assert a < 1.0 < b
 
     def test_negative_mu1_flagged_when_positive(self):
         den = Denominator(((1.0, 2.0),), mu1=-0.1)
