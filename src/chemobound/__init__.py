@@ -5,10 +5,9 @@ from .exponents import (EnergyIndices, ModelParams,
                         check_condition_C, compute_etas,
                         corollary1_parameters, corollary2_parameters,
                         etas_in_range, feasible_region_samples)
-from .odi import (BoundResult, OdiCoefficients, QuadConfig, bound_at_indices,
+from .odi import (BoundResult, OdiCoefficients, bound_at_indices,
                   lower_bound_integral, max_admissible_epsilon,
-                  odi_coefficients, optimize_bound,
-                  zeta_coefficients)
+                  odi_coefficients, optimize_bound, zeta_coefficients)
 from .pde import (RadialGrid, SolverConfig, Trajectory, energy, init_state,
                   make_grid, mass, norms, run, step)
 from .verify import (InequalityReport, check_concurrence,

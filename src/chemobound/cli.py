@@ -175,16 +175,18 @@ def bound_from_config(cfg: dict, params: exponents.ModelParams,
     C_GN, meta = resolve_gn_constant(cfg, indices.eta, grid, gn_memo)
     with _overflow_is_config_error(cfg, C_GN):
         return odi.bound_at_indices(params, indices, E0, C_GN,
-                                    cfg["indices.epsilon"],
-                                    cfgmod.build_quad(cfg)), meta
+                                    cfg["indices.epsilon"]), meta
 
 
 @contextlib.contextmanager
-def _overflow_is_config_error(cfg: dict, C_GN: float):
+def _overflow_is_config_error(cfg: dict, C_GN: float,
+                              epsilon_key: str = "indices.epsilon"):
+    """An OverflowError becomes a ConfigError naming C_GN and the epsilon
+    read from `epsilon_key`."""
     try:
         yield
     except OverflowError as exc:  # e.g. a tiny epsilon's epsilon**(-h)
-        raise ConfigError(f"indices.epsilon={cfg['indices.epsilon']!r} with "
+        raise ConfigError(f"{epsilon_key}={cfg[epsilon_key]!r} with "
                           f"C_GN={C_GN!r} overflows the bound") from exc
 
 
@@ -217,11 +219,10 @@ def cmd_optimize_bound(args) -> int:
     p = cfgmod.require(cfg, "indices.p")
     q = cfgmod.require(cfg, "indices.q")
     E0 = cfgmod.require(cfg, "bound.E0")
-    opt_cfg = cfgmod.build_opt(cfg)
     indices_seed = exponents.EnergyIndices(
         p, q, *(_feasible_center(cfg["model.dim"], p, q)))
     C_GN, meta = resolve_gn_constant(cfg, indices_seed.eta, grid)
-    result = odi.optimize_bound(params, p, q, E0, C_GN, opt_cfg)
+    result = odi.optimize_bound(params, p, q, E0, C_GN)
     payload = {**result.to_json_dict(), **meta, "optimized": {
         "s1": float(result.indices.s1), "s2": float(result.indices.s2),
         "epsilon": result.coeffs.epsilon}}
@@ -271,8 +272,9 @@ def cmd_verify_embed(args) -> int:
     grid = cfgmod.build_grid(cfg)
     eta = cfgmod.require(cfg, "verify.eta")
     C_GN, _ = resolve_gn_constant(cfg, (eta,), grid)
-    report = verify.check_embed_inequality(grid, eta, cfg["verify.epsilon"],
-                                           C_GN)
+    with _overflow_is_config_error(cfg, C_GN, "verify.epsilon"):
+        report = verify.check_embed_inequality(grid, eta,
+                                               cfg["verify.epsilon"], C_GN)
     _emit(report.to_json_dict(), cfg, _output_dir(cfg), "embed.json")
     return EXIT_OK if report.violations == 0 else EXIT_NEGATIVE
 
@@ -292,9 +294,7 @@ def cmd_verify_odi(args) -> int:
     with _overflow_is_config_error(cfg, C_GN):
         coeffs = odi.odi_coefficients(params, indices, cfg["indices.epsilon"],
                                       C_GN)
-    mon = verify.MonitorConfig(slack=cfg["monitor.slack"],
-                               t_max=traj.report.t_detect)
-    report = verify.odi_monitor(traj, coeffs, mon)
+    report = verify.odi_monitor(traj, coeffs, traj.report.t_detect)
     _emit({**report.to_json_dict(), **meta}, cfg, _output_dir(cfg),
           "odi_monitor.json")
     return EXIT_OK if report.violations == 0 else EXIT_NEGATIVE

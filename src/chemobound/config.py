@@ -15,10 +15,8 @@ from typing import Any
 
 from .errors import ConfigError
 from .exponents import ModelParams
-from .odi import OptConfig, QuadConfig
 from .pde import (ConstantProfile, GaussianBump, RadialGrid, SolverConfig,
                   make_grid)
-from .verify import MonitorConfig
 
 _NAN = float("nan")
 
@@ -47,8 +45,6 @@ _DEFAULTS: dict[str, Any] = {
     **_derived("profile", ConstantProfile),
     **_derived("profile", GaussianBump),
     **_derived("solver", SolverConfig),
-    **_derived("quad", QuadConfig),
-    **_derived("opt", OptConfig),
     "bound.E0": _NAN,
     "bound.C_GN": _NAN,
     "bound.corollary": 0,
@@ -56,7 +52,6 @@ _DEFAULTS: dict[str, Any] = {
     "verify.eta": _NAN,
     "verify.epsilon": 1.0,
     "verify.trials": 100_000,
-    "monitor.slack": MonitorConfig.slack,
     "region.p_min": _NAN,
     "region.p_max": _NAN,
     "region.p_step": 0.1,
@@ -129,11 +124,11 @@ def config_hash(cfg: dict[str, Any]) -> str:
 
 # --- builders ---------------------------------------------------------------
 
-def _build(cls, cfg: dict[str, Any], prefix: str, **extra):
-    """`cls` from the `prefix.<field>` keys of its fields, plus `extra`."""
+def _build(cls, cfg: dict[str, Any], prefix: str):
+    """`cls` from the `prefix.<field>` keys of its fields."""
     keys = {f.name: f"{prefix}.{f.name}" for f in dataclasses.fields(cls)}
     return cls(**{name: cfg[key] for name, key in keys.items()
-                  if key in KNOWN_KEYS}, **extra)
+                  if key in KNOWN_KEYS})
 
 
 def build_model(cfg: dict[str, Any]) -> ModelParams:
@@ -156,14 +151,6 @@ def build_profile(cfg: dict[str, Any]):
 
 def build_solver(cfg: dict[str, Any]) -> SolverConfig:
     return _build(SolverConfig, cfg, "solver")
-
-
-def build_quad(cfg: dict[str, Any]) -> QuadConfig:
-    return _build(QuadConfig, cfg, "quad")
-
-
-def build_opt(cfg: dict[str, Any]) -> OptConfig:
-    return _build(OptConfig, cfg, "opt", quad=build_quad(cfg))
 
 
 def require(cfg: dict[str, Any], key: str) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from typing import Sequence
@@ -116,21 +116,8 @@ class OdiCoefficients:
 
 
 QUADPACK_REL_FLOOR = 50.0 * np.finfo(float).eps  # smallest epsrel it takes
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    rel_tol: float = 1e-10
-    tail_tol: float = 1e-12
-    truncation_point: float | None = None  # override the adaptive S
-
-    def __post_init__(self):
-        if not self.rel_tol > QUADPACK_REL_FLOOR:
-            raise ParameterError(f"rel_tol must exceed {QUADPACK_REL_FLOOR:.3g}"
-                                 f", got {self.rel_tol}")
-        if not self.tail_tol > 0:
-            raise ParameterError(f"tail_tol must be positive, got "
-                                 f"{self.tail_tol}")
+REL_TOL = 1e-10    # relative error the bound integral must meet
+TAIL_TOL = 1e-12   # tail budget that sets the truncation point S
 
 
 @dataclass(frozen=True)
@@ -378,9 +365,10 @@ def _gk21_first_pass(table, x_lo: float, x_hi: list[float],
 
 
 def _truncation(den: Denominator, E0: float, F0: float,
-                quad_cfg: QuadConfig) -> tuple[float, float, tuple[str, ...]]:
-    """Check F(E0) = F0 and pick the truncation point S; returns S, the
-    tail budget and the flags."""
+                truncation_point: float | None
+                ) -> tuple[float, float, tuple[str, ...]]:
+    """Check F(E0) = F0 and pick the truncation point S, or take the given
+    one; returns S, the tail budget and the flags."""
     if F0 <= 0:
         raise NonpositiveDenominatorError(
             f"denominator nonpositive at E0={E0}", root=E0)
@@ -388,17 +376,20 @@ def _truncation(den: Denominator, E0: float, F0: float,
 
     flags: list[str] = []
     tail_factor = 1.0
-    S = (A_dom * (a_dom - 1.0) * quad_cfg.tail_tol) ** (-1.0 / (a_dom - 1.0))
+    S = (A_dom * (a_dom - 1.0) * TAIL_TOL) ** (-1.0 / (a_dom - 1.0))
     if den.mu1 < 0:
         # keep the linear drain below half the dominant term at S
         S = max(S, (2.0 * abs(den.mu1) / A_dom) ** (1.0 / (a_dom - 1.0)))
         tail_factor = 2.0
         flags.append("negative_linear_term")
     S = max(S, 10.0 * E0)
-    if quad_cfg.truncation_point is not None:
-        if quad_cfg.truncation_point <= E0:
+    if not math.isfinite(S):
+        raise ParameterError(f"E0={E0!r} puts the truncation point 10*E0 "
+                             f"past float range")
+    if truncation_point is not None:
+        if truncation_point <= E0:
             raise ParameterError("truncation_point must exceed E0")
-        S = quad_cfg.truncation_point
+        S = truncation_point
 
     if den.mu1 < 0:
         s_scan = np.geomspace(E0, S, 512)
@@ -417,17 +408,18 @@ def _truncation(den: Denominator, E0: float, F0: float,
 
 
 def lower_bound_integral(den: Denominator | Sequence[Denominator], E0: float,
-                         quad_cfg: QuadConfig = QuadConfig(),
+                         truncation_point: float | None = None,
                          skip: type[Exception] | tuple = ()):
     """Truncated integral of 1/F from E0, with an analytic tail budget.
 
     The truncation point S makes the tail estimate S**(1-a)/(A(a-1)) of the
-    dominant power term (coefficient A, exponent a) fall below tail_tol.
-    The reported value excludes the tail, so it always under-estimates the
-    exact improper integral.  The integral is taken in ln s: QUADPACK's first
-    21-point Gauss-Kronrod pass, evaluated in numpy, when dqagse would accept
-    it, else integrate.quad; quadrature_error is the error estimate of
-    whichever ran.
+    dominant power term (coefficient A, exponent a) fall below TAIL_TOL,
+    unless `truncation_point` fixes it.  The reported value excludes the
+    tail, so it always under-estimates the exact improper integral.  The
+    integral is taken in ln s, to a relative error of REL_TOL: QUADPACK's
+    first 21-point Gauss-Kronrod pass, evaluated in numpy, when dqagse would
+    accept it, else integrate.quad; quadrature_error is the error estimate
+    of whichever ran.
 
     `den` is one Denominator, and the result its BoundResult.  Or it is a
     sequence of K denominators with one number of terms, and the result is
@@ -451,11 +443,15 @@ def lower_bound_integral(den: Denominator | Sequence[Denominator], E0: float,
     coefs, expos, fast = _power_table(dens)
     c = np.array([d.c for d in dens])
     mu1 = np.array([d.mu1 for d in dens])
-    F0 = _power_sums(np.asarray(E0, dtype=float), coefs, expos, fast, c, mu1)
+    # F(E0) may overflow to inf, which is positive; an E0 that large puts
+    # 10*E0, and so S, past float range, which _truncation rejects
+    with np.errstate(over="ignore"):
+        F0 = _power_sums(np.asarray(E0, dtype=float), coefs, expos, fast, c,
+                         mu1)
     setups = []
     for d, f0 in zip(dens, F0.tolist()):
         try:
-            setups.append(_truncation(d, E0, f0, quad_cfg))
+            setups.append(_truncation(d, E0, f0, truncation_point))
         except skip:
             setups.append(None)
     kept = [i for i, setup in enumerate(setups) if setup is not None]
@@ -467,7 +463,7 @@ def lower_bound_integral(den: Denominator | Sequence[Denominator], E0: float,
     x_lo = math.log(E0)
     x_his = [math.log(setups[i][0]) for i in kept]
     passes = iter(_gk21_first_pass((coefs, expos, fast, c, mu1), x_lo, x_his,
-                                   quad_cfg.rel_tol))
+                                   REL_TOL))
     results = []
     for d, setup in zip(dens, setups):
         if setup is None:
@@ -481,7 +477,7 @@ def lower_bound_integral(den: Denominator | Sequence[Denominator], E0: float,
             # imported at the first fallback: an accepted pass needs no scipy
             from scipy import integrate
             val, err = integrate.quad(_log_integrand(d), x_lo, math.log(S),
-                                      epsabs=0.0, epsrel=quad_cfg.rel_tol,
+                                      epsabs=0.0, epsrel=REL_TOL,
                                       limit=500)
         results.append(BoundResult(t_lower=val, S=S, quadrature_error=err,
                                    tail_upper=tail_upper, flags=flags))
@@ -497,39 +493,28 @@ def _log_integrand(den: Denominator):
 
 
 def bound_at_indices(params: ModelParams, indices: EnergyIndices, E0: float,
-                     C_GN: float, epsilon: float = math.nan,
-                     quad_cfg: QuadConfig = QuadConfig()) -> BoundResult:
+                     C_GN: float, epsilon: float = math.nan) -> BoundResult:
     """Bound at fixed indices; a NaN epsilon is half the admissible
     supremum."""
     coeffs = odi_coefficients(params, indices, epsilon, C_GN)
-    return replace(lower_bound_integral(coeffs.denominator(), E0, quad_cfg),
+    return replace(lower_bound_integral(coeffs.denominator(), E0),
                    indices=indices, coeffs=coeffs)
 
 
 COARSE_GRID = 7     # points per (s1, s2) axis of the starting grid
 REFINE_ITERS = 60   # pattern-search sweeps after the grid
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    boundary_margin: float = 1e-3  # fraction of box width and of sup epsilon
-    quad: QuadConfig = field(default_factory=QuadConfig)
-
-    def __post_init__(self):
-        # 0 reaches the open box's edge and sup epsilon; 0.5 collapses the box
-        if not 0 < self.boundary_margin < 0.5:
-            raise ParameterError(f"boundary_margin must lie in (0, 0.5), "
-                                 f"got {self.boundary_margin}")
+BOUNDARY_MARGIN = 1e-3  # fraction of box width and of sup epsilon kept off
 
 
 def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
-                   C_GN: float, opt_cfg: OptConfig = OptConfig()):
+                   C_GN: float):
     """Maximize the bound over admissible (s1, s2): a coarse grid, then a
-    shrinking pattern search, clamped off the open box's edges by the margin.
+    shrinking pattern search, clamped off the open box's edges by
+    BOUNDARY_MARGIN.
 
     The bound cannot fall as epsilon grows (every m_i falls like
     epsilon**(-h) and the truncation point rises), so each candidate takes
-    epsilon = (1 - margin) * its supremum.  The grid is scored as one
+    epsilon = (1 - BOUNDARY_MARGIN) * its supremum.  The grid is scored as one
     batch of lower_bound_integral, and so is each sweep's four trials; the
     best is picked in candidate order with a strict `>`, as one at a time.
     The result's indices and coeffs carry the optimal s1, s2 and epsilon.
@@ -537,7 +522,7 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
     n = params.dim
     (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, float(p), float(q))
     w1, w2 = s1_hi - s1_lo, s2_hi - s2_lo
-    mar = opt_cfg.boundary_margin
+    mar = BOUNDARY_MARGIN
     lo1, hi1 = s1_lo + mar * w1, s1_hi - mar * w1
     lo2, hi2 = s2_lo + mar * w2, s2_hi - mar * w2
     # each clause of Condition C bounds s1 alone, s2 alone or neither, so the
@@ -566,7 +551,7 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
         rows = [row for row in (assemble(*c) for c in candidates)
                 if row is not None]
         bounds = lower_bound_integral(
-            [coeffs.denominator() for _, coeffs in rows], E0, opt_cfg.quad,
+            [coeffs.denominator() for _, coeffs in rows], E0,
             skip=OverflowError)
         return [replace(out, indices=indices, coeffs=coeffs)
                 for (indices, coeffs), out in zip(rows, bounds)

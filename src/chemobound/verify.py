@@ -228,32 +228,22 @@ def equivalence_bruteforce(n: int, trial_count: int,
 MONITOR_REL_FLOOR = 1.0  # floor of the odi_monitor margin normalizer
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    slack: float = 0.0        # absolute additive slack on the right side
-    t_max: float | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.slack):
-            raise ParameterError(f"monitor slack must be finite, "
-                                 f"got {self.slack}")
-
-
 def odi_monitor(trajectory: Trajectory, coeffs: OdiCoefficients,
-                monitor_cfg: MonitorConfig = MonitorConfig()) -> InequalityReport:
-    """Check dE/dt <= F(E) + slack along a trajectory (centered differences).
+                t_max: float | None = None) -> InequalityReport:
+    """Check dE/dt <= F(E) along a trajectory, up to t_max if given
+    (centered differences).
 
     The check is conditional on the supplied constant dominating the true
     discrete interpolation constant; the report's config records it.
     """
     t, E = trajectory.t, trajectory.E_pq
-    if monitor_cfg.t_max is not None:
-        keep = t <= monitor_cfg.t_max
+    if t_max is not None:
+        keep = t <= t_max
         t, E = t[keep], E[keep]
     if len(t) < 3:
         raise ParameterError("trajectory too short for centered differences")
     dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
-    rhs = coeffs.denominator()(E[1:-1]) + monitor_cfg.slack
+    rhs = coeffs.denominator()(E[1:-1])
     margins = (rhs - dEdt) / np.maximum(np.abs(rhs), MONITOR_REL_FLOOR)
     worst = int(np.argmin(margins))
     violations = int(np.count_nonzero(~(margins >= 0)))
@@ -262,8 +252,7 @@ def odi_monitor(trajectory: Trajectory, coeffs: OdiCoefficients,
         worst_margin=float(margins[worst]),
         witness=f"t={t[1 + worst]}" if violations else None,
         seed=None,
-        config={"slack": monitor_cfg.slack, "C_GN": coeffs.C_GN,
-                "epsilon": coeffs.epsilon,
+        config={"C_GN": coeffs.C_GN, "epsilon": coeffs.epsilon,
                 "caveat": "conditional on the supplied interpolation "
                           "constant dominating the true discrete one"})
 

@@ -14,15 +14,13 @@ from chemobound.errors import ParameterError
 from chemobound.exponents import (ModelParams, corollary1_parameters,
                                   corollary2_parameters, compute_etas,
                                   k_exponent)
-from chemobound.odi import (Denominator, QuadConfig, lower_bound_integral,
-                            optimize_bound)
+from chemobound.odi import Denominator, lower_bound_integral, optimize_bound
 from chemobound.pde import (ConstantProfile, GaussianBump, ParamStack,
                             SolverConfig, energy, init_state, make_grid, mass,
                             run, step)
-from chemobound.verify import (MonitorConfig, check_concurrence,
-                               check_embed_inequality, check_remark_ordering,
-                               equivalence_bruteforce, estimate_gn_constant,
-                               odi_monitor)
+from chemobound.verify import (check_concurrence, check_embed_inequality,
+                               check_remark_ordering, equivalence_bruteforce,
+                               estimate_gn_constant, odi_monitor)
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -151,8 +149,8 @@ def test_criterion_04_quadrature_oracle():
             worst = max(worst, abs(result.t_lower - exact) / exact)
     # truncation monotonicity on a 10-point S ladder
     den = Denominator(((1.0, 1.5), (1.0, 3.0)))
-    ladder = [lower_bound_integral(den, 1.0, QuadConfig(truncation_point=S))
-              .t_lower for S in np.geomspace(2.0, 1e3, 10)]
+    ladder = [lower_bound_integral(den, 1.0, S).t_lower
+              for S in np.geomspace(2.0, 1e3, 10)]
     monotone = all(b >= a for a, b in zip(ladder, ladder[1:]))
     ok = worst < 1e-8 and monotone
     _line(4, ok, f"closed-form match worst rel err {worst:.2e}, "
@@ -223,8 +221,7 @@ def test_criterion_07_odi_consistency(monitored_runs):
     blowups = 0
     for traj, coeffs in monitored_runs:
         blowups += int(traj.report.blew_up)
-        cfg = MonitorConfig(t_max=traj.report.t_detect)
-        report = odi_monitor(traj, coeffs, cfg)
+        report = odi_monitor(traj, coeffs, traj.report.t_detect)
         total += report.violations
         worst = min(worst, report.worst_margin)
     ok = total == 0 and blowups == 3

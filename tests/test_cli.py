@@ -14,11 +14,11 @@ from chemobound import cli, pde, verify
 from chemobound import config as cfgmod
 from chemobound.cli import bound_from_config, main
 from chemobound.config import (KNOWN_KEYS, apply_overrides, build_grid,
-                               build_model, build_opt, build_quad, build_solver,
-                               config_hash, parse_config_text)
+                               build_model, build_solver, config_hash,
+                               parse_config_text)
 from chemobound.errors import ChemoboundError, ConfigError
 from chemobound.exponents import EnergyIndices
-from chemobound.odi import OptConfig, QuadConfig, bound_at_indices
+from chemobound.odi import bound_at_indices
 from chemobound.pde import SolverConfig
 
 BLOWUP_CONFIG = """
@@ -68,8 +68,20 @@ class TestConfigParsing:
          "error: unrecognized arguments: --seed 5"),
         ("model.convex = false\n", [],
          "config error: line 1: unknown key 'model.convex'"),
+        # the bound's tolerances and margin are constants of odi, and the
+        # monitor adds no slack
+        ("sweep.model.chi = 5, 10\n", ["--set", "quad.rel_tol=-1"],
+         "config error: unknown key 'quad.rel_tol'"),
+        ("quad.tail_tol = 0\n", [],
+         "config error: line 1: unknown key 'quad.tail_tol'"),
+        ("sweep.opt.boundary_margin = 0, 0.5, 0.6, -0.1\n", [],
+         "config error: line 1: unknown sweep key 'opt.boundary_margin'"),
+        ("sweep.monitor.slack = nan, inf, -inf\n", [],
+         "config error: line 1: unknown sweep key 'monitor.slack'"),
     ], ids=["thresholds.energy", "sweep.jobs", "--jobs", "opt.eps_grid",
-            "opt.coarse_grid", "opt.refine_iters", "--seed", "model.convex"])
+            "opt.coarse_grid", "opt.refine_iters", "--seed", "model.convex",
+            "quad.rel_tol", "quad.tail_tol", "opt.boundary_margin",
+            "monitor.slack"])
     def test_removed_knob_rejected(self, capsys, tmp_path, text, flags,
                                    message):
         cfg_file = tmp_path / "sweep.cfg"
@@ -107,20 +119,20 @@ class TestConfigParsing:
 
     def test_schema_pinned(self):
         # a new dataclass field must not silently become a config key
-        assert len(KNOWN_KEYS) == 51
-        assert config_hash(parse_config_text("")[0]) == "856f45c0534e16c3"
+        assert len(KNOWN_KEYS) == 47
+        assert config_hash(parse_config_text("")[0]) == "94190be5dd3ff24b"
         for key in ("verify.bump_fraction", "monitor.rel_floor",
                     "quad.truncation_point", "verify.n_samples",
                     "verify.samples", "verify.max_modes",
                     "verify.ascent_steps", "verify.report_tol",
-                    "opt.coarse_grid", "opt.eps_grid", "opt.refine_iters"):
+                    "opt.coarse_grid", "opt.eps_grid", "opt.refine_iters",
+                    "quad.rel_tol", "quad.tail_tol", "opt.boundary_margin",
+                    "monitor.slack"):
             assert key not in KNOWN_KEYS
 
     def test_build_functions_give_dataclass_defaults(self):
         cfg, _ = parse_config_text("")
         assert build_solver(cfg) == SolverConfig()
-        assert build_quad(cfg) == QuadConfig()
-        assert build_opt(cfg) == OptConfig()
 
     @pytest.mark.parametrize("argv, path, expected", [
         (["verify-gn", "--eta", "1.5", "--set", "verify.eta=1.2"],
@@ -238,13 +250,15 @@ class TestBound:
         assert payload["C_GN_source"] == "estimated"
         assert payload["C_GN_safety"] == 2.0
 
+    # the margin is odi.BOUNDARY_MARGIN, a constant: any value is rejected
     @pytest.mark.parametrize("margin", ["0", "0.5", "0.6", "-0.1"])
     def test_bad_boundary_margin_named(self, capsys, margin):
         code = main(["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
                      "--E0", "1", "--set", "bound.C_GN=1",
                      "--set", f"opt.boundary_margin={margin}"])
         assert code == 2
-        assert "boundary_margin" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'opt.boundary_margin'\n")
 
     @pytest.mark.parametrize("override, message", [
         ("model.alpha=0", "config error: alpha must be positive"),
@@ -259,11 +273,13 @@ class TestBound:
         assert code == 2
         assert capsys.readouterr().err.startswith(message)
 
+    # the tolerance is odi.REL_TOL, a constant: any value is rejected
     def test_rejected_quad_value_usage_error(self, capsys):
         code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
                      "--set", "bound.C_GN=1", "--set", "quad.rel_tol=-1"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: rel_tol")
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'quad.rel_tol'\n")
 
     # epsilon**(-h) in the m_i, C_GN**(2/denom) in C3, and the truncation
     # point S of the integral (verify-odi builds no integral) overflow
@@ -309,6 +325,26 @@ class TestRegion:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == [
             repr(2.0 + 0.5 * i) for i in range(15)]
+
+
+# id -> (argv, the value its config error line names): a huge E0 puts the
+# truncation point 10*E0 past float range, and a tiny epsilon (its
+# epsilon**(-h)) or a huge C_GN (C3's C_GN**(2/denom)) overflows the embed
+# inequality
+OVERFLOWS = {
+    "E0=1e308": (["bound", "-n", "3", "--corollary", "2", "--E0", "1e308",
+                  "--set", "grid.shells=8"], "E0=1e+308"),
+    "optimize-E0=1e308": (["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
+                           "--E0", "1e308", "--set", "grid.shells=8"],
+                          "E0=1e+308"),
+    "embed-epsilon=1e-300": (["verify-embed", "-n", "3", "--eta", "1.5",
+                              "--set", "verify.epsilon=1e-300",
+                              "--set", "grid.shells=8"],
+                             "verify.epsilon=1e-300"),
+    "embed-C_GN=1e300": (["verify-embed", "-n", "3", "--eta", "1.5",
+                          "--set", "bound.C_GN=1e300",
+                          "--set", "grid.shells=8"], "verify.epsilon=1.0"),
+}
 
 
 class TestExitCodes:
@@ -372,6 +408,7 @@ class TestExitCodes:
          "--set", "bound.C_GN=1", "--set", "model.alpha=inf"],
         ["simulate", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
          "--set", "model.chi=nan", "--set", "solver.max_steps=5"],
+        # verify-odi has no slack: monitor.slack is an unknown key
         ["verify-odi", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
          "--set", "solver.t_final=0.001", "--set", "monitor.slack=nan"],
         ["verify-odi", "-n", "3", "--corollary", "2", "--set", "grid.shells=8",
@@ -396,6 +433,7 @@ class TestExitCodes:
         ["region", "-n", "3", "--set", "region.p_min=-inf"],
         ["region", "-n", "3", "--set", "region.p_max=1e300"],
         ["region", "-n", "3", "--set", "region.p_min=-1e300"],
+        *(argv for argv, _ in OVERFLOWS.values()),
     ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
             "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
             "eta=0.5", "E0=inf", "optimize-E0=inf", "C_GN=inf",
@@ -407,12 +445,16 @@ class TestExitCodes:
             "simulate-chi=nan", "slack=nan", "slack=inf", "slack=-inf",
             "epsilon=nan", "epsilon=inf", "t_final=inf", "dt_max=inf",
             "width=0", "width<0", "width=inf", "p_max=inf", "p_min=-inf",
-            "p_max=1e300", "p_min=-1e300"])
+            "p_max=1e300", "p_min=-1e300", *OVERFLOWS])
     def test_rejected_value_exits_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
+        # an overflow's line names the value that overflows
+        for overflow, named in OVERFLOWS.values():
+            if argv == overflow:
+                assert named in err
 
     def test_bad_corollary_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -15,9 +15,9 @@ from chemobound.errors import (DivergenceError, InfeasibleError,
 from chemobound.exponents import (EnergyIndices, ModelParams,
                                   check_condition_C, corollary1_parameters,
                                   corollary2_parameters, feasible_box)
-from chemobound.odi import (COARSE_GRID, REFINE_ITERS,
-                            CoefficientConventionWarning, Denominator,
-                            OdiCoefficients, OptConfig, QuadConfig,
+from chemobound.odi import (BOUNDARY_MARGIN, COARSE_GRID, REFINE_ITERS,
+                            REL_TOL, CoefficientConventionWarning,
+                            Denominator, OdiCoefficients,
                             bound_at_indices, lower_bound_integral,
                             max_admissible_epsilon, odi_coefficients,
                             optimize_bound, zeta_coefficients)
@@ -48,7 +48,7 @@ def plain_quad(den, E0, S, **kwargs):
     calls it."""
     return integrate.quad(lambda x: math.exp(x) / den(math.exp(x)),
                           math.log(E0), math.log(S), epsabs=0.0,
-                          epsrel=QuadConfig().rel_tol, limit=500, **kwargs)
+                          epsrel=REL_TOL, limit=500, **kwargs)
 
 
 def quad_calls(monkeypatch):
@@ -208,8 +208,7 @@ class TestLowerBoundIntegral:
         den = Denominator(((1.0, 1.5), (1.0, 3.0)))
         values = []
         for S in (10.0, 1e2, 1e3, 1e4, 1e6):
-            cfg = QuadConfig(truncation_point=S)
-            values.append(lower_bound_integral(den, 1.0, cfg).t_lower)
+            values.append(lower_bound_integral(den, 1.0, S).t_lower)
         assert values == sorted(values)
 
     def test_monotone_in_E0(self):
@@ -239,14 +238,13 @@ class TestLowerBoundIntegral:
         except (OverflowError, NonpositiveDenominatorError):
             assume(False)  # eps**(-h) out of float range, or F hits zero
         assert base.t_lower == pytest.approx(plain_quad(den, E0, base.S)[0],
-                                             rel=QuadConfig().rel_tol, abs=0)
+                                             rel=REL_TOL, abs=0)
         scaled = Denominator(tuple((3.0 * A, a) for A, a in den.terms),
                              3.0 * den.mu1, 3.0 * den.c)
         with np.errstate(over="ignore"):
             in_range = math.isfinite(scaled(base.S))
         if in_range:  # 1/(3F) is (1/F)/3 only where 3F does not overflow
-            same_range = QuadConfig(truncation_point=base.S)
-            assert lower_bound_integral(scaled, E0, same_range).t_lower == \
+            assert lower_bound_integral(scaled, E0, base.S).t_lower == \
                 pytest.approx(base.t_lower / 3.0, rel=1e-9, abs=0)
 
     def test_divergence_without_superlinear_term(self):
@@ -326,8 +324,7 @@ class TestGaussKronrodPass:
         result = lower_bound_integral(den, E0)
         assert len(calls) == 1
         assert result.quadrature_error == plain_quad(den, E0, result.S)[1]
-        assert result.t_lower == pytest.approx(exact, rel=QuadConfig().rel_tol,
-                                                abs=0)
+        assert result.t_lower == pytest.approx(exact, rel=REL_TOL, abs=0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_denominator_falls_back_to_quad(self, monkeypatch):
@@ -483,7 +480,7 @@ class TestOptimize:
         optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0)
         assert len(calls) == 2
 
-    def _scored(self, monkeypatch, opt_cfg=OptConfig()):
+    def _scored(self, monkeypatch):
         """Every (indices, coefficients) optimize_bound assembles, the
         denominators of each lower_bound_integral batch it scores, and the
         result it returns."""
@@ -500,7 +497,7 @@ class TestOptimize:
 
         monkeypatch.setattr(odi, "_assemble_coefficients", coefficients)
         monkeypatch.setattr(odi, "lower_bound_integral", integral)
-        best = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0, opt_cfg)
+        best = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0)
         return assembled, batches, best
 
     def test_every_scored_candidate_admissible(self, monkeypatch):
@@ -512,9 +509,9 @@ class TestOptimize:
         for idx, _ in assembled:
             assert check_condition_C(3, idx.p, idx.q, idx.s1, idx.s2).admissible
 
-    @pytest.mark.parametrize("margin", [1e-3, 0.1])
+    @pytest.mark.parametrize("margin", [BOUNDARY_MARGIN])
     def test_epsilon_at_top_of_its_range(self, monkeypatch, margin):
-        assembled, _, best = self._scored(monkeypatch, OptConfig(margin))
+        assembled, _, best = self._scored(monkeypatch)
         assert (best.indices, best.coeffs) in assembled
         for indices, coeffs in assembled:
             eps_max = max_admissible_epsilon(PARAMS, indices)
@@ -566,11 +563,6 @@ class TestOptimize:
                                          25.016666666666666,
                                          0.001563730734606484)
 
-    @pytest.mark.parametrize("margin", [0.0, 0.5, 0.6, -0.1])
-    def test_boundary_margin_outside_open_half_interval(self, margin):
-        with pytest.raises(ParameterError, match="boundary_margin"):
-            OptConfig(boundary_margin=margin)
-
 
 class TestEpsilonMonotone:
     """The search pins epsilon at the top of its range because the bound
@@ -599,15 +591,6 @@ class TestEpsilonMonotone:
         except (OverflowError, NonpositiveDenominatorError):
             assume(False)  # eps**(-h) out of float range, or F hits zero
         assert t_hi >= t_lo * (1.0 - 1e-9)
-
-
-class TestQuadConfig:
-    @pytest.mark.parametrize("field, value", [
-        ("rel_tol", -1.0), ("rel_tol", 0.0), ("rel_tol", 1e-15),
-        ("rel_tol", math.nan), ("tail_tol", 0.0)])
-    def test_rejects_value_quadpack_cannot_use(self, field, value):
-        with pytest.raises(ParameterError, match=field):
-            QuadConfig(**{field: value})
 
 
 class TestCorollaries:
