@@ -9,10 +9,6 @@ class ParameterError(ChemoboundError, ValueError):
     """A parameter violates a precondition (sign, range, or consistency)."""
 
 
-class SingularityError(ChemoboundError, ValueError):
-    """An exponent map was evaluated at or past its singular point."""
-
-
 class InfeasibleError(ChemoboundError, ValueError):
     """The admissible parameter box is empty."""
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ParameterError, SingularityError
+from .errors import ParameterError
 
 Number = int | float | Fraction
 
@@ -215,44 +215,27 @@ def check_condition_C(n: int, p: Number, q: Number, s1: Number,
                                min(c.margin for c in clauses))
 
 
-def _check_eta_domain(eta: Number, n: int):
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
-    if eta < 1:
-        raise ParameterError(f"eta must be >= 1, got {eta}")
-    if not n + 2 - n * eta > 0:
-        raise SingularityError(
-            f"eta={eta} is at or past the singular point (n+2)/n for n={n}")
-
-
 def k_exponent(eta: Number, n: int):
-    """(n - eta(n-2)) / (n + 2 - n eta); the higher companion exponent."""
-    _check_eta_domain(eta, n)
-    if _is_exact(eta):
-        eta = Fraction(eta)
+    """(n - eta(n-2)) / (n + 2 - n eta); the higher companion exponent.
+    Unchecked, exact on Fraction input and elementwise on arrays."""
     return (n - eta * (n - 2)) / (n + 2 - n * eta)
 
 
 def h_exponent(eta: Number, n: int):
-    """2(eta - 1) n / (n + 2 - n eta); the inverse-epsilon power."""
-    _check_eta_domain(eta, n)
-    if _is_exact(eta):
-        eta = Fraction(eta)
+    """2(eta - 1) n / (n + 2 - n eta); the inverse-epsilon power.
+    Unchecked, exact on Fraction input and elementwise on arrays."""
     return 2 * (eta - 1) * n / (n + 2 - n * eta)
 
 
 def C1_coef(eta: Number, n: int):
-    """n (eta - 1) / 2; weight of the gradient term."""
-    _check_eta_domain(eta, n)
-    if _is_exact(eta):
-        eta = Fraction(eta)
+    """n (eta - 1) / 2; weight of the gradient term.  Unchecked, exact on
+    Fraction input and elementwise on arrays."""
     return n * (eta - 1) / 2
 
 
 def C3_coef(eta: Number, n: int, C_GN: float) -> float:
     """((n + 2 - n eta)/2) * C_GN**(2/(n + 2 - n eta)); the one check that
     C_GN is positive and finite."""
-    _check_eta_domain(eta, n)
     if not 0 < C_GN < math.inf:
         raise ParameterError(f"C_GN must be positive and finite, got {C_GN}")
     eta = float(eta)
@@ -284,12 +267,14 @@ def corollary2_parameters(n: int):
 @dataclass(frozen=True)
 class RegionRow:
     p: float
-    q_low: float
+    q_low: float   # max(n, p)
     q_high: float  # inf when p >= n
 
 
 def feasible_region_samples(n: int, p_grid: Iterable[Number]) -> list[RegionRow]:
-    """Admissible q interval (n, n p/(n-p)) per p; unbounded above for p >= n.
+    """Admissible q interval (max(n, p), n p/(n-p)) per p; unbounded above
+    for p >= n.  q > n opens the s1 interval, q > p the s2 interval (its
+    ends p/2 and q/2), and q < n p/(n-p) is p > nq/(n+q).
 
     Grid points with p <= n/2 are dropped (empty interval there).
     """
@@ -300,7 +285,7 @@ def feasible_region_samples(n: int, p_grid: Iterable[Number]) -> list[RegionRow]
         if 2 * p <= n:
             continue
         if p >= n:
-            rows.append(RegionRow(float(p), float(n), math.inf))
+            rows.append(RegionRow(float(p), float(p), math.inf))
         else:
             rows.append(RegionRow(float(p), float(n), float(n * p / (n - p))))
     return rows

@@ -27,7 +27,7 @@ from .errors import (DivergenceError, InfeasibleError,
                      NonpositiveDenominatorError, ParameterError)
 from .exponents import (C1_coef, C3_coef, EnergyIndices, ModelParams,
                         check_condition_C, corollary1_parameters,
-                        feasible_box, h_exponent, k_exponent)
+                        etas_in_range, feasible_box, h_exponent, k_exponent)
 
 
 class CoefficientConventionWarning(UserWarning):
@@ -157,17 +157,24 @@ class BoundResult:
 
 
 def _zeta_split(params: ModelParams, indices: EnergyIndices):
-    """Constant terms (negative) and epsilon slopes of (zeta1, zeta2)."""
+    """Constant terms (negative) and epsilon slopes of (zeta1, zeta2).
+
+    Every bound path starts here, so this is the one check that the indices
+    are admissible: every eta strictly inside (1, 1 + 2/n)."""
     n = params.dim
     p, q, s1 = float(indices.p), float(indices.q), float(indices.s1)
-    e0, e1, e2, e3 = (float(e) for e in indices.eta)
+    e0, e1, e2, e3 = etas = tuple(float(e) for e in indices.eta)
+    if not etas_in_range(indices.eta, n):
+        raise ParameterError(
+            f"indices p={p}, q={q}, s1={s1}, s2={float(indices.s2)} are not "
+            f"admissible for n={n}: eta={etas} must lie in (1, 1 + 2/{n})")
     ab2 = params.alpha ** 2 + params.beta ** 2
     cx2 = params.chi ** 2 + params.xi ** 2
     gq = n / 4.0 + q - 2.0
-    slope1 = ab2 * gq * float(C1_coef(e0, n)) \
-        + p * cx2 * ((s1 - 1.0) / s1) * float(C1_coef(e1, n))
-    slope2 = float(C1_coef(e2, n)) * ab2 * gq \
-        + float(C1_coef(e3, n)) * (1.0 / s1) * cx2 * p
+    slope1 = ab2 * gq * C1_coef(e0, n) \
+        + p * cx2 * ((s1 - 1.0) / s1) * C1_coef(e1, n)
+    slope2 = C1_coef(e2, n) * ab2 * gq \
+        + C1_coef(e3, n) * (1.0 / s1) * cx2 * p
     const1 = -2.0 * (p - 1.0) / p ** 2
     const2 = -(q - 2.0) / q ** 2
     return (const1, const2), (slope1, slope2)
@@ -185,9 +192,6 @@ def zeta_coefficients(params: ModelParams, indices: EnergyIndices,
 def max_admissible_epsilon(params: ModelParams, indices: EnergyIndices) -> float:
     """Supremum of epsilon keeping both zeta prefactors negative."""
     (c1, c2), (b1, b2) = _zeta_split(params, indices)
-    if c1 >= 0 or c2 >= 0:
-        raise ParameterError(
-            f"degenerate zeta constants ({c1}, {c2}); need p > 1 and q > 2")
     roots = [(-c / b) for c, b in ((c1, b1), (c2, b2)) if b > 0]
     return min(roots) if roots else math.inf
 
@@ -219,11 +223,11 @@ def _assemble_coefficients(params: ModelParams, indices: EnergyIndices,
     n = params.dim
     p, q = float(indices.p), float(indices.q)
     etas = tuple(float(e) for e in indices.eta)
-    ks = tuple(float(k_exponent(e, n)) for e in etas)
+    ks = tuple(k_exponent(e, n) for e in etas)
     M = max(p * (params.xi ** 2 + params.chi ** 2),
             (n / 4.0 + q - 2.0) * (params.alpha ** 2 + params.beta ** 2))
     m = C_GN * M
-    m_i = tuple(M * C3_coef(e, n, C_GN) * epsilon ** (-float(h_exponent(e, n)))
+    m_i = tuple(M * C3_coef(e, n, C_GN) * epsilon ** -h_exponent(e, n)
                 for e in etas)
     return OdiCoefficients(m=m, m_i=m_i, mu1=params.mu1,
                            c=2.0 * params.boundary_c,
@@ -372,6 +376,8 @@ def _truncation(den: Denominator, E0: float, F0: float,
     if F0 <= 0:
         raise NonpositiveDenominatorError(
             f"denominator nonpositive at E0={E0}", root=E0)
+    if not F0 < math.inf:
+        raise OverflowError(f"F(E0) overflows at E0={E0!r}")
     A_dom, a_dom = _dominant_term(den)
 
     flags: list[str] = []
@@ -383,9 +389,6 @@ def _truncation(den: Denominator, E0: float, F0: float,
         tail_factor = 2.0
         flags.append("negative_linear_term")
     S = max(S, 10.0 * E0)
-    if not math.isfinite(S):
-        raise ParameterError(f"E0={E0!r} puts the truncation point 10*E0 "
-                             f"past float range")
     if truncation_point is not None:
         if truncation_point <= E0:
             raise ParameterError("truncation_point must exceed E0")
@@ -429,7 +432,9 @@ def lower_bound_integral(den: Denominator | Sequence[Denominator], E0: float,
     not settle goes to integrate.quad on its own.  The rows are checked and
     given their S in order before any is integrated, and the first that
     fails raises what it raises alone; a row whose set-up raises one of the
-    exception types `skip` gives None instead.
+    exception types `skip` gives None instead.  An E0 at which F overflows
+    in every row is a ParameterError; in a batch where some row's F(E0) is
+    finite, a row whose F(E0) overflows raises OverflowError.
     """
     single = isinstance(den, Denominator)
     dens = [den] if single else list(den)
@@ -437,17 +442,20 @@ def lower_bound_integral(den: Denominator | Sequence[Denominator], E0: float,
         return []
     if not 0 < E0 < math.inf:
         raise ParameterError(f"E0 must be positive and finite, got {E0}")
+    if not 10.0 * E0 < math.inf:
+        raise ParameterError(f"E0={E0!r} puts the truncation point 10*E0 "
+                             f"past float range")
     if len({len(d.terms) for d in dens}) > 1:
         raise ParameterError("the denominators of a batch need one number "
                              "of terms")
     coefs, expos, fast = _power_table(dens)
     c = np.array([d.c for d in dens])
     mu1 = np.array([d.mu1 for d in dens])
-    # F(E0) may overflow to inf, which is positive; an E0 that large puts
-    # 10*E0, and so S, past float range, which _truncation rejects
     with np.errstate(over="ignore"):
         F0 = _power_sums(np.asarray(E0, dtype=float), coefs, expos, fast, c,
                          mu1)
+    if not np.isfinite(F0).any():
+        raise ParameterError(f"F(E0) overflows at E0={E0!r}")
     setups = []
     for d, f0 in zip(dens, F0.tolist()):
         try:
@@ -476,9 +484,11 @@ def lower_bound_integral(den: Denominator | Sequence[Denominator], E0: float,
         else:
             # imported at the first fallback: an accepted pass needs no scipy
             from scipy import integrate
-            val, err = integrate.quad(_log_integrand(d), x_lo, math.log(S),
-                                      epsabs=0.0, epsrel=REL_TOL,
-                                      limit=500)
+            # an overflowing F makes the integrand 0, as in the pass above
+            with np.errstate(over="ignore"):
+                val, err = integrate.quad(_log_integrand(d), x_lo,
+                                          math.log(S), epsabs=0.0,
+                                          epsrel=REL_TOL, limit=500)
         results.append(BoundResult(t_lower=val, S=S, quadrature_error=err,
                                    tail_upper=tail_upper, flags=flags))
     return results[0] if single else results
@@ -547,7 +557,8 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
 
     def score(candidates):
         """The bounds of the candidates, in order, as one batch; a candidate
-        whose coefficients or truncation point overflow is left out."""
+        whose coefficients, truncation point or F(E0) overflow is left
+        out."""
         rows = [row for row in (assemble(*c) for c in candidates)
                 if row is not None]
         bounds = lower_bound_integral(
@@ -574,8 +585,14 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
     for _ in range(REFINE_ITERS):
         s1, s2 = best.indices.s1, best.indices.s2
         improved = False
-        for out in score(((s1 + d1, s2), (s1 - d1, s2), (s1, s2 + d2),
-                          (s1, s2 - d2))):
+        try:
+            trials = score(((s1 + d1, s2), (s1 - d1, s2), (s1, s2 + d2),
+                            (s1, s2 - d2)))
+        except ParameterError:
+            # F(E0) overflows at all four trials: E0 passed every other
+            # check in the grid's call, where F(E0) is finite at the best
+            trials = []
+        for out in trials:
             if out.t_lower > best.t_lower:
                 best, improved = out, True
         if not improved:

@@ -193,6 +193,15 @@ class TestCheckParams:
         assert all(c["passed"] for c in payload["clauses"].values())
         assert payload["etas_in_range"] is False
 
+    def test_undefined_etas_exit_one(self, capsys):
+        # s1 = 0.5 leaves eta_1 = s1/(s1-1) undefined: no etas to report
+        code = main(["check-params", "-n", "3", "-p", "3", "-q", "6",
+                     "--s1", "0.5", "--s2", "2"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["etas"] is None
+        assert payload["etas_in_range"] is False
+
     def test_missing_indices_usage_error(self, capsys):
         assert main(["check-params", "-n", "3"]) == 2
 
@@ -237,6 +246,14 @@ class TestBound:
         assert code == 3
         assert capsys.readouterr().err == (
             "error: denominator nonpositive at E0=1e-12\n")
+
+    def test_negative_linear_term_flagged(self, capsys):
+        code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+                     "--set", "model.mu1=-0.5", "--set", "bound.C_GN=1"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flags"] == ["negative_linear_term"]
+        assert payload["t_lower"] > 0
 
     def test_missing_E0_usage_error(self, capsys):
         code = main(["bound", "-n", "3", "--corollary", "2",
@@ -328,15 +345,27 @@ class TestRegion:
 
 
 # id -> (argv, the value its config error line names): a huge E0 puts the
-# truncation point 10*E0 past float range, and a tiny epsilon (its
-# epsilon**(-h)) or a huge C_GN (C3's C_GN**(2/denom)) overflows the embed
-# inequality
-OVERFLOWS = {
+# truncation point 10*E0, or F(E0) at every candidate, past float range, a
+# tiny epsilon (its epsilon**(-h)) or a huge C_GN (C3's C_GN**(2/denom))
+# overflows the embed inequality, and indices with eta_0 = 1 (and eta_3 =
+# 5/3, the singular point, with s1 = 5) are not admissible
+NAMED = {
     "E0=1e308": (["bound", "-n", "3", "--corollary", "2", "--E0", "1e308",
                   "--set", "grid.shells=8"], "E0=1e+308"),
     "optimize-E0=1e308": (["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
                            "--E0", "1e308", "--set", "grid.shells=8"],
                           "E0=1e+308"),
+    "E0=1e100": (["bound", "-n", "3", "--corollary", "2", "--E0", "1e100",
+                  "--set", "grid.shells=8"], "E0=1e+100"),
+    "optimize-E0=1e100": (["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
+                           "--E0", "1e100", "--set", "grid.shells=8"],
+                          "E0=1e+100"),
+    "eta_0=1": (["bound", "-n", "3", "-p", "4", "-q", "6", "--s1", "4",
+                 "--s2", "2", "--E0", "1", "--set", "bound.C_GN=1"],
+                "p=4.0, q=6.0, s1=4.0, s2=2.0 are not admissible"),
+    "eta_3=5/3": (["bound", "-n", "3", "-p", "4", "-q", "6", "--s1", "5",
+                   "--s2", "2", "--E0", "1", "--set", "bound.C_GN=1"],
+                  "p=4.0, q=6.0, s1=5.0, s2=2.0 are not admissible"),
     "embed-epsilon=1e-300": (["verify-embed", "-n", "3", "--eta", "1.5",
                               "--set", "verify.epsilon=1e-300",
                               "--set", "grid.shells=8"],
@@ -433,7 +462,7 @@ class TestExitCodes:
         ["region", "-n", "3", "--set", "region.p_min=-inf"],
         ["region", "-n", "3", "--set", "region.p_max=1e300"],
         ["region", "-n", "3", "--set", "region.p_min=-1e300"],
-        *(argv for argv, _ in OVERFLOWS.values()),
+        *(argv for argv, _ in NAMED.values()),
     ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
             "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
             "eta=0.5", "E0=inf", "optimize-E0=inf", "C_GN=inf",
@@ -445,15 +474,15 @@ class TestExitCodes:
             "simulate-chi=nan", "slack=nan", "slack=inf", "slack=-inf",
             "epsilon=nan", "epsilon=inf", "t_final=inf", "dt_max=inf",
             "width=0", "width<0", "width=inf", "p_max=inf", "p_min=-inf",
-            "p_max=1e300", "p_min=-1e300", *OVERFLOWS])
+            "p_max=1e300", "p_min=-1e300", *NAMED])
     def test_rejected_value_exits_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
-        # an overflow's line names the value that overflows
-        for overflow, named in OVERFLOWS.values():
-            if argv == overflow:
+        # the line names the value that overflows or is not admissible
+        for named_argv, named in NAMED.values():
+            if argv == named_argv:
                 assert named in err
 
     def test_bad_corollary_flag_is_usage_error(self, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chemobound.errors import ParameterError, SingularityError
+from chemobound.errors import ParameterError
 from chemobound.exponents import (EnergyIndices, ModelParams,
                                   C1_coef, C3_coef, check_condition_C,
                                   compute_etas, corollary1_parameters,
@@ -18,6 +18,7 @@ from chemobound.exponents import (EnergyIndices, ModelParams,
                                   feasible_box, feasible_region_samples,
                                   h_exponent,
                                   k_exponent, write_region_csv)
+from chemobound.odi import odi_coefficients
 
 F = Fraction
 
@@ -147,8 +148,11 @@ class TestExponentMaps:
         assert k_exponent(F(3, 2), 3) == 3
 
     def test_k_singularity(self):
-        with pytest.raises(SingularityError):
-            k_exponent(F(5, 3), 3)
+        # the maps are unchecked formulas: a bound's indices are checked
+        # where they meet the model, and eta_3 = 5/3 is k's singular point
+        with pytest.raises(ParameterError, match="not admissible"):
+            odi_coefficients(ModelParams(chi=1.0, xi=1.0, dim=3),
+                             EnergyIndices(3, 6, 5, 2), math.nan, 1.0)
 
     def test_h_and_c1_at_one(self):
         assert h_exponent(1, 4) == 0
@@ -207,6 +211,25 @@ class TestFeasibleRegion:
         rows = feasible_region_samples(3, [3])
         assert rows[0].q_low == 3 and math.isinf(rows[0].q_high)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rows_agree_with_condition_C(self, n):
+        # a q just inside each end of a row is admissible at the centre of
+        # its (s1, s2) box, and a q just below q_low is not; a row with
+        # p >= n needs q > p, where the s2 interval (p/2, q/2) opens
+        def admissible(p, q):
+            (a, b), (c, d) = feasible_box(n, p, q)
+            return check_condition_C(n, p, q, 0.5 * (a + b),
+                                     0.5 * (c + d)).admissible
+
+        rows = feasible_region_samples(n, np.arange(n / 2 + 0.25, 3 * n,
+                                                    0.25).tolist())
+        assert any(row.p > n for row in rows)
+        for row in rows:
+            q_high = 100 * row.q_low if math.isinf(row.q_high) else row.q_high
+            assert admissible(row.p, row.q_low * (1 + 1e-6))
+            assert admissible(row.p, q_high * (1 - 1e-6))
+            assert not admissible(row.p, row.q_low * (1 - 1e-6))
+
     def test_boundary_p_excluded(self):
         assert feasible_region_samples(3, [1.5]) == []
 
@@ -215,7 +238,7 @@ class TestFeasibleRegion:
         buf = io.StringIO()
         write_region_csv(feasible_region_samples(3, [2, 3, 4.5]), buf)
         assert buf.getvalue().splitlines() == [
-            "p,q_low,q_high", "2.0,3.0,6.0", "3.0,3.0,inf", "4.5,3.0,inf"]
+            "p,q_low,q_high", "2.0,3.0,6.0", "3.0,3.0,inf", "4.5,4.5,inf"]
 
 
 class TestModelParams:

@@ -237,6 +237,9 @@ class TestLowerBoundIntegral:
             base = lower_bound_integral(den, E0)
         except (OverflowError, NonpositiveDenominatorError):
             assume(False)  # eps**(-h) out of float range, or F hits zero
+        except ParameterError as exc:  # F(E0) out of float range
+            assert "F(E0) overflows" in str(exc)
+            assume(False)
         assert base.t_lower == pytest.approx(plain_quad(den, E0, base.S)[0],
                                              rel=REL_TOL, abs=0)
         scaled = Denominator(tuple((3.0 * A, a) for A, a in den.terms),
@@ -326,14 +329,15 @@ class TestGaussKronrodPass:
         assert result.quadrature_error == plain_quad(den, E0, result.S)[1]
         assert result.t_lower == pytest.approx(exact, rel=REL_TOL, abs=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_denominator_falls_back_to_quad(self, monkeypatch):
-        # 100**300 overflows at the top of the range [10, 100]
+        # 100**300 overflows at the top of the range [10, 100]; the fallback
+        # takes the integrand there as 0, without a RuntimeWarning
         den = Denominator(((1.0, 1.5), (1.0, 300.0)))
         calls = quad_calls(monkeypatch)
         result = lower_bound_integral(den, 10.0)
         assert len(calls) == 1
-        assert result.t_lower == plain_quad(den, 10.0, result.S)[0]
+        with np.errstate(over="ignore"):
+            assert result.t_lower == plain_quad(den, 10.0, result.S)[0]
 
 
 def per_term_loop(den, s):
@@ -393,6 +397,8 @@ NONPOSITIVE = Denominator(((1.0, 2.0), (0.0, 1.5)) + _PAD, mu1=-10.0)
 DIVERGENT = Denominator(((2.0, 1.0), (0.0, 1.5)) + _PAD, c=1.0)
 # S = (2e-17)**(-100) is past float range
 OVERFLOWING_S = Denominator(((1e-3, 1.01), (1e-3, 1.01)) + _PAD)
+# F(10) = 10**400 + ... is past float range
+OVERFLOWING_F0 = Denominator(((1.0, 1.5), (1.0, 400.0)) + _PAD)
 
 
 class TestBatchedIntegral:
@@ -442,6 +448,20 @@ class TestBatchedIntegral:
         with pytest.raises(NonpositiveDenominatorError):
             lower_bound_integral([good, NONPOSITIVE], 10.0,
                                  skip=OverflowError)
+
+    def test_row_with_overflowing_F0_is_skipped(self):
+        # alone, such a row is an E0 error; in a batch it is one bad row
+        dens = list(BATCH_ROWS.values())
+        solo = [lower_bound_integral(d, 10.0) for d in dens]
+        assert lower_bound_integral([OVERFLOWING_F0, *dens, OVERFLOWING_F0],
+                                    10.0, skip=OverflowError) == \
+            [None, *solo, None]
+        with pytest.raises(OverflowError, match=r"F\(E0\) overflows"):
+            lower_bound_integral(dens + [OVERFLOWING_F0], 10.0)
+        for rows in (OVERFLOWING_F0, [OVERFLOWING_F0] * 2):
+            with pytest.raises(ParameterError,
+                               match=r"F\(E0\) overflows at E0=10.0"):
+                lower_bound_integral(rows, 10.0, skip=OverflowError)
 
     def test_rows_need_one_number_of_terms(self):
         with pytest.raises(ParameterError, match="number of terms"):
@@ -590,6 +610,9 @@ class TestEpsilonMonotone:
                 for f in (lo, hi))
         except (OverflowError, NonpositiveDenominatorError):
             assume(False)  # eps**(-h) out of float range, or F hits zero
+        except ParameterError as exc:  # F(E0) out of float range
+            assert "F(E0) overflows" in str(exc)
+            assume(False)
         assert t_hi >= t_lo * (1.0 - 1e-9)
 
 

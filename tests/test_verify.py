@@ -205,6 +205,20 @@ class TestRemarkOrdering:
         with pytest.raises(ParameterError):
             check_remark_ordering(3, [1.6])
 
+    # a map equal to eta/(2-eta) closes the chain inside the interval; one
+    # off by a relative 1e-9 misses the triple equality at eta = n/(n-1)
+    @pytest.mark.parametrize("wrong_k, witness", [
+        (lambda eta, n: eta / (2.0 - eta), "eta=1.2 (chain gap=0.0)"),
+        (lambda eta, n: (1.0 + 1e-9) * (n - eta * (n - 2)) / (n + 2 - n * eta),
+         "eta=1.5 (equality point"),
+    ], ids=["chain_gap", "equality_point"])
+    def test_wrong_k_map_is_caught(self, monkeypatch, wrong_k, witness):
+        monkeypatch.setattr(verify, "k_exponent", wrong_k)
+        report = check_remark_ordering(3, [1.2])
+        assert report.violations == 1
+        assert report.worst_margin <= 0
+        assert report.witness.startswith(witness)
+
 
 class TestEquivalence:
     def test_no_mismatches_small_run(self):
