@@ -234,8 +234,8 @@ def C1_coef(eta: Number, n: int):
 
 
 def C3_coef(eta: Number, n: int, C_GN: float) -> float:
-    """((n + 2 - n eta)/2) * C_GN**(2/(n + 2 - n eta)); the one check that
-    C_GN is positive and finite."""
+    """((n + 2 - n eta)/2) * C_GN**(2/(n + 2 - n eta)); rejects a C_GN that
+    is not positive and finite (the bound takes its C3 as arrays, in odi)."""
     if not 0 < C_GN < math.inf:
         raise ParameterError(f"C_GN must be positive and finite, got {C_GN}")
     eta = float(eta)

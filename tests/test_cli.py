@@ -347,7 +347,8 @@ class TestRegion:
 # id -> (argv, the value its config error line names): a huge E0 puts the
 # truncation point 10*E0, or F(E0) at every candidate, past float range, a
 # tiny epsilon (its epsilon**(-h)) or a huge C_GN (C3's C_GN**(2/denom))
-# overflows the embed inequality, and indices with eta_0 = 1 (and eta_3 =
+# overflows the embed inequality, a huge C_GN overflows the coefficients of
+# every optimize-bound candidate, and indices with eta_0 = 1 (and eta_3 =
 # 5/3, the singular point, with s1 = 5) are not admissible
 NAMED = {
     "E0=1e308": (["bound", "-n", "3", "--corollary", "2", "--E0", "1e308",
@@ -373,6 +374,9 @@ NAMED = {
     "embed-C_GN=1e300": (["verify-embed", "-n", "3", "--eta", "1.5",
                           "--set", "bound.C_GN=1e300",
                           "--set", "grid.shells=8"], "verify.epsilon=1.0"),
+    "optimize-C_GN=1e300": (["optimize-bound", "-n", "3", "-p", "2", "-q",
+                             "4", "--E0", "1", "--set", "bound.C_GN=1e300",
+                             "--set", "grid.shells=8"], "C_GN=1e+300"),
 }
 
 

@@ -171,7 +171,7 @@ class TestExponentMaps:
         assert C3_coef(F(3, 2), 3, 2.0) == pytest.approx(0.25 * 2.0 ** 4)
 
     def test_c3_rejects_nonpositive_constant(self):
-        # C3_coef is where every bound path checks C_GN; inf is rejected too
+        # C3_coef checks C_GN, as the bound's assembly does; inf is rejected
         for C_GN in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ParameterError,
                                match="C_GN must be positive and finite"):

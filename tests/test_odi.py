@@ -12,11 +12,13 @@ from scipy import integrate, optimize
 from chemobound import odi
 from chemobound.errors import (DivergenceError, InfeasibleError,
                                NonpositiveDenominatorError, ParameterError)
-from chemobound.exponents import (EnergyIndices, ModelParams,
+from chemobound.exponents import (C3_coef, EnergyIndices, ModelParams,
                                   check_condition_C, corollary1_parameters,
-                                  corollary2_parameters, feasible_box)
+                                  corollary2_parameters, eta_formulas,
+                                  feasible_box, h_exponent, k_exponent)
 from chemobound.odi import (BOUNDARY_MARGIN, COARSE_GRID, REFINE_ITERS,
-                            REL_TOL, CoefficientConventionWarning,
+                            REL_TOL, SWEEP_LEVELS,
+                            CoefficientConventionWarning,
                             Denominator, OdiCoefficients,
                             bound_at_indices, lower_bound_integral,
                             max_admissible_epsilon, odi_coefficients,
@@ -164,6 +166,13 @@ class TestCoefficients:
         # odi_coefficients
         with pytest.warns(CoefficientConventionWarning):
             optimize_bound(params, 2.0, 4.0, 1.0, 1.0)
+
+    def test_warns_once_per_optimize_query(self):
+        params = ModelParams(chi=1.0, xi=1.0, delta=2.0, dim=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            optimize_bound(params, 2.0, 4.0, 1.0, 1.0)
+        assert [w.category for w in caught] == [CoefficientConventionWarning]
 
 
 class TestRhs:
@@ -501,48 +510,75 @@ class TestOptimize:
         assert len(calls) == 2
 
     def _scored(self, monkeypatch):
-        """Every (indices, coefficients) optimize_bound assembles, the
-        denominators of each lower_bound_integral batch it scores, and the
-        result it returns."""
-        assembled, batches = [], []
-        assemble = odi._assemble_coefficients
+        """The (s1, s2) arrays of every batch optimize_bound scores, each
+        call of the coefficient assembly as (etas, epsilon, table, errors),
+        the tables it integrates, and the result it returns.  The last
+        assembly is the winner's, rebuilt as one row."""
+        candidates, assembled, tables = [], [], []
 
-        def coefficients(*args, **kwargs):
-            assembled.append((args[1], assemble(*args, **kwargs)))
-            return assembled[-1][1]
+        def etas(p, q, s1, s2):
+            candidates.append((s1.tolist(), s2.tolist()))
+            return eta_formulas(p, q, s1, s2)
 
-        def integral(dens, *args, **kwargs):
-            batches.append(list(dens))
-            return lower_bound_integral(dens, *args, **kwargs)
+        def coefficients(params, p, q, etas, epsilon, eps_max, C_GN):
+            table, errors = table_of(params, p, q, etas, epsilon, eps_max,
+                                     C_GN)
+            assembled.append((etas, epsilon, table, errors))
+            return table, errors
 
-        monkeypatch.setattr(odi, "_assemble_coefficients", coefficients)
+        def integral(den, *args, **kwargs):
+            tables.append(den)
+            return lower_bound_integral(den, *args, **kwargs)
+
+        table_of = odi._coefficient_table
+        monkeypatch.setattr(odi, "eta_formulas", etas)
+        monkeypatch.setattr(odi, "_coefficient_table", coefficients)
         monkeypatch.setattr(odi, "lower_bound_integral", integral)
         best = optimize_bound(PARAMS, 2.0, 4.0, 1.0, 1.0)
-        return assembled, batches, best
+        return candidates, assembled, tables, best
 
     def test_every_scored_candidate_admissible(self, monkeypatch):
-        assembled, batches, _ = self._scored(monkeypatch)
-        assert len(assembled) > COARSE_GRID ** 2
-        # every assembled candidate is integrated, in order
-        assert [d for batch in batches for d in batch] == \
-            [coeffs.denominator() for _, coeffs in assembled]
-        for idx, _ in assembled:
-            assert check_condition_C(3, idx.p, idx.q, idx.s1, idx.s2).admissible
+        candidates, assembled, tables, _ = self._scored(monkeypatch)
+        assert sum(len(s1) for s1, _ in candidates) > COARSE_GRID ** 2
+        # every assembled batch is integrated whole, in order, and then the
+        # winner alone is assembled again
+        assert len(assembled) == len(tables) + 1 == len(candidates) + 1
+        assert all(table is den for (_, _, table, _), den
+                   in zip(assembled, tables))
+        assert assembled[-1][2].coefs.shape == (8, 1)
+        for s1s, s2s in candidates:
+            for s1, s2 in zip(s1s, s2s):
+                assert check_condition_C(3, 2.0, 4.0, s1, s2).admissible
 
     @pytest.mark.parametrize("margin", [BOUNDARY_MARGIN])
     def test_epsilon_at_top_of_its_range(self, monkeypatch, margin):
-        assembled, _, best = self._scored(monkeypatch)
-        assert (best.indices, best.coeffs) in assembled
-        for indices, coeffs in assembled:
-            eps_max = max_admissible_epsilon(PARAMS, indices)
-            assert coeffs.epsilon == (1.0 - margin) * eps_max
+        candidates, assembled, _, best = self._scored(monkeypatch)
+        for (s1s, s2s), (_, epsilon, _, _) in zip(candidates, assembled):
+            for s1, s2, eps in zip(s1s, s2s, epsilon.tolist()):
+                eps_max = max_admissible_epsilon(
+                    PARAMS, EnergyIndices(2.0, 4.0, s1, s2))
+                assert eps == (1.0 - margin) * eps_max
+        # the winner is a scored row, and its one-row rebuild is that row
+        idx = best.indices
+        batch, k = next((i, k) for i, (s1s, s2s) in enumerate(candidates)
+                        for k, s12 in enumerate(zip(s1s, s2s))
+                        if s12 == (idx.s1, idx.s2))
+        etas, epsilon, table, _ = assembled[batch]
+        assert best.coeffs.epsilon == epsilon[k] == \
+            (1.0 - margin) * max_admissible_epsilon(PARAMS, idx)
+        assert assembled[-1][2].coefs[:, 0].tolist() == \
+            table.coefs[:, k].tolist() == \
+            [best.coeffs.m] * 4 + list(best.coeffs.m_i)
+        assert etas[:, k].tolist() == list(best.coeffs.eta_exponents)
 
     def test_scores_grid_and_sweeps_in_batches(self, monkeypatch):
-        _, batches, _ = self._scored(monkeypatch)
-        # the grid and the seed q = 2p adds, less the overflowing candidates
-        assert 4 < len(batches[0]) <= COARSE_GRID ** 2 + 1
-        assert 1 < len(batches) <= 1 + REFINE_ITERS
-        assert all(1 <= len(batch) <= 4 for batch in batches[1:])
+        _, _, tables, _ = self._scored(monkeypatch)
+        rows = [table.coefs.shape[1] for table in tables]
+        # the grid and the seed q = 2p adds, as one table
+        assert rows[0] == COARSE_GRID ** 2 + 1
+        assert 1 < len(rows) <= 1 + REFINE_ITERS
+        # each sweep's four trials with those of the next halvings of d
+        assert all(1 <= k <= 4 * SWEEP_LEVELS for k in rows[1:])
 
     # (t_lower, s1, s2, epsilon) with chi = xi = 1, E0 = 1 and C_GN = 1 at
     # the optimize-bound points of the benchmark, as scored one candidate at
@@ -582,6 +618,142 @@ class TestOptimize:
                                          51.67631658534195,
                                          25.016666666666666,
                                          0.001563730734606484)
+
+
+def scored_alone(params, indices, E0, C_GN):
+    """One candidate's bound as the search scored it alone: bound_at_indices
+    at epsilon = (1 - BOUNDARY_MARGIN) * its supremum, whose coefficients
+    must be the scalar formulas' with Python's powers; None where they, S
+    or F(E0) overflow, as a batch leaves such a candidate out."""
+    n = params.dim
+    eps = (1.0 - BOUNDARY_MARGIN) * max_admissible_epsilon(params, indices)
+    try:
+        out = bound_at_indices(params, indices, E0, C_GN, eps)
+    except OverflowError:
+        return None
+    except ParameterError as exc:
+        assert "F(E0) overflows" in str(exc)
+        return None
+    p, q = float(indices.p), float(indices.q)
+    M = max(p * (params.xi ** 2 + params.chi ** 2),
+            (n / 4.0 + q - 2.0) * (params.alpha ** 2 + params.beta ** 2))
+    etas = tuple(float(e) for e in indices.eta)
+    assert out.coeffs.m_i == tuple(
+        M * C3_coef(e, n, C_GN) * eps ** -h_exponent(e, n) for e in etas)
+    assert out.coeffs.k_exponents == tuple(k_exponent(e, n) for e in etas)
+    return out
+
+
+def one_at_a_time(params, p, q, E0, C_GN):
+    """optimize_bound's search with each candidate scored alone: the grid,
+    then sweeps of four trials, each that does not improve the best point
+    halving the step; the best is taken with a strict `>` in candidate
+    order."""
+    n = params.dim
+    (a, b), (c, d) = feasible_box(n, p, q)
+    w1, w2, mar = b - a, d - c, BOUNDARY_MARGIN
+    lo1, hi1, lo2, hi2 = a + mar * w1, b - mar * w1, c + mar * w2, d - mar * w2
+    if not (check_condition_C(n, p, q, lo1, lo2).admissible
+            and check_condition_C(n, p, q, hi1, hi2).admissible):
+        raise InfeasibleError(
+            f"empty admissible (s1, s2) box for n={n}, p={p}, q={q}")
+
+    def bound(s1, s2):
+        indices = EnergyIndices(p, q, min(max(s1, lo1), hi1),
+                                min(max(s2, lo2), hi2))
+        return scored_alone(params, indices, E0, C_GN)
+
+    grid = [(float(s1), float(s2))
+            for s1 in np.linspace(lo1, hi1, COARSE_GRID)
+            for s2 in np.linspace(lo2, hi2, COARSE_GRID)]
+    if q == 2 * p:
+        grid.append(tuple(map(float, corollary1_parameters(p, n)[1:])))
+    best = None
+    for cand in grid:
+        out = bound(*cand)
+        if out is not None and (best is None or out.t_lower > best.t_lower):
+            best = out
+    if best is None:
+        raise InfeasibleError("no admissible candidate found in the box")
+    d1, d2 = 0.25 * w1, 0.25 * w2
+    for _ in range(REFINE_ITERS):
+        s1, s2 = best.indices.s1, best.indices.s2
+        improved = False
+        for trial in ((s1 + d1, s2), (s1 - d1, s2), (s1, s2 + d2),
+                      (s1, s2 - d2)):
+            out = bound(*trial)
+            if out is not None and out.t_lower > best.t_lower:
+                best, improved = out, True
+        if not improved:
+            d1, d2 = 0.5 * d1, 0.5 * d2
+            if max(d1, d2) < 1e-10:
+                break
+    return best
+
+
+def assert_matches_one_at_a_time(params, p, q, E0, C_GN):
+    """optimize_bound gives the one-at-a-time search's result bit for bit,
+    or raises what it raises."""
+    try:
+        expected = one_at_a_time(params, p, q, E0, C_GN)
+    except (InfeasibleError, NonpositiveDenominatorError,
+            DivergenceError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            optimize_bound(params, p, q, E0, C_GN)
+        assert str(raised.value) == str(exc)
+        return
+    assert optimize_bound(params, p, q, E0, C_GN) == expected
+
+
+class TestOneAtATimeOracle:
+    """Scoring the grid, and each sweep with the next two halvings of its
+    step, as arrays takes the path and gives the bound of scoring one
+    candidate at a time with the scalar assembly."""
+
+    @pytest.mark.parametrize("n, p, q", [(3, 2.0, 4.0), (3, 3.0, 6.0),
+                                         (4, 3.0, 6.0), (5, 4.0, 8.0)])
+    def test_pinned_points(self, n, p, q):
+        assert_matches_one_at_a_time(ModelParams(chi=1.0, xi=1.0, dim=n),
+                                     p, q, 1.0, 1.0)
+
+    def test_failing_sweep_is_scored_alone(self, monkeypatch):
+        """F vanishes on the range of some trials here: a batch holding one
+        raises, so its first sweep is scored alone, and the query raises
+        what the search one candidate at a time raises."""
+        batches = []
+
+        def integral(den, *args, **kwargs):
+            if isinstance(den, odi.DenominatorTable):
+                batches.append(den.coefs.shape[1])
+            return lower_bound_integral(den, *args, **kwargs)
+
+        monkeypatch.setattr(odi, "lower_bound_integral", integral)
+        params = ModelParams(chi=0.9409039742962038, xi=0.14323718870529378,
+                             mu1=-0.18510462519544782, dim=4)
+        with pytest.raises(NonpositiveDenominatorError):
+            optimize_bound(params, 7.124632584217193, 12.157047534999112,
+                           0.011107270348609331, 0.002244929109070634)
+        assert 4 in batches
+        assert_matches_one_at_a_time(params, 7.124632584217193,
+                                     12.157047534999112,
+                                     0.011107270348609331,
+                                     0.002244929109070634)
+
+    # F overflows to inf far out on the range, where 1/F is below 1e-308
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(3, 5), fq=st.floats(0.02, 1), fp=st.floats(0.02, 0.98),
+           log_E0=st.floats(-1, 2), chi=st.floats(0, 20), xi=st.floats(0, 20),
+           mu1=st.floats(-1, 1))
+    def test_admissible_points(self, n, fq, fp, log_E0, chi, xi, mu1):
+        q = n + 3.0 * n * fq
+        p_lo = n * q / (n + q)
+        p = p_lo + (3.0 * n - p_lo) * fp
+        (a, b), (c, d) = feasible_box(n, p, q)
+        assume(b > a and d > c)
+        assert_matches_one_at_a_time(
+            ModelParams(chi=chi, xi=xi, mu1=mu1, dim=n), p, q,
+            10.0 ** log_E0, 1.0)
 
 
 class TestEpsilonMonotone:
