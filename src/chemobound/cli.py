@@ -182,12 +182,16 @@ def bound_from_config(cfg: dict, params: exponents.ModelParams,
 def _overflow_is_config_error(cfg: dict, C_GN: float,
                               epsilon_key: str = "indices.epsilon"):
     """An OverflowError becomes a ConfigError naming C_GN and the epsilon
-    read from `epsilon_key`."""
+    read from `epsilon_key`, or saying that it is unset (NaN), which means
+    half its admissible supremum."""
     try:
         yield
     except OverflowError as exc:  # e.g. a tiny epsilon's epsilon**(-h)
-        raise ConfigError(f"{epsilon_key}={cfg[epsilon_key]!r} with "
-                          f"C_GN={C_GN!r} overflows the bound") from exc
+        epsilon = cfg[epsilon_key]
+        named = (f"{epsilon_key} unset (half its supremum)"
+                 if math.isnan(epsilon) else f"{epsilon_key}={epsilon!r}")
+        raise ConfigError(f"{named} with C_GN={C_GN!r} overflows the "
+                          "bound") from exc
 
 
 # --- subcommand handlers ----------------------------------------------------

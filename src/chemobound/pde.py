@@ -123,10 +123,12 @@ def init_state(grid: RadialGrid, profile) -> np.ndarray:
 
 # --- spatial operators ------------------------------------------------------
 
-def face_gradients(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
+def face_gradients(grid: RadialGrid, f: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """One-sided radial gradients at faces along the last axis of f; zero
-    at both boundaries."""
-    g = np.zeros(f.shape[:-1] + (grid.M + 1,))
+    at both boundaries.  `out`, if given, is an array of the result's shape
+    with zero end faces to write them into."""
+    g = np.zeros(f.shape[:-1] + (grid.M + 1,)) if out is None else out
     inner = g[..., 1:-1]
     np.subtract(f[..., 1:], f[..., :-1], out=inner)
     np.divide(inner, grid.dr, out=inner)
@@ -143,9 +145,10 @@ def cell_gradients(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
 
 def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
           rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system with LAPACK's gtsv, overwriting all four
-    arrays.  There is no finiteness check, so a nonfinite rhs gives a
-    nonfinite solution for the caller to reject.
+    """Solve a tridiagonal system with LAPACK's gtsv in place: the four
+    contiguous arrays are overwritten, the solution into `rhs`, which is
+    also returned.  There is no finiteness check, so a nonfinite rhs gives
+    a nonfinite solution for the caller to reject.
 
     The first call imports scipy.linalg's LAPACK and rebinds _gtsv to the
     solver below, so only a command that solves loads scipy and no step
@@ -169,11 +172,12 @@ class ParamStack:
     them.  For K = 1 they have no stack axis: step drops the stack axis of
     a one-state stack, because numpy combines the smaller arrays, and
     floats, with less call overhead.  This lone-cell layout (these floats,
-    step's dropped axis and run's 1-D reductions) is chosen by the stack
-    size alone.  On the benchmark's `blowup` workload (K = 1) its removal
-    raised op_s from 0.324-0.353 to 0.378-0.403 machine-scaled seconds,
-    about 16 %, over 6 alternating pairs of 10 s runs; `sweep` runs
-    K = 36, the other side of the choice."""
+    and the dropped axis of step and of its Workspace's arrays) is chosen
+    by the stack size alone.  With the workspace, its removal raised the
+    benchmark's `blowup` workload (K = 1) op_s from 0.271-0.277 to
+    0.316-0.331 machine-scaled seconds, medians 0.274 and 0.321, about
+    17 %, over 6 alternating pairs of 30 s runs; `sweep` runs K = 36, the
+    other side of the choice."""
 
     __slots__ = ("models", "chi", "xi", "mu1", "rates", "logistic",
                  "source")
@@ -208,21 +212,74 @@ class ParamStack:
         return ParamStack([self.models[i] for i in rows])
 
 
-def _face_velocity(params: ParamStack, grads: np.ndarray) -> np.ndarray:
+class Workspace:
+    """The arrays that run's loop and step fill on every iteration of a
+    stack of K states on one grid, allocated once for the stack, so an
+    iteration makes almost no array of its own.
+
+    `faces` holds each state's face velocity (row 0) and face gradients of
+    u, v, w (rows 1-3), all with zero end faces: `vel` and `grads` are views
+    of it, and the peaks of |velocity| and |grad u| are one reduction over
+    its first two rows (the zero ends change no peak).  `flux`, the upwind
+    flux with zero end faces, and `bands`, the tridiagonal bands of the
+    solve, are in step's layout of the stack: field first, (3, K, M), with
+    no stack axis for one state.
+
+    step solves in place, into one of two right-hand-side buffers: each
+    call writes the buffer that the call before did not, and returns a view
+    of it as the new fields.  So step may be passed its previous result,
+    which it reads while it writes the other buffer, and each result stays
+    valid until the second step after it.  step also leaves here whether
+    the new stack is finite and each state's largest u."""
+
+    __slots__ = ("faces", "grads", "vel", "peaked", "speeds", "flux",
+                 "bands", "lower", "upper", "diag", "diag_rows", "buffers",
+                 "turn", "finite", "umax")
+
+    def __init__(self, grid: RadialGrid, K: int):
+        M = grid.M
+        shape = (3, M) if K == 1 else (3, K, M)
+        self.faces = np.zeros((K, 4, M + 1))
+        self.grads, self.vel = self.faces[:, 1:], self.faces[:, 0, 1:-1]
+        self.peaked, self.speeds = self.faces[:, :2], np.empty((K, 2, M + 1))
+        self.flux = np.zeros(shape[1:-1] + (M + 1,))
+        # the bands -lower, -upper and diag of the n = K*3M system, of which
+        # gtsv takes the first n-1, n-1 and n entries
+        self.bands = np.empty((3, 3, K, M))
+        flat, n = self.bands.reshape(-1), 3 * K * M
+        self.lower, self.upper, self.diag = (flat[:n - 1], flat[n:2 * n - 1],
+                                             flat[2 * n:])
+        self.diag_rows = self.diag.reshape(shape)
+        # each buffer in step's layout as its u row and its v, w rows, flat
+        # for gtsv, as (3, K, M) and as the (K, 3, M) stack step returns
+        self.buffers = []
+        for _ in range(2):
+            rhs = np.empty(shape)
+            rows = rhs.reshape(3, K, M)
+            self.buffers.append((rhs[0], rhs[1:], rhs.reshape(-1), rows,
+                                 rows.transpose(1, 0, 2)))
+        self.turn = 0
+
+
+def _face_velocity(params: ParamStack, grads: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
     """chi*grad v - xi*grad w at the M-1 interior faces, from the (..., 3,
-    M+1) face gradients of a state or stack of states; the velocity at both
-    boundary faces is zero."""
-    return (params.chi * grads[..., 1, 1:-1]
-            - params.xi * grads[..., 2, 1:-1])
+    M+1) face gradients of a state or stack of states, written into `out`;
+    the velocity at both boundary faces is zero."""
+    return np.subtract(params.chi * grads[..., 1, 1:-1],
+                       params.xi * grads[..., 2, 1:-1], out=out)
 
 
-def _advective_divergence(grid: RadialGrid, u, vel):
+def _advective_divergence(grid: RadialGrid, u, vel, flux, out):
     """Divergence of the upwinded advective flux u * vel (interior faces),
-    along the last axis."""
-    flux = np.zeros(u.shape[:-1] + (grid.M + 1,))
+    along the last axis, into `out`.  `flux` is an array with zero end
+    faces for the flux."""
     up = np.where(vel >= 0.0, u[..., :-1], u[..., 1:])
-    np.multiply(grid.inner_areas * vel, up, out=flux[..., 1:-1])
-    return (flux[..., 1:] - flux[..., :-1]) / grid.neg_measures
+    inner = flux[..., 1:-1]
+    np.multiply(grid.inner_areas, vel, out=inner)
+    np.multiply(inner, up, out=inner)
+    np.subtract(flux[..., 1:], flux[..., :-1], out=out)
+    return np.divide(out, grid.neg_measures, out=out)
 
 
 def _logistic(params: ParamStack, u):
@@ -233,12 +290,17 @@ def _logistic(params: ParamStack, u):
 
 
 def step(fields: np.ndarray, dt, grid: RadialGrid, params: ParamStack,
-         vel: np.ndarray | None = None):
+         vel: np.ndarray | None = None, ws: Workspace | None = None):
     """One IMEX step of a stack of K states: `fields` is their (K, 3, M)
     array, `dt` a sequence of K per-state steps and `params` their
     ParamStack.  Returns the new (K, 3, M) fields and a list of K clip
     counts.  `vel` is the (K, M-1) face velocity of `fields`, if the caller
     already has it.
+
+    `ws` is a Workspace of the stack to compute in, and the new fields are
+    one of its two right-hand-side buffers, solved in place (see
+    Workspace).  Without one, step makes its own, so the new fields share
+    no memory with `fields`.
 
     All backward-Euler systems of the step are solved as one block-diagonal
     system with zero couplings between the blocks (one per field and
@@ -247,8 +309,11 @@ def step(fields: np.ndarray, dt, grid: RadialGrid, params: ParamStack,
     out nonfinite is returned as it is, unclipped, and it makes every other
     block nonfinite too, since 0 * inf is NaN; run rejects such a step and
     solves it again state by state."""
+    if ws is None:
+        ws = Workspace(grid, len(dt))
     if vel is None:
-        vel = _face_velocity(params, face_gradients(grid, fields))
+        vel = _face_velocity(params, face_gradients(grid, fields, ws.grads),
+                             ws.vel)
     # the fields come first, (3, K, M), and the blocks of the solve are
     # ordered field by field; no stack axis for one state, as in ParamStack
     if len(dt) == 1:
@@ -261,34 +326,46 @@ def step(fields: np.ndarray, dt, grid: RadialGrid, params: ParamStack,
     if not positive:
         raise ParameterError(f"dt must be positive, got {dt}")
     u = fields[0]
+    du, chem, flat, rows, new = ws.buffers[ws.turn]
+    ws.turn ^= 1
     # backward Euler: (I + dt*decay - dt*L) f_new = f + dt*source, block by
     # block, with u's source its advection and logistic terms and the
-    # chemicals' source beta*u and delta*u
+    # chemicals' source beta*u and delta*u; u's source is summed in its
+    # rhs row
     dt_rates = params.rates * dt_col
-    rhs = np.empty(fields.shape)
-    du = _advective_divergence(grid, u, vel)
+    _advective_divergence(grid, u, vel, ws.flux, du)
     if params.source:
-        du = du + _logistic(params, u)
-    np.add(u, dt_col * du, out=rhs[0])
-    np.add(fields[1:], dt_rates[0, 1:] * u, out=rhs[1:])
-    bands, n = (grid.lap_rows * dt_col).reshape(-1), rhs.size
-    blocks = bands[2 * n:].reshape(fields.shape)
-    blocks += 1.0 + dt_rates[1]
-    new = _gtsv(bands[:n - 1], bands[2 * n:], bands[n:2 * n - 1],
-                rhs.reshape(-1)).reshape(fields.shape)
-    new = new[None] if new.ndim == 2 else new.transpose(1, 0, 2)  # (K, 3, M)
+        np.add(du, _logistic(params, u), out=du)
+    np.multiply(dt_col, du, out=du)
+    np.add(u, du, out=du)
+    np.multiply(dt_rates[0, 1:], u, out=chem)
+    np.add(fields[1:], chem, out=chem)
+    np.multiply(grid.lap_rows, dt_col, out=ws.bands)
+    np.add(ws.diag_rows, 1.0 + dt_rates[1], out=ws.diag_rows)
+    _gtsv(ws.lower, ws.diag, ws.upper, flat)
     clips = [0] * len(new)
-    if not np.minimum.reduce(new, axis=None) > 0.0:
-        # something to clip, or a NaN; not the common case
+    # one minimum and the per-field maxima decide both checks: the stack is
+    # finite iff its smallest value is neither -inf nor NaN, which
+    # np.minimum propagates (so the maxima hold no NaN when it passes), and
+    # its largest value is below +inf; it has nothing to clip iff, in
+    # addition, its smallest value is positive.  The minimum is one call
+    # over the whole stack: minima per row cost ~0.1 us a row
+    least = np.minimum.reduce(flat)
+    highs = np.maximum.reduce(rows, axis=-1).tolist()   # (3, K)
+    ws.finite = -math.inf < least and max(map(max, highs)) < math.inf
+    if not (ws.finite and least > 0.0):
+        # something to clip, or a nonfinite value; not the common case
         lows = np.minimum.reduce(new, axis=-1).tolist()
-        highs = np.maximum.reduce(new, axis=-1).tolist()
+        tops = np.maximum.reduce(new, axis=-1).tolist()
         for i, state_new in enumerate(new):
-            for f, lo, hi in zip(state_new, lows[i], highs[i]):
+            for f, lo, hi in zip(state_new, lows[i], tops[i]):
                 if math.isfinite(lo) and math.isfinite(hi) and lo <= 0.0:
                     floor = -1e-10 * max(-lo, hi, 1.0)
                     if lo < floor:
                         clips[i] += int(np.count_nonzero(f < floor))
                     np.maximum(f, 0.0, out=f)
+        highs = np.maximum.reduce(rows, axis=-1).tolist()
+    ws.umax = highs[0]
     return new, clips
 
 
@@ -431,35 +508,40 @@ SAMPLE_BLOCK = 256
 class _Samples:
     """The sampled states of a run's cells, whose diagnostics are reduced
     together in blocks of SAMPLE_BLOCK states, whatever cell each came
-    from: the diagnostics of a stack of states are each state's own."""
+    from: the diagnostics of a stack of states are each state's own.
+
+    A sample is copied into the next row of two block arrays allocated
+    once, since the stack's fields and gradients are workspace buffers that
+    the next steps overwrite."""
 
     def __init__(self, grid: RadialGrid, p: float, q: float):
         self.grid, self.p, self.q = grid, p, q
-        self.pending = []   # (cell, t, u, face gradients of v and w)
+        self.pending = []   # (cell, t) of the block's samples, in row order
+        # each sample's u, as a (1, M) state whose fields hold u alone, and
+        # its face gradients of v and w
+        self.block_u = np.empty((SAMPLE_BLOCK, 1, grid.M))
+        self.block_grads = np.empty((SAMPLE_BLOCK, 2, grid.M + 1))
         # the fields and face gradients of the stack of run's live cells
         self.fields = self.grads = None
 
     def add(self, cell: _Cell) -> None:
-        """Sample the cell's state: its u and face gradients of v and w, a
-        view of its row of the stack if the stack holds it alone, and a
-        copy otherwise, so that the sample does not keep the stack alive."""
-        u, g = self.fields[cell.row, :1], self.grads[cell.row, 1:]
-        if len(self.fields) > 1:
-            u, g = u.copy(), g.copy()
-        self.pending.append((cell, cell.t, u, g))
-        if len(self.pending) == SAMPLE_BLOCK:
+        """Sample the cell's state: copy its u and face gradients of v and
+        w out of its row of the stack."""
+        j = len(self.pending)
+        self.block_u[j] = self.fields[cell.row, :1]
+        self.block_grads[j] = self.grads[cell.row, 1:]
+        self.pending.append((cell, cell.t))
+        if j + 1 == SAMPLE_BLOCK:
             self.reduce()
 
     def reduce(self) -> None:
         """Append each pending sample's (t, E_pq, Lp_u, ...) column to its
         cell's columns."""
         grid, p, q = self.grid, self.p, self.q
-        cells, ts, us, grads = zip(*self.pending)
+        cells, ts = zip(*self.pending)
+        block = self.block_u[:len(ts)]
+        grads = self.block_grads[:len(ts)]
         self.pending.clear()
-        # a (N, 1, M) block of states whose fields hold u alone, with their
-        # gradients passed in; the samples' own arrays are freed once they
-        # are copied into it
-        block, grads = np.array(us), np.array(grads)
         terms = _sample_terms(block, grid, p, grads)
         cols = np.array((ts, energy(block, p, q, grid, terms),
                          *norms(block, grid, p, terms), mass(block, grid)))
@@ -606,9 +688,17 @@ def run(grid: RadialGrid, params, fields0, p: float, q: float,
     again cell by cell, and each cell accepts or retries its own.  Every
     cell starts at t = 0, and its time is kept by its _Cell alone.
 
-    Each accepted state's face gradients serve the dt limiter, the face
-    velocity and, at a sample, the diagnostics, which are reduced over
-    blocks of SAMPLE_BLOCK sampled states of any of the cells.
+    The stack is stepped in one Workspace, made again only when cells
+    leave it: each iteration writes the face gradients and velocity into
+    it, and step solves in place into the right-hand-side buffer that does
+    not hold the current fields, so the new fields are that buffer until
+    the iteration after next.  Each accepted state's face gradients serve
+    the dt limiter, the face velocity and, at a sample, the diagnostics:
+    a sample copies its u and gradients out of the workspace, and the
+    samples of any of the cells are reduced in blocks of SAMPLE_BLOCK.
+    step's one minimum and per-field maxima of the new stack give its
+    finiteness and each cell's largest u, and only a nonfinite stack takes
+    a reduction of its own.
     """
     single = isinstance(params, ModelParams)
     if single:
@@ -617,32 +707,26 @@ def run(grid: RadialGrid, params, fields0, p: float, q: float,
     samples = _Samples(grid, p, q)
     live = cells = [_Cell(m, c, grid, samples, i) for i, (m, c, _) in
                     enumerate(zip(params, cfg, fields, strict=True))]
-    stack = ParamStack(params)
+    stack, ws = ParamStack(params), Workspace(grid, len(cells))
     accepted = np.isfinite(fields).all(axis=(1, 2)).tolist()
+    umax = np.maximum.reduce(fields[:, 0], axis=-1).tolist()
     every = [True] * len(cells)
-    advance, clips, peak = _Cell.start, [0] * len(cells), np.maximum.reduce
+    advance, clips = _Cell.start, [0] * len(cells)
     while True:
         samples.fields = fields
-        samples.grads = grads = face_gradients(grid, fields)
-        vel = _face_velocity(stack, grads)
-        # per cell: the largest u, absolute face velocity and absolute u
-        # face gradient.  A lone cell takes plain 1-D reductions and one
-        # call: against the per-cell lists, this branch alone moves the
-        # `blowup` benchmark's median op_s from 0.3424 to 0.3355
-        # machine-scaled seconds, about 2 % (5 alternating pairs of 10 s
-        # runs)
-        if len(live) > 1:
-            dts = list(map(advance, live, accepted, clips,
-                           peak(fields[:, 0], axis=-1).tolist(),
-                           peak(np.abs(vel), axis=-1).tolist(),
-                           peak(np.abs(grads[:, 0]), axis=-1).tolist()))
-        else:
-            dts = [advance(live[0], accepted[0], clips[0],
-                           float(peak(fields[0, 0])),
-                           float(peak(np.abs(vel[0]))),
-                           float(peak(np.abs(grads[0, 0]))))]
+        samples.grads = face_gradients(grid, fields, ws.grads)
+        vel = _face_velocity(stack, ws.grads, ws.vel)
+        # per cell: the largest absolute face velocity and u face gradient,
+        # one reduction over the first two rows of the workspace's faces.
+        # Every stack size takes this one path: the lone-cell layout is
+        # ParamStack's and step's (with it, `blowup` op_s medians 0.274
+        # against 0.321 machine-scaled seconds without, 6 pairs of 30 s)
+        speeds = np.maximum.reduce(np.abs(ws.peaked, out=ws.speeds),
+                                   axis=-1)
+        dts = list(map(advance, live, accepted, clips, umax,
+                       *speeds.T.tolist()))
         if None in dts:
-            # the cells that stopped leave the stack
+            # the cells that stopped leave the stack, and its workspace
             keep = [i for i, dt in enumerate(dts) if dt is not None]
             for i in range(len(live)):
                 if dts[i] is None:
@@ -653,9 +737,10 @@ def run(grid: RadialGrid, params, fields0, p: float, q: float,
             for i, cell in enumerate(live):
                 cell.row = i
             fields, vel, dts = fields[keep], vel[keep], [dts[i] for i in keep]
-        new, clips = step(fields, dts, grid, stack, vel=vel)
-        accepted = every
-        if not np.logical_and.reduce(np.isfinite(new), axis=None):
+            ws = Workspace(grid, len(live))
+        new, clips = step(fields, dts, grid, stack, vel=vel, ws=ws)
+        accepted, umax = every, ws.umax
+        if not ws.finite:
             if len(live) > 1:
                 # a nonfinite block spreads NaN to every other block: solve
                 # each cell alone
@@ -668,6 +753,7 @@ def run(grid: RadialGrid, params, fields0, p: float, q: float,
             # a rejected cell stays where it was
             new[~finite] = fields[~finite]
             accepted = finite.tolist()
+            umax = np.maximum.reduce(new[:, 0], axis=-1).tolist()
         fields, advance = new, _Cell.advance
     if samples.pending:
         samples.reduce()

@@ -311,9 +311,23 @@ class TestBound:
                      "--set", "solver.max_steps=5",
                      "--set", f"indices.epsilon={epsilon}"])
         assert code == 2
+        named = ("indices.epsilon unset (half its supremum)"
+                 if epsilon == "nan" else f"indices.epsilon={float(epsilon)!r}")
         assert capsys.readouterr().err == (
-            f"config error: indices.epsilon={float(epsilon)!r} with "
-            f"C_GN={float(C_GN)!r} overflows the bound\n")
+            f"config error: {named} with C_GN={float(C_GN)!r} overflows the "
+            "bound\n")
+
+    @pytest.mark.parametrize("command", ["bound", "verify-odi"])
+    def test_overflow_with_unset_epsilon_says_unset(self, capsys, command):
+        # epsilon never set is half its supremum, not "nan"; C_GN's power
+        # is what overflows
+        code = main([command, "-n", "3", "--corollary", "2", "--E0", "1",
+                     "--set", "bound.C_GN=1e300", "--set", "grid.shells=8",
+                     "--set", "solver.max_steps=5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: indices.epsilon unset (half its supremum) with "
+            "C_GN=1e+300 overflows the bound\n")
 
     def test_optimize_dominates_corollary1(self, capsys):
         common = ["-n", "3", "-p", "2", "--E0", "1", "--set", "bound.C_GN=1"]
@@ -692,11 +706,11 @@ class TestSweep:
         # cell gets an error row
         real_step = pde.step
 
-        def failing_step(state, dt, grid, params, vel=None):
+        def failing_step(state, dt, grid, params, vel=None, ws=None):
             models = getattr(params, "models", (params,))
             if any(m.chi == 20.0 for m in models):
                 raise ChemoboundError("solver failure")
-            return real_step(state, dt, grid, params, vel)
+            return real_step(state, dt, grid, params, vel, ws)
 
         monkeypatch.setattr(pde, "step", failing_step)
         lines, pairs = self._sweep_and_solo_runs(

@@ -1,5 +1,6 @@
 """Finite-volume solver: conservation, steady states, convergence, blow-up."""
 
+import hashlib
 import io
 import math
 
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from chemobound import pde
 from chemobound.errors import ParameterError
 from chemobound.exponents import ModelParams
 from chemobound.pde import (SAMPLE_BLOCK, ConstantProfile, GaussianBump,
-                            ParamStack, SolverConfig, cell_gradients, energy,
-                            face_gradients, init_state, make_grid, mass,
-                            norms, run, step, unit_sphere_area)
+                            ParamStack, SolverConfig, Workspace,
+                            cell_gradients, energy, face_gradients,
+                            init_state, make_grid, mass, norms, run, step,
+                            unit_sphere_area)
 
 DIFFUSION_ONLY = ModelParams(chi=0.0, xi=0.0, dim=3)
 
@@ -78,6 +81,12 @@ def _step_one(state, dt, grid, params):
 def _state(u, v, w):
     """The (3, M) state of the fields u, v, w."""
     return np.array((u, v, w), dtype=float)
+
+
+def _csv_sha256(traj):
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 def _nonneg_fields(M):
@@ -441,6 +450,18 @@ class TestRun:
         assert traj.report.t_detect == 7.302412897739794e-4
         assert len(traj.t) == 6101
 
+    def test_acceptance_blowup_csv_pinned(self):
+        # every sampled value of the acceptance run, to the bit: a sample
+        # that aliased a buffer the next steps overwrite would change it
+        params = ModelParams(chi=10.0, xi=0.5, dim=3)
+        grid = make_grid(3, 1.0, 48)
+        state = init_state(grid, GaussianBump(1e4, 0.15))
+        cfg = SolverConfig(t_final=1.0, grow_after=1, cfl=0.2,
+                           blowup_threshold=5e6, sample_every=1)
+        traj = run(grid, params, state, 2.0, 4.0, cfg)
+        assert _csv_sha256(traj) == (
+            "4a2a5179f7a644da7dffdce0cf4d772ef29c76e2dcec931b777685e00667bbd1")
+
     def test_detection_time_grid_stability(self):
         # refinement moves the detection time by less than the configured
         # stability tolerance (numerical blow-up time is scheme-dependent)
@@ -647,3 +668,154 @@ class TestBatchedRun:
         # a batch does not touch its initial states
         for state, profile in zip(states, profiles):
             assert np.array_equal(state, init_state(grid, profile))
+
+
+# a stack of three cells whose steps clip when one takes dt = 1e-3
+WORKSPACE_CELLS = (
+    ModelParams(chi=50.0, xi=5.0, alpha=0.4, beta=3.0, gamma=5.0, delta=0.2,
+                mu1=1.5, mu2=0.8, k_logistic=1.05, dim=4),
+    ModelParams(chi=10.0, xi=0.5, dim=4),
+    ModelParams(chi=1.0, xi=20.0, mu1=-2.0, dim=4),
+)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_workspace_steps_match_fresh_steps(self, K):
+        # 50 steps in a row through one workspace, each taking the previous
+        # result, which lives in one of the workspace's two buffers, equal
+        # steps that allocate their own arrays, bit for bit
+        grid = make_grid(4, 1.0, 24)
+        rng = np.random.default_rng(5)
+        models = WORKSPACE_CELLS[:K]
+        stack = ParamStack(models)
+        first = np.array([_state(*(rng.uniform(0.0, 10.0, 24)
+                                   for _ in range(3))) for _ in models])
+        start, ws, clipped = first.copy(), Workspace(grid, K), 0
+        fields = ref = first
+        for i in range(50):
+            dts = rng.choice([1e-6, 1e-5, 1e-4], K).tolist()
+            if i % 10 == 3:
+                dts[-1] = 1e-3
+            fields, clips = step(fields, dts, grid, stack, ws=ws)
+            ref, ref_clips = step(ref, dts, grid, stack)
+            assert clips == ref_clips
+            assert np.array_equal(fields, ref)
+            assert ws.finite
+            assert ws.umax == ref[:, 0].max(axis=-1).tolist()
+            clipped += sum(clips)
+        assert clipped > 0
+        # neither way writes into the fields it is given
+        assert np.array_equal(first, start)
+
+    def test_fresh_step_shares_no_memory(self):
+        grid = make_grid(4, 1.0, 24)
+        rng = np.random.default_rng(6)
+        for K in (1, 3):
+            stack = ParamStack(WORKSPACE_CELLS[:K])
+            fields = rng.uniform(0.0, 10.0, (K, 3, 24))
+            vel = rng.uniform(-1.0, 1.0, (K, 23))
+            for given in (None, vel):
+                new, _ = step(fields, [1e-4] * K, grid, stack, vel=given)
+                assert not np.shares_memory(new, fields)
+                assert not np.shares_memory(new, vel)
+
+
+def _poisoned_solver(monkeypatch, poison):
+    """Patch pde._gtsv so that the solution of its n-th call is changed by
+    poison[n](x), with x the solution as a flat array; the list of the
+    step calls' (fields, dt) arguments, recorded by a spy on pde.step."""
+    pde._gtsv(np.zeros(1), np.ones(2), np.zeros(1), np.zeros(2))
+    solve, take_step = pde._gtsv, pde.step   # the resolved solver
+    calls, steps = [0], []
+
+    def gtsv(lower, diag, upper, rhs):
+        x = solve(lower, diag, upper, rhs)
+        calls[0] += 1
+        if calls[0] in poison:
+            poison[calls[0]](x)
+        return x
+
+    def spy(fields, dt, *args, **kwargs):
+        steps.append((fields.copy(), list(dt)))
+        return take_step(fields, dt, *args, **kwargs)
+
+    monkeypatch.setattr(pde, "_gtsv", gtsv)
+    monkeypatch.setattr(pde, "step", spy)
+    return steps
+
+
+def _put(field, value, M, K=1, cell=0, j=3):
+    """A poison that sets the value at shell j of the field of one cell of
+    a K-cell solve, whose blocks are ordered field by field."""
+    def poison(x):
+        x[(field * K + cell) * M + j] = value
+    return poison
+
+
+POISON_CFG = SolverConfig(t_final=1.0, grow_after=1, cfl=0.2,
+                          blowup_threshold=5e6, max_steps=40, sample_every=1)
+# trajectory.csv SHA-256 of the poisoned runs, recorded when the clip test
+# and the finiteness check were separate passes (a minimum over the stack,
+# and isfinite over it): the run of chi = 10 whose 10th step is rejected,
+# and the runs whose 10th step has -1 at one shell of u, v or w
+REJECTED_10TH = (
+    "0bb4a5675f5e971765913f6d9d536be5ce0fcb4956ccbde4c0041cc9371738f8")
+CLIPPED_10TH = (
+    "cd9e9a028b424b3b47850d4e02762871a3907bcabc05feb1516088c5cfe7d163",
+    "9a0a1f0cb87ac2d870d2a71f3aa7369c8684420851de635ff3d4385d77568769",
+    "7c9cb4a02044209e581ec93fa4b2c71dfce1cceed6e02235d39cdd96a00916a2")
+
+
+class TestFusedCheck:
+    """The one pass of step's minimum and maximum decides clipping and
+    finiteness: each case is pinned to what the two separate checks gave."""
+
+    def _run(self, monkeypatch, poison):
+        steps = _poisoned_solver(monkeypatch, poison)
+        grid = make_grid(3, 1.0, 16)
+        state = init_state(grid, GaussianBump(1e4, 0.15))
+        traj = run(grid, ModelParams(chi=10.0, xi=0.5, dim=3), state, 2.0,
+                   4.0, POISON_CFG)
+        return traj, steps
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_nonfinite_solution_rejected_and_retried_at_half_dt(
+            self, monkeypatch, field, value):
+        traj, steps = self._run(monkeypatch, {10: _put(field, value, 16)})
+        # the 10th step is rejected: the 11th takes its state at half its dt
+        assert len(steps) == traj.steps + 1 == POISON_CFG.max_steps + 1
+        assert np.array_equal(steps[10][0], steps[9][0])
+        assert steps[10][1] == [steps[9][1][0] / 2]
+        assert traj.clip_count == 0
+        assert _csv_sha256(traj) == REJECTED_10TH
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_clipped_solution_counts_its_clips(self, monkeypatch, field):
+        traj, steps = self._run(monkeypatch, {10: _put(field, -1.0, 16)})
+        assert len(steps) == traj.steps == POISON_CFG.max_steps
+        assert traj.clip_count == 1
+        assert _csv_sha256(traj) == CLIPPED_10TH[field]
+
+    def test_nonfinite_cell_of_a_stack_retried_alone(self, monkeypatch):
+        # the stack's 10th solve is poisoned in cell 1's w, and so is cell
+        # 1's own solve when the step is solved again cell by cell: cell 1
+        # retries at half dt, cells 0 and 2 take their steps
+        grid = make_grid(3, 1.0, 16)
+        models = [ModelParams(chi=chi, xi=0.5, dim=3)
+                  for chi in (5.0, 10.0, 20.0)]
+        states = [init_state(grid, GaussianBump(1e4, 0.15))] * 3
+        clean = run(grid, models, states, 2.0, 4.0, [POISON_CFG] * 3)
+        steps = _poisoned_solver(monkeypatch, {
+            10: _put(2, math.nan, 16, K=3, cell=1), 12: _put(2, math.inf, 16)})
+        trajs = run(grid, models, states, 2.0, 4.0, [POISON_CFG] * 3)
+        # the stack's step 10, each cell's alone, then the stack's step 11
+        assert [len(dt) for _, dt in steps[9:14]] == [3, 1, 1, 1, 3]
+        assert np.array_equal(steps[13][0][1], steps[9][0][1])
+        assert steps[13][1][1] == steps[9][1][1] / 2
+        assert [t.steps for t in trajs] == [40, 40, 40]
+        assert [t.clip_count for t in trajs] == [0, 0, 0]
+        _assert_same_trajectory(trajs[0], clean[0])
+        _assert_same_trajectory(trajs[2], clean[2])
+        assert _csv_sha256(trajs[1]) == REJECTED_10TH
