@@ -29,7 +29,8 @@ import numpy as np
 
 from . import config as cfgmod
 from . import exponents, odi, pde, verify
-from .errors import ChemoboundError, ConfigError, ParameterError
+from .errors import (ChemoboundError, ConfigError, EpsilonError,
+                     ParameterError)
 
 OUTPUT_ROOT_ENV = "CHEMOBOUND_OUTPUT_ROOT"
 
@@ -131,18 +132,19 @@ def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid,
     """Configured constant, or the maximum over the eta values of the
     estimated constant times the safety factor.  `gn_memo` keeps the
     estimates by (n, R, M, eta), all that one depends on, for the calls
-    that pass it."""
+    that pass it; the etas it lacks are estimated in one call."""
     configured = cfg["bound.C_GN"]
     if not math.isnan(configured):
         return configured, {"C_GN_source": "configured"}
     safety = gn_safety(cfg)
     gn_memo = {} if gn_memo is None else gn_memo
-    per_eta = {}
-    for eta in map(float, set(etas)):
-        key = (grid.n, grid.R, grid.M, eta)
-        if key not in gn_memo:
-            gn_memo[key] = verify.estimate_gn_constant(grid, eta)
-        per_eta[eta] = gn_memo[key]
+    keys = {eta: (grid.n, grid.R, grid.M, eta)
+            for eta in sorted(set(map(float, etas)))}
+    missing = [eta for eta, key in keys.items() if key not in gn_memo]
+    if missing:
+        estimates = verify.estimate_gn_constant(grid, missing)
+        gn_memo.update(zip([keys[eta] for eta in missing], estimates))
+    per_eta = {eta: gn_memo[key] for eta, key in keys.items()}
     value = safety * max(per_eta.values())
     return value, {"C_GN_source": "estimated", "C_GN_safety": safety,
                    "C_GN_per_eta": {str(k): v for k, v in per_eta.items()}}
@@ -173,19 +175,23 @@ def bound_from_config(cfg: dict, params: exponents.ModelParams,
     """The bound at the model, grid and indices the caller built from
     `cfg`.  `gn_memo` is passed on to resolve_gn_constant."""
     C_GN, meta = resolve_gn_constant(cfg, indices.eta, grid, gn_memo)
-    with _overflow_is_config_error(cfg, C_GN):
+    with _epsilon_errors_named(cfg, C_GN):
         return odi.bound_at_indices(params, indices, E0, C_GN,
                                     cfg["indices.epsilon"]), meta
 
 
 @contextlib.contextmanager
-def _overflow_is_config_error(cfg: dict, C_GN: float,
-                              epsilon_key: str = "indices.epsilon"):
-    """An OverflowError becomes a ConfigError naming C_GN and the epsilon
-    read from `epsilon_key`, or saying that it is unset (NaN), which means
-    half its admissible supremum."""
+def _epsilon_errors_named(cfg: dict, C_GN: float,
+                          epsilon_key: str = "indices.epsilon"):
+    """Config errors for the epsilon read from `epsilon_key`: an
+    EpsilonError becomes one that names the key, and an OverflowError one
+    that names C_GN and the key's value, or says that it is unset (NaN),
+    which means half its admissible supremum."""
     try:
         yield
+    except EpsilonError as exc:
+        raise ConfigError(epsilon_key + str(exc).removeprefix("epsilon")) \
+            from exc
     except OverflowError as exc:  # e.g. a tiny epsilon's epsilon**(-h)
         epsilon = cfg[epsilon_key]
         named = (f"{epsilon_key} unset (half its supremum)"
@@ -276,7 +282,7 @@ def cmd_verify_embed(args) -> int:
     grid = cfgmod.build_grid(cfg)
     eta = cfgmod.require(cfg, "verify.eta")
     C_GN, _ = resolve_gn_constant(cfg, (eta,), grid)
-    with _overflow_is_config_error(cfg, C_GN, "verify.epsilon"):
+    with _epsilon_errors_named(cfg, C_GN, "verify.epsilon"):
         report = verify.check_embed_inequality(grid, eta,
                                                cfg["verify.epsilon"], C_GN)
     _emit(report.to_json_dict(), cfg, _output_dir(cfg), "embed.json")
@@ -295,7 +301,7 @@ def cmd_verify_odi(args) -> int:
     cfg, _ = _load_config(args)
     traj, (params, grid, _, indices, _) = simulate_from_config(cfg)
     C_GN, meta = resolve_gn_constant(cfg, indices.eta, grid)
-    with _overflow_is_config_error(cfg, C_GN):
+    with _epsilon_errors_named(cfg, C_GN):
         coeffs = odi.odi_coefficients(params, indices, cfg["indices.epsilon"],
                                       C_GN)
     report = verify.odi_monitor(traj, coeffs, traj.report.t_detect)

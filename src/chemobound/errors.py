@@ -9,6 +9,12 @@ class ParameterError(ChemoboundError, ValueError):
     """A parameter violates a precondition (sign, range, or consistency)."""
 
 
+class EpsilonError(ParameterError):
+    """The auxiliary epsilon is outside its range.  The message starts with
+    the word epsilon, which a caller that knows the value's config key
+    replaces by the key."""
+
+
 class InfeasibleError(ChemoboundError, ValueError):
     """The admissible parameter box is empty."""
 

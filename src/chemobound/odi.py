@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DivergenceError, InfeasibleError,
+from .errors import (DivergenceError, EpsilonError, InfeasibleError,
                      NonpositiveDenominatorError, ParameterError)
 from .exponents import (C1_coef, EnergyIndices, ModelParams,
                         check_condition_C, corollary1_parameters,
@@ -212,7 +212,7 @@ def zeta_coefficients(params: ModelParams, indices: EnergyIndices,
                       epsilon: float) -> tuple[float, float]:
     """Gradient-term prefactors, both affine and increasing in epsilon."""
     if epsilon < 0:
-        raise ParameterError(f"epsilon must be nonnegative, got {epsilon}")
+        raise EpsilonError(f"epsilon must be nonnegative, got {epsilon}")
     (c1, c2), (b1, b2), _ = _zeta_split(params, *_index_row(params, indices))
     return (c1 + b1 * epsilon).item(), (c2 + b2 * epsilon).item()
 
@@ -271,7 +271,7 @@ def _coefficient_table(params: ModelParams, p: float, q: float, etas,
     the order of a row alone, so each row is bit for bit the row alone."""
     for e, e_max in zip(epsilon.tolist(), eps_max.tolist()):
         if not 0 < e < e_max:
-            raise ParameterError(
+            raise EpsilonError(
                 f"epsilon={e} outside admissible range (0, {e_max})")
     if not 0 < C_GN < math.inf:
         raise ParameterError(f"C_GN must be positive and finite, got {C_GN}")

@@ -11,6 +11,7 @@ r = 0 has zero area, so the geometric 1/r factor is never evaluated.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass
 from typing import TextIO
 
@@ -150,11 +151,26 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     also returned.  There is no finiteness check, so a nonfinite rhs gives
     a nonfinite solution for the caller to reject.
 
-    The first call imports scipy.linalg's LAPACK and rebinds _gtsv to the
-    solver below, so only a command that solves loads scipy and no step
-    pays for the lookup."""
+    The first call binds LAPACK's dgtsv and rebinds _gtsv to the solver
+    below, so only a command that solves loads it and no step pays for the
+    lookup.  dgtsv is the function of the f2py extension
+    scipy.linalg._flapack, loaded straight from its file in the scipy
+    package: the very object scipy.linalg.lapack.dgtsv re-exports, without
+    the ~0.2 s import of the scipy.linalg package (whose array-API support
+    loads numpy.testing, numpy.f2py, numpy.ma and numpy.random).  Importing
+    scipy itself first is cheap, and runs scipy's platform set-up, such as
+    the DLL directories it adds on Windows."""
     global _gtsv
-    from scipy.linalg.lapack import dgtsv
+    import scipy
+    from importlib import machinery, util
+
+    spec = machinery.FileFinder(
+        os.path.join(scipy.__path__[0], "linalg"),
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+    ).find_spec("scipy.linalg._flapack")
+    flapack = util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    dgtsv = flapack.dgtsv
 
     def _gtsv(lower, diag, upper, rhs):
         _, _, _, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
@@ -467,9 +483,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BlowupReport:
+    """How a run ended.  `stop_reason` is the trigger of a run that blew
+    up, else "t_final" if it reached t_final and "max_steps" if its step
+    budget ran out first."""
     blew_up: bool
     t_detect: float | None
     trigger: str | None
+    stop_reason: str | None
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -573,12 +593,11 @@ class _Cell:
         self.t, self.dt = 0.0, cfg.dt_init
         self.smooth = self.steps = self.clips = 0
         self.columns = []   # (7, n) blocks of (t, E_pq, Lp_u, ...) samples
-        self.report = BlowupReport(False, None, None)
 
     def start(self, finite: bool, clips: int, umax: float, vel_max: float,
               gu_max: float):
-        """Sample the initial state; the first step, or None if the cell does
-        not step.  It takes advance's arguments (`clips` is 0)."""
+        """Sample the initial state; the first step, or None if the cell
+        stops at its start.  It takes advance's arguments (`clips` is 0)."""
         self.samples.add(self)
         self.t_recorded = self.t
         # a start above the threshold or nonfinite is reported before any
@@ -587,9 +606,7 @@ class _Cell:
             return self.stop("linf_threshold")
         if not finite:
             return self.stop("nonfinite_state")
-        if self.t < self.cfg.t_final:
-            return self.advance(None, clips, umax, vel_max, gu_max)
-        return None
+        return self.advance(None, clips, umax, vel_max, gu_max)
 
     def advance(self, accepted, clips: int, umax: float, vel_max: float,
                 gu_max: float):
@@ -614,8 +631,10 @@ class _Cell:
                 self.t_recorded = t
             if umax > cfg.blowup_threshold:
                 return self.stop("linf_threshold")
-            if not (t < cfg.t_final and steps < cfg.max_steps):
-                return None
+            if not t < cfg.t_final:
+                return self.end("t_final")
+            if not steps < cfg.max_steps:
+                return self.end("max_steps")
         elif accepted is not None:
             self.dt *= 0.5
             self.smooth = 0
@@ -650,8 +669,13 @@ class _Cell:
         self.dt = dt = min(dt, cfg.t_final - self.t)
         return dt
 
+    # a cell's report is set where it stops: by stop if it blew up, else by
+    # end
     def stop(self, trigger: str) -> None:
-        self.report = BlowupReport(True, self.t, trigger)
+        self.report = BlowupReport(True, self.t, trigger, trigger)
+
+    def end(self, reason: str) -> None:
+        self.report = BlowupReport(False, None, None, reason)
 
     def finish(self) -> None:
         """Stop at the cell's row of the stack: sample it unless it is

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EpsilonError, ParameterError
 from .exponents import (C1_coef, C3_coef, condition_C_clauses, eta_formulas,
                         etas_in_range, feasible_box, h_exponent, k_exponent)
 from .odi import OdiCoefficients
@@ -76,30 +76,40 @@ def _profile_label(grid: RadialGrid, row: int) -> str:
     return f"indicator[{row - n_gauss}]"
 
 
-def estimate_gn_constant(grid: RadialGrid, eta: float) -> float:
+def estimate_gn_constant(grid: RadialGrid, eta):
     """Numerical lower estimate, not yet safety-inflated, of the constant of
     the squared-field interpolation inequality at eta in [1, n/(n-2)].
 
     Maximum over `profile_set` of
         ||f||_p^p / (||grad f||_2^{p a} ||f||_2^{p(1-a)} + ||f||_2^p),
     p = 2 eta, with the interpolation weight a = (1/2 - 1/p) / (1/n).
+
+    `eta` is one value, or a sequence of them, whose list of estimates this
+    returns: the profiles and their two L2 norms are then built once for
+    them all, and each estimate is the one its eta gets alone.
     """
     n = grid.n
-    if not eta >= 1.0:
-        raise ParameterError(f"eta must be >= 1, got {eta}")
-    p_gn = 2.0 * eta
-    # 1/n taken as 1/2 + 1/n - 1/2 keeps the estimate's last bits
-    a = (0.5 - 1.0 / p_gn) / (0.5 + 1.0 / n - 0.5)
-    if not a <= 1.0:
-        raise ParameterError(f"eta={eta} is past n/(n-2): interpolation "
-                             f"weight a={a} outside [0, 1]")
+    single = np.ndim(eta) == 0
     F = profile_set(grid)
-    num = _integral(grid, np.abs(F) ** p_gn)
+    abs_F = np.abs(F)
     grad_2 = _norm(grid, cell_gradients(grid, F), 2.0)
     f_2 = _norm(grid, F, 2.0)
-    den = grad_2 ** (p_gn * a) * f_2 ** (p_gn * (1 - a)) + f_2 ** p_gn
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return float(np.max(np.where(den > 0, num / den, 0.0)))
+    estimates = []
+    for e in [eta] if single else eta:
+        if not e >= 1.0:
+            raise ParameterError(f"eta must be >= 1, got {e}")
+        p_gn = 2.0 * e
+        # 1/n taken as 1/2 + 1/n - 1/2 keeps the estimate's last bits
+        a = (0.5 - 1.0 / p_gn) / (0.5 + 1.0 / n - 0.5)
+        if not a <= 1.0:
+            raise ParameterError(f"eta={e} is past n/(n-2): interpolation "
+                                 f"weight a={a} outside [0, 1]")
+        num = _integral(grid, abs_F ** p_gn)
+        den = grad_2 ** (p_gn * a) * f_2 ** (p_gn * (1 - a)) + f_2 ** p_gn
+        with np.errstate(invalid="ignore", divide="ignore"):
+            estimates.append(
+                float(np.max(np.where(den > 0, num / den, 0.0))))
+    return estimates[0] if single else estimates
 
 
 def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
@@ -113,8 +123,8 @@ def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
     if not etas_in_range((eta,), n):
         raise ParameterError(f"eta={eta} outside (1, 1 + 2/{n})")
     if not 0 < epsilon < math.inf:
-        raise ParameterError(f"epsilon must be positive and finite, "
-                             f"got {epsilon}")
+        raise EpsilonError(f"epsilon must be positive and finite, "
+                          f"got {epsilon}")
     shapes = profile_set(grid)
     profiles = (EMBED_AMPLITUDES[:, None, None] * shapes).reshape(-1, grid.M)
 

@@ -362,8 +362,9 @@ class TestRegion:
 # truncation point 10*E0, or F(E0) at every candidate, past float range, a
 # tiny epsilon (its epsilon**(-h)) or a huge C_GN (C3's C_GN**(2/denom))
 # overflows the embed inequality, a huge C_GN overflows the coefficients of
-# every optimize-bound candidate, and indices with eta_0 = 1 (and eta_3 =
-# 5/3, the singular point, with s1 = 5) are not admissible
+# every optimize-bound candidate, an epsilon outside its range is named by
+# its key, and indices with eta_0 = 1 (and eta_3 = 5/3, the singular point,
+# with s1 = 5) are not admissible
 NAMED = {
     "E0=1e308": (["bound", "-n", "3", "--corollary", "2", "--E0", "1e308",
                   "--set", "grid.shells=8"], "E0=1e+308"),
@@ -391,6 +392,16 @@ NAMED = {
     "optimize-C_GN=1e300": (["optimize-bound", "-n", "3", "-p", "2", "-q",
                              "4", "--E0", "1", "--set", "bound.C_GN=1e300",
                              "--set", "grid.shells=8"], "C_GN=1e+300"),
+    "embed-epsilon=nan": (["verify-embed", "-n", "3", "--eta", "1.5",
+                           "--set", "verify.epsilon=nan"],
+                          "verify.epsilon must be positive and finite"),
+    "epsilon=-1": (["bound", "-n", "3", "--corollary", "2", "--E0", "1",
+                    "--set", "bound.C_GN=1", "--set", "indices.epsilon=-1"],
+                   "indices.epsilon=-1.0 outside admissible range"),
+    "odi-epsilon=1": (["verify-odi", "-n", "3", "--corollary", "2",
+                       "--set", "grid.shells=8", "--set", "solver.max_steps=5",
+                       "--set", "bound.C_GN=1", "--set", "indices.epsilon=1"],
+                      "indices.epsilon=1.0 outside admissible range"),
 }
 
 
@@ -525,6 +536,22 @@ class TestSimulate:
         assert csv_text.startswith("t,E_pq,")
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "timestamp" in report["metadata"]
+
+    def test_stop_reason_names_the_step_budget(self, capsys, tmp_path):
+        # the README's example of a run that ends without blowing up
+        assert main(["simulate", "-n", "3", "--corollary", "2",
+                     "--set", "model.xi=0.5",
+                     "--set", "solver.max_steps=300"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["blew_up"], payload["trigger"], payload["steps"],
+                payload["stop_reason"]) == (False, None, 300, "max_steps")
+        (tmp_path / "sweep.cfg").write_text(
+            BLOWUP_CONFIG + "solver.max_steps = 50\n"
+            f"output.dir = {tmp_path / 'out'}\nsweep.model.chi = 0, 10\n")
+        assert main(["sweep", "--config", str(tmp_path / "sweep.cfg")]) == 0
+        assert [json.loads((tmp_path / "out" / cell / "report.json")
+                           .read_text())["stop_reason"]
+                for cell in ("run_000", "run_001")] == ["max_steps"] * 2
 
     def test_output_root_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CHEMOBOUND_OUTPUT_ROOT", str(tmp_path / "root"))
@@ -762,6 +789,24 @@ class TestSweep:
                   sorted((tmp_path / "out").glob("run_*/bound.json"))]
         return cfg_text, calls, bounds
 
+    def test_missing_etas_estimated_in_one_call(self, monkeypatch):
+        calls = []
+        estimate = verify.estimate_gn_constant
+
+        def counting(grid, etas):
+            calls.append(etas)
+            return estimate(grid, etas)
+
+        monkeypatch.setattr(verify, "estimate_gn_constant", counting)
+        cfg, _ = parse_config_text("")
+        grid, memo = build_grid(cfg), {}
+        _, first = cli.resolve_gn_constant(cfg, (1.5, 1.2, 1.5), grid, memo)
+        _, second = cli.resolve_gn_constant(cfg, (1.3, 1.2), grid, memo)
+        assert calls == [[1.2, 1.5], [1.3]]
+        per_eta = {**first["C_GN_per_eta"], **second["C_GN_per_eta"]}
+        assert per_eta == {str(eta): estimate(grid, eta)
+                           for eta in (1.2, 1.3, 1.5)}
+
     def test_one_constant_shared_along_chi(self, capsys, tmp_path,
                                            monkeypatch):
         _, calls, bounds = self._counted_sweep(
@@ -842,28 +887,51 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(runs))
 """
 
+# solves one tridiagonal system through pde._gtsv after importing `first`,
+# then compares the dgtsv it bound with scipy.linalg.lapack's
+DGTSV_IDENTITY = """
+import inspect, json, sys
+import numpy as np
+if sys.argv[1] == "scipy.linalg":
+    import scipy.linalg
+from chemobound import pde
+x = pde._gtsv(np.full(2, 1.0), np.full(3, 2.0), np.full(2, 1.0),
+              np.array([1.0, 1.0, 1.0]))
+linalg_loaded = "scipy.linalg" in sys.modules
+import scipy.linalg.lapack
+bound = inspect.getclosurevars(pde._gtsv).nonlocals["dgtsv"]
+print(json.dumps({"linalg_loaded": linalg_loaded,
+                  "same": bound is scipy.linalg.lapack.dgtsv,
+                  "x": x.tolist()}))
+"""
+
 
 class TestColdStart:
     """A fresh interpreter loads a scipy submodule only on a path that
     calls it; one subprocess per test."""
 
     @staticmethod
-    def fresh_run(tmp_path, *argvs):
-        """Run each argv through cli.main, in order, in one fresh
-        interpreter; returns each one's exit code, stdout and the modules
-        of LAZY_SCIPY loaded once it has returned."""
+    def fresh_python(tmp_path, script, *args):
+        """The stdout of `script` run with `args` in a fresh interpreter
+        that imports chemobound from this checkout, in `tmp_path`."""
         env = {k: v for k, v in os.environ.items()
                if k != cli.OUTPUT_ROOT_ENV}
         src = str(Path(chemobound.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-c", FRESH_RUN, json.dumps(argvs),
-             json.dumps(LAZY_SCIPY)],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
-            timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
+        return proc.stdout
+
+    @classmethod
+    def fresh_run(cls, tmp_path, *argvs):
+        """Run each argv through cli.main, in order, in one fresh
+        interpreter; returns each one's exit code, stdout and the modules
+        of LAZY_SCIPY loaded once it has returned."""
+        return json.loads(cls.fresh_python(
+            tmp_path, FRESH_RUN, json.dumps(argvs), json.dumps(LAZY_SCIPY)))
 
     def test_bound_and_check_params_load_no_scipy(self, tmp_path):
         runs = self.fresh_run(
@@ -873,13 +941,29 @@ class TestColdStart:
         assert [run["code"] for run in runs] == [0, 0]
         assert [run["loaded"] for run in runs] == [[], []]
 
-    def test_simulate_loads_linalg_alone(self, tmp_path):
-        [run] = self.fresh_run(
-            tmp_path, ["simulate", "-n", "3", "--corollary", "2",
-                       "--set", "grid.shells=16",
-                       "--set", "solver.t_final=0.001"])
+    # the tridiagonal solve binds LAPACK's dgtsv without scipy.linalg
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "-n", "3", "--corollary", "2", "--set", "grid.shells=16",
+         "--set", "solver.t_final=0.001"],
+        ["sweep", "--config", "sweep.cfg"],
+        ["verify-odi", "-n", "3", "--corollary", "2",
+         "--set", "grid.shells=16", "--set", "solver.t_final=0.001"]],
+        ids=["simulate", "sweep", "verify-odi"])
+    def test_solving_command_loads_no_scipy_submodule(self, tmp_path, argv):
+        (tmp_path / "sweep.cfg").write_text(
+            BLOWUP_CONFIG + "solver.max_steps = 200\noutput.dir = out\n"
+            "sweep.model.chi = 5, 10\n")
+        [run] = self.fresh_run(tmp_path, argv)
         assert run["code"] == 0
-        assert run["loaded"] == ["scipy.linalg"]
+        assert run["loaded"] == []
+
+    @pytest.mark.parametrize("first", ["chemobound", "scipy.linalg"])
+    def test_solver_calls_scipy_dgtsv(self, tmp_path, first):
+        # the dgtsv the solver binds is the object scipy.linalg.lapack
+        # exports, whichever of the two is imported first
+        out = json.loads(self.fresh_python(tmp_path, DGTSV_IDENTITY, first))
+        assert out == {"linalg_loaded": first == "scipy.linalg",
+                       "same": True, "x": [0.5, 0.0, 0.5]}
 
     def test_quad_fallback_matches_in_process(self, tmp_path, capsys):
         # some of this query's rows fall back to integrate.quad

@@ -1,5 +1,6 @@
 """Finite-volume solver: conservation, steady states, convergence, blow-up."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -13,8 +14,8 @@ from scipy.linalg import solve_banded
 from chemobound import pde
 from chemobound.errors import ParameterError
 from chemobound.exponents import ModelParams
-from chemobound.pde import (SAMPLE_BLOCK, ConstantProfile, GaussianBump,
-                            ParamStack, SolverConfig, Workspace,
+from chemobound.pde import (SAMPLE_BLOCK, BlowupReport, ConstantProfile,
+                            GaussianBump, ParamStack, SolverConfig, Workspace,
                             cell_gradients, energy, face_gradients,
                             init_state, make_grid, mass, norms, run, step,
                             unit_sphere_area)
@@ -435,6 +436,27 @@ class TestRun:
         assert traj.report.t_detect == 0.0
         assert traj.steps == 0
         assert len(traj.t) == 1
+
+    def test_stop_reason(self):
+        # the trigger of a run that blew up, else which limit ended it; a
+        # run that reaches t_final at its last allowed step reached t_final
+        grid = make_grid(3, 1.0, 16)
+        state = init_state(grid, GaussianBump(5.0, 0.2))
+        cfg = SolverConfig(t_final=0.01, dt_max=1e-3)
+        reached = run(grid, DIFFUSION_ONLY, state, 2.0, 4.0, cfg)
+        assert reached.report.stop_reason == "t_final"
+        assert reached.t[-1] == pytest.approx(0.01, rel=1e-12)
+        for max_steps, reason in ((reached.steps - 1, "max_steps"),
+                                  (reached.steps, "t_final")):
+            traj = run(grid, DIFFUSION_ONLY, state, 2.0, 4.0,
+                       dataclasses.replace(cfg, max_steps=max_steps))
+            assert traj.steps == max_steps
+            assert traj.report == BlowupReport(False, None, None, reason)
+        blown = run(grid, ModelParams(chi=10.0, xi=0.5, dim=3),
+                    init_state(grid, ConstantProfile(1e9, 0.0, 0.0)),
+                    2.0, 4.0, cfg)
+        assert blown.report.stop_reason == blown.report.trigger == \
+            "linf_threshold"
 
     def test_acceptance_blowup_run_pinned(self):
         # the acceptance blow-up run: every adaptive step decision and the

@@ -117,6 +117,20 @@ class TestGnEstimate:
         assert estimate_gn_constant(grid, eta) == pytest.approx(
             grid.volume ** (1.0 - eta), rel=1e-13, abs=0)
 
+    def test_sequence_of_etas_matches_each_alone(self):
+        for n, R in ((3, 3.0), (4, 1.0), (5, 5.0)):
+            grid = make_grid(n, R, 32)
+            etas = [1.0, 1.2, 1.5, 1.2, 0.99 * n / (n - 2)]
+            assert estimate_gn_constant(grid, etas) == [
+                estimate_gn_constant(grid, eta) for eta in etas]
+        assert estimate_gn_constant(GRID, ()) == []
+
+    def test_sequence_with_a_bad_eta_rejected(self):
+        with pytest.raises(ParameterError, match="eta must be >= 1, got 0.5"):
+            estimate_gn_constant(GRID, [1.5, 0.5])
+        with pytest.raises(ParameterError, match="past n/\\(n-2\\)"):
+            estimate_gn_constant(GRID, (1.5, 4.0))
+
     def test_profile_set_shape(self):
         profiles = profile_set(GRID)
         assert profiles.shape == (1 + 5 * 40 + 47, 48)
