@@ -250,7 +250,9 @@ def _feasible_center(n: int, p: float, q: float) -> tuple[float, float]:
 def _run_report(traj: pde.Trajectory) -> dict:
     """report.json of a simulated trajectory, less the config hash."""
     return {**traj.report.to_json_dict(), "steps": traj.steps,
-            "clip_count": traj.clip_count,
+            "rejected_steps": traj.rejected_steps,
+            "clip_count": traj.clip_count, "grid_cap": traj.grid_cap,
+            "t_cap_tenth": traj.t_cap_tenth,
             "solver": traj.solver.to_json_dict()}
 
 

@@ -124,12 +124,10 @@ def init_state(grid: RadialGrid, profile) -> np.ndarray:
 
 # --- spatial operators ------------------------------------------------------
 
-def face_gradients(grid: RadialGrid, f: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def face_gradients(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
     """One-sided radial gradients at faces along the last axis of f; zero
-    at both boundaries.  `out`, if given, is an array of the result's shape
-    with zero end faces to write them into."""
-    g = np.zeros(f.shape[:-1] + (grid.M + 1,)) if out is None else out
+    at both boundaries."""
+    g = np.zeros(f.shape[:-1] + (grid.M + 1,))
     inner = g[..., 1:-1]
     np.subtract(f[..., 1:], f[..., :-1], out=inner)
     np.divide(inner, grid.dr, out=inner)
@@ -186,14 +184,14 @@ class ParamStack:
     """The coefficients of K cells' models, shaped to broadcast over the
     fields of a stack of states field by field, (3, K, M), as step holds
     them.  For K = 1 they have no stack axis: step drops the stack axis of
-    a one-state stack, because numpy combines the smaller arrays, and
-    floats, with less call overhead.  This lone-cell layout (these floats,
-    and the dropped axis of step and of its Workspace's arrays) is chosen
-    by the stack size alone.  With the workspace, its removal raised the
-    benchmark's `blowup` workload (K = 1) op_s from 0.271-0.277 to
-    0.316-0.331 machine-scaled seconds, medians 0.274 and 0.321, about
-    17 %, over 6 alternating pairs of 30 s runs; `sweep` runs K = 36, the
-    other side of the choice."""
+    a one-state stack, because numpy combines the smaller arrays, and 0-d
+    arrays, with less call overhead.  This lone-cell layout (these 0-d
+    coefficients, and the dropped stack axis of a Workspace's step views)
+    is chosen by the stack size alone, once per stack.  With the
+    workspace, its removal raised the benchmark's `blowup` workload (K = 1)
+    op_s from 0.271-0.277 to 0.316-0.331 machine-scaled seconds, medians
+    0.274 and 0.321, about 17 %, over 6 alternating pairs of 30 s runs;
+    `sweep` runs K = 36, the other side of the choice."""
 
     __slots__ = ("models", "chi", "xi", "mu1", "rates", "logistic",
                  "source")
@@ -207,7 +205,8 @@ class ParamStack:
             [((1.0, m.beta, m.delta), (0.0, m.alpha, m.gamma))
              for m in self.models]), 0, -1)
         if len(self.models) == 1:
-            self.chi, self.xi, self.mu1 = cols[0].tolist()
+            # a ufunc takes a 0-d array operand in ~2/3 the time of a float
+            self.chi, self.xi, self.mu1 = (cols[0, i, ...] for i in range(3))
             self.rates, rows = rates, [...]   # ... indexes a lone state
         else:
             self.chi, self.xi, self.mu1 = (
@@ -228,73 +227,134 @@ class ParamStack:
         return ParamStack([self.models[i] for i in rows])
 
 
+class _Buffer:
+    """One of a Workspace's two right-hand-side buffers, (3, K, M) field
+    first, and the views of it that an iteration reads or writes: `stack`,
+    the (K, 3, M) stack step takes and returns; `rows`, the fields in
+    step's layout (no stack axis for one state), with `u` and the chemical
+    rows `chem`; u's left and right cells of the interior faces; the
+    stack's right and left cells of the interior faces, for the face
+    gradients; and `flat`, the whole buffer as gtsv's right-hand side."""
+
+    __slots__ = ("full", "flat", "stack", "rows", "u", "chem", "u_lo",
+                 "u_hi", "hi", "lo")
+
+    def __init__(self, K: int, M: int):
+        self.full = np.empty((3, K, M))
+        self.flat = self.full.reshape(-1)
+        self.stack = self.full.transpose(1, 0, 2)
+        self.rows = self.full[:, 0] if K == 1 else self.full
+        self.u, self.chem = self.rows[0], self.rows[1:]
+        self.u_lo, self.u_hi = self.u[..., :-1], self.u[..., 1:]
+        self.hi, self.lo = self.stack[..., 1:], self.stack[..., :-1]
+
+
+# the constants of the ufunc calls of an iteration, as 0-d arrays (see
+# ParamStack)
+_ZERO, _ONE = np.zeros(()), np.ones(())
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+
+
 class Workspace:
-    """The arrays that run's loop and step fill on every iteration of a
-    stack of K states on one grid, allocated once for the stack, so an
-    iteration makes almost no array of its own.
+    """Every array that run's loop and step read or fill on an iteration of
+    a stack of K states on one grid, and every view of them, bound once
+    for the stack, so an iteration makes no array and no view of its own
+    (a cell with a source term aside).
+
+    The stack's fields live in one of two right-hand-side buffers (see
+    _Buffer), `current`: run seats its initial fields there, and step
+    solves in place into the other buffer and makes it the current one.
+    So step's input may be its previous result, which it reads while it
+    writes the other buffer, and each result stays valid until the second
+    step after it.
 
     `faces` holds each state's face velocity (row 0) and face gradients of
-    u, v, w (rows 1-3), all with zero end faces: `vel` and `grads` are views
-    of it, and the peaks of |velocity| and |grad u| are one reduction over
-    its first two rows (the zero ends change no peak).  `flux`, the upwind
-    flux with zero end faces, and `bands`, the tridiagonal bands of the
-    solve, are in step's layout of the stack: field first, (3, K, M), with
-    no stack axis for one state.
+    u, v, w (rows 1-3), all with zero end faces: `grads`, `inner` (the
+    interior face gradients), `grad_v`, `grad_w` and `vel` are views of it,
+    `vel_tmp` takes chi*grad v, and the peaks of |velocity| and |grad u|
+    are one reduction over its first two rows (the zero ends change no
+    peak) into `peaks`.  The views of the upwind flux, whose end faces are
+    zero, `bands`, the tridiagonal bands of the solve, `dt` with its
+    products `dt_rates` and `one_decay`, and `vel_rows` are in step's
+    layout: field first, (3, K, M), with no stack axis for one state
+    (ParamStack's lone-cell layout).  step also leaves here whether the
+    new stack is finite and each state's largest u."""
 
-    step solves in place, into one of two right-hand-side buffers: each
-    call writes the buffer that the call before did not, and returns a view
-    of it as the new fields.  So step may be passed its previous result,
-    which it reads while it writes the other buffer, and each result stays
-    valid until the second step after it.  step also leaves here whether
-    the new stack is finite and each state's largest u."""
-
-    __slots__ = ("faces", "grads", "vel", "peaked", "speeds", "flux",
-                 "bands", "lower", "upper", "diag", "diag_rows", "buffers",
-                 "turn", "finite", "umax")
+    __slots__ = ("grid", "current", "other", "faces", "grads",
+                 "inner", "grad_v", "grad_w", "vel", "vel_tmp", "vel_rows",
+                 "upwind", "up", "peaked", "speeds", "peaks", "peak_cols",
+                 "flux_inner", "flux_hi", "flux_lo", "dr", "dt", "dt_vec",
+                 "dt_rates", "feed", "decay", "one_decay", "bands", "lower",
+                 "upper", "diag", "diag_rows", "highs", "finite", "umax")
 
     def __init__(self, grid: RadialGrid, K: int):
-        M = grid.M
-        shape = (3, M) if K == 1 else (3, K, M)
-        self.faces = np.zeros((K, 4, M + 1))
-        self.grads, self.vel = self.faces[:, 1:], self.faces[:, 0, 1:-1]
-        self.peaked, self.speeds = self.faces[:, :2], np.empty((K, 2, M + 1))
-        self.flux = np.zeros(shape[1:-1] + (M + 1,))
+        M, lone = grid.M, K == 1
+        self.grid = grid
+        self.current, self.other = _Buffer(K, M), _Buffer(K, M)
+        self.faces = faces = np.zeros((K, 4, M + 1))
+        self.grads, self.inner = faces[:, 1:], faces[:, 1:, 1:-1]
+        self.grad_v, self.grad_w = faces[:, 2, 1:-1], faces[:, 3, 1:-1]
+        self.vel, self.vel_tmp = faces[:, 0, 1:-1], np.empty((K, M - 1))
+        self.vel_rows = self.vel[0] if lone else self.vel
+        # the upwind side of each interior face, and u there
+        self.upwind = np.empty(self.vel_rows.shape, dtype=bool)
+        self.up = np.empty(self.vel_rows.shape)
+        self.peaked, self.speeds = faces[:, :2], np.empty((K, 2, M + 1))
+        self.peaks = np.empty((K, 2))
+        self.peak_cols = self.peaks.T
+        flux = np.zeros(self.vel_rows.shape[:-1] + (M + 1,))
+        self.flux_inner, self.flux_hi, self.flux_lo = (
+            flux[..., 1:-1], flux[..., 1:], flux[..., :-1])
+        self.dr = np.array(grid.dr)
+        # each state's dt, its products with the rates at which u feeds each
+        # field and their decay rates, and 1 + dt*decay
+        self.dt = np.empty(() if lone else (K, 1))
+        self.dt_vec = self.dt.reshape(-1)
+        self.dt_rates = np.empty((2, 3) + ((1,) if lone else (K, 1)))
+        self.feed, self.decay = self.dt_rates[0, 1:], self.dt_rates[1]
+        self.one_decay = np.empty(self.decay.shape)
         # the bands -lower, -upper and diag of the n = K*3M system, of which
         # gtsv takes the first n-1, n-1 and n entries
         self.bands = np.empty((3, 3, K, M))
         flat, n = self.bands.reshape(-1), 3 * K * M
         self.lower, self.upper, self.diag = (flat[:n - 1], flat[n:2 * n - 1],
                                              flat[2 * n:])
-        self.diag_rows = self.diag.reshape(shape)
-        # each buffer in step's layout as its u row and its v, w rows, flat
-        # for gtsv, as (3, K, M) and as the (K, 3, M) stack step returns
-        self.buffers = []
-        for _ in range(2):
-            rhs = np.empty(shape)
-            rows = rhs.reshape(3, K, M)
-            self.buffers.append((rhs[0], rhs[1:], rhs.reshape(-1), rows,
-                                 rows.transpose(1, 0, 2)))
-        self.turn = 0
+        self.diag_rows = self.diag.reshape(self.current.rows.shape)
+        self.highs = np.empty((3, K))
+
+    def take(self, rows) -> Workspace:
+        """A workspace of the given rows of this stack, their fields and
+        faces seated in it."""
+        ws = Workspace(self.grid, len(rows))
+        np.take(self.current.stack, rows, axis=0, out=ws.current.stack)
+        np.take(self.faces, rows, axis=0, out=ws.faces)
+        return ws
 
 
-def _face_velocity(params: ParamStack, grads: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """chi*grad v - xi*grad w at the M-1 interior faces, from the (..., 3,
-    M+1) face gradients of a state or stack of states, written into `out`;
-    the velocity at both boundary faces is zero."""
-    return np.subtract(params.chi * grads[..., 1, 1:-1],
-                       params.xi * grads[..., 2, 1:-1], out=out)
+def _face_velocity(params: ParamStack, ws: Workspace) -> None:
+    """The face gradients of the workspace's current fields, and chi*grad v
+    - xi*grad w at the M-1 interior faces, written into the workspace; the
+    velocity at both boundary faces is zero."""
+    cur, inner = ws.current, ws.inner
+    np.subtract(cur.hi, cur.lo, out=inner)
+    np.divide(inner, ws.dr, out=inner)
+    np.multiply(params.chi, ws.grad_v, out=ws.vel_tmp)
+    np.multiply(params.xi, ws.grad_w, out=ws.vel)
+    np.subtract(ws.vel_tmp, ws.vel, out=ws.vel)
 
 
-def _advective_divergence(grid: RadialGrid, u, vel, flux, out):
-    """Divergence of the upwinded advective flux u * vel (interior faces),
-    along the last axis, into `out`.  `flux` is an array with zero end
-    faces for the flux."""
-    up = np.where(vel >= 0.0, u[..., :-1], u[..., 1:])
-    inner = flux[..., 1:-1]
+def _advective_divergence(grid: RadialGrid, ws: Workspace, cur: _Buffer,
+                          out: np.ndarray) -> np.ndarray:
+    """Divergence of the upwinded advective flux u * vel at the interior
+    faces, of the u of `cur` and the workspace's velocity, along the last
+    axis, into `out`."""
+    vel, up, inner = ws.vel_rows, ws.up, ws.flux_inner
+    np.greater_equal(vel, _ZERO, out=ws.upwind)
+    np.copyto(up, cur.u_hi)
+    np.copyto(up, cur.u_lo, where=ws.upwind)
     np.multiply(grid.inner_areas, vel, out=inner)
     np.multiply(inner, up, out=inner)
-    np.subtract(flux[..., 1:], flux[..., :-1], out=out)
+    np.subtract(ws.flux_hi, ws.flux_lo, out=out)
     return np.divide(out, grid.neg_measures, out=out)
 
 
@@ -314,9 +374,12 @@ def step(fields: np.ndarray, dt, grid: RadialGrid, params: ParamStack,
     already has it.
 
     `ws` is a Workspace of the stack to compute in, and the new fields are
-    one of its two right-hand-side buffers, solved in place (see
-    Workspace).  Without one, step makes its own, so the new fields share
-    no memory with `fields`.
+    its new current buffer, solved in place (see Workspace).  Fields that
+    are not the workspace's current stack are seated in it first, and so
+    is a velocity that is not its own; with both seated, as run passes
+    them, step makes no array and no view.  Without a workspace, step
+    seats its fields in a fresh one, so the new fields share no memory
+    with `fields`.
 
     All backward-Euler systems of the step are solved as one block-diagonal
     system with zero couplings between the blocks (one per field and
@@ -325,64 +388,60 @@ def step(fields: np.ndarray, dt, grid: RadialGrid, params: ParamStack,
     out nonfinite is returned as it is, unclipped, and it makes every other
     block nonfinite too, since 0 * inf is NaN; run rejects such a step and
     solves it again state by state."""
+    if not all(d > 0.0 for d in dt):
+        raise ParameterError(f"dt must be positive, got {dt}")
     if ws is None:
         ws = Workspace(grid, len(dt))
+    cur, new = ws.current, ws.other
+    if fields is not cur.stack:
+        np.copyto(cur.stack, fields)
     if vel is None:
-        vel = _face_velocity(params, face_gradients(grid, fields, ws.grads),
-                             ws.vel)
-    # the fields come first, (3, K, M), and the blocks of the solve are
-    # ordered field by field; no stack axis for one state, as in ParamStack
-    if len(dt) == 1:
-        fields, vel, dt_col = fields[0], vel[0], dt[0]
-        positive = dt_col > 0
-    else:
-        fields = fields.transpose(1, 0, 2)
-        dt_col = np.array(dt, dtype=float)[:, None]
-        positive = (dt_col > 0).all()
-    if not positive:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    u = fields[0]
-    du, chem, flat, rows, new = ws.buffers[ws.turn]
-    ws.turn ^= 1
+        _face_velocity(params, ws)
+    elif vel is not ws.vel:
+        np.copyto(ws.vel, vel)
+    ws.dt_vec[:] = dt
+    dt_col, u, du, chem = ws.dt, cur.u, new.u, new.chem
     # backward Euler: (I + dt*decay - dt*L) f_new = f + dt*source, block by
     # block, with u's source its advection and logistic terms and the
     # chemicals' source beta*u and delta*u; u's source is summed in its
     # rhs row
-    dt_rates = params.rates * dt_col
-    _advective_divergence(grid, u, vel, ws.flux, du)
+    np.multiply(params.rates, dt_col, out=ws.dt_rates)
+    _advective_divergence(grid, ws, cur, du)
     if params.source:
         np.add(du, _logistic(params, u), out=du)
     np.multiply(dt_col, du, out=du)
     np.add(u, du, out=du)
-    np.multiply(dt_rates[0, 1:], u, out=chem)
-    np.add(fields[1:], chem, out=chem)
+    np.multiply(ws.feed, u, out=chem)
+    np.add(cur.chem, chem, out=chem)
     np.multiply(grid.lap_rows, dt_col, out=ws.bands)
-    np.add(ws.diag_rows, 1.0 + dt_rates[1], out=ws.diag_rows)
-    _gtsv(ws.lower, ws.diag, ws.upper, flat)
-    clips = [0] * len(new)
+    np.add(_ONE, ws.decay, out=ws.one_decay)
+    np.add(ws.diag_rows, ws.one_decay, out=ws.diag_rows)
+    _gtsv(ws.lower, ws.diag, ws.upper, new.flat)
+    ws.current, ws.other = new, cur
+    clips = [0] * len(dt)
     # one minimum and the per-field maxima decide both checks: the stack is
     # finite iff its smallest value is neither -inf nor NaN, which
     # np.minimum propagates (so the maxima hold no NaN when it passes), and
     # its largest value is below +inf; it has nothing to clip iff, in
     # addition, its smallest value is positive.  The minimum is one call
     # over the whole stack: minima per row cost ~0.1 us a row
-    least = np.minimum.reduce(flat)
-    highs = np.maximum.reduce(rows, axis=-1).tolist()   # (3, K)
+    least = np.minimum.reduce(new.flat)
+    highs = np.maximum.reduce(new.full, axis=-1, out=ws.highs).tolist()
     ws.finite = -math.inf < least and max(map(max, highs)) < math.inf
     if not (ws.finite and least > 0.0):
         # something to clip, or a nonfinite value; not the common case
-        lows = np.minimum.reduce(new, axis=-1).tolist()
-        tops = np.maximum.reduce(new, axis=-1).tolist()
-        for i, state_new in enumerate(new):
+        lows = np.minimum.reduce(new.stack, axis=-1).tolist()
+        tops = np.maximum.reduce(new.stack, axis=-1).tolist()
+        for i, state_new in enumerate(new.stack):
             for f, lo, hi in zip(state_new, lows[i], tops[i]):
                 if math.isfinite(lo) and math.isfinite(hi) and lo <= 0.0:
                     floor = -1e-10 * max(-lo, hi, 1.0)
                     if lo < floor:
                         clips[i] += int(np.count_nonzero(f < floor))
                     np.maximum(f, 0.0, out=f)
-        highs = np.maximum.reduce(rows, axis=-1).tolist()
+        highs = np.maximum.reduce(new.full, axis=-1, out=ws.highs).tolist()
     ws.umax = highs[0]
-    return new, clips
+    return new.stack, clips
 
 
 # --- diagnostics ------------------------------------------------------------
@@ -508,6 +567,12 @@ class Trajectory:
     solver: SolverConfig
     clip_count: int
     steps: int
+    rejected_steps: int   # steps retried at half dt, their result nonfinite
+    # mass / |shell 0|, the most u the grid can hold, for a cell without a
+    # source term and with a finite start (else None), and the first t at
+    # which u passed a tenth of it (None if it never did)
+    grid_cap: float | None
+    t_cap_tenth: float | None
     final_fields: np.ndarray   # the state at t[-1]
 
     def to_csv(self, stream: TextIO) -> None:
@@ -574,16 +639,26 @@ class _Samples:
 
 class _Cell:
     """One cell's adaptive-step control in run: the float code of a run of
-    that cell alone.  `row` is the cell's row of the stack."""
+    that cell alone.  `row` is the cell's row of the stack, and `cap` its
+    mass over the measure of shell 0."""
 
     __slots__ = ("params", "cfg", "samples", "row", "accel_rate", "target",
-                 "t", "dt", "smooth", "steps", "clips", "t_recorded",
+                 "t", "dt", "smooth", "steps", "clips", "rejected",
+                 "grid_cap", "cap_watch", "t_cap_tenth", "t_recorded",
                  "columns", "report", "final_fields")
 
     def __init__(self, params: ModelParams, cfg: SolverConfig,
-                 grid: RadialGrid, samples: _Samples, row: int):
+                 grid: RadialGrid, samples: _Samples, row: int, cap: float):
         self.params, self.cfg, self.samples = params, cfg, samples
         self.row = row
+        # without a source term the mass is conserved, and no shell can hold
+        # more than all of it: u <= cap on the grid.  cap_watch is the u
+        # level whose first crossing sets t_cap_tenth, then +inf
+        self.grid_cap = (cap if params.mu1 == params.mu2 == 0.0
+                         and math.isfinite(cap) else None)
+        self.cap_watch = (math.inf if self.grid_cap is None
+                          else 0.1 * self.grid_cap)
+        self.t_cap_tenth = None
         # chemical gradients grow at up to (chi*beta + xi*delta)*|grad u|
         # within the step, so the dt limiter solves dt*(vel + dt*accel) =
         # cfl*dr instead of using the instantaneous velocity alone (vital
@@ -591,7 +666,7 @@ class _Cell:
         self.accel_rate = params.chi * params.beta + params.xi * params.delta
         self.target = cfg.cfl * grid.dr
         self.t, self.dt = 0.0, cfg.dt_init
-        self.smooth = self.steps = self.clips = 0
+        self.smooth = self.steps = self.clips = self.rejected = 0
         self.columns = []   # (7, n) blocks of (t, E_pq, Lp_u, ...) samples
 
     def start(self, finite: bool, clips: int, umax: float, vel_max: float,
@@ -600,6 +675,8 @@ class _Cell:
         stops at its start.  It takes advance's arguments (`clips` is 0)."""
         self.samples.add(self)
         self.t_recorded = self.t
+        if umax > self.cap_watch:
+            self.t_cap_tenth, self.cap_watch = self.t, math.inf
         # a start above the threshold or nonfinite is reported before any
         # step
         if umax > self.cfg.blowup_threshold:
@@ -629,6 +706,8 @@ class _Cell:
             if steps % cfg.sample_every == 0:
                 self.samples.add(self)
                 self.t_recorded = t
+            if umax > self.cap_watch:
+                self.t_cap_tenth, self.cap_watch = t, math.inf
             if umax > cfg.blowup_threshold:
                 return self.stop("linf_threshold")
             if not t < cfg.t_final:
@@ -636,6 +715,7 @@ class _Cell:
             if not steps < cfg.max_steps:
                 return self.end("max_steps")
         elif accepted is not None:
+            self.rejected += 1
             self.dt *= 0.5
             self.smooth = 0
             if self.dt < cfg.dt_min:
@@ -691,7 +771,9 @@ class _Cell:
             t=cols[0], E_pq=cols[1], Lp_u=cols[2], Linf_u=cols[3],
             gradinf_v=cols[4], gradinf_w=cols[5], mass=cols[6],
             report=self.report, solver=self.cfg, clip_count=self.clips,
-            steps=self.steps, final_fields=self.final_fields)
+            steps=self.steps, rejected_steps=self.rejected,
+            grid_cap=self.grid_cap, t_cap_tenth=self.t_cap_tenth,
+            final_fields=self.final_fields)
 
 
 def run(grid: RadialGrid, params, fields0, p: float, q: float,
@@ -712,43 +794,46 @@ def run(grid: RadialGrid, params, fields0, p: float, q: float,
     again cell by cell, and each cell accepts or retries its own.  Every
     cell starts at t = 0, and its time is kept by its _Cell alone.
 
-    The stack is stepped in one Workspace, made again only when cells
-    leave it: each iteration writes the face gradients and velocity into
-    it, and step solves in place into the right-hand-side buffer that does
-    not hold the current fields, so the new fields are that buffer until
-    the iteration after next.  Each accepted state's face gradients serve
-    the dt limiter, the face velocity and, at a sample, the diagnostics:
-    a sample copies its u and gradients out of the workspace, and the
-    samples of any of the cells are reduced in blocks of SAMPLE_BLOCK.
-    step's one minimum and per-field maxima of the new stack give its
-    finiteness and each cell's largest u, and only a nonfinite stack takes
-    a reduction of its own.
+    The stack is stepped in one Workspace, whose current buffer holds its
+    fields: run seats the initial fields there, a Workspace.take seats the
+    rows of the cells that go on when others leave the stack, and the
+    result of a cell-by-cell retry is seated in the buffer the step wrote.
+    Each iteration computes the face gradients, the velocity and their
+    peaks through the workspace's views, and passes step the current
+    stack and the workspace's velocity, so step makes no array and no
+    view; step solves in place into the other buffer and makes it the
+    current one.  Each accepted state's face gradients serve the dt
+    limiter, the face velocity and, at a sample, the diagnostics: a sample
+    copies its u and gradients out of the workspace, and the samples of
+    any of the cells are reduced in blocks of SAMPLE_BLOCK.  step's one
+    minimum and per-field maxima of the new stack give its finiteness and
+    each cell's largest u, and only a nonfinite stack takes a reduction of
+    its own.
     """
     single = isinstance(params, ModelParams)
     if single:
         params, fields0, cfg = [params], [fields0], [cfg]
     fields = np.array(fields0, dtype=float)
     samples = _Samples(grid, p, q)
-    live = cells = [_Cell(m, c, grid, samples, i) for i, (m, c, _) in
-                    enumerate(zip(params, cfg, fields, strict=True))]
+    caps = _integral(grid, fields[:, 0]) / grid.shell_measures[0]
+    live = cells = [_Cell(m, c, grid, samples, i, cap) for i, (m, c, cap) in
+                    enumerate(zip(params, cfg, caps.tolist(), strict=True))]
     stack, ws = ParamStack(params), Workspace(grid, len(cells))
+    np.copyto(ws.current.stack, fields)
     accepted = np.isfinite(fields).all(axis=(1, 2)).tolist()
     umax = np.maximum.reduce(fields[:, 0], axis=-1).tolist()
     every = [True] * len(cells)
     advance, clips = _Cell.start, [0] * len(cells)
     while True:
-        samples.fields = fields
-        samples.grads = face_gradients(grid, fields, ws.grads)
-        vel = _face_velocity(stack, ws.grads, ws.vel)
+        cur = ws.current
+        _face_velocity(stack, ws)
+        samples.fields, samples.grads = cur.stack, ws.grads
         # per cell: the largest absolute face velocity and u face gradient,
-        # one reduction over the first two rows of the workspace's faces.
-        # Every stack size takes this one path: the lone-cell layout is
-        # ParamStack's and step's (with it, `blowup` op_s medians 0.274
-        # against 0.321 machine-scaled seconds without, 6 pairs of 30 s)
-        speeds = np.maximum.reduce(np.abs(ws.peaked, out=ws.speeds),
-                                   axis=-1)
+        # one reduction over the first two rows of the workspace's faces
+        np.abs(ws.peaked, out=ws.speeds)
+        np.maximum.reduce(ws.speeds, axis=-1, out=ws.peaks)
         dts = list(map(advance, live, accepted, clips, umax,
-                       *speeds.T.tolist()))
+                       *ws.peak_cols.tolist()))
         if None in dts:
             # the cells that stopped leave the stack, and its workspace
             keep = [i for i, dt in enumerate(dts) if dt is not None]
@@ -760,25 +845,25 @@ def run(grid: RadialGrid, params, fields0, p: float, q: float,
             live, stack = [live[i] for i in keep], stack.take(keep)
             for i, cell in enumerate(live):
                 cell.row = i
-            fields, vel, dts = fields[keep], vel[keep], [dts[i] for i in keep]
-            ws = Workspace(grid, len(live))
-        new, clips = step(fields, dts, grid, stack, vel=vel, ws=ws)
+            ws, dts = ws.take(keep), [dts[i] for i in keep]
+            cur = ws.current
+        new, clips = step(cur.stack, dts, grid, stack, vel=ws.vel, ws=ws)
         accepted, umax = every, ws.umax
         if not ws.finite:
             if len(live) > 1:
                 # a nonfinite block spreads NaN to every other block: solve
-                # each cell alone
-                alone = [step(fields[i:i + 1], dts[i:i + 1], grid,
-                              stack.take([i]), vel=vel[i:i + 1])
+                # each cell alone, and seat the results in the new buffer
+                alone = [step(cur.stack[i:i + 1], dts[i:i + 1], grid,
+                              stack.take([i]), vel=ws.vel[i:i + 1])
                          for i in range(len(live))]
-                new = np.concatenate([f for f, _ in alone])
+                np.concatenate([f for f, _ in alone], out=new)
                 clips = [c[0] for _, c in alone]
             finite = np.isfinite(new).all(axis=(1, 2))
             # a rejected cell stays where it was
-            new[~finite] = fields[~finite]
+            new[~finite] = cur.stack[~finite]
             accepted = finite.tolist()
             umax = np.maximum.reduce(new[:, 0], axis=-1).tolist()
-        fields, advance = new, _Cell.advance
+        advance = _Cell.advance
     if samples.pending:
         samples.reduce()
     result = [cell.trajectory() for cell in cells]

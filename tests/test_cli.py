@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, exit codes, persistence, determinism."""
 
 import collections
+import csv
 import json
 import os
 import subprocess
@@ -536,6 +537,25 @@ class TestSimulate:
         assert csv_text.startswith("t,E_pq,")
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "timestamp" in report["metadata"]
+
+    def test_acceptance_run_telemetry(self, capsys, tmp_path):
+        # the acceptance run (threshold 5e6, every step sampled): no step
+        # retried, and u passes a tenth of the grid's cap at step 197
+        (tmp_path / "run.cfg").write_text(
+            BLOWUP_CONFIG + "solver.blowup_threshold = 5e6\n"
+            "solver.sample_every = 1\n")
+        assert main(["simulate", "--config", str(tmp_path / "run.cfg"),
+                     "-o", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["rejected_steps"] == 0
+        assert report["grid_cap"] == pytest.approx(1.4056469491729e7,
+                                                   rel=1e-13)
+        assert report["t_cap_tenth"] == 5.344901769104772e-4
+        with open(tmp_path / "out" / "trajectory.csv") as stream:
+            rows = list(csv.DictReader(stream))
+        assert float(rows[197]["t"]) == report["t_cap_tenth"]
+        assert (float(rows[196]["Linf_u"]) <= 0.1 * report["grid_cap"]
+                < float(rows[197]["Linf_u"]))
 
     def test_stop_reason_names_the_step_budget(self, capsys, tmp_path):
         # the README's example of a run that ends without blowing up

@@ -743,18 +743,22 @@ class TestWorkspace:
                 assert not np.shares_memory(new, vel)
 
 
-def _poisoned_solver(monkeypatch, poison):
+def _poisoned_solver(monkeypatch, poison, before=False):
     """Patch pde._gtsv so that the solution of its n-th call is changed by
     poison[n](x), with x the solution as a flat array; the list of the
-    step calls' (fields, dt) arguments, recorded by a spy on pde.step."""
+    step calls' (fields, dt) arguments, recorded by a spy on pde.step.
+    With `before`, poison[n] changes the right-hand side of the solve
+    instead, through which a nonfinite value spreads to every block."""
     pde._gtsv(np.zeros(1), np.ones(2), np.zeros(1), np.zeros(2))
     solve, take_step = pde._gtsv, pde.step   # the resolved solver
     calls, steps = [0], []
 
     def gtsv(lower, diag, upper, rhs):
-        x = solve(lower, diag, upper, rhs)
         calls[0] += 1
-        if calls[0] in poison:
+        if before and calls[0] in poison:
+            poison[calls[0]](rhs)
+        x = solve(lower, diag, upper, rhs)
+        if not before and calls[0] in poison:
             poison[calls[0]](x)
         return x
 
@@ -841,3 +845,76 @@ class TestFusedCheck:
         _assert_same_trajectory(trajs[0], clean[0])
         _assert_same_trajectory(trajs[2], clean[2])
         assert _csv_sha256(trajs[1]) == REJECTED_10TH
+
+
+class TestRunTelemetry:
+    def _poisoned_run(self, monkeypatch, poison):
+        _poisoned_solver(monkeypatch, poison)
+        grid = make_grid(3, 1.0, 16)
+        state = init_state(grid, GaussianBump(1e4, 0.15))
+        return run(grid, ModelParams(chi=10.0, xi=0.5, dim=3), state, 2.0,
+                   4.0, POISON_CFG)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_rejected_step_counted(self, monkeypatch, field, value):
+        # TestFusedCheck's injected nonfinite 10th step is the one step
+        # retried
+        traj = self._poisoned_run(monkeypatch, {10: _put(field, value, 16)})
+        assert traj.rejected_steps == 1
+        assert traj.steps == POISON_CFG.max_steps
+
+    def test_grid_cap_never_reached_by_a_decaying_run(self):
+        # u0 = 1 at M = 32: the cap is |Omega| / |shell 0| = 32**3
+        grid = make_grid(3, 1.0, 32)
+        state = init_state(grid, ConstantProfile(1.0, 0.0, 0.0))
+        cfg = SolverConfig(t_final=0.05, dt_max=1e-3)
+        traj = run(grid, ModelParams(chi=10.0, xi=0.5, dim=3), state, 2.0,
+                   4.0, cfg)
+        assert traj.grid_cap == pytest.approx(32768.0, rel=1e-12)
+        assert traj.t_cap_tenth is None
+        assert traj.report.stop_reason == "t_final"
+        # with a source term the mass is not conserved: no cap
+        traj = run(grid, ModelParams(chi=10.0, xi=0.5, mu1=-1.0, dim=3),
+                   state, 2.0, 4.0, cfg)
+        assert traj.grid_cap is None and traj.t_cap_tenth is None
+
+    def test_reseated_stack_matches_solo_runs(self, monkeypatch):
+        # the three cells are seated in the stack's workspace at the start.
+        # Cell 0 stops at step 5, and the other two are seated in a
+        # two-cell workspace.  The right-hand side of their 10th solve is
+        # poisoned in cell 1's v, which spreads NaN to cell 2, so the step
+        # is solved again cell by cell and the results are seated; cell
+        # 1's own solve is poisoned too.  So cell 1 retries its 10th step
+        # at half dt, and cell 2 takes it.  Each trajectory is the cell's
+        # solo run, cell 1's with its 10th solve poisoned
+        grid = make_grid(3, 1.0, 16)
+        models = [ModelParams(chi=chi, xi=0.5, dim=3)
+                  for chi in (5.0, 10.0, 20.0)]
+        cfgs = [dataclasses.replace(POISON_CFG, max_steps=5), POISON_CFG,
+                POISON_CFG]
+        states = [init_state(grid, GaussianBump(a, 0.15))
+                  for a in (1e4, 2e4, 3e4)]
+        solo = [run(grid, models[0], states[0], 2.0, 4.0, cfgs[0]),
+                self._solo(monkeypatch, grid, models[1], states[1], cfgs[1],
+                           {10: _put(1, math.nan, 16)}),
+                run(grid, models[2], states[2], 2.0, 4.0, cfgs[2])]
+        steps = _poisoned_solver(monkeypatch, {
+            10: _put(1, math.nan, 16, K=2, cell=0), 11: _put(1, math.nan, 16)},
+            before=True)
+        batch = run(grid, models, states, 2.0, 4.0, cfgs)
+        # five 3-cell steps, five 2-cell steps, the two cells alone
+        assert [len(dt) for _, dt in steps[:13]] == (
+            [3] * 5 + [2] * 5 + [1, 1, 2])
+        assert [t.steps for t in batch] == [5, 40, 40]
+        assert [t.rejected_steps for t in batch] == [0, 1, 0]
+        for a, b in zip(batch, solo):
+            _assert_same_trajectory(a, b)
+            assert (a.rejected_steps, a.grid_cap, a.t_cap_tenth) == (
+                b.rejected_steps, b.grid_cap, b.t_cap_tenth)
+
+    @staticmethod
+    def _solo(monkeypatch, grid, params, state, cfg, poison):
+        with monkeypatch.context() as patch:
+            _poisoned_solver(patch, poison, before=True)
+            return run(grid, params, state, 2.0, 4.0, cfg)
