@@ -11,8 +11,7 @@ from .odi import (BoundResult, OdiCoefficients, bound_at_indices,
 from .pde import (RadialGrid, SolverConfig, Trajectory, energy, init_state,
                   make_grid, mass, norms, run, step)
 from .verify import (InequalityReport, check_concurrence,
-                     check_embed_inequality, check_remark_ordering,
-                     equivalence_bruteforce, estimate_gn_constant,
-                     odi_monitor)
+                     check_embed_inequality, check_equivalence,
+                     check_remark_ordering, estimate_gn_constant, odi_monitor)
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ verify-embed, verify-equivalence, verify-odi, region, sweep.  Exit codes:
 
 Every emitted JSON carries the resolved config hash; wall-clock timestamps
 live in a separate `metadata` field so payloads stay byte-reproducible for
-a fixed config and seed.
+a fixed config.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ FLAGS = {
     "corollary": (("--corollary",), {"type": int, "choices": (0, 1, 2)},
                   "bound.corollary"),
     "eta": (("--eta",), {"type": float}, "verify.eta"),
-    "seed": (("--seed",), {"type": int}, "seed"),
 }
 
 
@@ -293,8 +292,7 @@ def cmd_verify_embed(args) -> int:
 
 def cmd_verify_equivalence(args) -> int:
     cfg, _ = _load_config(args)
-    report = verify.equivalence_bruteforce(cfg["model.dim"],
-                                           cfg["verify.trials"], cfg["seed"])
+    report = verify.check_equivalence(cfg["model.dim"])
     _emit(report.to_json_dict(), cfg, _output_dir(cfg), "equivalence.json")
     return EXIT_OK if report.violations == 0 else EXIT_NEGATIVE
 
@@ -462,7 +460,7 @@ COMMANDS = (
     ("verify-embed", "check the embedding inequality at one eta",
      cmd_verify_embed, (*_BOUND, "eta")),
     ("verify-equivalence", "check Condition C against the eta intervals",
-     cmd_verify_equivalence, (*_BOUND, "eta", "seed")),
+     cmd_verify_equivalence, ()),
     ("verify-odi", "check dE/dt <= F(E) along a simulated run",
      cmd_verify_odi, (*_BOUND, "eta")),
     ("region", "admissible (p, q) region table", cmd_region, ()),

@@ -51,11 +51,10 @@ _DEFAULTS: dict[str, Any] = {
     "bound.gn_safety": 2.0,
     "verify.eta": _NAN,
     "verify.epsilon": 1.0,
-    "verify.trials": 100_000,
     "region.p_min": _NAN,
     "region.p_max": _NAN,
     "region.p_step": 0.1,
-    "seed": 0,
+    "seed": 0,  # read by nothing: kept so that configs that set it parse
     "output.dir": "",
 }
 

@@ -168,9 +168,18 @@ def condition_C_clauses(n: int, p, q, s1, s2) -> tuple:
     """Condition C as seven (name, lower, value) triples, each requiring
     lower < value.  Exact on int/Fraction input, elementwise on arrays.
 
-    q > 2 is required on top of the four textbook clauses: the eta attached
-    to s2 and q is only meaningful past q = 2 (its numerator changes sign
-    there), and q <= 2 empties the s2 interval anyway.
+    The (s1, s2) clauses, as feasible_box, are the eta intervals (each
+    in (1, 1 + 2/n); p > 0, s1, s2 > 1, q > 2) solved for s1 and s2:
+      eta0 = 2 s2/p  <=>  p/2 < s2 < (1 + 2/n) p/2;
+      eta1 = s1/(s1 - 1)  <=>  s1 > 1 + n/2;
+      eta2 = s2 (q - 2)/(q (s2 - 1))  <=>  q(n+2)/(2(q+n)) < s2 < q/2;
+      eta3 = 2 s1/q  <=>  q/2 < s1 < (1 + 2/n) q/2.
+    q > n is exactly a non-empty s1 interval, and q > 2 and p > nq/(n+q)
+    exactly put the s2 end q(n+2)/(2(q+n)) below both upper ends (p/2 also
+    needs p < q, which the s2 clauses enforce), so these three clauses
+    change no verdict: they say why an empty box is empty.
+    check_condition_C's `admissible` also ANDs the eta check, so it is no
+    test of this table; verify.check_equivalence compares the two.
     """
     if _is_exact(p, q, s1, s2):
         p, q, s1, s2 = (Fraction(x) for x in (p, q, s1, s2))

@@ -428,8 +428,7 @@ def _truncation(table: DenominatorTable, E0: float, F0,
     return S.tolist(), tail_upper.tolist(), flags, errors
 
 
-def lower_bound_integral(den: Denominator | Sequence[Denominator]
-                         | DenominatorTable, E0: float,
+def lower_bound_integral(den: Denominator | DenominatorTable, E0: float,
                          truncation_point: float | None = None,
                          skip: type[Exception] | tuple = ()):
     """Truncated integral of 1/F from E0, with an analytic tail budget.
@@ -443,20 +442,16 @@ def lower_bound_integral(den: Denominator | Sequence[Denominator]
     accept it, else integrate.quad; quadrature_error is the error estimate
     of whichever ran.
 
-    `den` is one Denominator, whose BoundResult is the result, or a batch of
-    one number of terms: a sequence of denominators, giving their list of
-    BoundResults, or a DenominatorTable, giving the list of its rows'
-    (t_lower, S, quadrature_error, tail_upper, flags).  Each row's result is
-    bit for bit its own alone, and the rows are checked in order before any
-    is integrated: the first that fails raises what it raises alone, unless
-    it raises one of the types `skip`, which gives None.  F(E0) overflowing
-    in every row is a ParameterError, and in one row an OverflowError."""
-    single, table = isinstance(den, Denominator), den
-    if not isinstance(den, DenominatorTable):
-        den = [den] if single else list(den)
-        if not den:
-            return []
-        table = DenominatorTable.of(den)
+    `den` is one Denominator, whose BoundResult is the result, or a
+    DenominatorTable, a batch of one number of terms, giving the list of its
+    rows' (t_lower, S, quadrature_error, tail_upper, flags).  Each row's
+    result is bit for bit its own alone, and the rows are checked in order
+    before any is integrated: the first that fails raises what it raises
+    alone, unless it raises one of the types `skip`, which gives None.
+    F(E0) overflowing in every row is a ParameterError, and in one row an
+    OverflowError."""
+    single = isinstance(den, Denominator)
+    table = den._table if single else den
     if not 0 < E0 < math.inf:
         raise ParameterError(f"E0 must be positive and finite, got {E0}")
     if not 10.0 * E0 < math.inf:
@@ -495,9 +490,9 @@ def lower_bound_integral(den: Denominator | Sequence[Denominator]
                     x_lo, math.log(S[k]), epsabs=0.0, epsrel=REL_TOL,
                     limit=500)
         rows[k] = (accepted[0], S[k], accepted[1], tail_upper[k], flags[k])
-    if table is not den:
-        rows = [row and BoundResult(*row[:4], flags=row[4]) for row in rows]
-    return rows[0] if single else rows
+    if not single:
+        return rows
+    return rows[0] and BoundResult(*rows[0][:4], flags=rows[0][4])
 
 
 def bound_at_indices(params: ModelParams, indices: EnergyIndices, E0: float,

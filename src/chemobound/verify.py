@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import EpsilonError, ParameterError
-from .exponents import (C1_coef, C3_coef, condition_C_clauses, eta_formulas,
-                        etas_in_range, feasible_box, h_exponent, k_exponent)
+from .exponents import (C1_coef, C3_coef, check_condition_C, etas_in_range,
+                        h_exponent, k_exponent)
 from .odi import OdiCoefficients
 from .pde import RadialGrid, Trajectory, _integral, cell_gradients
 
@@ -28,7 +29,6 @@ class InequalityReport:
     violations: int
     worst_margin: float
     witness: str | None = None
-    seed: int | None = None
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -153,17 +153,12 @@ def check_embed_inequality(grid: RadialGrid, eta: float, epsilon: float,
 def check_remark_ordering(n: int, eta_grid) -> InequalityReport:
     """Strict chain k(eta) < eta/(2-eta) < n/(n-2) on (1, n/(n-1)) with
     triple equality at eta = n/(n-1) to 1e-12."""
-    eta_star = n / (n - 1.0)
-    limit = n / (n - 2.0)
-    margins = []
-    violations = 0
-    witness = None
-    samples = 0
+    eta_star, limit = n / (n - 1.0), n / (n - 2.0)
+    margins, violations, witness = [], 0, None
     for eta in list(eta_grid) + [eta_star]:
         eta = float(eta)
         if not 1.0 < eta <= eta_star + 1e-15:
             raise ParameterError(f"eta={eta} outside (1, n/(n-1)]")
-        samples += 1
         kv = float(k_exponent(eta, n))
         mid = eta / (2.0 - eta)
         if abs(eta - eta_star) <= 1e-13:
@@ -178,61 +173,65 @@ def check_remark_ordering(n: int, eta_grid) -> InequalityReport:
             if gap <= 0:
                 violations += 1
                 witness = f"eta={eta} (chain gap={gap})"
-    return InequalityReport(samples=samples, violations=violations,
+    return InequalityReport(samples=len(margins), violations=violations,
                             worst_margin=float(min(margins)),
-                            witness=witness, seed=None, config={"n": n})
+                            witness=witness, config={"n": n})
 
 
-def equivalence_bruteforce(n: int, trial_count: int,
-                           seed: int = 0) -> InequalityReport:
-    """Randomized check that the Condition C clause table of `exponents` and
-    the eta-interval condition agree on every sampled quadruple.  Half the
-    samples come from a broad box, half concentrate near and inside the
-    admissible region (the table's (s1, s2) box)."""
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
-    if trial_count < 1:
-        raise ParameterError(f"trial count must be >= 1, got {trial_count}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    n_broad = trial_count // 2
-    n_tight = trial_count - n_broad
+# each end of the lattice, and a small exact step inside and outside it
+EQUIVALENCE_OFFSETS = (-Fraction(1, 1000), 0, Fraction(1, 1000))
 
-    p_b = rng.uniform(0.2, 2.0 * n, n_broad)
-    q_b = rng.uniform(0.2, 3.0 * n, n_broad)
-    s1_b = rng.uniform(1.0 + 1e-6, 1.5 * n + 2.0, n_broad)
-    s2_b = rng.uniform(1.0 + 1e-6, 1.5 * n, n_broad)
 
-    q_t = rng.uniform(n, 3.0 * n, n_tight)
-    p_t = (n * q_t / (n + q_t)) * rng.uniform(0.8, 2.0, n_tight)
-    (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, p_t, q_t)
-    s1_t = s1_lo + (s1_hi - s1_lo) * rng.uniform(-0.5, 1.5, n_tight)
-    s2_t = s2_lo + (s2_hi - s2_lo) * rng.uniform(-0.5, 1.5, n_tight)
-    s1_t = np.maximum(s1_t, 1.0 + 1e-6)
-    s2_t = np.maximum(s2_t, 1.0 + 1e-6)
-    p_t = np.maximum(p_t, 1e-3)
+def _axis(lo, hi, *ends) -> list:
+    """One coordinate's values at the interval (lo, hi): the centre first,
+    half the width beyond each side, and lo, hi and `ends`, each moved by
+    every EQUIVALENCE_OFFSETS."""
+    half = abs(hi - lo) / 2
+    return [(lo + hi) / 2, min(lo, hi) - half, max(lo, hi) + half] + [
+        end + d for end in (lo, hi, *ends) for d in EQUIVALENCE_OFFSETS]
 
-    p = np.concatenate([p_b, p_t])
-    q = np.concatenate([q_b, q_t])
-    s1 = np.concatenate([s1_b, s1_t])
-    s2 = np.concatenate([s2_b, s2_t])
 
-    lhs = np.all([lower < value for _, lower, value
-                  in condition_C_clauses(n, p, q, s1, s2)], axis=0)
-    eta = np.stack(eta_formulas(p, q, s1, s2))
-    rhs = np.all((eta > 1.0) & (eta < 1.0 + 2.0 / n), axis=0)
-    mismatch = lhs != rhs
-    violations = int(np.count_nonzero(mismatch))
-    witness = None
-    if violations:
-        i = int(np.argmax(mismatch))
-        witness = (f"p={p[i]}, q={q[i]}, s1={s1[i]}, s2={s2[i]}: "
-                   f"clauses={bool(lhs[i])}, etas={bool(rhs[i])}")
-    return InequalityReport(samples=trial_count, violations=violations,
+def equivalence_lattice(n: int) -> list[tuple]:
+    """The exact (p, q, s1, s2) points of check_equivalence at n, in order
+    and without repeats.  q runs around the edge q = n and the switch
+    q = n + 2 of max(1 + n/2, q/2), up to n + 6; p around the edge
+    nq/(n+q), the switches q(n+2)/(q+n) and nq/(n+2) of the s2 box's max
+    and min, and q, where that box closes.  The box is written from the
+    eta intervals, apart from the table under test.  s1 depends on q alone
+    and s2 on p and q, so each is varied with the other at its centre."""
+    n = Fraction(n)
+    points = {}
+    for q in _axis(n, n + 2) + [n + 6]:
+        s1_lows = (1 + n / 2, q / 2)
+        s1_axis = _axis(max(s1_lows), (n + 2) * q / (2 * n), *s1_lows)
+        for p in _axis(n * q / (n + q), q, q * (n + 2) / (q + n),
+                       n * q / (n + 2)):
+            s2_lows = (q * (n + 2) / (2 * (q + n)), p / 2)
+            s2_highs = ((n + 2) * p / (2 * n), q / 2)
+            s2_axis = _axis(max(s2_lows), min(s2_highs), *s2_lows, *s2_highs)
+            points.update(dict.fromkeys(
+                [(p, q, s1, s2_axis[0]) for s1 in s1_axis]
+                + [(p, q, s1_axis[0], s2) for s2 in s2_axis]))
+    return list(points)
+
+
+def check_equivalence(n: int) -> InequalityReport:
+    """Exact check that Condition C's clause table and the eta form agree
+    on equivalence_lattice(n): at each point one check_condition_C call
+    gives both verdicts, every clause passed and etas_in_range, and a point
+    where they differ is a violation, the first one the witness."""
+    points = equivalence_lattice(n)
+    violations, witness = 0, None
+    for p, q, s1, s2 in points:
+        report = check_condition_C(n, p, q, s1, s2)
+        clauses = all(c.passed for c in report.clauses)
+        if clauses != report.etas_in_range:
+            violations += 1
+            witness = witness or (f"p={p}, q={q}, s1={s1}, s2={s2}: "
+                                  f"clauses={clauses}, etas={not clauses}")
+    return InequalityReport(samples=len(points), violations=violations,
                             worst_margin=0.0 if violations == 0 else -1.0,
-                            witness=witness, seed=seed,
-                            config={"n": n, "trial_count": trial_count})
+                            witness=witness, config={"n": n})
 
 
 MONITOR_REL_FLOOR = 1.0  # floor of the odi_monitor margin normalizer
@@ -261,7 +260,6 @@ def odi_monitor(trajectory: Trajectory, coeffs: OdiCoefficients,
         samples=len(margins), violations=violations,
         worst_margin=float(margins[worst]),
         witness=f"t={t[1 + worst]}" if violations else None,
-        seed=None,
         config={"C_GN": coeffs.C_GN, "epsilon": coeffs.epsilon,
                 "caveat": "conditional on the supplied interpolation "
                           "constant dominating the true discrete one"})

@@ -120,15 +120,18 @@ class TestConfigParsing:
 
     def test_schema_pinned(self):
         # a new dataclass field must not silently become a config key
-        assert len(KNOWN_KEYS) == 47
-        assert config_hash(parse_config_text("")[0]) == "94190be5dd3ff24b"
+        # seed is read by nothing but stays known, so that configs that
+        # set it parse
+        assert len(KNOWN_KEYS) == 46
+        assert config_hash(parse_config_text("")[0]) == "59b247c190eb2641"
+        assert "seed" in KNOWN_KEYS
         for key in ("verify.bump_fraction", "monitor.rel_floor",
                     "quad.truncation_point", "verify.n_samples",
                     "verify.samples", "verify.max_modes",
                     "verify.ascent_steps", "verify.report_tol",
                     "opt.coarse_grid", "opt.eps_grid", "opt.refine_iters",
                     "quad.rel_tol", "quad.tail_tol", "opt.boundary_margin",
-                    "monitor.slack"):
+                    "monitor.slack", "verify.trials"):
             assert key not in KNOWN_KEYS
 
     def test_build_functions_give_dataclass_defaults(self):
@@ -138,18 +141,30 @@ class TestConfigParsing:
     @pytest.mark.parametrize("argv, path, expected", [
         (["verify-gn", "--eta", "1.5", "--set", "verify.eta=1.2"],
          ("eta",), 1.5),
-        (["verify-equivalence", "--seed", "3", "--set", "seed=1"],
-         ("seed",), 3),
         (["verify-equivalence", "-n", "4", "--set", "model.dim=5"],
          ("config", "n"), 4),
-    ], ids=["--eta", "--seed", "--dim"])
+    ], ids=["--eta", "--dim"])
     def test_flag_wins_over_set(self, capsys, argv, path, expected):
-        small = ["--set", "grid.shells=16", "--set", "verify.trials=200"]
-        assert main(argv + small) == 0
+        assert main(argv + ["--set", "grid.shells=16"]) == 0
         payload = json.loads(capsys.readouterr().out)
         for key in path:
             payload = payload[key]
         assert payload == expected
+
+    # the equivalence check is exact on a fixed lattice: it has no seed and
+    # no trial count
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "1"], "error: unrecognized arguments: --seed 1"),
+        (["--set", "verify.trials=10"],
+         "config error: unknown key 'verify.trials'"),
+    ], ids=["--seed", "verify.trials"])
+    def test_equivalence_rng_knob_rejected(self, capsys, flags, message):
+        try:
+            code = main(["verify-equivalence", "-n", "3", *flags])
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_hash_stability(self):
         a, _ = parse_config_text("model.chi = 1.0\n")
@@ -413,9 +428,10 @@ class TestExitCodes:
         ["region", "-n", "3", "--set", "region.p_step=0"],
         ["region", "-n", "3", "--set", "region.p_step=-0.1"],
         ["region", "-n", "3", "--set", "region.p_step=nan"],
+        # verify-equivalence has no trial count: verify.trials is an unknown
+        # key
         ["verify-equivalence", "-n", "3", "--set", "verify.trials=0"],
         ["verify-equivalence", "-n", "3", "--set", "verify.trials=-1"],
-        ["verify-equivalence", "-n", "3", "--seed", "-1"],
         ["bound", "-n", "3", "--corollary", "2", "--E0", "0",
          "--set", "bound.C_GN=1"],
         ["bound", "-n", "3", "--corollary", "2", "--E0", "1",
@@ -494,7 +510,7 @@ class TestExitCodes:
         ["region", "-n", "3", "--set", "region.p_min=-1e300"],
         *(argv for argv, _ in NAMED.values()),
     ], ids=["p_step=0", "p_step<0", "p_step=nan", "trials=0", "trials<0",
-            "seed<0", "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
+            "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
             "eta=0.5", "E0=inf", "optimize-E0=inf", "C_GN=inf",
             "gn_safety=inf", "optimize-C_GN=inf", "check-p=inf", "q=inf",
             "s1=inf", "s2=inf", "corollary1-p=inf", "simulate-p=inf",
@@ -602,10 +618,12 @@ class TestVerifySubcommands:
         assert capsys.readouterr().err.startswith("config error: need R > 0")
 
     def test_verify_equivalence(self, capsys):
-        code = main(["verify-equivalence", "-n", "4",
-                     "--set", "verify.trials=2000"])
+        code = main(["verify-equivalence", "-n", "4"])
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["violations"] == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["samples"] > 0
+        assert payload["violations"] == 0
+        assert "seed" not in payload
 
     def test_verify_gn(self, capsys):
         code = main(["verify-gn", "-n", "3", "--eta", "1.5",

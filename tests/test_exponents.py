@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemobound.errors import ParameterError
@@ -279,38 +279,9 @@ class TestModelParams:
 
 rationals = st.fractions(min_value=F(1, 10), max_value=10,
                          max_denominator=40)
-rationals_gt1 = st.fractions(min_value=F(11, 10), max_value=10,
-                             max_denominator=40)
-unit = st.fractions(min_value=0, max_value=1, max_denominator=40)
-
-
-def _widened(lo, hi, u):
-    """u in [0, 1] mapped onto (lo, hi) widened by half its width on each
-    side, so draws fall on both sides of each edge."""
-    return lo + (2 * u - F(1, 2)) * (hi - lo)
 
 
 class TestProperties:
-    @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(3, 6),
-           dq=st.fractions(min_value=-1, max_value=6, max_denominator=40),
-           up=unit, u1=unit, u2=unit, s1=rationals_gt1, s2=rationals_gt1)
-    def test_clause_form_matches_eta_intervals(self, n, dq, up, u1, u2,
-                                               s1, s2):
-        # (p, q) near the admissible region: q around n, p around
-        # (nq/(n+q), q); (s1, s2) near the feasible box where it is nonempty
-        q = n + dq
-        p = _widened(n * q / (n + q), q, up)
-        (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, p, q)
-        if s1_hi > s1_lo:
-            s1 = _widened(s1_lo, s1_hi, u1)
-        if s2_hi > s2_lo:
-            s2 = _widened(s2_lo, s2_hi, u2)
-        assume(p > 0 and s1 > 1 and s2 > 1)
-        report = check_condition_C(n, p, q, s1, s2)
-        assert report.admissible == etas_in_range(
-            compute_etas(p, q, s1, s2), n)
-
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(3, 6),
            eta=st.fractions(min_value=1, max_value=F(3, 2),

@@ -19,7 +19,7 @@ from chemobound.exponents import (C3_coef, EnergyIndices, ModelParams,
 from chemobound.odi import (BOUNDARY_MARGIN, COARSE_GRID, REFINE_ITERS,
                             REL_TOL, SWEEP_LEVELS,
                             CoefficientConventionWarning,
-                            Denominator, OdiCoefficients,
+                            Denominator, DenominatorTable, OdiCoefficients,
                             bound_at_indices, lower_bound_integral,
                             max_admissible_epsilon, odi_coefficients,
                             optimize_bound, zeta_coefficients)
@@ -410,26 +410,36 @@ OVERFLOWING_S = Denominator(((1e-3, 1.01), (1e-3, 1.01)) + _PAD)
 OVERFLOWING_F0 = Denominator(((1.0, 1.5), (1.0, 400.0)) + _PAD)
 
 
+def batch(dens, *args, **kwargs):
+    """lower_bound_integral on the DenominatorTable of `dens`."""
+    return lower_bound_integral(DenominatorTable.of(dens), *args, **kwargs)
+
+
+def as_row(result):
+    """A lone denominator's BoundResult as the row of a batch: (t_lower, S,
+    quadrature_error, tail_upper, flags), or None."""
+    return result and (result.t_lower, result.S, result.quadrature_error,
+                       result.tail_upper, result.flags)
+
+
 class TestBatchedIntegral:
-    """A sequence of K denominators is one batch, and each row's result
-    is bit for bit the one it gets alone."""
+    """A DenominatorTable of K denominators is one batch, and each row's
+    result is bit for bit the one it gets alone."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_batch_matches_solo_calls(self, monkeypatch):
         dens = list(BATCH_ROWS.values())
-        solo = [lower_bound_integral(d, 10.0) for d in dens]
+        solo = [as_row(lower_bound_integral(d, 10.0)) for d in dens]
         calls = quad_calls(monkeypatch)
-        batch = lower_bound_integral(dens * 2, 10.0)
+        rows = batch(dens * 2, 10.0)
         assert len(calls) == 6  # quad, overflowing and negative_mu1, twice
-        assert batch == solo * 2  # every field, compared with ==
-        assert [r.flags for r in batch[:4]] == \
+        assert rows == solo * 2  # every field, compared with ==
+        assert [row[4] for row in rows[:4]] == \
             [(), (), (), ("negative_linear_term",)]
 
     def test_lone_denominator_is_a_batch_of_one(self):
         den = BATCH_ROWS["accepted"]
-        assert lower_bound_integral([den], 10.0) == \
-            [lower_bound_integral(den, 10.0)]
-        assert lower_bound_integral([], 10.0) == []
+        assert batch([den], 10.0) == [as_row(lower_bound_integral(den, 10.0))]
 
     @pytest.mark.parametrize("rows, error", [
         ([NONPOSITIVE, DIVERGENT], NonpositiveDenominatorError),
@@ -440,42 +450,40 @@ class TestBatchedIntegral:
         with pytest.raises(error) as solo:
             lower_bound_integral(rows[0], 10.0)
         good = list(BATCH_ROWS.values())[:2]
-        with pytest.raises(error) as batch:
-            lower_bound_integral(good + rows + good, 10.0)
-        assert str(batch.value) == str(solo.value)
+        with pytest.raises(error) as batched:
+            batch(good + rows + good, 10.0)
+        assert str(batched.value) == str(solo.value)
         if error is NonpositiveDenominatorError:
-            assert batch.value.root == solo.value.root == 10.0
+            assert batched.value.root == solo.value.root == 10.0
 
     def test_skipped_rows_give_none(self):
         good = BATCH_ROWS["accepted"]
-        assert lower_bound_integral([OVERFLOWING_S, good, OVERFLOWING_S],
-                                    10.0, skip=OverflowError) == \
-            [None, lower_bound_integral(good, 10.0), None]
-        assert lower_bound_integral([OVERFLOWING_S], 10.0,
-                                    skip=OverflowError) == [None]
+        assert batch([OVERFLOWING_S, good, OVERFLOWING_S], 10.0,
+                     skip=OverflowError) == \
+            [None, as_row(lower_bound_integral(good, 10.0)), None]
+        assert batch([OVERFLOWING_S], 10.0, skip=OverflowError) == [None]
         # only the exception types named are skipped
         with pytest.raises(NonpositiveDenominatorError):
-            lower_bound_integral([good, NONPOSITIVE], 10.0,
-                                 skip=OverflowError)
+            batch([good, NONPOSITIVE], 10.0, skip=OverflowError)
 
     def test_row_with_overflowing_F0_is_skipped(self):
         # alone, such a row is an E0 error; in a batch it is one bad row
         dens = list(BATCH_ROWS.values())
-        solo = [lower_bound_integral(d, 10.0) for d in dens]
-        assert lower_bound_integral([OVERFLOWING_F0, *dens, OVERFLOWING_F0],
-                                    10.0, skip=OverflowError) == \
-            [None, *solo, None]
+        solo = [as_row(lower_bound_integral(d, 10.0)) for d in dens]
+        assert batch([OVERFLOWING_F0, *dens, OVERFLOWING_F0], 10.0,
+                     skip=OverflowError) == [None, *solo, None]
         with pytest.raises(OverflowError, match=r"F\(E0\) overflows"):
-            lower_bound_integral(dens + [OVERFLOWING_F0], 10.0)
-        for rows in (OVERFLOWING_F0, [OVERFLOWING_F0] * 2):
-            with pytest.raises(ParameterError,
-                               match=r"F\(E0\) overflows at E0=10.0"):
-                lower_bound_integral(rows, 10.0, skip=OverflowError)
+            batch(dens + [OVERFLOWING_F0], 10.0)
+        with pytest.raises(ParameterError,
+                           match=r"F\(E0\) overflows at E0=10.0"):
+            lower_bound_integral(OVERFLOWING_F0, 10.0, skip=OverflowError)
+        with pytest.raises(ParameterError,
+                           match=r"F\(E0\) overflows at E0=10.0"):
+            batch([OVERFLOWING_F0] * 2, 10.0, skip=OverflowError)
 
     def test_rows_need_one_number_of_terms(self):
         with pytest.raises(ParameterError, match="number of terms"):
-            lower_bound_integral([BATCH_ROWS["quad"],
-                                  Denominator(((1.0, 2.0),))], 10.0)
+            batch([BATCH_ROWS["quad"], Denominator(((1.0, 2.0),))], 10.0)
 
 
 class TestOptimize:

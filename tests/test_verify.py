@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from chemobound.odi import (max_admissible_epsilon, odi_coefficients)
 from chemobound.pde import (ConstantProfile, GaussianBump, SolverConfig,
                             init_state, make_grid, run)
 from chemobound.verify import (REPORT_TOL, check_concurrence,
-                               check_embed_inequality, check_remark_ordering,
-                               equivalence_bruteforce, estimate_gn_constant,
-                               odi_monitor, profile_set)
+                               check_embed_inequality, check_equivalence,
+                               check_remark_ordering, equivalence_lattice,
+                               estimate_gn_constant, odi_monitor, profile_set)
 
 GRID = make_grid(3, 1.0, 48)
 
@@ -192,7 +193,7 @@ class TestEmbed:
 
     def test_report_records_configuration(self):
         report = check_embed_inequality(GRID, 1.5, 0.5, 10.0)
-        assert report.seed is None
+        assert "seed" not in report.to_json_dict()
         assert report.samples == 9 * profile_set(GRID).shape[0]
         assert report.config["eta"] == 1.5
 
@@ -234,10 +235,53 @@ class TestRemarkOrdering:
         assert report.witness.startswith(witness)
 
 
+class AtOrBelow(Fraction):
+    """A lower end that `value > end` passes at equality: Python asks the
+    subclass on the right for its reflected `<` first."""
+
+    def __lt__(self, other):
+        return Fraction(self) <= other
+
+
 class TestEquivalence:
     def test_no_mismatches_small_run(self):
-        report = equivalence_bruteforce(3, 5000, seed=2)
+        report = check_equivalence(3)
         assert report.violations == 0
+        assert report.samples == len(equivalence_lattice(3)) > 0
+        assert report.witness is None
+
+    def test_lattice_is_fixed_and_exact(self):
+        points = equivalence_lattice(4)
+        assert points == equivalence_lattice(4)
+        assert len(set(points)) == len(points)
+        assert all(type(x) is Fraction for point in points for x in point)
+
+    def test_lattice_covers_the_draw_region(self):
+        # q over [n - 1, n + 6], p over (nq/(n+q), q) widened by half its
+        # width on each side, and s1, s2 beyond their box on both sides
+        for n in (3, 6):
+            points = equivalence_lattice(n)
+            assert {q for _, q, _, _ in points} >= {n - 1, n, n + 2, n + 6}
+            assert min(q for _, q, _, _ in points) == n - 1
+            assert max(q for _, q, _, _ in points) == n + 6
+            for q in (n - 1, n + 1, n + 6):
+                edge = Fraction(n * q, n + q)
+                ps = [p for p, q_, _, _ in points if q_ == q]
+                assert min(ps) == edge - (q - edge) / 2
+                assert max(ps) == q + (q - edge) / 2
+                mid = (edge + q) / 2
+                (s1_lo, s1_hi), (s2_lo, s2_hi) = exponents.feasible_box(
+                    n, mid, q)
+                s1s = [s1 for p, q_, s1, _ in points if (p, q_) == (mid, q)]
+                s2s = [s2 for p, q_, _, s2 in points if (p, q_) == (mid, q)]
+                assert min(s1s) < min(s1_lo, s1_hi)
+                assert max(s1s) > max(s1_lo, s1_hi)
+                assert min(s2s) < min(s2_lo, s2_hi)
+                assert max(s2s) > max(s2_lo, s2_hi)
+
+    def test_rejects_n_below_3(self):
+        with pytest.raises(ParameterError):
+            check_equivalence(2)
 
     def test_known_admissible_tuple(self):
         from chemobound.exponents import check_condition_C, compute_etas, \
@@ -252,21 +296,55 @@ class TestEquivalence:
         assert not etas_in_range(compute_etas(2, 3, 3, 1.5), 3)
 
     def test_defect_in_clause_table_is_caught(self, monkeypatch):
-        # the brute force checks the table check_condition_C uses, so a
-        # box 10% too wide in s1 must show up as mismatches
+        # the check reads the table check_condition_C uses, so a box 10%
+        # too wide in s1 must show up as mismatches
         true_box = exponents.feasible_box
 
         def widened(n, p, q):
             (s1_lo, s1_hi), s2_box = true_box(n, p, q)
-            return (s1_lo, 1.1 * s1_hi), s2_box
+            return (s1_lo, Fraction(11, 10) * s1_hi), s2_box
 
         monkeypatch.setattr(exponents, "feasible_box", widened)
-        assert equivalence_bruteforce(3, 20000, seed=1).violations > 0
+        assert check_equivalence(3).violations > 0
 
-    def test_deterministic(self):
-        a = equivalence_bruteforce(4, 1000, seed=9)
-        b = equivalence_bruteforce(4, 1000, seed=9)
-        assert a == b
+    def test_dropped_s2_end_is_caught(self, monkeypatch):
+        # p/2 dropped from the s2 lower end max(q(n+2)/(2(q+n)), p/2)
+        true_box = exponents.feasible_box
+
+        def without_half_p(n, p, q):
+            s1_box, (_, s2_hi) = true_box(n, p, q)
+            return s1_box, (q * (n + 2) / (2 * (q + n)), s2_hi)
+
+        monkeypatch.setattr(exponents, "feasible_box", without_half_p)
+        assert check_equivalence(3).violations > 0
+
+    # the (p, q) clauses follow from the (s1, s2) ones, so only these four
+    # can change a verdict
+    @pytest.mark.parametrize("clause", [2, 3, 4, 5])
+    def test_nonstrict_clause_is_caught(self, monkeypatch, clause):
+        # check_condition_C's `value > lower` made `value >= lower`
+        true_table = exponents.condition_C_clauses
+
+        def table(*args):
+            rows = list(true_table(*args))
+            name, lower, value = rows[clause]
+            rows[clause] = (name, AtOrBelow(lower), value)
+            return tuple(rows)
+
+        monkeypatch.setattr(exponents, "condition_C_clauses", table)
+        report = check_equivalence(3)
+        assert report.violations > 0
+        assert report.witness.endswith("clauses=True, etas=False")
+
+    def test_nonstrict_eta_bound_is_caught(self, monkeypatch):
+        # etas_in_range's upper bound made `<=`
+        def upper_closed(etas, n):
+            return all(1 < eta <= Fraction(n + 2, n) for eta in etas)
+
+        monkeypatch.setattr(exponents, "etas_in_range", upper_closed)
+        report = check_equivalence(3)
+        assert report.violations > 0
+        assert report.witness.endswith("clauses=False, etas=True")
 
 
 def _coeffs_for(params, indices, C_GN=5.0):
