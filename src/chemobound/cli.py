@@ -1,10 +1,11 @@
 """Batch command-line interface.
 
 Subcommands: check-params, bound, optimize-bound, simulate, verify-gn,
-verify-embed, verify-equivalence, verify-odi, region, sweep.  Exit codes:
-0 success (or admissible), 1 negative domain result (inadmissible),
-2 usage or config error (any value the package rejects), 3 runtime failure
-(the bound fails at valid inputs).
+verify-embed, verify-equivalence, verify-odi, region, sweep; each takes
+only the flags it reads.  Exit codes: 0 success (or admissible),
+1 negative domain result (inadmissible), 2 usage or config error (any
+value the package rejects, and a bound.corollary whose fixed index is
+also set), 3 runtime failure (the bound fails at valid inputs).
 
 Every emitted JSON carries the resolved config hash; wall-clock timestamps
 live in a separate `metadata` field so payloads stay byte-reproducible for
@@ -24,6 +25,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +48,7 @@ REGION_MAX_SAMPLES = 10**6
 # flag -> (option strings, argparse options, config key).  argparse stores
 # each flag under its config key, and a flag that is given wins over --set.
 FLAGS = {
-    "output": (("-o", "--output"), {"help": "output directory"}, "output.dir"),
+    "output": (("-o", "--output"), {}, "output.dir"),
     "dim": (("-n", "--dim"), {"type": int}, "model.dim"),
     "p": (("-p",), {"type": float}, "indices.p"),
     "q": (("-q",), {"type": float}, "indices.q"),
@@ -71,26 +73,21 @@ def _load_config(args) -> tuple[dict, dict]:
 
 
 def _output_dir(cfg: dict) -> Path | None:
-    target = cfg["output.dir"]
+    target = cfg["output.dir"] or os.environ.get(OUTPUT_ROOT_ENV)
     if not target:
-        root = os.environ.get(OUTPUT_ROOT_ENV)
-        if not root:
-            return None
-        target = root
+        return None
     path = Path(target)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _json_text(payload: dict) -> str:
-    """The text of every JSON file written and of each payload _emit
-    prints."""
+    """The text of every JSON file written and payload printed."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(payload: dict, cfg: dict, out_dir: Path | None, name: str) -> None:
-    payload = dict(payload)
-    payload["config_hash"] = cfgmod.config_hash(cfg)
+    payload = {**payload, "config_hash": cfgmod.config_hash(cfg)}
     print(_json_text(payload), end="")
     if out_dir is not None:
         payload["metadata"] = {
@@ -100,21 +97,36 @@ def _emit(payload: dict, cfg: dict, out_dir: Path | None, name: str) -> None:
 
 # --- shared pipeline pieces -------------------------------------------------
 
-def resolve_indices(cfg: dict) -> exponents.EnergyIndices:
-    n = cfg["model.dim"]
+INDEX_KEYS = ("indices.p", "indices.q", "indices.s1", "indices.s2")
+
+# the (p, q) of E_pq, all of the indices that a run reads
+EnergyPair = NamedTuple("EnergyPair", [("p", float), ("q", float)])
+
+
+def resolve_indices(cfg: dict, full: bool = True
+                    ) -> exponents.EnergyIndices | EnergyPair:
+    """EnergyIndices, or with `full` false the EnergyPair.  bound.corollary
+    1 fixes q, s1 and s2 from p, 2 all four from n, 0 none; the rest are
+    read from their keys.  A fixed index whose key is set is a ConfigError."""
     corollary = cfg["bound.corollary"]
-    if corollary == 1:
-        p = cfgmod.require(cfg, "indices.p")
-        q, s1, s2 = exponents.corollary1_parameters(p, n)
-        return exponents.EnergyIndices(float(p), float(q), float(s1), float(s2))
-    if corollary == 2:
-        p, q, s1, s2 = exponents.corollary2_parameters(n)
-        return exponents.EnergyIndices(float(p), float(q), float(s1), float(s2))
-    if corollary != 0:
+    fixed = {0: (), 1: INDEX_KEYS[1:], 2: INDEX_KEYS}.get(corollary)
+    if fixed is None:
         raise ConfigError(f"bound.corollary must be 0, 1 or 2, got {corollary}")
-    return exponents.EnergyIndices(
-        cfgmod.require(cfg, "indices.p"), cfgmod.require(cfg, "indices.q"),
-        cfgmod.require(cfg, "indices.s1"), cfgmod.require(cfg, "indices.s2"))
+    for key in fixed:
+        if not math.isnan(cfg[key]):
+            raise ConfigError(f"bound.corollary={corollary} fixes {key}, "
+                              f"which is also set ({key}={cfg[key]!r})")
+    count = 4 if full else 2
+    values = [cfgmod.require(cfg, key) for key in INDEX_KEYS[:count]
+              if key not in fixed]
+    if corollary == 1:
+        values += exponents.corollary1_parameters(values[0], cfg["model.dim"])
+    elif corollary == 2:
+        values = exponents.corollary2_parameters(cfg["model.dim"])
+    p, q, *s = map(float, values[:count])
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise ConfigError(f"p, q must be positive and finite, got p={p}, q={q}")
+    return exponents.EnergyIndices(p, q, *s) if full else EnergyPair(p, q)
 
 
 def gn_safety(cfg: dict) -> float:
@@ -149,21 +161,20 @@ def resolve_gn_constant(cfg: dict, etas: tuple, grid: pde.RadialGrid,
                    "C_GN_per_eta": {str(k): v for k, v in per_eta.items()}}
 
 
-def simulation_inputs(cfg: dict) -> tuple:
-    """(params, grid, initial fields, indices, solver config) of a run."""
+def simulation_inputs(cfg: dict, full: bool) -> tuple:
+    """(params, grid, fields0, resolve_indices(cfg, full), solver config)."""
     params = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
     fields0 = pde.init_state(grid, cfgmod.build_profile(cfg))
-    return (params, grid, fields0, resolve_indices(cfg),
+    return (params, grid, fields0, resolve_indices(cfg, full),
             cfgmod.build_solver(cfg))
 
 
-def simulate_from_config(cfg: dict) -> tuple[pde.Trajectory, tuple]:
-    """The trajectory of a run and its simulation_inputs."""
-    inputs = simulation_inputs(cfg)
+def simulate_from_config(cfg: dict, full: bool) -> tuple[pde.Trajectory, tuple]:
+    """The trajectory of a run and its simulation_inputs at `full`."""
+    inputs = simulation_inputs(cfg, full)
     params, grid, fields0, indices, solver = inputs
-    traj = pde.run(grid, params, fields0, float(indices.p), float(indices.q),
-                   solver)
+    traj = pde.run(grid, params, fields0, indices.p, indices.q, solver)
     return traj, inputs
 
 
@@ -203,10 +214,8 @@ def _epsilon_errors_named(cfg: dict, C_GN: float,
 
 def cmd_check_params(args) -> int:
     cfg, _ = _load_config(args)
-    n = cfg["model.dim"]
     report = exponents.check_condition_C(
-        n, cfgmod.require(cfg, "indices.p"), cfgmod.require(cfg, "indices.q"),
-        cfgmod.require(cfg, "indices.s1"), cfgmod.require(cfg, "indices.s2"))
+        cfg["model.dim"], *(cfgmod.require(cfg, key) for key in INDEX_KEYS))
     _emit(report.to_json_dict(), cfg, _output_dir(cfg), "admissibility.json")
     return EXIT_OK if report.admissible else EXIT_NEGATIVE
 
@@ -225,12 +234,15 @@ def cmd_optimize_bound(args) -> int:
     cfg, _ = _load_config(args)
     params = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
-    p = cfgmod.require(cfg, "indices.p")
-    q = cfgmod.require(cfg, "indices.q")
+    p, q = (cfgmod.require(cfg, key) for key in INDEX_KEYS[:2])
     E0 = cfgmod.require(cfg, "bound.E0")
-    indices_seed = exponents.EnergyIndices(
-        p, q, *(_feasible_center(cfg["model.dim"], p, q)))
-    C_GN, meta = resolve_gn_constant(cfg, indices_seed.eta, grid)
+    n = cfg["model.dim"]
+    (a, b), (c, d) = exponents.feasible_box(n, p, q)
+    if b <= a or d <= c:
+        raise ConfigError(f"empty admissible box for n={n}, p={p}, q={q}")
+    # C_GN is estimated at the etas of the (s1, s2) box's centre
+    center = exponents.EnergyIndices(p, q, 0.5 * (a + b), 0.5 * (c + d))
+    C_GN, meta = resolve_gn_constant(cfg, center.eta, grid)
     result = odi.optimize_bound(params, p, q, E0, C_GN)
     payload = {**result.to_json_dict(), **meta, "optimized": {
         "s1": float(result.indices.s1), "s2": float(result.indices.s2),
@@ -239,16 +251,10 @@ def cmd_optimize_bound(args) -> int:
     return EXIT_OK
 
 
-def _feasible_center(n: int, p: float, q: float) -> tuple[float, float]:
-    (a, b), (c, d) = exponents.feasible_box(n, p, q)
-    if b <= a or d <= c:
-        raise ConfigError(f"empty admissible box for n={n}, p={p}, q={q}")
-    return (0.5 * (a + b), 0.5 * (c + d))
-
-
-def _run_report(traj: pde.Trajectory) -> dict:
-    """report.json of a simulated trajectory, less the config hash."""
+def _run_report(traj: pde.Trajectory, indices) -> dict:
+    """report.json of a trajectory run at `indices`, less the config hash."""
     return {**traj.report.to_json_dict(), "steps": traj.steps,
+            "energy_indices": {"p": indices.p, "q": indices.q},
             "rejected_steps": traj.rejected_steps,
             "clip_count": traj.clip_count, "grid_cap": traj.grid_cap,
             "t_cap_tenth": traj.t_cap_tenth,
@@ -257,12 +263,12 @@ def _run_report(traj: pde.Trajectory) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg, _ = _load_config(args)
-    traj, _ = simulate_from_config(cfg)
+    traj, (_, _, _, pair, _) = simulate_from_config(cfg, full=False)
     out_dir = _output_dir(cfg)
     if out_dir is not None:
         with open(out_dir / "trajectory.csv", "w") as stream:
             traj.to_csv(stream)
-    _emit(_run_report(traj), cfg, out_dir, "report.json")
+    _emit(_run_report(traj, pair), cfg, out_dir, "report.json")
     return EXIT_OK
 
 
@@ -299,7 +305,7 @@ def cmd_verify_equivalence(args) -> int:
 
 def cmd_verify_odi(args) -> int:
     cfg, _ = _load_config(args)
-    traj, (params, grid, _, indices, _) = simulate_from_config(cfg)
+    traj, (params, grid, _, indices, _) = simulate_from_config(cfg, full=True)
     C_GN, meta = resolve_gn_constant(cfg, indices.eta, grid)
     with _epsilon_errors_named(cfg, C_GN):
         coeffs = odi.odi_coefficients(params, indices, cfg["indices.epsilon"],
@@ -313,8 +319,7 @@ def cmd_verify_odi(args) -> int:
 def cmd_region(args) -> int:
     cfg, _ = _load_config(args)
     n = cfg["model.dim"]
-    p_min = cfg["region.p_min"]
-    p_max = cfg["region.p_max"]
+    p_min, p_max = cfg["region.p_min"], cfg["region.p_max"]
     step = cfg["region.p_step"]
     if not 0.0 < step < math.inf:
         raise ConfigError(
@@ -322,10 +327,8 @@ def cmd_region(args) -> int:
     for key, value in (("region.p_min", p_min), ("region.p_max", p_max)):
         if math.isinf(value):
             raise ConfigError(f"{key} must be finite or unset, got {value!r}")
-    if math.isnan(p_min):
-        p_min = n / 2.0 + step
-    if math.isnan(p_max):
-        p_max = 3.0 * n
+    p_min = n / 2.0 + step if math.isnan(p_min) else p_min
+    p_max = 3.0 * n if math.isnan(p_max) else p_max
     if not (p_max - p_min) / step <= REGION_MAX_SAMPLES:
         raise ConfigError(
             f"region.p_min={p_min!r}, region.p_max={p_max!r} and "
@@ -373,7 +376,7 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
                 traj.to_csv(stream)
             digest = cfgmod.config_hash(cell_cfg)
             (cell_dir / "report.json").write_text(_json_text(
-                {**_run_report(traj), "config_hash": digest}))
+                {**_run_report(traj, indices), "config_hash": digest}))
             (cell_dir / "bound.json").write_text(_json_text(
                 {**bound.to_json_dict(), **meta, "config_hash": digest}))
             t_detect = traj.report.t_detect
@@ -391,17 +394,15 @@ def run_sweep(cfg: dict, sweep_axes: dict, out_dir: Path) -> list[dict]:
     groups: dict[tuple, list[tuple]] = {}   # (idx, config, inputs) by batch
     for idx, values in enumerate(itertools.product(
             *(sweep_axes[k] for k in keys))):
-        cell_cfg = dict(cfg)
-        cell_cfg.update(zip(keys, values))
+        cell_cfg = {**cfg, **dict(zip(keys, values))}
         try:
-            inputs = simulation_inputs(cell_cfg)
+            inputs = simulation_inputs(cell_cfg, full=True)
         except CELL_ERRORS as exc:
             rows[idx] = write_cell(idx, cell_cfg, None, exc)
             continue
         _, grid, _, indices, _ = inputs
-        groups.setdefault((grid.n, grid.R, grid.M, float(indices.p),
-                           float(indices.q)), []).append(
-                               (idx, cell_cfg, inputs))
+        groups.setdefault((grid.n, grid.R, grid.M, indices.p, indices.q),
+                          []).append((idx, cell_cfg, inputs))
     for (_, _, _, p, q), members in groups.items():
         for (idx, cell_cfg, inputs), traj in zip(members, _run_cells(
                 [inputs for _, _, inputs in members], p, q)):
@@ -445,26 +446,26 @@ def cmd_sweep(args) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
-_PQ = ("p", "q", "s1", "s2")
-_BOUND = (*_PQ, "E0", "corollary")
+_INDICES = ("p", "q", "s1", "s2")
 
-# (name, help, handler, FLAGS it takes besides --output and --dim)
+# (name, help, handler, FLAGS it takes besides --output and --dim): the
+# flags of the keys its handler reads
 COMMANDS = (
     ("check-params", "evaluate the admissibility condition", cmd_check_params,
-     _PQ),
-    ("bound", "blow-up time lower bound", cmd_bound, _BOUND),
-    ("optimize-bound", "search (s1, s2)", cmd_optimize_bound, _BOUND),
-    ("simulate", "run the radial solver", cmd_simulate, _BOUND),
-    ("verify-gn", "estimate C_GN at one eta", cmd_verify_gn,
-     (*_BOUND, "eta")),
+     _INDICES),
+    ("bound", "blow-up time lower bound", cmd_bound,
+     (*_INDICES, "E0", "corollary")),
+    ("optimize-bound", "search (s1, s2)", cmd_optimize_bound, ("p", "q", "E0")),
+    ("simulate", "run the radial solver", cmd_simulate, ("p", "q", "corollary")),
+    ("verify-gn", "estimate C_GN at one eta", cmd_verify_gn, ("eta",)),
     ("verify-embed", "check the embedding inequality at one eta",
-     cmd_verify_embed, (*_BOUND, "eta")),
+     cmd_verify_embed, ("eta",)),
     ("verify-equivalence", "check Condition C against the eta intervals",
      cmd_verify_equivalence, ()),
     ("verify-odi", "check dE/dt <= F(E) along a simulated run",
-     cmd_verify_odi, (*_BOUND, "eta")),
+     cmd_verify_odi, (*_INDICES, "corollary")),
     ("region", "admissible (p, q) region table", cmd_region, ()),
-    ("sweep", "cartesian experiment sweep", cmd_sweep, _BOUND),
+    ("sweep", "cartesian experiment sweep", cmd_sweep, (*_INDICES, "corollary")),
 )
 
 
@@ -482,14 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config entry")
         for flag in ("output", "dim", *flags):
             names, options, key = FLAGS[flag]
-            sp.add_argument(*names, dest=key, **options)
+            sp.add_argument(*names, dest=key, help=f"sets {key}", **options)
         sp.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ParameterError) as exc:

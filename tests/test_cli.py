@@ -13,7 +13,7 @@ import pytest
 import chemobound
 from chemobound import cli, pde, verify
 from chemobound import config as cfgmod
-from chemobound.cli import bound_from_config, main
+from chemobound.cli import FLAGS, bound_from_config, main
 from chemobound.config import (KNOWN_KEYS, apply_overrides, build_grid,
                                build_model, build_solver, config_hash,
                                parse_config_text)
@@ -322,7 +322,9 @@ class TestBound:
         ("bound", "nan", "1e-300")])
     def test_overflowing_value_usage_error(self, capsys, command, epsilon,
                                            C_GN):
-        code = main([command, "-n", "3", "--corollary", "2", "--E0", "1",
+        # verify-odi reads no E0: it takes no --E0
+        E0 = ["--E0", "1"] if command == "bound" else []
+        code = main([command, "-n", "3", "--corollary", "2", *E0,
                      "--set", f"bound.C_GN={C_GN}", "--set", "grid.shells=8",
                      "--set", "solver.max_steps=5",
                      "--set", f"indices.epsilon={epsilon}"])
@@ -337,7 +339,8 @@ class TestBound:
     def test_overflow_with_unset_epsilon_says_unset(self, capsys, command):
         # epsilon never set is half its supremum, not "nan"; C_GN's power
         # is what overflows
-        code = main([command, "-n", "3", "--corollary", "2", "--E0", "1",
+        E0 = ["--E0", "1"] if command == "bound" else []
+        code = main([command, "-n", "3", "--corollary", "2", *E0,
                      "--set", "bound.C_GN=1e300", "--set", "grid.shells=8",
                      "--set", "solver.max_steps=5"])
         assert code == 2
@@ -418,6 +421,10 @@ NAMED = {
                        "--set", "grid.shells=8", "--set", "solver.max_steps=5",
                        "--set", "bound.C_GN=1", "--set", "indices.epsilon=1"],
                       "indices.epsilon=1.0 outside admissible range"),
+    # a run reads only (p, q), so p = inf is what is rejected
+    "simulate-p=inf": (["simulate", "-n", "3", "-p", "inf", "-q", "6",
+                        "--set", "grid.shells=8",
+                        "--set", "solver.max_steps=5"], "p=inf"),
 }
 
 
@@ -461,8 +468,6 @@ class TestExitCodes:
          "--E0", "1", "--set", "bound.C_GN=1"],
         ["bound", "-n", "3", "-p", "inf", "--corollary", "1", "--E0", "1",
          "--set", "bound.C_GN=1"],
-        ["simulate", "-n", "3", "-p", "inf", "-q", "6", "--s1", "4", "--s2",
-         "2", "--set", "grid.shells=8", "--set", "solver.max_steps=5"],
         ["verify-gn", "-n", "3", "--eta", "1.5", "--set", "bound.gn_safety=-1",
          "--set", "grid.shells=8"],
         ["verify-gn", "-n", "3", "--eta", "1.5", "--set", "bound.gn_safety=0",
@@ -513,7 +518,7 @@ class TestExitCodes:
             "E0=0", "gn_safety<0", "amplitude<0", "epsilon=0",
             "eta=0.5", "E0=inf", "optimize-E0=inf", "C_GN=inf",
             "gn_safety=inf", "optimize-C_GN=inf", "check-p=inf", "q=inf",
-            "s1=inf", "s2=inf", "corollary1-p=inf", "simulate-p=inf",
+            "s1=inf", "s2=inf", "corollary1-p=inf",
             "verify-gn-gn_safety<0", "verify-gn-gn_safety=0",
             "verify-gn-gn_safety=inf", "verify-gn-gn_safety=nan",
             "gn_safety=nan", "mu1=nan", "mu1=inf", "chi=nan", "alpha=inf",
@@ -533,10 +538,186 @@ class TestExitCodes:
 
     def test_bad_corollary_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
-            main(["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
-                  "--E0", "1", "--corollary", "5"])
+            main(["bound", "-n", "3", "--E0", "1", "--corollary", "5"])
         assert exc_info.value.code == 2
         assert "invalid choice: 5" in capsys.readouterr().err
+
+
+# the runs of the flag table: few shells and steps, and a configured C_GN
+RUN = ["--set", "grid.shells=8", "--set", "solver.max_steps=5",
+       "--set", "solver.sample_every=1", "--set", "bound.C_GN=1"]
+
+# command -> (its base query's flags, by FLAGS name, and the rest of its
+# argv); each query also takes -n 3 and -o out, and runs in a fresh
+# directory next to sweep.cfg
+FLAG_BASES = {
+    "check-params": ({"p": "3", "q": "6", "s1": "4", "s2": "2"}, []),
+    "bound": ({"p": "3", "q": "6", "s1": "4", "s2": "2", "E0": "1"}, RUN),
+    "optimize-bound": ({"p": "2", "q": "4", "E0": "1"}, RUN),
+    "simulate": ({"p": "2", "q": "4"}, RUN),
+    "verify-gn": ({"eta": "1.5"}, RUN),
+    "verify-embed": ({"eta": "1.5"}, RUN),
+    "verify-equivalence": ({}, []),
+    "verify-odi": ({"p": "3", "q": "6", "s1": "4", "s2": "2"}, RUN),
+    "region": ({}, ["--set", "region.p_step=0.5"]),
+    "sweep": ({"p": "3", "q": "6", "s1": "4", "s2": "2"},
+              [*RUN, "--config", "../sweep.cfg"]),
+}
+# flag -> the value that replaces its base value, or is added to the query
+FLAG_CHANGES = {"output": "elsewhere", "dim": "4", "p": "2.5", "q": "5",
+                "s1": "3.5", "s2": "1.75", "E0": "2", "corollary": "2",
+                "eta": "1.25"}
+FLAG_CASES = [(name, flag) for name, _, _, flags in cli.COMMANDS
+              for flag in ("output", "dim", *flags)]
+
+
+class TestInputSurface:
+    """Each command takes only the flags of the keys it reads, and a
+    corollary that fixes an index whose key is set is a config error."""
+
+    @staticmethod
+    def observe(tmp_path, monkeypatch, capsys, command, flags):
+        """Exit code, stdout less config_hash, and every file written less
+        metadata and config_hash, of one query run in a fresh directory."""
+        flags = {"dim": "3", "output": "out", **flags}
+        _, rest = FLAG_BASES[command]
+        argv = [command, *rest]
+        for flag, value in flags.items():
+            argv += [FLAGS[flag][0][-1], value]
+        (tmp_path / "sweep.cfg").write_text("sweep.model.chi = 5, 10\n")
+        run_dir = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+
+        def less_hash(text, *keys):
+            try:
+                payload = json.loads(text)
+            except ValueError:
+                return text
+            for key in keys:
+                payload.pop(key, None)
+            return payload
+
+        files = {str(path.relative_to(run_dir)): less_hash(
+                     path.read_text(), "config_hash", "metadata")
+                 for path in sorted(run_dir.rglob("*")) if path.is_file()}
+        return code, less_hash(capsys.readouterr().out, "config_hash"), files
+
+    @pytest.mark.parametrize(
+        "command, flag", FLAG_CASES,
+        ids=[f"{c} {FLAGS[f][0][-1]}" for c, f in FLAG_CASES])
+    def test_every_flag_is_read(self, tmp_path, monkeypatch, capsys,
+                                command, flag):
+        # changing the flag alone changes the exit code, stdout or a file
+        base = FLAG_BASES[command][0]
+        before = self.observe(tmp_path, monkeypatch, capsys, command, base)
+        after = self.observe(tmp_path, monkeypatch, capsys, command,
+                             {**base, flag: FLAG_CHANGES[flag]})
+        assert after != before
+
+    def test_flag_cases_cover_every_command(self):
+        assert {c for c, _ in FLAG_CASES} == set(FLAG_BASES)
+        assert len(FLAG_CASES) == 2 * len(cli.COMMANDS) + 28
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-gn", "--eta", "1.5", "-p", "7"],
+        ["verify-embed", "--eta", "1.5", "--corollary", "2"],
+        ["verify-odi", "--corollary", "2", "--eta", "1.5"],
+        ["verify-odi", "--corollary", "2", "--E0", "1"],
+        ["optimize-bound", "-p", "2", "-q", "4", "--E0", "1", "--s1", "3"],
+        ["optimize-bound", "-p", "2", "-q", "4", "--E0", "1",
+         "--corollary", "2"],
+        ["simulate", "-p", "2", "-q", "4", "--s2", "1.5"],
+        ["simulate", "--corollary", "2", "--E0", "1"],
+        ["sweep", "--corollary", "2", "--E0", "1"],
+    ], ids=["verify-gn -p", "verify-embed --corollary", "verify-odi --eta",
+            "verify-odi --E0", "optimize-bound --s1",
+            "optimize-bound --corollary", "simulate --s2", "simulate --E0",
+            "sweep --E0"])
+    def test_unread_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main([argv[0], "-n", "3", *argv[1:]])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_names_each_flags_key(self, capsys):
+        for name, _, _, flags in cli.COMMANDS:
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            out = capsys.readouterr().out
+            for flag in ("output", "dim", *flags):
+                assert f"sets {FLAGS[flag][2]}" in out
+
+    @pytest.mark.parametrize("argv, key", [
+        (["bound", "--E0", "1", "--corollary", "2", "-p", "5"], "indices.p"),
+        (["bound", "--E0", "1", "--corollary", "1", "-p", "3", "--s1", "3"],
+         "indices.s1"),
+        (["bound", "--E0", "1", "--corollary", "2", "--set", "indices.q=4"],
+         "indices.q"),
+        (["bound", "--E0", "1", "--config", "run.cfg"], "indices.s2"),
+        (["simulate", "--corollary", "1", "-p", "3", "-q", "6"], "indices.q"),
+        (["verify-odi", "--corollary", "2", "--s1", "3"], "indices.s1"),
+    ], ids=["corollary2-p", "corollary1-s1", "corollary2-set-q",
+            "config-file-s2", "simulate-q", "verify-odi-s1"])
+    def test_corollary_with_a_set_index_exits_2(self, capsys, tmp_path,
+                                                monkeypatch, argv, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("bound.corollary = 1\n"
+                                          "indices.p = 3\nindices.s2 = 2\n")
+        assert main([argv[0], "-n", "3", *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert "bound.corollary" in err and key in err
+
+    def test_conflicting_cell_is_recorded_not_fatal(self, capsys, tmp_path):
+        # the config's corollary 2 fixes q: the cell that sets it errs alone
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(BLOWUP_CONFIG + "sweep.indices.q = nan, 4\n"
+                            + f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(cfg_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == 1
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert lines[1].startswith("run_000,true,")
+        assert lines[2] == "run_001,error,,,"
+        error = (tmp_path / "out" / "run_001" / "error.txt").read_text()
+        assert error == ("ConfigError: bound.corollary=2 fixes indices.q, "
+                         "which is also set (indices.q=4.0)\n")
+
+    def test_run_reads_only_p_and_q(self, capsys, tmp_path):
+        # under corollary 0 a run needs indices.p and indices.q alone, and
+        # s1 and s2 change nothing but the config hash; corollary 2 at n = 3
+        # is (p, q) = (2, 4) too
+        run = ["simulate", "-n", "3", "--set", "grid.shells=16",
+               "--set", "solver.t_final=0.001"]
+        for name, extra in (("pq", ["-p", "2", "-q", "4"]),
+                            ("s", ["-p", "2", "-q", "4", "--set",
+                                   "indices.s1=3", "--set", "indices.s2=1.5"]),
+                            ("corollary", ["--corollary", "2"])):
+            assert main([*run, *extra, "-o", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        csvs = {(tmp_path / name / "trajectory.csv").read_bytes()
+                for name in ("pq", "s", "corollary")}
+        assert len(csvs) == 1
+        for name in ("pq", "s", "corollary"):
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            assert report["energy_indices"] == {"p": 2.0, "q": 4.0}
+
+    def test_sweep_cell_report_names_its_indices(self, capsys, tmp_path):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(BLOWUP_CONFIG + "solver.max_steps = 5\n"
+                            "sweep.model.dim = 3, 4\n"
+                            + f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(cfg_file)]) == 0
+        assert [json.loads((tmp_path / "out" / cell / "report.json")
+                           .read_text())["energy_indices"]
+                for cell in ("run_000", "run_001")] == [
+                    {"p": 2.0, "q": 4.0}, {"p": 3.0, "q": 6.0}]
 
 
 class TestSimulate:
