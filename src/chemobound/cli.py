@@ -64,6 +64,9 @@ FLAGS = {
 def _load_config(args) -> tuple[dict, dict]:
     text = Path(args.config).read_text() if args.config else ""
     cfg, sweep_axes = cfgmod.parse_config_text(text)
+    if sweep_axes and args.command != "sweep":
+        raise ConfigError(f"{args.command} takes no sweep axes, got "
+                          + ", ".join(f"sweep.{key}" for key in sweep_axes))
     cfgmod.apply_overrides(cfg, args.set or [])
     for _, _, key in FLAGS.values():
         value = getattr(args, key, None)

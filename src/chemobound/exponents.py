@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
-import numpy as np
-
 from .errors import ParameterError
 
 Number = int | float | Fraction
@@ -154,19 +152,17 @@ class AdmissibilityReport:
         }
 
 
-def feasible_box(n: int, p, q):
+def feasible_box(n, p, q):
     """((s1_lo, s1_hi), (s2_lo, s2_hi)): the open (s1, s2) box of Condition C
-    at (p, q).  Exact on int/Fraction p and q, elementwise on arrays."""
-    if _is_exact(p, q):
-        n, p, q = Fraction(n), Fraction(p), Fraction(q)
-    return ((np.maximum(1 + n / 2, q / 2), (1 + 2 / n) * q / 2),
-            (np.maximum(q * (n + 2) / (2 * (q + n)), p / 2),
-             np.minimum((1 + 2 / n) * p / 2, q / 2)))
+    at (p, q); exact on Fractions (n too), float otherwise, scalars only."""
+    return ((max(1 + n / 2, q / 2), (1 + 2 / n) * q / 2),
+            (max(q * (n + 2) / (2 * (q + n)), p / 2),
+             min((1 + 2 / n) * p / 2, q / 2)))
 
 
-def condition_C_clauses(n: int, p, q, s1, s2) -> tuple:
+def condition_C_clauses(n, p, q, s1, s2) -> tuple:
     """Condition C as seven (name, lower, value) triples, each requiring
-    lower < value.  Exact on int/Fraction input, elementwise on arrays.
+    lower < value; exact on Fractions (n too), float otherwise, scalars only.
 
     The (s1, s2) clauses, as feasible_box, are the eta intervals (each
     in (1, 1 + 2/n); p > 0, s1, s2 > 1, q > 2) solved for s1 and s2:
@@ -181,8 +177,6 @@ def condition_C_clauses(n: int, p, q, s1, s2) -> tuple:
     check_condition_C's `admissible` also ANDs the eta check, so it is no
     test of this table; verify.check_equivalence compares the two.
     """
-    if _is_exact(p, q, s1, s2):
-        p, q, s1, s2 = (Fraction(x) for x in (p, q, s1, s2))
     (s1_lo, s1_hi), (s2_lo, s2_hi) = feasible_box(n, p, q)
     return (("q > n", n, q),
             ("q > 2", 2, q),
@@ -197,27 +191,26 @@ def check_condition_C(n: int, p: Number, q: Number, s1: Number,
                       s2: Number) -> AdmissibilityReport:
     """Condition C on (p, q, s1, s2), clause by clause.
 
-    All inequalities are strict; boundary equality is inadmissible.  Exact
-    rational arithmetic is used when every input is int/Fraction, float
-    comparisons otherwise; a nonfinite float is rejected.  Admissibility
-    also requires every computed eta inside (1, 1 + 2/n): in floats a clause
-    can pass by an ulp while an eta rounds onto an end of that interval,
-    where the bound is singular.
+    All inequalities are strict; boundary equality is inadmissible.  The
+    number domain is decided once, here: n and the indices become Fractions
+    if every index is int/Fraction, floats otherwise (a nonfinite one is
+    rejected), and nothing called converts them again.  Admissibility also
+    requires every eta inside (1, 1 + 2/n): in floats a clause can pass by
+    an ulp while an eta rounds onto an end of that interval, where the bound
+    is singular.  The etas are those compute_etas would give, else None.
     """
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
-    if not _is_exact(p, q, s1, s2):
-        p, q, s1, s2 = float(p), float(q), float(s1), float(s2)
-        if not all(map(math.isfinite, (p, q, s1, s2))):
-            raise ParameterError(f"p, q, s1, s2 must be finite, got "
-                                 f"p={p}, q={q}, s1={s1}, s2={s2}")
+    exact = _is_exact(p, q, s1, s2)
+    n, p, q, s1, s2 = map(Fraction if exact else float, (n, p, q, s1, s2))
+    if not (exact or all(map(math.isfinite, (p, q, s1, s2)))):
+        raise ParameterError(f"p, q, s1, s2 must be finite, got "
+                             f"p={p}, q={q}, s1={s1}, s2={s2}")
     table = condition_C_clauses(n, p, q, s1, s2)
-    clauses = tuple(Clause(name, bool(value > lower), float(value - lower))
+    clauses = tuple(Clause(name, value > lower, float(value - lower))
                     for name, lower, value in table)
-    try:
-        etas = compute_etas(p, q, s1, s2)
-    except ParameterError:
-        etas = None
+    etas = (eta_formulas(p, q, s1, s2)
+            if p > 0 and q > 0 and s1 > 1 and s2 > 1 else None)
     in_range = etas is not None and etas_in_range(etas, n)
     return AdmissibilityReport(all(c.passed for c in clauses) and in_range,
                                clauses, etas, in_range,

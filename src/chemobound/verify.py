@@ -250,7 +250,10 @@ def odi_monitor(trajectory: Trajectory, coeffs: OdiCoefficients,
         keep = t <= t_max
         t, E = t[keep], E[keep]
     if len(t) < 3:
-        raise ParameterError("trajectory too short for centered differences")
+        raise ParameterError(
+            f"trajectory too short for centered differences: {len(t)} "
+            "samples, need 3; a smaller solver.sample_every or a larger "
+            "solver.max_steps or solver.t_final records more")
     dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
     rhs = coeffs.denominator()(E[1:-1])
     margins = (rhs - dEdt) / np.maximum(np.abs(rhs), MONITOR_REL_FLOOR)

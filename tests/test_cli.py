@@ -645,6 +645,19 @@ class TestInputSurface:
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        name for name, _, _, _ in cli.COMMANDS if name != "sweep"])
+    def test_sweep_axes_outside_sweep_exit_2(self, capsys, tmp_path, command):
+        cfg_file = tmp_path / "axes.cfg"
+        cfg_file.write_text("bound.corollary = 2\ngrid.shells = 8\n"
+                            "solver.max_steps = 5\nbound.C_GN = 1\n"
+                            "sweep.model.chi = 5, 10\n")
+        assert main([command, "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert "sweep.model.chi" in err
+
     def test_help_names_each_flags_key(self, capsys):
         for name, _, _, flags in cli.COMMANDS:
             with pytest.raises(SystemExit):
@@ -831,6 +844,19 @@ class TestVerifySubcommands:
                      "--set", "solver.sample_every=1"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["violations"] == 0
+
+    def test_verify_odi_short_run_names_the_sample_keys(self, capsys):
+        # sample_every defaults to 20, so 5 steps record 2 samples
+        code = main(["verify-odi", "-n", "3", "-p", "3", "-q", "6",
+                     "--s1", "4", "--s2", "2", "--set", "grid.shells=8",
+                     "--set", "solver.max_steps=5", "--set", "bound.C_GN=1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        for part in ("2 samples", "solver.sample_every", "solver.max_steps",
+                     "solver.t_final"):
+            assert part in err
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 """Exact-arithmetic checks of the exponent algebra."""
 
+import hashlib
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from chemobound.exponents import (EnergyIndices, ModelParams,
                                   h_exponent,
                                   k_exponent, write_region_csv)
 from chemobound.odi import odi_coefficients
+from chemobound.verify import equivalence_lattice
 
 F = Fraction
 
@@ -88,6 +90,20 @@ class TestConditionC:
         assert not report.etas_in_range
         assert not report.admissible
 
+    def test_reports_on_lattice_pinned(self):
+        # every report on the exact and the float form of each point of
+        # equivalence_lattice(3): verdict, clauses, etas and margin
+        digest = hashlib.sha256()
+        for point in equivalence_lattice(3):
+            for args in (point, tuple(map(float, point))):
+                r = check_condition_C(3, *args)
+                digest.update(repr((
+                    r.admissible,
+                    [(c.passed, repr(c.margin)) for c in r.clauses],
+                    r.etas, r.etas_in_range, repr(r.margin))).encode())
+        assert digest.hexdigest() == ("664099364b35d723537f65e3893640fa"
+                                      "3c51d8b1a471d25275a566fa6c5ac07b")
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("slot", range(4))
     def test_nonfinite_float_rejected(self, slot, bad):
@@ -114,16 +130,17 @@ class TestConditionC:
 class TestFeasibleBox:
     def test_exact_on_rationals(self):
         # n=3, p=2, q=4: s1 in (5/2, 10/3), s2 in (10/7, 5/3)
-        box = feasible_box(3, 2, 4)
+        box = feasible_box(F(3), F(2), F(4))
         assert box == ((F(5, 2), F(10, 3)), (F(10, 7), F(5, 3)))
         assert all(isinstance(x, Fraction) for pair in box for x in pair)
 
-    def test_elementwise_on_arrays(self):
-        p, q = np.array([2.0, 3.0, 4.0]), np.array([4.0, 6.0, 5.0])
-        (a, b), (c, d) = feasible_box(3, p, q)
-        for i in range(len(p)):
-            (ai, bi), (ci, di) = feasible_box(3, float(p[i]), float(q[i]))
-            assert (a[i], b[i], c[i], d[i]) == (ai, bi, ci, di)
+    def test_float_on_floats(self):
+        box = feasible_box(3, 2.0, 4.0)
+        exact = feasible_box(F(3), F(2), F(4))
+        for pair, exact_pair in zip(box, exact):
+            for x, y in zip(pair, exact_pair):
+                assert type(x) is float
+                assert x == pytest.approx(float(y), rel=1e-15)
 
 
 class TestEtasInRange:
