@@ -15,8 +15,10 @@ class EpsilonError(ParameterError):
     replaces by the key."""
 
 
-class InfeasibleError(ChemoboundError, ValueError):
-    """The admissible parameter box is empty."""
+class InfeasibleError(ParameterError):
+    """The admissible parameter box is empty, or holds no candidate whose
+    bound is in float range: a rejected input, as the box check of the
+    command line reports it."""
 
 
 class NonpositiveDenominatorError(ChemoboundError, ValueError):

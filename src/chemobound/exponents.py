@@ -98,7 +98,12 @@ def compute_etas(p: Number, q: Number, s1: Number, s2: Number):
                              f"p={p}, q={q}, s1={s1}, s2={s2}")
     if _is_exact(p, q, s1, s2):
         p, q, s1, s2 = (Fraction(x) for x in (p, q, s1, s2))
-    return eta_formulas(p, q, s1, s2)
+    try:
+        return eta_formulas(p, q, s1, s2)
+    except ZeroDivisionError:  # a float q * (s2 - 1) underflows to 0.0
+        raise ParameterError(f"indices p={p}, q={q}, s1={s1}, s2={s2}: "
+                             f"q*(s2-1) underflows to 0 in eta_2 = "
+                             f"s2(q-2)/(q(s2-1))") from None
 
 
 def etas_in_range(etas: Sequence[Number], n: int) -> bool:
@@ -197,7 +202,8 @@ def check_condition_C(n: int, p: Number, q: Number, s1: Number,
     rejected), and nothing called converts them again.  Admissibility also
     requires every eta inside (1, 1 + 2/n): in floats a clause can pass by
     an ulp while an eta rounds onto an end of that interval, where the bound
-    is singular.  The etas are those compute_etas would give, else None.
+    is singular.  The etas are those compute_etas would give, else None
+    (as where compute_etas raises).
     """
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
@@ -209,8 +215,11 @@ def check_condition_C(n: int, p: Number, q: Number, s1: Number,
     table = condition_C_clauses(n, p, q, s1, s2)
     clauses = tuple(Clause(name, value > lower, float(value - lower))
                     for name, lower, value in table)
-    etas = (eta_formulas(p, q, s1, s2)
-            if p > 0 and q > 0 and s1 > 1 and s2 > 1 else None)
+    try:
+        etas = (eta_formulas(p, q, s1, s2)
+                if p > 0 and q > 0 and s1 > 1 and s2 > 1 else None)
+    except ZeroDivisionError:  # a float q * (s2 - 1) underflows to 0.0
+        etas = None
     in_range = etas is not None and etas_in_range(etas, n)
     return AdmissibilityReport(all(c.passed for c in clauses) and in_range,
                                clauses, etas, in_range,

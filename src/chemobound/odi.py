@@ -18,8 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -61,29 +59,9 @@ def _power_sums(s, coefs, expos, fast, c, mu1):
     return out + mu1 * s
 
 
-@dataclass(frozen=True)
-class Denominator:
-    """Power-sum denominator F(s) = sum A_j s**a_j + mu1*s + c."""
-
-    terms: tuple[tuple[float, float], ...]  # (coefficient, exponent)
-    mu1: float = 0.0
-    c: float = 0.0
-
-    @cached_property
-    def _table(self):
-        return DenominatorTable.of([self])
-
-    def __call__(self, s):
-        s, t = np.asarray(s, dtype=float), self._table
-        shape = (-1,) + (1,) * s.ndim  # the terms on an axis before s's
-        out = _power_sums(s, t.coefs.reshape(shape), t.expos.reshape(shape),
-                          t.fast, self.c, self.mu1)
-        return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True, eq=False)
-class DenominatorTable:
-    """K denominators of J terms as arrays: row k is F_k(s) =
+class Denominator:
+    """K power-sum denominators of J terms as arrays: row k is F_k(s) =
     sum_j coefs[j, k] * s**expos[j, k] + mu1[k] * s + c[k]."""
 
     coefs: np.ndarray  # (J, K), as expos
@@ -92,15 +70,11 @@ class DenominatorTable:
     c: np.ndarray
 
     @classmethod
-    def of(cls, dens: Sequence[Denominator]) -> DenominatorTable:
-        if len({len(d.terms) for d in dens}) > 1:
-            raise ParameterError("the denominators of a batch need one "
-                                 "number of terms")
-        terms = np.fromiter(
-            chain.from_iterable(chain.from_iterable([d.terms for d in dens])),
-            float).reshape(len(dens), -1, 2)
-        return cls(*terms.T.copy(), np.array([d.mu1 for d in dens], float),
-                   np.array([d.c for d in dens], float))
+    def of(cls, terms, mu1: float = 0.0, c: float = 0.0) -> Denominator:
+        """The one row F(s) = sum A s**a + mu1 * s + c of (A, a) `terms`."""
+        terms = np.array(terms, float).reshape(-1, 2)
+        return cls(terms[:, :1], terms[:, 1:], np.array([mu1], float),
+                   np.array([c], float))
 
     @cached_property
     def fast(self) -> tuple[float, ...]:
@@ -108,10 +82,22 @@ class DenominatorTable:
         used = set(self.expos.ravel().tolist())
         return tuple(e for e in _FAST_POWERS if e in used)
 
-    def row(self, k: int) -> Denominator:
-        return Denominator(tuple(zip(self.coefs[:, k].tolist(),
-                                     self.expos[:, k].tolist())),
-                           self.mu1[k].item(), self.c[k].item())
+    def take(self, rows) -> Denominator:
+        """The sub-batch of the given rows, in their order."""
+        return Denominator(self.coefs[:, rows], self.expos[:, rows],
+                           self.mu1[rows], self.c[rows])
+
+    def __call__(self, s):
+        """F at s, a number or an array, of a one-row denominator."""
+        if len(self.c) != 1:
+            raise ValueError(f"a denominator of {len(self.c)} rows has no "
+                             f"one value; take a row first")
+        s = np.asarray(s, dtype=float)
+        shape = (-1,) + (1,) * s.ndim  # the terms on an axis before s's
+        out = _power_sums(s, self.coefs.reshape(shape),
+                          self.expos.reshape(shape), self.fast,
+                          self.c.item(), self.mu1.item())
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -128,9 +114,9 @@ class OdiCoefficients:
     C_GN: float
 
     def denominator(self) -> Denominator:
-        terms = tuple((self.m, float(e)) for e in self.eta_exponents)
-        terms += tuple((mi, float(k)) for mi, k in zip(self.m_i, self.k_exponents))
-        return Denominator(terms, self.mu1, self.c)
+        terms = [(self.m, float(e)) for e in self.eta_exponents]
+        terms += [(mi, float(k)) for mi, k in zip(self.m_i, self.k_exponents)]
+        return Denominator.of(terms, self.mu1, self.c)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "m_i": list(self.m_i), "mu1": self.mu1, "c": self.c}
@@ -230,7 +216,7 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
     eps_max = _zeta_split(params, p, q, s1, etas)[2]
     if math.isnan(epsilon):
         epsilon = 0.5 * eps_max.item()
-    table, (error,) = _coefficient_table(
+    den, (error,) = _coefficient_table(
         params, p, q, etas, np.array([epsilon], float), eps_max, C_GN)
     if error:
         raise error
@@ -239,7 +225,7 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
             "assembled constants use (alpha, beta) in both gradient "
             "estimates; delta/gamma of the repellent equation differ and do "
             "not enter them", CoefficientConventionWarning, stacklevel=2)
-    coefs, expos = table.coefs[:, 0].tolist(), table.expos[:, 0].tolist()
+    coefs, expos = den.coefs[:, 0].tolist(), den.expos[:, 0].tolist()
     return OdiCoefficients(coefs[0], tuple(coefs[4:]), params.mu1,
                            2.0 * params.boundary_c, tuple(expos[:4]),
                            tuple(expos[4:]), epsilon, C_GN)
@@ -265,10 +251,11 @@ def _powers(bases, exps, errors: list):
 def _coefficient_table(params: ModelParams, p: float, q: float, etas,
                        epsilon, eps_max, C_GN: float):
     """The one assembly of F's coefficients, for K rows of (4, K) etas at one
-    (p, q) with (K,) arrays of epsilon and its supremum: the rows' table (m
-    at the etas, then the m_i at the k exponents) and the OverflowError of
-    each, or None.  Python takes the powers and numpy every other step in
-    the order of a row alone, so each row is bit for bit the row alone."""
+    (p, q) with (K,) arrays of epsilon and its supremum: the rows'
+    Denominator (m at the etas, then the m_i at the k exponents) and the
+    OverflowError of each, or None.  Python takes the powers and numpy every
+    other step in the order of a row alone, so each row is bit for bit the
+    row alone."""
     for e, e_max in zip(epsilon.tolist(), eps_max.tolist()):
         if not 0 < e < e_max:
             raise EpsilonError(
@@ -283,7 +270,7 @@ def _coefficient_table(params: ModelParams, p: float, q: float, etas,
         c3 = (denom / 2.0) * _powers(C_GN, 2.0 / denom, errors)
         m_i = M * c3 * _powers(epsilon, -h_exponent(etas, n), errors)
         expos = np.concatenate((etas, k_exponent(etas, n)))
-    return DenominatorTable(
+    return Denominator(
         np.concatenate((np.full(etas.shape, C_GN * M), m_i)), expos,
         np.full(K, params.mu1, float), np.full(K, 2.0 * params.boundary_c)), \
         errors
@@ -336,10 +323,10 @@ def _ordered_sum(terms, order=None):
 _FLOORED_RESABS = np.finfo(float).tiny / QUADPACK_REL_FLOOR
 
 
-def _gk21_first_pass(table: DenominatorTable, x_lo: float, x_hi: list[float],
+def _gk21_first_pass(den: Denominator, x_lo: float, x_hi: list[float],
                      rel_tol: float) -> list[tuple[float, float] | None]:
     """The first step of QUADPACK's dqagse on the integral of e^x / F(e^x)
-    over [x_lo, x_hi[k]] for each of the K rows F of `table`: one dqk21 pass
+    over [x_lo, x_hi[k]] for each of the K rows F of `den`: one dqk21 pass
     with its error estimate, with F at all K x 21 nodes taken in one call.
     The integrand values and the order of every sum are those of
     integrate.quad, so an accepted pass returns quad's value and error bit
@@ -353,8 +340,8 @@ def _gk21_first_pass(table: DenominatorTable, x_lo: float, x_hi: list[float],
     with np.errstate(all="ignore"):
         # math.exp, not np.exp: the two differ in the last bit at some nodes
         s = np.fromiter(map(math.exp, x), float, len(x)).reshape(-1, 21)
-        F = _power_sums(s, table.coefs[..., None], table.expos[..., None],
-                        table.fast, table.c[:, None], table.mu1[:, None])
+        F = _power_sums(s, den.coefs[..., None], den.expos[..., None],
+                        den.fast, den.c[:, None], den.mu1[:, None])
         finite = np.isfinite(F).all(axis=1).tolist()
         f = s / F
         pairs = _fold(f)
@@ -384,24 +371,31 @@ def _gk21_first_pass(table: DenominatorTable, x_lo: float, x_hi: list[float],
     return passes
 
 
-def _truncation(table: DenominatorTable, E0: float, F0,
+def _truncation(den: Denominator, E0: float, F0,
                 truncation_point: float | None):
     """Check each row's F(E0) = F0[k] and pick its truncation point S, or take
     the given one: lists of the rows' S, tail budgets, flags and the error
     each raises alone, or None.  The dominant term A s**a of a row sums, in
     term order, its positive terms at its largest exponent a > 1 with one."""
+    F0 = F0.tolist()
     errors = [None if 0 < f0 < math.inf else NonpositiveDenominatorError(
         f"denominator nonpositive at E0={E0}", root=E0) if f0 <= 0 else
-        OverflowError(f"F(E0) overflows at E0={E0!r}") for f0 in F0.tolist()]
-    live = (table.coefs > 0) & (table.expos > 1.0)
-    a_dom = np.where(live, table.expos, -math.inf).max(axis=0)
-    A_dom = np.add.accumulate(np.where(live & (table.expos == a_dom),
-                                       table.coefs, 0.0))[-1]
+        OverflowError(f"F(E0) overflows at E0={E0!r}") for f0 in F0]
+    if 0.0 in F0:
+        # a zero sum of nonnegative terms, some of them positive, underflowed
+        positive = ((den.coefs >= 0).all(axis=0) & (den.coefs > 0).any(axis=0)
+                    & (den.mu1 >= 0) & (den.c >= 0)).tolist()
+        for k in [k for k, f0 in enumerate(F0) if f0 == 0 and positive[k]]:
+            errors[k] = ParameterError(f"F(E0) underflows at E0={E0!r}")
+    live = (den.coefs > 0) & (den.expos > 1.0)
+    a_dom = np.where(live, den.expos, -math.inf).max(axis=0)
+    A_dom = np.add.accumulate(np.where(live & (den.expos == a_dom),
+                                       den.coefs, 0.0))[-1]
     for k in [k for k, a in enumerate(a_dom.tolist()) if a == -math.inf]:
         errors[k] = errors[k] or DivergenceError(
             "no superlinear power term with positive coefficient; "
             "the bound integral diverges")
-    drain = table.mu1 < 0
+    drain = den.mu1 < 0
     with np.errstate(all="ignore"):  # in rows that have an error
         scale = A_dom * (a_dom - 1.0)
         S = _powers(scale * TAIL_TOL, -1.0 / (a_dom - 1.0), errors)
@@ -409,18 +403,18 @@ def _truncation(table: DenominatorTable, E0: float, F0,
             # keep the linear drain below half the dominant term at S (the
             # other rows take 1 ** x, which never raises)
             S = np.where(drain, np.maximum(S, _powers(
-                np.where(drain, 2.0 * np.abs(table.mu1) / A_dom, 1.0),
+                np.where(drain, 2.0 * np.abs(den.mu1) / A_dom, 1.0),
                 1.0 / (a_dom - 1.0), errors)), S)
     S = np.maximum(S, 10.0 * E0) if truncation_point is None else \
         np.full(len(errors), float(truncation_point))
     for k in [k for k, d in enumerate(drain.tolist()) if d and not errors[k]]:
-        den, s_scan = table.row(k), np.geomspace(E0, S[k], 512)
-        vals = den(s_scan) <= 0
+        row, s_scan = den.take([k]), np.geomspace(E0, S[k], 512)
+        vals = row(s_scan) <= 0
         if vals.any():
             idx = int(np.argmax(vals))
             # imported here: no other path needs scipy.optimize
             from scipy.optimize import brentq
-            root = brentq(den, s_scan[idx - 1], s_scan[idx]) if idx else E0
+            root = brentq(row, s_scan[idx - 1], s_scan[idx]) if idx else E0
             errors[k] = NonpositiveDenominatorError(
                 f"denominator vanishes at s={root}", root=root)
     tail_upper = (1.0 + drain) * _powers(S, 1.0 - a_dom, errors) / scale
@@ -428,10 +422,12 @@ def _truncation(table: DenominatorTable, E0: float, F0,
     return S.tolist(), tail_upper.tolist(), flags, errors
 
 
-def lower_bound_integral(den: Denominator | DenominatorTable, E0: float,
+def lower_bound_integral(den: Denominator, E0: float,
                          truncation_point: float | None = None,
-                         skip: type[Exception] | tuple = ()):
-    """Truncated integral of 1/F from E0, with an analytic tail budget.
+                         skip: type[Exception] | tuple = ()
+                         ) -> list[BoundResult | None]:
+    """Truncated integral of 1/F from E0, with an analytic tail budget, for
+    each row F of `den`: a list of one BoundResult per row.
 
     The truncation point S makes the tail estimate S**(1-a)/(A(a-1)) of the
     dominant power term (coefficient A, exponent a) fall below TAIL_TOL,
@@ -442,16 +438,12 @@ def lower_bound_integral(den: Denominator | DenominatorTable, E0: float,
     accept it, else integrate.quad; quadrature_error is the error estimate
     of whichever ran.
 
-    `den` is one Denominator, whose BoundResult is the result, or a
-    DenominatorTable, a batch of one number of terms, giving the list of its
-    rows' (t_lower, S, quadrature_error, tail_upper, flags).  Each row's
-    result is bit for bit its own alone, and the rows are checked in order
-    before any is integrated: the first that fails raises what it raises
-    alone, unless it raises one of the types `skip`, which gives None.
-    F(E0) overflowing in every row is a ParameterError, and in one row an
-    OverflowError."""
-    single = isinstance(den, Denominator)
-    table = den._table if single else den
+    Each row's result is bit for bit its own alone, and the rows are checked
+    in order before any is integrated: the first that fails raises what it
+    raises alone, unless it raises one of the types `skip`, which gives
+    None.  F(E0) overflowing in every row is a ParameterError, and in one
+    row of several an OverflowError; a zero F(E0) of nonnegative terms,
+    some positive, underflowed, and is a ParameterError too."""
     if not 0 < E0 < math.inf:
         raise ParameterError(f"E0 must be positive and finite, got {E0}")
     if not 10.0 * E0 < math.inf:
@@ -460,12 +452,11 @@ def lower_bound_integral(den: Denominator | DenominatorTable, E0: float,
     if truncation_point is not None and not truncation_point > E0:
         raise ParameterError("truncation_point must exceed E0")
     with np.errstate(over="ignore"):
-        F0 = _power_sums(np.asarray(E0, dtype=float), table.coefs,
-                         table.expos, table.fast, table.c, table.mu1)
+        F0 = _power_sums(np.asarray(E0, dtype=float), den.coefs, den.expos,
+                         den.fast, den.c, den.mu1)
     if not np.isfinite(F0).any():
         raise ParameterError(f"F(E0) overflows at E0={E0!r}")
-    S, tail_upper, flags, errors = _truncation(table, E0, F0,
-                                               truncation_point)
+    S, tail_upper, flags, errors = _truncation(den, E0, F0, truncation_point)
     for error in errors:
         if error is not None and not isinstance(error, skip):
             raise error
@@ -473,10 +464,8 @@ def lower_bound_integral(den: Denominator | DenominatorTable, E0: float,
 
     # integrate in log space: s = exp(x) keeps the long upper range tame
     x_lo = math.log(E0)
-    passes = _gk21_first_pass(table if len(kept) == len(errors) else
-                              DenominatorTable(table.coefs[:, kept],
-                                               table.expos[:, kept],
-                                               table.mu1[kept], table.c[kept]),
+    passes = _gk21_first_pass(den if len(kept) == len(errors) else
+                              den.take(kept),
                               x_lo, [math.log(S[k]) for k in kept], REL_TOL)
     rows = [None] * len(errors)
     for k, accepted in zip(kept, passes):
@@ -486,21 +475,20 @@ def lower_bound_integral(den: Denominator | DenominatorTable, E0: float,
             # an overflowing F makes the integrand 0, as in the pass above
             with np.errstate(over="ignore"):
                 accepted = integrate.quad(
-                    lambda x, den=table.row(k): (s := math.exp(x)) / den(s),
+                    lambda x, row=den.take([k]): (s := math.exp(x)) / row(s),
                     x_lo, math.log(S[k]), epsabs=0.0, epsrel=REL_TOL,
                     limit=500)
-        rows[k] = (accepted[0], S[k], accepted[1], tail_upper[k], flags[k])
-    if not single:
-        return rows
-    return rows[0] and BoundResult(*rows[0][:4], flags=rows[0][4])
+        rows[k] = BoundResult(accepted[0], S[k], accepted[1], tail_upper[k],
+                              flags=flags[k])
+    return rows
 
 
 def bound_at_indices(params: ModelParams, indices: EnergyIndices, E0: float,
                      C_GN: float, epsilon: float = math.nan) -> BoundResult:
     """Bound at fixed indices; a NaN epsilon is half its supremum."""
     coeffs = odi_coefficients(params, indices, epsilon, C_GN)
-    return replace(lower_bound_integral(coeffs.denominator(), E0),
-                   indices=indices, coeffs=coeffs)
+    [row] = lower_bound_integral(coeffs.denominator(), E0)
+    return replace(row, indices=indices, coeffs=coeffs)
 
 
 COARSE_GRID = 7     # points per (s1, s2) axis of the starting grid
@@ -533,8 +521,8 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
             f"empty admissible (s1, s2) box for n={n}, p={p}, q={q}")
 
     def score(s1, s2):
-        """(t_lower, s1, s2, epsilon, bound row) of each candidate clamped
-        into [lo, hi], or None if its coefficients, S or F(E0) overflow."""
+        """(BoundResult, s1, s2, epsilon) of each candidate clamped into
+        [lo, hi], or None if its coefficients, S or F(E0) overflow."""
         s1, s2 = np.clip(s1, lo1, hi1), np.clip(s2, lo2, hi2)
         etas = np.array(eta_formulas(p, q, s1, s2))
         for k in np.flatnonzero(~((1.0 < etas) & (etas < 1.0 + 2.0 / n))
@@ -543,16 +531,16 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
                                  f"admissible for n={n}, p={p}, q={q}")
         eps_max = _zeta_split(params, p, q, s1, etas)[2]
         eps = (1.0 - mar) * eps_max
-        table, errors = _coefficient_table(params, p, q, etas, eps, eps_max,
-                                           C_GN)
+        den, errors = _coefficient_table(params, p, q, etas, eps, eps_max,
+                                         C_GN)
         # a row whose eps**(-h) or C_GN power overflows is left out, not all
         if all(errors):
             raise ParameterError(f"C_GN={C_GN!r} overflows the bound's "
                                  f"coefficients at every candidate")
         # a row left out has nan coefficients: its nan F(E0) is skipped
-        rows = lower_bound_integral(table, E0, skip=OverflowError)
-        return [row and (row[0], *point, row) for point, row in
-                zip(zip(s1.tolist(), s2.tolist(), eps.tolist()), rows)]
+        rows = lower_bound_integral(den, E0, skip=OverflowError)
+        return [row and (row, *point) for row, point in
+                zip(rows, zip(s1.tolist(), s2.tolist(), eps.tolist()))]
 
     s1 = np.repeat(np.linspace(lo1, hi1, COARSE_GRID), COARSE_GRID)
     s2 = np.tile(np.linspace(lo2, hi2, COARSE_GRID), COARSE_GRID)
@@ -562,7 +550,8 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
         _, s1c, s2c = corollary1_parameters(p, n)
         s1, s2 = np.append(s1, float(s1c)), np.append(s2, float(s2c))
     # max keeps the first of equal bounds: candidate order, strict `>`
-    best = max(filter(None, score(s1, s2)), key=lambda c: c[0], default=None)
+    best = max(filter(None, score(s1, s2)), key=lambda c: c[0].t_lower,
+               default=None)
     if best is None:
         raise InfeasibleError("no admissible candidate found in the box")
 
@@ -581,10 +570,12 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
                 try:  # a trial fails: score this sweep alone
                     sweeps = [score(*np.array(trials[0]))]
                 except ParameterError:
-                    # e.g. F(E0) overflows at all four trials: E0 passed
-                    # every other check in the grid's batch
+                    # e.g. F(E0) overflows at all four trials, or
+                    # underflows at one: E0 passed every other check in
+                    # the grid's batch
                     sweeps = [[]]
-        new = max([best, *filter(None, sweeps.pop(0))], key=lambda c: c[0])
+        new = max([best, *filter(None, sweeps.pop(0))],
+                  key=lambda c: c[0].t_lower)
         if new is not best:
             best, sweeps = new, []
         else:
@@ -592,7 +583,7 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
             if max(d1, d2) < 1e-10:
                 break
 
-    _, s1, s2, eps, row = best
+    row, s1, s2, eps = best
     indices = EnergyIndices(p, q, s1, s2)
-    return BoundResult(*row[:4], indices,
-                       odi_coefficients(params, indices, eps, C_GN), row[4])
+    return replace(row, indices=indices,
+                   coeffs=odi_coefficients(params, indices, eps, C_GN))

@@ -63,14 +63,21 @@ def make_grid(n: int, R: float, M: int) -> RadialGrid:
     omega = unit_sphere_area(n)
     r_faces = np.linspace(0.0, R, M + 1)
     r_centers = 0.5 * (r_faces[:-1] + r_faces[1:])
-    face_areas = omega * r_faces ** (n - 1)
-    shell_measures = omega * np.diff(r_faces ** n) / n
-    dr = R / M
-    lower = face_areas[1:-1] / (shell_measures[1:] * dr)
-    upper = face_areas[1:-1] / (shell_measures[:-1] * dr)
-    diag = np.zeros(M)
-    diag[:-1] += upper
-    diag[1:] += lower
+    with np.errstate(all="ignore"):  # an R that floats cannot hold: below
+        face_areas = omega * r_faces ** (n - 1)
+        shell_measures = omega * np.diff(r_faces ** n) / n
+        dr = R / M
+        lower = face_areas[1:-1] / (shell_measures[1:] * dr)
+        upper = face_areas[1:-1] / (shell_measures[:-1] * dr)
+        diag = np.zeros(M)
+        diag[:-1] += upper
+        diag[1:] += lower
+    # a nan min or max fails its test
+    if not all(0 < x.min() and x.max() < math.inf
+               for x in (shell_measures, lower, upper, diag)):
+        raise ParameterError(
+            f"R={R} with M={M} shells is past float range: the shell "
+            f"measures and Laplacian couplings must be positive and finite")
     rows = np.zeros((3, M))
     rows[0, :-1], rows[1, :-1], rows[2] = -lower, -upper, diag
     return RadialGrid(n=n, R=R, M=M, r_faces=r_faces, r_centers=r_centers,

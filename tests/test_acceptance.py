@@ -144,13 +144,13 @@ def test_criterion_04_quadrature_oracle():
     for a in (1.5, 5.0 / 3.0, 3.0):
         for E0 in (0.1, 1.0, 10.0):
             A = 2.0
-            result = lower_bound_integral(Denominator(((A, a),)), E0)
+            [result] = lower_bound_integral(Denominator.of(((A, a),)), E0)
             exact = E0 ** (1.0 - a) / (A * (a - 1.0))
             worst = max(worst, abs(result.t_lower - exact) / exact)
     # truncation monotonicity on a 10-point S ladder
-    den = Denominator(((1.0, 1.5), (1.0, 3.0)))
-    ladder = [lower_bound_integral(den, 1.0, S).t_lower
-              for S in np.geomspace(2.0, 1e3, 10)]
+    den = Denominator.of(((1.0, 1.5), (1.0, 3.0)))
+    ladder = [row.t_lower for S in np.geomspace(2.0, 1e3, 10)
+              for row in lower_bound_integral(den, 1.0, S)]
     monotone = all(b >= a for a, b in zip(ladder, ladder[1:]))
     ok = worst < 1e-8 and monotone
     _line(4, ok, f"closed-form match worst rel err {worst:.2e}, "

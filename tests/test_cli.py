@@ -218,6 +218,16 @@ class TestCheckParams:
         assert payload["etas"] is None
         assert payload["etas_in_range"] is False
 
+    def test_underflowing_eta_exit_one(self, capsys):
+        # q * (s2 - 1) underflows to 0.0: no etas, and q > n fails anyway
+        code = main(["check-params", "-n", "3", "-p", "1", "-q", "5e-324",
+                     "--s1", "2", "--s2", "1.0000000000000002"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["etas"] is None
+        assert payload["admissible"] is False
+        assert payload["clauses"]["q > n"]["passed"] is False
+
     def test_missing_indices_usage_error(self, capsys):
         assert main(["check-params", "-n", "3"]) == 2
 
@@ -262,6 +272,18 @@ class TestBound:
         assert code == 3
         assert capsys.readouterr().err == (
             "error: denominator nonpositive at E0=1e-12\n")
+
+    @pytest.mark.parametrize("command", [
+        ["bound", "-n", "3", "--corollary", "2"],
+        ["optimize-bound", "-n", "3", "-p", "2", "-q", "4"]],
+        ids=["bound", "optimize-bound"])
+    def test_negative_F_at_tiny_E0_runtime_error(self, capsys, command):
+        # with mu1 = -1, F(1e-250) is negative, not an underflowed zero
+        code = main([*command, "--E0", "1e-250", "--set", "model.mu1=-1",
+                     "--set", "bound.C_GN=1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: denominator nonpositive at E0=1e-250\n")
 
     def test_negative_linear_term_flagged(self, capsys):
         code = main(["bound", "-n", "3", "--corollary", "2", "--E0", "1",
@@ -425,6 +447,34 @@ NAMED = {
     "simulate-p=inf": (["simulate", "-n", "3", "-p", "inf", "-q", "6",
                         "--set", "grid.shells=8",
                         "--set", "solver.max_steps=5"], "p=inf"),
+    # q * (s2 - 1) underflows to 0 in eta_2
+    "eta_2-underflow": (["bound", "-n", "3", "-p", "1", "-q", "5e-324",
+                         "--s1", "2", "--s2", "1.0000000000000002", "--E0",
+                         "1", "--set", "bound.C_GN=1"], "q=5e-324"),
+    # a radius whose shell measures or couplings floats cannot hold
+    "simulate-radius=1e-300": (["simulate", "-n", "3", "--corollary", "2",
+                                "--set", "grid.shells=8",
+                                "--set", "solver.max_steps=3",
+                                "--set", "model.radius=1e-300"],
+                               "R=1e-300 with M=8"),
+    "simulate-radius=1e100": (["simulate", "-n", "3", "--corollary", "2",
+                               "--set", "grid.shells=8",
+                               "--set", "solver.max_steps=3",
+                               "--set", "model.radius=1e100"],
+                              "R=1e+100 with M=8"),
+    "bound-radius=1e300": (["bound", "-n", "3", "--corollary", "2", "--E0",
+                            "1", "--set", "model.radius=1e300"],
+                           "R=1e+300 with M=64"),
+    # every term of F(E0) is positive, and their sum underflows to 0
+    "E0=1e-250": (["bound", "-n", "3", "--corollary", "2", "--E0", "1e-250",
+                   "--set", "bound.C_GN=1"], "F(E0) underflows at E0=1e-250"),
+    "optimize-E0=1e-250": (["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
+                            "--E0", "1e-250", "--set", "bound.C_GN=1"],
+                           "F(E0) underflows at E0=1e-250"),
+    # a box not empty in floats whose clamped corners fail Condition C
+    "optimize-p=1e200": (["optimize-bound", "-n", "3", "-p", "1e200", "-q",
+                          "2e200", "--E0", "1", "--set", "bound.C_GN=1"],
+                         "empty admissible (s1, s2) box"),
 }
 
 

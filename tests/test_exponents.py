@@ -49,6 +49,14 @@ class TestComputeEtas:
         with pytest.raises(ParameterError):
             compute_etas(0, 4, 3, 2)
 
+    def test_underflowing_eta_2_denominator_named(self):
+        # q * (s2 - 1) underflows to 0.0 in floats
+        args = (1.0, 5e-324, 2.0, 1.0000000000000002)
+        for build in (compute_etas, EnergyIndices):
+            with pytest.raises(ParameterError, match=r"indices p=1\.0, "
+                               r"q=5e-324, s1=2\.0, s2=1\.0000000000000002"):
+                build(*args)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("slot", range(4))
     def test_rejects_nonfinite_float(self, slot, bad):
@@ -78,6 +86,12 @@ class TestConditionC:
     def test_boundary_equality_inadmissible(self):
         # s1 exactly at the upper end (1 + 2/n) q / 2 = 10/3 for n=3, q=4
         report = check_condition_C(3, 2, 4, F(10, 3), F(3, 2))
+        assert not report.admissible
+
+    def test_underflowing_eta_2_denominator_gives_no_etas(self):
+        report = check_condition_C(3, 1.0, 5e-324, 2.0, 1.0000000000000002)
+        assert report.etas is None
+        assert not report.etas_in_range
         assert not report.admissible
 
     def test_float_eta_on_singular_point_inadmissible(self):

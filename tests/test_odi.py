@@ -1,7 +1,9 @@
 """Coefficient assembly and lower-bound quadrature."""
 
+import hashlib
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from chemobound import odi
+from chemobound import cli, odi
+from chemobound import config as cfgmod
 from chemobound.errors import (DivergenceError, InfeasibleError,
                                NonpositiveDenominatorError, ParameterError)
 from chemobound.exponents import (C3_coef, EnergyIndices, ModelParams,
@@ -19,7 +22,7 @@ from chemobound.exponents import (C3_coef, EnergyIndices, ModelParams,
 from chemobound.odi import (BOUNDARY_MARGIN, COARSE_GRID, REFINE_ITERS,
                             REL_TOL, SWEEP_LEVELS,
                             CoefficientConventionWarning,
-                            Denominator, DenominatorTable, OdiCoefficients,
+                            BoundResult, Denominator, OdiCoefficients,
                             bound_at_indices, lower_bound_integral,
                             max_admissible_epsilon, odi_coefficients,
                             optimize_bound, zeta_coefficients)
@@ -197,34 +200,34 @@ class TestRhs:
 
 class TestLowerBoundIntegral:
     def test_square_denominator(self):
-        result = lower_bound_integral(Denominator(((1.0, 2.0),)), 1.0)
+        [result] = lower_bound_integral(Denominator.of(((1.0, 2.0),)), 1.0)
         assert result.t_lower == pytest.approx(1.0, rel=1e-8)
 
     @pytest.mark.parametrize("A,a,E0", [(1.0, 1.5, 0.1), (2.0, 5 / 3, 1.0),
                                         (0.5, 3.0, 10.0)])
     def test_single_power_closed_form(self, A, a, E0):
-        result = lower_bound_integral(Denominator(((A, a),)), E0)
+        [result] = lower_bound_integral(Denominator.of(((A, a),)), E0)
         exact = E0 ** (1.0 - a) / (A * (a - 1.0))
         assert result.t_lower == pytest.approx(exact, rel=1e-8)
         assert result.t_lower <= exact  # truncation is conservative
 
     def test_corollary13_denominator_reference(self):
-        den = Denominator(((1.0, 1.5), (1.0, 3.0)))
-        result = lower_bound_integral(den, 1.0)
+        den = Denominator.of(((1.0, 1.5), (1.0, 3.0)))
+        [result] = lower_bound_integral(den, 1.0)
         assert result.t_lower == pytest.approx(REF_C13_INTEGRAL, rel=1e-8)
 
     def test_truncation_monotone_in_S(self):
-        den = Denominator(((1.0, 1.5), (1.0, 3.0)))
+        den = Denominator.of(((1.0, 1.5), (1.0, 3.0)))
         values = []
         for S in (10.0, 1e2, 1e3, 1e4, 1e6):
-            values.append(lower_bound_integral(den, 1.0, S).t_lower)
+            [result] = lower_bound_integral(den, 1.0, S)
+            values.append(result.t_lower)
         assert values == sorted(values)
 
     def test_monotone_in_E0(self):
-        den = Denominator(((1.0, 1.5), (1.0, 3.0)))
-        a = lower_bound_integral(den, 0.5).t_lower
-        b = lower_bound_integral(den, 2.0).t_lower
-        assert a > b
+        den = Denominator.of(((1.0, 1.5), (1.0, 3.0)))
+        [a], [b] = (lower_bound_integral(den, E0) for E0 in (0.5, 2.0))
+        assert a.t_lower > b.t_lower
 
     # F overflows to inf far out on the range, where 1/F is below 1e-308
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -243,7 +246,7 @@ class TestLowerBoundIntegral:
             den = odi_coefficients(
                 params, indices, frac * max_admissible_epsilon(params, indices),
                 10.0 ** log_C_GN).denominator()
-            base = lower_bound_integral(den, E0)
+            [base] = lower_bound_integral(den, E0)
         except (OverflowError, NonpositiveDenominatorError):
             assume(False)  # eps**(-h) out of float range, or F hits zero
         except ParameterError as exc:  # F(E0) out of float range
@@ -251,27 +254,28 @@ class TestLowerBoundIntegral:
             assume(False)
         assert base.t_lower == pytest.approx(plain_quad(den, E0, base.S)[0],
                                              rel=REL_TOL, abs=0)
-        scaled = Denominator(tuple((3.0 * A, a) for A, a in den.terms),
-                             3.0 * den.mu1, 3.0 * den.c)
+        scaled = Denominator(3.0 * den.coefs, den.expos, 3.0 * den.mu1,
+                             3.0 * den.c)
         with np.errstate(over="ignore"):
             in_range = math.isfinite(scaled(base.S))
         if in_range:  # 1/(3F) is (1/F)/3 only where 3F does not overflow
-            assert lower_bound_integral(scaled, E0, base.S).t_lower == \
-                pytest.approx(base.t_lower / 3.0, rel=1e-9, abs=0)
+            [third] = lower_bound_integral(scaled, E0, base.S)
+            assert third.t_lower == pytest.approx(base.t_lower / 3.0,
+                                                  rel=1e-9, abs=0)
 
     def test_divergence_without_superlinear_term(self):
         with pytest.raises(DivergenceError):
-            lower_bound_integral(Denominator(((2.0, 1.0),), c=1.0), 1.0)
+            lower_bound_integral(Denominator.of(((2.0, 1.0),), c=1.0), 1.0)
 
     def test_negative_mu1_root_reported(self):
-        den = Denominator(((1.0, 2.0),), mu1=-10.0)
+        den = Denominator.of(((1.0, 2.0),), mu1=-10.0)
         with pytest.raises(NonpositiveDenominatorError) as exc_info:
             lower_bound_integral(den, 0.001)
         assert exc_info.value.root is not None
 
     def test_negative_mu1_root_bracketed(self, monkeypatch):
         # F(s) = s^2 - 3s + 2 is positive at E0 = 0.5 and vanishes at s = 1
-        den = Denominator(((1.0, 2.0),), mu1=-3.0, c=2.0)
+        den = Denominator.of(((1.0, 2.0),), mu1=-3.0, c=2.0)
         brackets = []
         brentq = optimize.brentq
 
@@ -287,14 +291,25 @@ class TestLowerBoundIntegral:
         assert a < 1.0 < b
 
     def test_negative_mu1_flagged_when_positive(self):
-        den = Denominator(((1.0, 2.0),), mu1=-0.1)
-        result = lower_bound_integral(den, 1.0)
+        den = Denominator.of(((1.0, 2.0),), mu1=-0.1)
+        [result] = lower_bound_integral(den, 1.0)
         assert "negative_linear_term" in result.flags
         assert result.t_lower > 0
 
+    def test_underflowing_F0_is_a_parameter_error(self):
+        # (1e-200)**2 underflows to 0, though every term of F is positive
+        with pytest.raises(ParameterError,
+                           match=r"F\(E0\) underflows at E0=1e-200"):
+            lower_bound_integral(Denominator.of(((1.0, 2.0),)), 1e-200)
+        # a negative mu1 makes F(E0) negative; no positive term makes it 0
+        for den in (Denominator.of(((1.0, 2.0),), mu1=-1.0),
+                    Denominator.of(((0.0, 2.0),))):
+            with pytest.raises(NonpositiveDenominatorError):
+                lower_bound_integral(den, 1e-200)
+
     def test_rejects_nonpositive_E0(self):
         with pytest.raises(ParameterError):
-            lower_bound_integral(Denominator(((1.0, 2.0),)), 0.0)
+            lower_bound_integral(Denominator.of(((1.0, 2.0),)), 0.0)
 
     def test_json_keys(self):
         result = corollary2_bound(1.0, 1.0)
@@ -317,7 +332,7 @@ class TestGaussKronrodPass:
         eps = frac * max_admissible_epsilon(PARAMS, IDX_C13)
         den = odi_coefficients(PARAMS, IDX_C13, eps, 1.0).denominator()
         calls = quad_calls(monkeypatch)
-        result = lower_bound_integral(den, E0)
+        [result] = lower_bound_integral(den, E0)
         assert calls == []
         value, err, info = plain_quad(den, E0, result.S, full_output=1)
         assert info["neval"] == 21  # QUADPACK stops after its first pass too
@@ -326,14 +341,14 @@ class TestGaussKronrodPass:
 
     @pytest.mark.parametrize("den, E0, exact", [
         # slow decay over a long range
-        (Denominator(((1.0, 1.5), (1.0, 3.0))), 1.0, REF_C13_INTEGRAL),
+        (Denominator.of(((1.0, 1.5), (1.0, 3.0))), 1.0, REF_C13_INTEGRAL),
         # a negative linear term near the root of F = s**2 - s
-        (Denominator(((1.0, 2.0),), mu1=-1.0), 1.05, math.log(21.0)),
+        (Denominator.of(((1.0, 2.0),), mu1=-1.0), 1.05, math.log(21.0)),
     ], ids=["c13_reference", "near_root"])
     def test_rejected_pass_falls_back_to_quad(self, monkeypatch, den, E0,
                                               exact):
         calls = quad_calls(monkeypatch)
-        result = lower_bound_integral(den, E0)
+        [result] = lower_bound_integral(den, E0)
         assert len(calls) == 1
         assert result.quadrature_error == plain_quad(den, E0, result.S)[1]
         assert result.t_lower == pytest.approx(exact, rel=REL_TOL, abs=0)
@@ -341,9 +356,9 @@ class TestGaussKronrodPass:
     def test_overflowing_denominator_falls_back_to_quad(self, monkeypatch):
         # 100**300 overflows at the top of the range [10, 100]; the fallback
         # takes the integrand there as 0, without a RuntimeWarning
-        den = Denominator(((1.0, 1.5), (1.0, 300.0)))
+        den = Denominator.of(((1.0, 1.5), (1.0, 300.0)))
         calls = quad_calls(monkeypatch)
-        result = lower_bound_integral(den, 10.0)
+        [result] = lower_bound_integral(den, 10.0)
         assert len(calls) == 1
         with np.errstate(over="ignore"):
             assert result.t_lower == plain_quad(den, 10.0, result.S)[0]
@@ -352,10 +367,10 @@ class TestGaussKronrodPass:
 def per_term_loop(den, s):
     """F with one power call per term, added in the same order."""
     s = np.asarray(s, dtype=float)
-    out = np.full_like(s, den.c, dtype=float)
-    for coef, expo in den.terms:
+    out = np.full_like(s, den.c.item(), dtype=float)
+    for coef, expo in zip(den.coefs[:, 0].tolist(), den.expos[:, 0].tolist()):
         out += coef * s ** expo
-    out += den.mu1 * s
+    out += den.mu1.item() * s
     return out if out.ndim else float(out)
 
 
@@ -372,9 +387,9 @@ class TestDenominator:
         rng = np.random.default_rng(7)
         for _ in range(40):
             coefs = (10.0 ** rng.uniform(-4, 4, len(expos))).tolist()
-            den = Denominator(tuple(zip(coefs, expos)),
-                              float(rng.uniform(-3, 3)),
-                              float(rng.choice([0.0, rng.uniform(0, 5)])))
+            den = Denominator.of(tuple(zip(coefs, expos)),
+                                 float(rng.uniform(-3, 3)),
+                                 float(rng.choice([0.0, rng.uniform(0, 5)])))
             for s in (float(rng.uniform(0.01, 100)),
                       np.exp(rng.uniform(-3, 8, 21)),
                       np.exp(rng.uniform(-3, 3, (3, 4)))):
@@ -394,52 +409,74 @@ BATCH_ROWS = {
         PARAMS, IDX_C13, 0.5 * max_admissible_epsilon(PARAMS, IDX_C13),
         1.0).denominator(),
     # the pass is rejected and integrate.quad runs
-    "quad": Denominator(((1.0, 1.5), (1.0, 3.0)) + _PAD),
+    "quad": Denominator.of(((1.0, 1.5), (1.0, 3.0)) + _PAD),
     # 100**300 overflows at the top of the range [10, 100]
-    "overflowing": Denominator(((1.0, 1.5), (1.0, 300.0)) + _PAD),
+    "overflowing": Denominator.of(((1.0, 1.5), (1.0, 300.0)) + _PAD),
     # a negative linear term, scanned for a root and flagged
-    "negative_mu1": Denominator(((1.0, 1.5), (1.0, 2.0)) + _PAD, mu1=-0.5),
+    "negative_mu1": Denominator.of(((1.0, 1.5), (1.0, 2.0)) + _PAD, mu1=-0.5),
 }
 # F(10) = 100 - 100 = 0
-NONPOSITIVE = Denominator(((1.0, 2.0), (0.0, 1.5)) + _PAD, mu1=-10.0)
+NONPOSITIVE = Denominator.of(((1.0, 2.0), (0.0, 1.5)) + _PAD, mu1=-10.0)
 # no superlinear term with a positive coefficient
-DIVERGENT = Denominator(((2.0, 1.0), (0.0, 1.5)) + _PAD, c=1.0)
+DIVERGENT = Denominator.of(((2.0, 1.0), (0.0, 1.5)) + _PAD, c=1.0)
 # S = (2e-17)**(-100) is past float range
-OVERFLOWING_S = Denominator(((1e-3, 1.01), (1e-3, 1.01)) + _PAD)
+OVERFLOWING_S = Denominator.of(((1e-3, 1.01), (1e-3, 1.01)) + _PAD)
 # F(10) = 10**400 + ... is past float range
-OVERFLOWING_F0 = Denominator(((1.0, 1.5), (1.0, 400.0)) + _PAD)
+OVERFLOWING_F0 = Denominator.of(((1.0, 1.5), (1.0, 400.0)) + _PAD)
+
+
+def concat(dens) -> Denominator:
+    """The rows of `dens`, one number of terms, as one Denominator."""
+    return Denominator(*(np.concatenate([getattr(d, name) for d in dens],
+                                        axis=-1)
+                         for name in ("coefs", "expos", "mu1", "c")))
 
 
 def batch(dens, *args, **kwargs):
-    """lower_bound_integral on the DenominatorTable of `dens`."""
-    return lower_bound_integral(DenominatorTable.of(dens), *args, **kwargs)
+    """lower_bound_integral on the rows of `dens` as one Denominator."""
+    return lower_bound_integral(concat(dens), *args, **kwargs)
 
 
-def as_row(result):
-    """A lone denominator's BoundResult as the row of a batch: (t_lower, S,
-    quadrature_error, tail_upper, flags), or None."""
-    return result and (result.t_lower, result.S, result.quadrature_error,
-                       result.tail_upper, result.flags)
+def solo(dens, E0):
+    """Each denominator's one row, integrated alone."""
+    return [row for d in dens for row in lower_bound_integral(d, E0)]
 
 
 class TestBatchedIntegral:
-    """A DenominatorTable of K denominators is one batch, and each row's
-    result is bit for bit the one it gets alone."""
+    """A Denominator of K rows is one batch, and each row's result is bit
+    for bit the one it gets alone."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_batch_matches_solo_calls(self, monkeypatch):
         dens = list(BATCH_ROWS.values())
-        solo = [as_row(lower_bound_integral(d, 10.0)) for d in dens]
+        alone = solo(dens, 10.0)
         calls = quad_calls(monkeypatch)
         rows = batch(dens * 2, 10.0)
         assert len(calls) == 6  # quad, overflowing and negative_mu1, twice
-        assert rows == solo * 2  # every field, compared with ==
-        assert [row[4] for row in rows[:4]] == \
+        assert rows == alone * 2  # every field, compared with ==
+        assert [row.flags for row in rows[:4]] == \
             [(), (), (), ("negative_linear_term",)]
 
     def test_lone_denominator_is_a_batch_of_one(self):
         den = BATCH_ROWS["accepted"]
-        assert batch([den], 10.0) == [as_row(lower_bound_integral(den, 10.0))]
+        [row] = lower_bound_integral(den, 10.0)
+        assert isinstance(row, BoundResult)
+        assert batch([den], 10.0) == [row]
+
+    def test_take_gives_the_rows_alone(self):
+        dens = list(BATCH_ROWS.values())
+        both = concat(dens)
+        for k, den in enumerate(dens):
+            row = both.take([k])
+            for name in ("coefs", "expos", "mu1", "c"):
+                assert getattr(row, name).tolist() == \
+                    getattr(den, name).tolist()
+            assert row(3.0) == den(3.0)
+        assert both.take([3, 1]).mu1.tolist() == [-0.5, 0.0]
+
+    def test_only_one_row_is_called(self):
+        with pytest.raises(ValueError, match="4 rows"):
+            concat(BATCH_ROWS.values())(1.0)
 
     @pytest.mark.parametrize("rows, error", [
         ([NONPOSITIVE, DIVERGENT], NonpositiveDenominatorError),
@@ -460,7 +497,7 @@ class TestBatchedIntegral:
         good = BATCH_ROWS["accepted"]
         assert batch([OVERFLOWING_S, good, OVERFLOWING_S], 10.0,
                      skip=OverflowError) == \
-            [None, as_row(lower_bound_integral(good, 10.0)), None]
+            [None, *lower_bound_integral(good, 10.0), None]
         assert batch([OVERFLOWING_S], 10.0, skip=OverflowError) == [None]
         # only the exception types named are skipped
         with pytest.raises(NonpositiveDenominatorError):
@@ -469,9 +506,8 @@ class TestBatchedIntegral:
     def test_row_with_overflowing_F0_is_skipped(self):
         # alone, such a row is an E0 error; in a batch it is one bad row
         dens = list(BATCH_ROWS.values())
-        solo = [as_row(lower_bound_integral(d, 10.0)) for d in dens]
         assert batch([OVERFLOWING_F0, *dens, OVERFLOWING_F0], 10.0,
-                     skip=OverflowError) == [None, *solo, None]
+                     skip=OverflowError) == [None, *solo(dens, 10.0), None]
         with pytest.raises(OverflowError, match=r"F\(E0\) overflows"):
             batch(dens + [OVERFLOWING_F0], 10.0)
         with pytest.raises(ParameterError,
@@ -480,10 +516,6 @@ class TestBatchedIntegral:
         with pytest.raises(ParameterError,
                            match=r"F\(E0\) overflows at E0=10.0"):
             batch([OVERFLOWING_F0] * 2, 10.0, skip=OverflowError)
-
-    def test_rows_need_one_number_of_terms(self):
-        with pytest.raises(ParameterError, match="number of terms"):
-            batch([BATCH_ROWS["quad"], Denominator(((1.0, 2.0),))], 10.0)
 
 
 class TestOptimize:
@@ -731,8 +763,7 @@ class TestOneAtATimeOracle:
         batches = []
 
         def integral(den, *args, **kwargs):
-            if isinstance(den, odi.DenominatorTable):
-                batches.append(den.coefs.shape[1])
+            batches.append(den.coefs.shape[1])
             return lower_bound_integral(den, *args, **kwargs)
 
         monkeypatch.setattr(odi, "lower_bound_integral", integral)
@@ -800,7 +831,7 @@ class TestCorollaries:
     def test_corollary2_matches_generic_pipeline(self):
         eps = 0.5 * max_admissible_epsilon(PARAMS, IDX_C13)
         coeffs = odi_coefficients(PARAMS, IDX_C13, eps, 1.0)
-        generic = lower_bound_integral(coeffs.denominator(), 1.0)
+        [generic] = lower_bound_integral(coeffs.denominator(), 1.0)
         shortcut = corollary2_bound(1.0, 1.0)
         assert shortcut.t_lower == generic.t_lower
         assert shortcut.S == generic.S
@@ -819,3 +850,34 @@ class TestCorollaries:
     def test_corollary1_rejects_small_p(self):
         with pytest.raises(ParameterError):
             corollary1_bound(1.0, 1.0, 1.0)
+
+
+# SHA-256 of repr of every BoundResult field, recorded at commit f9ee73d:
+# the 48 corollary bound queries of the benchmark (its 8 points at its 6
+# E0), each through the command line's bound path with C_GN estimated on
+# the default grid, then optimize_bound at the four points of
+# test_pinned_optimum
+BOUND_RESULTS_SHA256 = \
+    "004e3d167d585a95e4c334da537239424a734a6339a0c76c481ef91b0276347d"
+
+
+def test_bound_results_pinned():
+    digest, memo = hashlib.sha256(), {}
+    results = []
+    for text in [f"model.dim = {n}\nbound.corollary = 1\nindices.p = {p}\n"
+                 for n, p in ((3, 3), (3, 4), (4, 4), (5, 5))] + \
+                [f"model.dim = {n}\nbound.corollary = 2\n"
+                 for n in (3, 4, 5, 6)]:
+        cfg, _ = cfgmod.parse_config_text(text)
+        for E0 in (0.1, 0.3, 1.0, 3.0, 10.0, 100.0):
+            results.append(cli.bound_from_config(
+                cfg, cfgmod.build_model(cfg), cfgmod.build_grid(cfg),
+                cli.resolve_indices(cfg), E0, memo)[0])
+    for n, p, q in ((3, 2.0, 4.0), (3, 3.0, 6.0), (4, 3.0, 6.0),
+                    (5, 4.0, 8.0)):
+        results.append(optimize_bound(ModelParams(chi=1.0, xi=1.0, dim=n),
+                                      p, q, 1.0, 1.0))
+    for result in results:
+        for field in fields(BoundResult):
+            digest.update(repr(getattr(result, field.name)).encode() + b"\n")
+    assert digest.hexdigest() == BOUND_RESULTS_SHA256

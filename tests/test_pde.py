@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,15 @@ class TestGrid:
     def test_rejects_low_dimension(self):
         with pytest.raises(ParameterError):
             make_grid(2, 1.0, 16)
+
+    # R**n underflows to 0 at 1e-300 and overflows at 1e103; at 1e100 the
+    # couplings face area / (measure * dr) underflow to 0.  The check warns
+    # of none of it: a RuntimeWarning fails the suite
+    @pytest.mark.parametrize("R", [1e-300, 1e100, 1e103])
+    def test_rejects_radius_past_float_range(self, R):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"R={R!r} with M=8 shells")):
+            make_grid(3, R, 8)
 
 
 class TestInitState:
