@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -45,18 +44,19 @@ def _power_sums(s, coefs, expos, fast, c, mu1):
 
     Every power is taken in one call and every product in another, and the
     terms are added one at a time in that order (numpy's sum would add
-    pairwise; its cumsum would not, but is slower on these shapes), so each
-    value is the one a loop over the terms gives, bit for bit.  coefs and
-    expos hold the J terms on their first axis; the rest of their shape, s,
-    c and mu1 broadcast together.
+    pairwise), so each value is the one a loop over the terms gives, bit for
+    bit.  coefs and expos hold the J terms on their first axis; the rest of
+    their shape, s, c and mu1 broadcast together.
     """
     powers = s ** expos
     for e in fast:
         np.copyto(powers, _FAST_POWERS[e](s), where=expos == e)
-    out = c
-    for term in np.multiply(coefs, powers, out=powers):
-        out = out + term
-    return out + mu1 * s
+    terms = np.multiply(coefs, powers, out=powers)
+    out = c + terms[0]
+    for term in terms[1:]:
+        out += term
+    out += mu1 * s
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +68,14 @@ class Denominator:
     expos: np.ndarray
     mu1: np.ndarray    # (K,), as c
     c: np.ndarray
+    # the exponents of _FAST_POWERS among the terms, or more of them (a
+    # power without its exponent is never taken); found unless given
+    fast: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.fast is None:
+            object.__setattr__(self, "fast", tuple(
+                e for e in _FAST_POWERS if (self.expos == e).any()))
 
     @classmethod
     def of(cls, terms, mu1: float = 0.0, c: float = 0.0) -> Denominator:
@@ -76,16 +84,10 @@ class Denominator:
         return cls(terms[:, :1], terms[:, 1:], np.array([mu1], float),
                    np.array([c], float))
 
-    @cached_property
-    def fast(self) -> tuple[float, ...]:
-        """The exponents of _FAST_POWERS among the terms."""
-        used = set(self.expos.ravel().tolist())
-        return tuple(e for e in _FAST_POWERS if e in used)
-
     def take(self, rows) -> Denominator:
         """The sub-batch of the given rows, in their order."""
         return Denominator(self.coefs[:, rows], self.expos[:, rows],
-                           self.mu1[rows], self.c[rows])
+                           self.mu1[rows], self.c[rows], self.fast)
 
     def __call__(self, s):
         """F at s, a number or an array, of a one-row denominator."""
@@ -122,15 +124,19 @@ class OdiCoefficients:
         return {"m": self.m, "m_i": list(self.m_i), "mu1": self.mu1, "c": self.c}
 
 
-QUADPACK_REL_FLOOR = 50.0 * np.finfo(float).eps  # smallest epsrel it takes
+# the smallest epsrel QUADPACK takes; a Python float, so that the error
+# estimates it floors stay floats
+QUADPACK_REL_FLOOR = 50.0 * math.ulp(1.0)
 REL_TOL = 1e-10    # relative error the bound integral must meet
 TAIL_TOL = 1e-12   # tail budget that sets the truncation point S
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundResult:
     """A truncated bound integral; `bound_at_indices` and `optimize_bound`
-    attach the indices and coefficients it was assembled from."""
+    attach the indices and coefficients it was assembled from.  Not frozen:
+    the search builds one for every candidate it scores, and a frozen one
+    costs four times as much to build."""
 
     t_lower: float
     S: float
@@ -216,8 +222,10 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
     eps_max = _zeta_split(params, p, q, s1, etas)[2]
     if math.isnan(epsilon):
         epsilon = 0.5 * eps_max.item()
-    den, (error,) = _coefficient_table(
-        params, p, q, etas, np.array([epsilon], float), eps_max, C_GN)
+    with np.errstate(all="ignore"):
+        den, (error,) = _coefficient_table(
+            _Assembly(params, p, q, C_GN), etas, np.array([epsilon], float),
+            eps_max)
     if error:
         raise error
     if params.delta != params.beta or params.gamma != params.alpha:
@@ -231,15 +239,21 @@ def odi_coefficients(params: ModelParams, indices: EnergyIndices,
                            tuple(expos[4:]), epsilon, C_GN)
 
 
-def _powers(bases, exps, errors: list):
-    """bases ** exps by Python's float power, element by element (numpy's
-    power of arrays differs in the last bit on some inputs), for exps (K,) or
-    (J, K) and bases a number or (K,).  A row k with an error in errors[k]
-    gives nan, and a power that raises records its error there."""
+def _powers(bases: list, exps, errors: list):
+    """bases[i] ** exps.flat[i] by Python's float power, element by element
+    (numpy's power of arrays differs in the last bit on some inputs), for
+    exps (K,) or (J, K), as an array of its shape.  Element i is in row
+    i % K: a row with an error in errors[k] gives nan, and a power that
+    raises records its error there."""
     e = exps.ravel().tolist()
-    b = bases.tolist() if isinstance(bases, np.ndarray) else [bases]
+    if not any(errors):
+        try:
+            return np.array([x ** y for x, y in zip(bases, e)]
+                            ).reshape(exps.shape)
+        except ArithmeticError:
+            pass  # take them one at a time to record which rows raise
     out = []
-    for i, (x, y) in enumerate(zip(b * (len(e) // len(b)), e)):
+    for i, (x, y) in enumerate(zip(bases, e)):
         try:
             out.append(math.nan if errors[i % len(errors)] else x ** y)
         except ArithmeticError as exc:
@@ -248,32 +262,56 @@ def _powers(bases, exps, errors: list):
     return np.array(out).reshape(exps.shape)
 
 
-def _coefficient_table(params: ModelParams, p: float, q: float, etas,
-                       epsilon, eps_max, C_GN: float):
-    """The one assembly of F's coefficients, for K rows of (4, K) etas at one
-    (p, q) with (K,) arrays of epsilon and its supremum: the rows'
+class _Assembly:
+    """What the coefficient tables at one (params, p, q, C_GN) share, worked
+    out once: the C_GN check, M, the etas' coefficient m = C_GN * M, and the
+    mu1 and c columns of each number of rows."""
+
+    def __init__(self, params: ModelParams, p: float, q: float, C_GN: float):
+        if not 0 < C_GN < math.inf:
+            raise ParameterError(
+                f"C_GN must be positive and finite, got {C_GN}")
+        self.params, self.n, self.C_GN = params, params.dim, C_GN
+        self.M = max(p * (params.xi ** 2 + params.chi ** 2),
+                     (self.n / 4.0 + q - 2.0)
+                     * (params.alpha ** 2 + params.beta ** 2))
+        self.m, self._columns = C_GN * self.M, {}
+
+    def columns(self, K: int):
+        if K not in self._columns:
+            self._columns[K] = (np.full(K, self.params.mu1, float),
+                                np.full(K, 2.0 * self.params.boundary_c))
+        return self._columns[K]
+
+
+def _coefficient_table(asm: _Assembly, etas, epsilon, eps_max):
+    """The one assembly of F's coefficients, for K rows of (4, K) etas, each
+    in (1, 1 + 2/n), with (K,) arrays of epsilon and its supremum: the rows'
     Denominator (m at the etas, then the m_i at the k exponents) and the
     OverflowError of each, or None.  Python takes the powers and numpy every
     other step in the order of a row alone, so each row is bit for bit the
-    row alone."""
-    for e, e_max in zip(epsilon.tolist(), eps_max.tolist()):
-        if not 0 < e < e_max:
-            raise EpsilonError(
-                f"epsilon={e} outside admissible range (0, {e_max})")
-    if not 0 < C_GN < math.inf:
-        raise ParameterError(f"C_GN must be positive and finite, got {C_GN}")
-    n, K, errors = params.dim, len(epsilon), [None] * len(epsilon)
-    M = max(p * (params.xi ** 2 + params.chi ** 2),
-            (n / 4.0 + q - 2.0) * (params.alpha ** 2 + params.beta ** 2))
-    with np.errstate(all="ignore"):  # nan rows, and products past float range
-        denom = n + 2 - n * etas
-        c3 = (denom / 2.0) * _powers(C_GN, 2.0 / denom, errors)
-        m_i = M * c3 * _powers(epsilon, -h_exponent(etas, n), errors)
-        expos = np.concatenate((etas, k_exponent(etas, n)))
-    return Denominator(
-        np.concatenate((np.full(etas.shape, C_GN * M), m_i)), expos,
-        np.full(K, params.mu1, float), np.full(K, 2.0 * params.boundary_c)), \
-        errors
+    row alone.  The caller ignores numpy's floating-point errors: nan rows,
+    and products past float range."""
+    if not ((0 < epsilon) & (epsilon < eps_max)).all():
+        for e, e_max in zip(epsilon.tolist(), eps_max.tolist()):
+            if not 0 < e < e_max:
+                raise EpsilonError(
+                    f"epsilon={e} outside admissible range (0, {e_max})")
+    n, K, errors = asm.n, len(epsilon), [None] * len(epsilon)
+    denom = n + 2 - n * etas
+    # C_GN**(2/denom), then epsilon**(-h), in one call
+    powers = _powers([asm.C_GN] * etas.size + epsilon.tolist() * 4,
+                     np.concatenate((2.0 / denom, -h_exponent(etas, n))),
+                     errors)
+    coefs = np.empty((8, K))
+    coefs[:4] = asm.m
+    np.multiply(asm.M * ((denom / 2.0) * powers[:4]), powers[4:],
+                out=coefs[4:])
+    k = k_exponent(etas, n)
+    # the etas lie below 5/3 and k above 1, so of _FAST_POWERS only a k of
+    # 2 can be one
+    return Denominator(coefs, np.concatenate((etas, k)), *asm.columns(K),
+                       (2.0,) if (k == 2.0).any() else ()), errors
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: the Kronrod
@@ -285,7 +323,6 @@ _NODES = [
     0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
     0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
     0.14887433898163122, 0.0]
-GK21_NODES = np.array(_NODES + [-x for x in _NODES[9::-1]])
 _KRONROD = [
     0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
     0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
@@ -298,77 +335,118 @@ _GAUSS = np.array([
 # dqk21 folds each node with its mirror, g(x_j) + g(-x_j), then adds the
 # terms of each sum one at a time: the Kronrod sums take the centre, the
 # Gauss pairs, then the other pairs; the spread sum takes the centre, then
-# the pairs outside in.  Positions index the folded rule, whose centre is
-# last; folding counts the centre twice, so its weight is halved (exactly).
-_FOLDED_WEIGHTS = np.array(_KRONROD[:10] + [0.5 * _KRONROD[10]])
+# the pairs outside in.  The 22 nodes are laid out so that folding, g[:11] +
+# g[11:], gives the Kronrod order: the centre and the positive nodes in that
+# order, then the centre again and their mirrors.  Folding counts the
+# centre twice, so its weight is halved (exactly).
 _KRONROD_ORDER = [10, 1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
-_SPREAD_ORDER = [10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
-
-
-def _fold(g):
-    """g at the 21 nodes of its last axis folded onto positions 0..10
-    (g[..., :9:-1] runs from the last node back to the centre)."""
-    return g[..., :11] + g[..., :9:-1]
-
-
-def _ordered_sum(terms, order=None):
-    """The terms on the last axis added one at a time, taken in `order` if
-    given (np.add.accumulate adds in order; np.sum would add pairwise)."""
-    if order is not None:
-        terms = terms.take(order, axis=-1)
-    return np.add.accumulate(terms, axis=-1)[..., -1]
-
+_GK_NODES = np.array([_NODES[j] for j in _KRONROD_ORDER]
+                     + [-_NODES[j] for j in _KRONROD_ORDER])
+_FOLDED_WEIGHTS = np.array([0.5 * _KRONROD[10]]
+                           + [_KRONROD[j] for j in _KRONROD_ORDER[1:]])
+_GAUSS_PAIRS = slice(1, 6)
+_SPREAD_ORDER = [_KRONROD_ORDER.index(j) for j in [10, *range(10)]]
 
 # dqk21 floors its error estimate at 50 eps * resabs above this resabs
 _FLOORED_RESABS = np.finfo(float).tiny / QUADPACK_REL_FLOOR
+# dqagse stops at its first pass with a round-off error (ier = 2) when the
+# error is at most this many eps * resabs, yet above the tolerance
+_ROUNDOFF = 100.0 * math.ulp(1.0)
 
 
-def _gk21_first_pass(den: Denominator, x_lo: float, x_hi: list[float],
-                     rel_tol: float) -> list[tuple[float, float] | None]:
-    """The first step of QUADPACK's dqagse on the integral of e^x / F(e^x)
-    over [x_lo, x_hi[k]] for each of the K rows F of `den`: one dqk21 pass
-    with its error estimate, with F at all K x 21 nodes taken in one call.
-    The integrand values and the order of every sum are those of
-    integrate.quad, so an accepted pass returns quad's value and error bit
-    for bit.  A row's entry is (value, error) when dqagse would accept its
-    pass at epsabs = 0, else None, as when F or the integrand is not finite
-    at a node."""
-    x_hi = np.array(x_hi)
-    centre, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
-    x = (centre[:, None] + half[:, None] * GK21_NODES).ravel().tolist()
+def _dqk21(den: Denominator, lo, hi) -> list[tuple]:
+    """QUADPACK's dqk21 on the integral of e^x / F(e^x) over [lo, hi[k]]
+    for each row F of `den` (lo a number or (K,), hi (K,)), with F at all
+    its nodes taken in one call: for each row, its value, error estimate,
+    resabs and resasc, whether F is finite at every node, and whether it is
+    NaN at one.  The integrand values and the order of every sum are those
+    of integrate.quad, bit for bit."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = (centre[:, None] + half[:, None] * _GK_NODES).ravel().tolist()
+    # math.exp, not np.exp: the two differ in the last bit at some nodes
+    s = np.fromiter(map(math.exp, x), float, len(x)).reshape(-1, 22)
+    F = _power_sums(s, den.coefs[..., None], den.expos[..., None], den.fast,
+                    den.c[:, None], den.mu1[:, None])
+    f = np.empty((2, *s.shape))  # the integrand and its absolute value
+    np.abs(np.divide(s, F, out=f[0]), out=f[1])
     w = _FOLDED_WEIGHTS
-    with np.errstate(all="ignore"):
-        # math.exp, not np.exp: the two differ in the last bit at some nodes
-        s = np.fromiter(map(math.exp, x), float, len(x)).reshape(-1, 21)
-        F = _power_sums(s, den.coefs[..., None], den.expos[..., None],
-                        den.fast, den.c[:, None], den.mu1[:, None])
-        finite = np.isfinite(F).all(axis=1).tolist()
-        f = s / F
-        pairs = _fold(f)
-        res_k = _ordered_sum(w * pairs, _KRONROD_ORDER)
-        res_g = _ordered_sum(_GAUSS * pairs[:, 1:10:2])
-        res_abs = _ordered_sum(w * _fold(np.abs(f)), _KRONROD_ORDER)
-        res_asc = _ordered_sum(w * _fold(np.abs(f - 0.5 * res_k[:, None])),
-                               _SPREAD_ORDER)
-    values = (res_k * half).tolist()  # half > 0: S exceeds E0
-    errs = np.abs((res_k - res_g) * half).tolist()
-    res_abs, res_asc = (half * res_abs).tolist(), (half * res_asc).tolist()
-    passes = []
-    for ok, value, err, r_abs, r_asc in zip(finite, values, errs, res_abs,
-                                            res_asc):
-        if not ok:
-            passes.append(None)
-            continue
+    pairs = f[..., :11] + f[..., 11:]
+    res_k, res_abs = np.add.accumulate(w * pairs, axis=-1)[..., -1]
+    res_g = np.add.accumulate(_GAUSS * pairs[0, :, _GAUSS_PAIRS],
+                              axis=-1)[:, -1]
+    spread = np.abs(f[0] - 0.5 * res_k[:, None])
+    res_asc = np.add.accumulate((w * (spread[:, :11] + spread[:, 11:]))
+                                .take(_SPREAD_ORDER, axis=-1), axis=-1)[:, -1]
+    sums = np.array((res_k, res_k - res_g, res_abs, res_asc)) * half
+    out = []
+    for k, (value, err, r_abs, r_asc, finite) in enumerate(zip(
+            *sums.tolist(), np.isfinite(F).all(axis=1).tolist())):
+        nan = not finite and bool(np.isnan(F[k]).any())
+        err = abs(err)  # half > 0: S exceeds E0
         if r_asc != 0 and err != 0:
-            err = r_asc * min(1.0, (200.0 * err / r_asc) ** 1.5)
+            # min(1, t**1.5) is min(1, t)**1.5, which cannot overflow
+            err = r_asc * min(1.0, 200.0 * err / r_asc) ** 1.5
         # dqk21's round-off floor is the same 50 eps that bounds epsrel
         if r_abs > _FLOORED_RESABS:
             err = max(QUADPACK_REL_FLOOR * r_abs, err)
-        # dqagse's first-pass test; its `abserr != resabs` is dqk21's res_asc
-        accepted = (math.isfinite(value) and err <= rel_tol * abs(value)
-                    and err != r_asc)
-        passes.append((value, float(err)) if accepted else None)
-    return passes
+        out.append((value, err, r_abs, r_asc, finite, nan))
+    return out
+
+
+def _integrate(den: Denominator, x_lo: float, x_hi: list[float]
+               ) -> list[tuple[float, float] | None]:
+    """The integral of e^x / F(e^x) over [x_lo, x_hi[k]] for each row F of
+    `den` to a relative error of REL_TOL, as integrate.quad gives it at
+    epsabs = 0, bit for bit: (value, error), or None where F is NaN at a node
+    or the value or error is not finite.
+
+    QUADPACK's dqagse takes dqk21 on the range, and stops if its error is
+    within the tolerance and is not dqk21's resasc, or is 0.  Else it
+    bisects the range, takes dqk21 on both halves, and stops if their summed
+    error is within the tolerance of their summed value.  Both steps are
+    taken here for all rows at once, as far as F is finite at their nodes;
+    quad runs on the rows that neither settles, and first redoes them."""
+    ends = np.array(x_hi)
+    first = _dqk21(den, x_lo, ends)
+    out, second, fallback = [None] * len(first), [], []
+    for k, (value, err, r_abs, r_asc, finite, nan) in enumerate(first):
+        tol = REL_TOL * abs(value)
+        if nan:
+            continue
+        if finite and (err <= tol and err != r_asc or err == 0):
+            out[k] = (value, err)
+        # dqagse stops on round-off here (ier = 2): quad returns this pass
+        elif finite and not tol < err <= _ROUNDOFF * r_abs:
+            second.append(k)
+        else:
+            fallback.append(k)
+    if second:
+        # dqagse's bookkeeping at last = 2, in its order: the halves' value
+        # and error replace the range's in the running sums
+        hi = ends[second]
+        mid = 0.5 * (x_lo + hi)
+        halves = _dqk21(den.take(np.repeat(second, 2)),
+                        np.stack((np.full_like(mid, x_lo), mid), 1).ravel(),
+                        np.stack((mid, hi), 1).ravel())
+        for k, (v1, e1, *_, fin1, nan1), (v2, e2, *_, fin2, nan2) in zip(
+                second, halves[::2], halves[1::2]):
+            if nan1 or nan2:
+                continue
+            r0, e0 = first[k][:2]
+            area, errsum = (r0 + (v1 + v2)) - r0, (e0 + (e1 + e2)) - e0
+            if fin1 and fin2 and errsum <= REL_TOL * abs(area):
+                out[k] = ((0.0 + v1) + v2, errsum)
+            else:
+                fallback.append(k)
+    for k in fallback:
+        # imported at the first fallback: a settled row needs no scipy
+        from scipy import integrate
+        row = den.take([k])
+        out[k] = integrate.quad(lambda x: (s := math.exp(x)) / row(s), x_lo,
+                                x_hi[k], epsabs=0.0, epsrel=REL_TOL,
+                                limit=500)[:2]
+    return [o if o and math.isfinite(o[0]) and math.isfinite(o[1]) else None
+            for o in out]
 
 
 def _truncation(den: Denominator, E0: float, F0,
@@ -395,19 +473,21 @@ def _truncation(den: Denominator, E0: float, F0,
         errors[k] = errors[k] or DivergenceError(
             "no superlinear power term with positive coefficient; "
             "the bound integral diverges")
-    drain = den.mu1 < 0
-    with np.errstate(all="ignore"):  # in rows that have an error
-        scale = A_dom * (a_dom - 1.0)
-        S = _powers(scale * TAIL_TOL, -1.0 / (a_dom - 1.0), errors)
-        if drain.any():
-            # keep the linear drain below half the dominant term at S (the
-            # other rows take 1 ** x, which never raises)
-            S = np.where(drain, np.maximum(S, _powers(
-                np.where(drain, 2.0 * np.abs(den.mu1) / A_dom, 1.0),
-                1.0 / (a_dom - 1.0), errors)), S)
+    drains = den.mu1 < 0
+    drain = drains.tolist()
+    am1 = a_dom - 1.0
+    scale = A_dom * am1
+    S = _powers((scale * TAIL_TOL).tolist(), -1.0 / am1, errors)
+    if any(drain):
+        # keep the linear drain below half the dominant term at S (the other
+        # rows take 1 ** x, which never raises)
+        S = np.where(drains, np.maximum(S, _powers(
+            np.where(drains, 2.0 * np.abs(den.mu1) / A_dom, 1.0).tolist(),
+            1.0 / am1, errors)), S)
     S = np.maximum(S, 10.0 * E0) if truncation_point is None else \
         np.full(len(errors), float(truncation_point))
-    for k in [k for k, d in enumerate(drain.tolist()) if d and not errors[k]]:
+    S = S.tolist()
+    for k in [k for k, d in enumerate(drain) if d and not errors[k]]:
         row, s_scan = den.take([k]), np.geomspace(E0, S[k], 512)
         vals = row(s_scan) <= 0
         if vals.any():
@@ -417,9 +497,12 @@ def _truncation(den: Denominator, E0: float, F0,
             root = brentq(row, s_scan[idx - 1], s_scan[idx]) if idx else E0
             errors[k] = NonpositiveDenominatorError(
                 f"denominator vanishes at s={root}", root=root)
-    tail_upper = (1.0 + drain) * _powers(S, 1.0 - a_dom, errors) / scale
-    flags = [("negative_linear_term",) * d for d in drain.tolist()]
-    return S.tolist(), tail_upper.tolist(), flags, errors
+    tail_upper = _powers(S, -am1, errors)  # -am1 is 1 - a, exactly
+    if any(drain):
+        tail_upper = (1.0 + drains) * tail_upper
+    tail_upper = tail_upper / scale
+    flags = [("negative_linear_term",) * d for d in drain]
+    return S, tail_upper.tolist(), flags, errors
 
 
 def lower_bound_integral(den: Denominator, E0: float,
@@ -433,17 +516,18 @@ def lower_bound_integral(den: Denominator, E0: float,
     dominant power term (coefficient A, exponent a) fall below TAIL_TOL,
     unless `truncation_point` fixes it.  The reported value excludes the
     tail, so it always under-estimates the exact improper integral.  The
-    integral is taken in ln s, to a relative error of REL_TOL: QUADPACK's
-    first 21-point Gauss-Kronrod pass, evaluated in numpy, when dqagse would
-    accept it, else integrate.quad; quadrature_error is the error estimate
-    of whichever ran.
+    integral is taken in ln s, to a relative error of REL_TOL, by _integrate:
+    QUADPACK's first 21-point Gauss-Kronrod pass and its first bisection,
+    evaluated in numpy, when dqagse would accept one of them, else
+    integrate.quad; quadrature_error is the error estimate of whichever ran.
 
     Each row's result is bit for bit its own alone, and the rows are checked
-    in order before any is integrated: the first that fails raises what it
-    raises alone, unless it raises one of the types `skip`, which gives
-    None.  F(E0) overflowing in every row is a ParameterError, and in one
-    row of several an OverflowError; a zero F(E0) of nonnegative terms,
-    some positive, underflowed, and is a ParameterError too."""
+    in order: the first that fails raises what it raises alone, unless it
+    raises one of the types `skip`, which gives None.  F(E0) overflowing in
+    every row is a ParameterError, and in one row of several an
+    OverflowError, as is an F that is NaN at a node or an integral that is
+    not finite; a zero F(E0) of nonnegative terms, some positive,
+    underflowed, and is a ParameterError too."""
     if not 0 < E0 < math.inf:
         raise ParameterError(f"E0 must be positive and finite, got {E0}")
     if not 10.0 * E0 < math.inf:
@@ -451,35 +535,29 @@ def lower_bound_integral(den: Denominator, E0: float,
                              f"past float range")
     if truncation_point is not None and not truncation_point > E0:
         raise ParameterError("truncation_point must exceed E0")
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):  # an F out of float range is checked
         F0 = _power_sums(np.asarray(E0, dtype=float), den.coefs, den.expos,
                          den.fast, den.c, den.mu1)
-    if not np.isfinite(F0).any():
-        raise ParameterError(f"F(E0) overflows at E0={E0!r}")
-    S, tail_upper, flags, errors = _truncation(den, E0, F0, truncation_point)
+        if not np.isfinite(F0).any():
+            raise ParameterError(f"F(E0) overflows at E0={E0!r}")
+        S, tail_upper, flags, errors = _truncation(den, E0, F0,
+                                                   truncation_point)
+        kept = [k for k, error in enumerate(errors) if error is None]
+        # integrate in log space: s = exp(x) keeps the long upper range tame
+        integrals = _integrate(den if len(kept) == len(errors) else
+                               den.take(kept), math.log(E0),
+                               [math.log(S[k]) for k in kept])
+    rows = [None] * len(errors)
+    for k, integral in zip(kept, integrals):
+        if integral is None:
+            errors[k] = OverflowError(
+                f"F leaves float range on the bound integral from E0={E0!r}")
+        else:
+            rows[k] = BoundResult(integral[0], S[k], integral[1],
+                                  tail_upper[k], None, None, flags[k])
     for error in errors:
         if error is not None and not isinstance(error, skip):
             raise error
-    kept = [k for k, error in enumerate(errors) if error is None]
-
-    # integrate in log space: s = exp(x) keeps the long upper range tame
-    x_lo = math.log(E0)
-    passes = _gk21_first_pass(den if len(kept) == len(errors) else
-                              den.take(kept),
-                              x_lo, [math.log(S[k]) for k in kept], REL_TOL)
-    rows = [None] * len(errors)
-    for k, accepted in zip(kept, passes):
-        if accepted is None:
-            # imported at the first fallback: an accepted pass needs no scipy
-            from scipy import integrate
-            # an overflowing F makes the integrand 0, as in the pass above
-            with np.errstate(over="ignore"):
-                accepted = integrate.quad(
-                    lambda x, row=den.take([k]): (s := math.exp(x)) / row(s),
-                    x_lo, math.log(S[k]), epsabs=0.0, epsrel=REL_TOL,
-                    limit=500)
-        rows[k] = BoundResult(accepted[0], S[k], accepted[1], tail_upper[k],
-                              flags=flags[k])
     return rows
 
 
@@ -497,6 +575,7 @@ BOUNDARY_MARGIN = 1e-3  # fraction of box width and of sup epsilon kept off
 SWEEP_LEVELS = 3    # sweeps (steps d, d/2, d/4) scored as one batch
 
 
+@np.errstate(all="ignore")  # nan rows, and products past float range
 def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
                    C_GN: float):
     """Maximize the bound over admissible (s1, s2): a coarse grid, then a
@@ -520,19 +599,23 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
         raise InfeasibleError(
             f"empty admissible (s1, s2) box for n={n}, p={p}, q={q}")
 
+    asm, top = _Assembly(params, p, q, C_GN), 1.0 + 2.0 / n
+
     def score(s1, s2):
         """(BoundResult, s1, s2, epsilon) of each candidate clamped into
         [lo, hi], or None if its coefficients, S or F(E0) overflow."""
-        s1, s2 = np.clip(s1, lo1, hi1), np.clip(s2, lo2, hi2)
+        # np.clip's value, at a third of its cost
+        s1 = np.minimum(np.maximum(s1, lo1), hi1)
+        s2 = np.minimum(np.maximum(s2, lo2), hi2)
         etas = np.array(eta_formulas(p, q, s1, s2))
-        for k in np.flatnonzero(~((1.0 < etas) & (etas < 1.0 + 2.0 / n))
-                                .all(axis=0)).tolist():
+        inside = (1.0 < etas) & (etas < top)
+        if not inside.all():
+            k = inside.all(axis=0).tolist().index(False)
             raise ParameterError(f"s1={s1[k]}, s2={s2[k]} are not "
                                  f"admissible for n={n}, p={p}, q={q}")
         eps_max = _zeta_split(params, p, q, s1, etas)[2]
         eps = (1.0 - mar) * eps_max
-        den, errors = _coefficient_table(params, p, q, etas, eps, eps_max,
-                                         C_GN)
+        den, errors = _coefficient_table(asm, etas, eps, eps_max)
         # a row whose eps**(-h) or C_GN power overflows is left out, not all
         if all(errors):
             raise ParameterError(f"C_GN={C_GN!r} overflows the bound's "
@@ -553,7 +636,10 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
     best = max(filter(None, score(s1, s2)), key=lambda c: c[0].t_lower,
                default=None)
     if best is None:
-        raise InfeasibleError("no admissible candidate found in the box")
+        # every candidate was left out: its coefficients, S, F(E0) or the
+        # integral leave float range
+        raise InfeasibleError(f"C_GN={C_GN!r} overflows the bound at every "
+                              f"(s1, s2) candidate in the box")
 
     d1, d2 = 0.25 * w1, 0.25 * w2
     sweeps = []  # the scored sweeps of the batch still to be taken

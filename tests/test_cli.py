@@ -3,6 +3,7 @@
 import collections
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -337,11 +338,13 @@ class TestBound:
             "config error: unknown key 'quad.rel_tol'\n")
 
     # epsilon**(-h) in the m_i, C_GN**(2/denom) in C3, and the truncation
-    # point S of the integral (verify-odi builds no integral) overflow
+    # point S of the integral (verify-odi builds no integral) overflow; at
+    # C_GN = 1e-100 the m_i underflow to 0 and their powers overflow on the
+    # range, so F is nan there (0 * inf), which is no bound either
     @pytest.mark.parametrize("command, epsilon, C_GN", [
         ("bound", "1e-300", "1"), ("verify-odi", "1e-300", "1"),
         ("bound", "nan", "1e300"), ("verify-odi", "nan", "1e300"),
-        ("bound", "nan", "1e-300")])
+        ("bound", "nan", "1e-300"), ("bound", "nan", "1e-100")])
     def test_overflowing_value_usage_error(self, capsys, command, epsilon,
                                            C_GN):
         # verify-odi reads no E0: it takes no --E0
@@ -369,6 +372,18 @@ class TestBound:
         assert capsys.readouterr().err == (
             "config error: indices.epsilon unset (half its supremum) with "
             "C_GN=1e+300 overflows the bound\n")
+
+    def test_optimize_leaves_out_candidates_with_nan_F(self, capsys):
+        # some candidates' F is nan on the range (an m_i that underflows to
+        # 0 times a power that overflows): they are left out, and no nan
+        # reaches the payload
+        code = main(["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
+                     "--E0", "1", "--set", "bound.C_GN=1e-30"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=pytest.fail)
+        assert 0 < payload["t_lower"] < math.inf
+        assert 0 < payload["quad_error"] < math.inf
 
     def test_optimize_dominates_corollary1(self, capsys):
         common = ["-n", "3", "-p", "2", "--E0", "1", "--set", "bound.C_GN=1"]
@@ -433,6 +448,11 @@ NAMED = {
     "optimize-C_GN=1e300": (["optimize-bound", "-n", "3", "-p", "2", "-q",
                              "4", "--E0", "1", "--set", "bound.C_GN=1e300",
                              "--set", "grid.shells=8"], "C_GN=1e+300"),
+    # the truncation point of every candidate overflows
+    "optimize-C_GN=1e-300": (["optimize-bound", "-n", "3", "-p", "2", "-q",
+                              "4", "--E0", "1", "--set", "bound.C_GN=1e-300",
+                              "--set", "grid.shells=8"],
+                             "C_GN=1e-300 overflows the bound"),
     "embed-epsilon=nan": (["verify-embed", "-n", "3", "--eta", "1.5",
                            "--set", "verify.epsilon=nan"],
                           "verify.epsilon must be positive and finite"),
@@ -1259,6 +1279,16 @@ class TestColdStart:
         out = json.loads(self.fresh_python(tmp_path, DGTSV_IDENTITY, first))
         assert out == {"linalg_loaded": first == "scipy.linalg",
                        "same": True, "x": [0.5, 0.0, 0.5]}
+
+    def test_unit_coupling_search_loads_no_scipy(self, tmp_path):
+        # every row the first Gauss-Kronrod pass rejects here is settled
+        # by QUADPACK's first bisection, taken in numpy
+        [run] = self.fresh_run(
+            tmp_path, ["optimize-bound", "-n", "3", "-p", "3", "-q", "6",
+                       "--E0", "1", "--set", "model.chi=1",
+                       "--set", "model.xi=1", "--set", "bound.C_GN=1"])
+        assert run["code"] == 0
+        assert run["loaded"] == []
 
     def test_quad_fallback_matches_in_process(self, tmp_path, capsys):
         # some of this query's rows fall back to integrate.quad

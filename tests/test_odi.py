@@ -1,6 +1,8 @@
 """Coefficient assembly and lower-bound quadrature."""
 
+import contextlib
 import hashlib
+import io
 import math
 import warnings
 from dataclasses import fields
@@ -322,9 +324,9 @@ class TestLowerBoundIntegral:
 
 
 class TestGaussKronrodPass:
-    """lower_bound_integral first tries QUADPACK's first 21-point
-    Gauss-Kronrod pass in numpy and calls integrate.quad only when dqagse
-    would not accept that pass."""
+    """lower_bound_integral takes QUADPACK's first 21-point Gauss-Kronrod
+    pass, and its first bisection, in numpy, and calls integrate.quad only
+    when dqagse would accept neither."""
 
     @pytest.mark.parametrize("frac", [0.5, 0.999])
     @pytest.mark.parametrize("E0", [0.1, 1.0, 10.0])
@@ -339,6 +341,7 @@ class TestGaussKronrodPass:
         assert result.t_lower == pytest.approx(value, rel=1e-14, abs=0)
         assert result.quadrature_error == pytest.approx(err, rel=1e-6, abs=0)
 
+    # quad bisects these ranges more than once
     @pytest.mark.parametrize("den, E0, exact", [
         # slow decay over a long range
         (Denominator.of(((1.0, 1.5), (1.0, 3.0))), 1.0, REF_C13_INTEGRAL),
@@ -362,6 +365,105 @@ class TestGaussKronrodPass:
         assert len(calls) == 1
         with np.errstate(over="ignore"):
             assert result.t_lower == plain_quad(den, 10.0, result.S)[0]
+
+
+# the benchmark's bound_search queries, each point at each E0, and its
+# optimize-bound points at chi = xi = 1 with C_GN = 1, where the first pass
+# rejects most rows
+BENCH_E0 = ("0.1", "0.3", "1", "3", "10", "100")
+BENCH_POINTS = ((3, 2, 4), (3, 3, 6), (4, 3, 6), (5, 4, 8))
+BENCH_QUERIES = (
+    [["optimize-bound", "-n", str(n), "-p", str(p), "-q", str(q), "--E0", E0]
+     for n, p, q in BENCH_POINTS for E0 in BENCH_E0]
+    + [["bound", "-n", str(n), "-p", str(p), "--corollary", "1", "--E0", E0]
+       for n, p in ((3, 3), (3, 4), (4, 4), (5, 5)) for E0 in BENCH_E0]
+    + [["bound", "-n", str(n), "--corollary", "2", "--E0", E0]
+       for n in (3, 4, 5, 6) for E0 in BENCH_E0])
+UNIT_COUPLING_QUERIES = [
+    ["optimize-bound", "-n", str(n), "-p", str(p), "-q", str(q), "--E0", E0,
+     "--set", "model.chi=1", "--set", "model.xi=1", "--set", "bound.C_GN=1"]
+    for n, p, q in BENCH_POINTS for E0 in ("0.1", "1", "10")]
+
+
+def traced_fallbacks(argv):
+    """Run one query through cli.main; returns what its bound integrals
+    hand on past the numpy first pass: the (row, x_lo, x_hi) of each row
+    the second level takes, and the number of integrate.quad calls."""
+    second, quads = [], []
+    dqk21, quad = odi._dqk21, integrate.quad
+
+    def spy_dqk21(den, lo, hi):
+        if np.ndim(lo):  # the second level: the two halves of each range
+            second.extend((den.take([k]), float(lo[k]), float(hi[k + 1]))
+                          for k in range(0, len(hi), 2))
+        return dqk21(den, lo, hi)
+
+    def spy_quad(*args, **kwargs):
+        quads.append(args)
+        return quad(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+        mp.setattr(odi, "_dqk21", spy_dqk21)
+        mp.setattr(integrate, "quad", spy_quad)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    return second, len(quads)
+
+
+@pytest.fixture(scope="module")
+def fallbacks():
+    """traced_fallbacks of each benchmark and unit-coupling query."""
+    return {tuple(argv): traced_fallbacks(argv)
+            for argv in BENCH_QUERIES + UNIT_COUPLING_QUERIES}
+
+
+class TestSecondLevel:
+    """A row the first pass rejects, with F finite at its nodes, goes
+    through QUADPACK's first bisection in numpy: dqk21 on both halves of its
+    range and dqagse's bookkeeping at last = 2, whose value and error are
+    quad's when it accepts them."""
+
+    def test_settles_what_quad_settles_at_first_bisection(self, fallbacks,
+                                                          monkeypatch):
+        rows = [row for second, _ in fallbacks.values() for row in second]
+        assert len(rows) > 1000
+        quad = integrate.quad
+        calls, settled = quad_calls(monkeypatch), 0
+        for row, x_lo, x_hi in rows:
+            value, err, info = quad(
+                lambda x, row=row: (s := math.exp(x)) / row(s), x_lo, x_hi,
+                epsabs=0.0, epsrel=REL_TOL, limit=500, full_output=1)
+            before = len(calls)
+            assert odi._integrate(row, x_lo, [x_hi]) == [(value, err)]
+            # numpy settles the row iff quad stops at its first bisection
+            assert (len(calls) == before) == (info["last"] == 2)
+            settled += info["last"] == 2
+        # and quad ran on the rows the second level left, and no others
+        assert sum(n for _, n in fallbacks.values()) == len(rows) - settled
+
+    # F = s**1.5 + A s**2 from E0 = 1: the first pass is rejected, and the
+    # halves' summed error crosses the tolerance between A = 9.4 and 9.5
+    @pytest.mark.parametrize("A", [9.0, 9.3, 9.4, 9.5, 9.6, 10.0])
+    def test_tolerance_edge(self, monkeypatch, A):
+        den = Denominator.of(((1.0, 1.5), (A, 2.0)))
+        calls = quad_calls(monkeypatch)
+        [result] = lower_bound_integral(den, 1.0)
+        settled = not calls
+        value, err, info = plain_quad(den, 1.0, result.S, full_output=1)
+        assert info["neval"] > 21
+        assert settled == (info["last"] == 2) == (A >= 9.5)
+        assert (result.t_lower, result.quadrature_error) == (value, err)
+
+    def test_unit_coupling_set_rarely_needs_quad(self, fallbacks):
+        # every row the second level takes went to quad before it
+        runs = [fallbacks[tuple(argv)] for argv in UNIT_COUPLING_QUERIES]
+        rejected = sum(len(second) for second, _ in runs)
+        assert rejected > 1000
+        assert sum(quads for _, quads in runs) <= 0.1 * rejected
+        # optimize-bound -n 3 -p 3 -q 6 --E0 1
+        second, quads = fallbacks[tuple(UNIT_COUPLING_QUERIES[4])]
+        assert (len(second), quads) == (318, 0)
 
 
 def per_term_loop(den, s):
@@ -408,8 +510,9 @@ BATCH_ROWS = {
     "accepted": odi_coefficients(
         PARAMS, IDX_C13, 0.5 * max_admissible_epsilon(PARAMS, IDX_C13),
         1.0).denominator(),
-    # the pass is rejected and integrate.quad runs
-    "quad": Denominator.of(((1.0, 1.5), (1.0, 3.0)) + _PAD),
+    # the pass is rejected, and dqk21 on the two halves of the range
+    # settles it as QUADPACK's first bisection does
+    "bisected": Denominator.of(((1.0, 1.5), (1.0, 3.0)) + _PAD),
     # 100**300 overflows at the top of the range [10, 100]
     "overflowing": Denominator.of(((1.0, 1.5), (1.0, 300.0)) + _PAD),
     # a negative linear term, scanned for a root and flagged
@@ -452,10 +555,15 @@ class TestBatchedIntegral:
         alone = solo(dens, 10.0)
         calls = quad_calls(monkeypatch)
         rows = batch(dens * 2, 10.0)
-        assert len(calls) == 6  # quad, overflowing and negative_mu1, twice
+        assert len(calls) == 4  # overflowing and negative_mu1, twice
         assert rows == alone * 2  # every field, compared with ==
         assert [row.flags for row in rows[:4]] == \
             [(), (), (), ("negative_linear_term",)]
+        bisected = rows[1]
+        value, err, info = plain_quad(BATCH_ROWS["bisected"], 10.0,
+                                      bisected.S, full_output=1)
+        assert info["last"] == 2  # quad too stops at its first bisection
+        assert (bisected.t_lower, bisected.quadrature_error) == (value, err)
 
     def test_lone_denominator_is_a_batch_of_one(self):
         den = BATCH_ROWS["accepted"]
@@ -560,9 +668,8 @@ class TestOptimize:
             candidates.append((s1.tolist(), s2.tolist()))
             return eta_formulas(p, q, s1, s2)
 
-        def coefficients(params, p, q, etas, epsilon, eps_max, C_GN):
-            table, errors = table_of(params, p, q, etas, epsilon, eps_max,
-                                     C_GN)
+        def coefficients(asm, etas, epsilon, eps_max):
+            table, errors = table_of(asm, etas, epsilon, eps_max)
             assembled.append((etas, epsilon, table, errors))
             return table, errors
 
@@ -714,7 +821,8 @@ def one_at_a_time(params, p, q, E0, C_GN):
         if out is not None and (best is None or out.t_lower > best.t_lower):
             best = out
     if best is None:
-        raise InfeasibleError("no admissible candidate found in the box")
+        raise InfeasibleError(f"C_GN={C_GN!r} overflows the bound at every "
+                              f"(s1, s2) candidate in the box")
     d1, d2 = 0.25 * w1, 0.25 * w2
     for _ in range(REFINE_ITERS):
         s1, s2 = best.indices.s1, best.indices.s2
