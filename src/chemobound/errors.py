@@ -30,6 +30,11 @@ class NonpositiveDenominatorError(ChemoboundError, ValueError):
         self.root = root
 
 
+class QuadratureError(ChemoboundError):
+    """The bound integral misses its tolerance after the bisections its
+    rule allows."""
+
+
 class DivergenceError(ChemoboundError, ValueError):
     """The bound integral diverges (no superlinear power term)."""
 

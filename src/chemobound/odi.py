@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DivergenceError, EpsilonError, InfeasibleError,
-                     NonpositiveDenominatorError, ParameterError)
+                     NonpositiveDenominatorError, ParameterError,
+                     QuadratureError)
 from .exponents import (C1_coef, EnergyIndices, ModelParams,
                         check_condition_C, corollary1_parameters,
                         eta_formulas, etas_in_range, feasible_box,
@@ -34,12 +35,7 @@ class CoefficientConventionWarning(UserWarning):
     equation's own coefficients would not reproduce them."""
 
 
-# numpy takes a scalar power s ** e with one of these e by the paired
-# function, which can differ in the last bit from its power of arrays
-_FAST_POWERS = {2.0: np.square, 0.5: np.sqrt, -1.0: np.reciprocal}
-
-
-def _power_sums(s, coefs, expos, fast, c, mu1):
+def _power_sums(s, coefs, expos, c, mu1):
     """c + sum_j coefs[j] * s**expos[j] + mu1 * s.
 
     Every power is taken in one call and every product in another, and the
@@ -48,10 +44,11 @@ def _power_sums(s, coefs, expos, fast, c, mu1):
     bit.  coefs and expos hold the J terms on their first axis; the rest of
     their shape, s, c and mu1 broadcast together.
     """
-    powers = s ** expos
-    for e in fast:
-        np.copyto(powers, _FAST_POWERS[e](s), where=expos == e)
-    terms = np.multiply(coefs, powers, out=powers)
+    # the exponents as an array of the powers' shape: numpy takes a power by
+    # square, sqrt or reciprocal, which can differ from its power in the last
+    # bit, for an exponent it broadcasts over some shapes but not others
+    terms = np.multiply(coefs, s ** np.array(np.broadcast_to(
+        expos, np.broadcast_shapes(np.shape(s), expos.shape))))
     out = c + terms[0]
     for term in terms[1:]:
         out += term
@@ -68,14 +65,6 @@ class Denominator:
     expos: np.ndarray
     mu1: np.ndarray    # (K,), as c
     c: np.ndarray
-    # the exponents of _FAST_POWERS among the terms, or more of them (a
-    # power without its exponent is never taken); found unless given
-    fast: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.fast is None:
-            object.__setattr__(self, "fast", tuple(
-                e for e in _FAST_POWERS if (self.expos == e).any()))
 
     @classmethod
     def of(cls, terms, mu1: float = 0.0, c: float = 0.0) -> Denominator:
@@ -87,7 +76,7 @@ class Denominator:
     def take(self, rows) -> Denominator:
         """The sub-batch of the given rows, in their order."""
         return Denominator(self.coefs[:, rows], self.expos[:, rows],
-                           self.mu1[rows], self.c[rows], self.fast)
+                           self.mu1[rows], self.c[rows])
 
     def __call__(self, s):
         """F at s, a number or an array, of a one-row denominator."""
@@ -97,8 +86,8 @@ class Denominator:
         s = np.asarray(s, dtype=float)
         shape = (-1,) + (1,) * s.ndim  # the terms on an axis before s's
         out = _power_sums(s, self.coefs.reshape(shape),
-                          self.expos.reshape(shape), self.fast,
-                          self.c.item(), self.mu1.item())
+                          self.expos.reshape(shape), self.c.item(),
+                          self.mu1.item())
         return out if out.ndim else float(out)
 
 
@@ -124,10 +113,10 @@ class OdiCoefficients:
         return {"m": self.m, "m_i": list(self.m_i), "mu1": self.mu1, "c": self.c}
 
 
-# the smallest epsrel QUADPACK takes; a Python float, so that the error
-# estimates it floors stay floats
-QUADPACK_REL_FLOOR = 50.0 * math.ulp(1.0)
 REL_TOL = 1e-10    # relative error the bound integral must meet
+# an integral below ABS_TOL / REL_TOL (~2e-298) meets ABS_TOL instead: its
+# integrand underflows, or F overflows, at values that count at REL_TOL
+ABS_TOL = np.finfo(float).tiny
 TAIL_TOL = 1e-12   # tail budget that sets the truncation point S
 
 
@@ -307,146 +296,92 @@ def _coefficient_table(asm: _Assembly, etas, epsilon, eps_max):
     coefs[:4] = asm.m
     np.multiply(asm.M * ((denom / 2.0) * powers[:4]), powers[4:],
                 out=coefs[4:])
-    k = k_exponent(etas, n)
-    # the etas lie below 5/3 and k above 1, so of _FAST_POWERS only a k of
-    # 2 can be one
-    return Denominator(coefs, np.concatenate((etas, k)), *asm.columns(K),
-                       (2.0,) if (k == 2.0).any() else ()), errors
+    return Denominator(coefs, np.concatenate((etas, k_exponent(etas, n))),
+                       *asm.columns(K)), errors
 
 
-# QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: the Kronrod
-# nodes with their weights, and the weights of the 10-point Gauss rule on
-# the odd-position nodes, to double precision.  The rule is symmetric, so
-# half of it is written: the nodes down to the centre and their weights.
-_NODES = [
+# The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's dqk21), written from
+# the outermost node down to the centre: the Kronrod nodes and weights, and
+# the weights of the 10-point Gauss rule on the nodes at odd positions.
+_HALF_NODES = [
     0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
     0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
     0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
     0.14887433898163122, 0.0]
-_KRONROD = [
+_HALF_KRONROD = [
     0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
     0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
     0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
     0.14773910490133849, 0.1494455540029169]
-_GAUSS = np.array([
-    0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
-    0.26926671930999635, 0.29552422471475287])
-
-# dqk21 folds each node with its mirror, g(x_j) + g(-x_j), then adds the
-# terms of each sum one at a time: the Kronrod sums take the centre, the
-# Gauss pairs, then the other pairs; the spread sum takes the centre, then
-# the pairs outside in.  The 22 nodes are laid out so that folding, g[:11] +
-# g[11:], gives the Kronrod order: the centre and the positive nodes in that
-# order, then the centre again and their mirrors.  Folding counts the
-# centre twice, so its weight is halved (exactly).
-_KRONROD_ORDER = [10, 1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
-_GK_NODES = np.array([_NODES[j] for j in _KRONROD_ORDER]
-                     + [-_NODES[j] for j in _KRONROD_ORDER])
-_FOLDED_WEIGHTS = np.array([0.5 * _KRONROD[10]]
-                           + [_KRONROD[j] for j in _KRONROD_ORDER[1:]])
-_GAUSS_PAIRS = slice(1, 6)
-_SPREAD_ORDER = [_KRONROD_ORDER.index(j) for j in [10, *range(10)]]
-
-# dqk21 floors its error estimate at 50 eps * resabs above this resabs
-_FLOORED_RESABS = np.finfo(float).tiny / QUADPACK_REL_FLOOR
-# dqagse stops at its first pass with a round-off error (ier = 2) when the
-# error is at most this many eps * resabs, yet above the tolerance
-_ROUNDOFF = 100.0 * math.ulp(1.0)
+_HALF_GAUSS = [0.0] * 11
+_HALF_GAUSS[1::2] = [0.06667134430868814, 0.1494513491505806,
+                     0.21908636251598204, 0.26926671930999635,
+                     0.29552422471475287]
+# the 21 nodes in ascending order, and the Kronrod weights above the Kronrod
+# less the Gauss weights at them
+_NODES = np.array([-x for x in _HALF_NODES[:-1]] + _HALF_NODES[::-1])
+_WEIGHTS = np.array([w[:-1] + w[::-1] for w in (
+    _HALF_KRONROD, [k - g for k, g in zip(_HALF_KRONROD, _HALF_GAUSS)])])
+MAX_DEPTH = 20  # bisections of a row's range before it is an error row
 
 
-def _dqk21(den: Denominator, lo, hi) -> list[tuple]:
-    """QUADPACK's dqk21 on the integral of e^x / F(e^x) over [lo, hi[k]]
-    for each row F of `den` (lo a number or (K,), hi (K,)), with F at all
-    its nodes taken in one call: for each row, its value, error estimate,
-    resabs and resasc, whether F is finite at every node, and whether it is
-    NaN at one.  The integrand values and the order of every sum are those
-    of integrate.quad, bit for bit."""
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = (centre[:, None] + half[:, None] * _GK_NODES).ravel().tolist()
-    # math.exp, not np.exp: the two differ in the last bit at some nodes
-    s = np.fromiter(map(math.exp, x), float, len(x)).reshape(-1, 22)
-    F = _power_sums(s, den.coefs[..., None], den.expos[..., None], den.fast,
-                    den.c[:, None], den.mu1[:, None])
-    f = np.empty((2, *s.shape))  # the integrand and its absolute value
-    np.abs(np.divide(s, F, out=f[0]), out=f[1])
-    w = _FOLDED_WEIGHTS
-    pairs = f[..., :11] + f[..., 11:]
-    res_k, res_abs = np.add.accumulate(w * pairs, axis=-1)[..., -1]
-    res_g = np.add.accumulate(_GAUSS * pairs[0, :, _GAUSS_PAIRS],
-                              axis=-1)[:, -1]
-    spread = np.abs(f[0] - 0.5 * res_k[:, None])
-    res_asc = np.add.accumulate((w * (spread[:, :11] + spread[:, 11:]))
-                                .take(_SPREAD_ORDER, axis=-1), axis=-1)[:, -1]
-    sums = np.array((res_k, res_k - res_g, res_abs, res_asc)) * half
-    out = []
-    for k, (value, err, r_abs, r_asc, finite) in enumerate(zip(
-            *sums.tolist(), np.isfinite(F).all(axis=1).tolist())):
-        nan = not finite and bool(np.isnan(F[k]).any())
-        err = abs(err)  # half > 0: S exceeds E0
-        if r_asc != 0 and err != 0:
-            # min(1, t**1.5) is min(1, t)**1.5, which cannot overflow
-            err = r_asc * min(1.0, 200.0 * err / r_asc) ** 1.5
-        # dqk21's round-off floor is the same 50 eps that bounds epsrel
-        if r_abs > _FLOORED_RESABS:
-            err = max(QUADPACK_REL_FLOOR * r_abs, err)
-        out.append((value, err, r_abs, r_asc, finite, nan))
-    return out
+def _kronrod(den: Denominator, lo, hi):
+    """The 21-point Kronrod sum of e^x / F_i(e^x) over [lo[i], hi[i]] for
+    each row F_i of `den`, and its distance from the 10-point Gauss sum on
+    the same nodes, the error estimate.  Each sum is one ordered reduction
+    along the contiguous node axis, not a matrix product, so a panel's sums
+    do not depend on the other panels of the batch."""
+    half = 0.5 * (hi - lo)
+    s = np.exp((lo + half)[:, None] + half[:, None] * _NODES)
+    f = s / _power_sums(s, den.coefs[..., None], den.expos[..., None],
+                        den.c[:, None], den.mu1[:, None])
+    value, spread = np.add.reduce(f[:, None] * _WEIGHTS, axis=-1).T * half
+    return value, np.abs(spread)
 
 
-def _integrate(den: Denominator, x_lo: float, x_hi: list[float]
-               ) -> list[tuple[float, float] | None]:
+def _integrate(den: Denominator, x_lo: float, x_hi: np.ndarray):
     """The integral of e^x / F(e^x) over [x_lo, x_hi[k]] for each row F of
-    `den` to a relative error of REL_TOL, as integrate.quad gives it at
-    epsabs = 0, bit for bit: (value, error), or None where F is NaN at a node
-    or the value or error is not finite.
+    `den`, to REL_TOL of its value or ABS_TOL, the larger: (K,) arrays of
+    the values and error estimates, NaN in a row whose integrand or sums
+    leave float range, and the rows that still miss the tolerance after
+    MAX_DEPTH bisections.
 
-    QUADPACK's dqagse takes dqk21 on the range, and stops if its error is
-    within the tolerance and is not dqk21's resasc, or is 0.  Else it
-    bisects the range, takes dqk21 on both halves, and stops if their summed
-    error is within the tolerance of their summed value.  Both steps are
-    taken here for all rows at once, as far as F is finite at their nodes;
-    quad runs on the rows that neither settles, and first redoes them."""
-    ends = np.array(x_hi)
-    first = _dqk21(den, x_lo, ends)
-    out, second, fallback = [None] * len(first), [], []
-    for k, (value, err, r_abs, r_asc, finite, nan) in enumerate(first):
-        tol = REL_TOL * abs(value)
-        if nan:
-            continue
-        if finite and (err <= tol and err != r_asc or err == 0):
-            out[k] = (value, err)
-        # dqagse stops on round-off here (ier = 2): quad returns this pass
-        elif finite and not tol < err <= _ROUNDOFF * r_abs:
-            second.append(k)
-        else:
-            fallback.append(k)
-    if second:
-        # dqagse's bookkeeping at last = 2, in its order: the halves' value
-        # and error replace the range's in the running sums
-        hi = ends[second]
-        mid = 0.5 * (x_lo + hi)
-        halves = _dqk21(den.take(np.repeat(second, 2)),
-                        np.stack((np.full_like(mid, x_lo), mid), 1).ravel(),
-                        np.stack((mid, hi), 1).ravel())
-        for k, (v1, e1, *_, fin1, nan1), (v2, e2, *_, fin2, nan2) in zip(
-                second, halves[::2], halves[1::2]):
-            if nan1 or nan2:
-                continue
-            r0, e0 = first[k][:2]
-            area, errsum = (r0 + (v1 + v2)) - r0, (e0 + (e1 + e2)) - e0
-            if fin1 and fin2 and errsum <= REL_TOL * abs(area):
-                out[k] = ((0.0 + v1) + v2, errsum)
-            else:
-                fallback.append(k)
-    for k in fallback:
-        # imported at the first fallback: a settled row needs no scipy
-        from scipy import integrate
-        row = den.take([k])
-        out[k] = integrate.quad(lambda x: (s := math.exp(x)) / row(s), x_lo,
-                                x_hi[k], epsabs=0.0, epsrel=REL_TOL,
-                                limit=500)[:2]
-    return [o if o and math.isfinite(o[0]) and math.isfinite(o[1]) else None
-            for o in out]
+    A row is the Kronrod sum on its range when its estimate is within the
+    tolerance.  Else its range is bisected, level by level: the
+    row takes every new panel if their summed estimate is within the
+    tolerance of their summed value, else each panel whose estimate is
+    within its width's share of it, and bisects the others.  A row's panels
+    stay in order and every sum over them adds one term at a time, so each
+    row is bit for bit the row alone."""
+    K = len(x_hi)
+    lo, hi = np.full(K, x_lo), x_hi
+    value, error = _kronrod(den, lo, hi)
+    rows = np.flatnonzero(~(error <= np.maximum(REL_TOL * np.abs(value),
+                                                ABS_TOL)))
+    if not rows.size:
+        return value, error, rows
+    broken = ~(np.isfinite(value) & np.isfinite(error))
+    rows = rows[~broken[rows]]
+    value[rows] = error[rows] = 0.0
+    width, lo, hi = hi - lo, lo[rows], hi[rows]
+    for _ in range(MAX_DEPTH):
+        if not rows.size:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.stack((lo, mid), 1).ravel(), np.stack((mid, hi), 1).ravel()
+        rows = np.repeat(rows, 2)
+        v, e = _kronrod(den.take(rows), lo, hi)
+        broken[rows[~(np.isfinite(v) & np.isfinite(e))]] = True
+        tol = np.maximum(REL_TOL * np.abs(value + np.bincount(rows, v, K)),
+                         ABS_TOL)
+        whole = error + np.bincount(rows, e, K) <= tol
+        done = whole[rows] | (e <= tol[rows] * ((hi - lo) / width[rows]))
+        value += np.bincount(rows, v * done, K)
+        error += np.bincount(rows, e * done, K)
+        split = ~(done | broken[rows])
+        lo, hi, rows = lo[split], hi[split], rows[split]
+    value[broken] = math.nan
+    return value, error, rows
 
 
 def _truncation(den: Denominator, E0: float, F0,
@@ -516,10 +451,11 @@ def lower_bound_integral(den: Denominator, E0: float,
     dominant power term (coefficient A, exponent a) fall below TAIL_TOL,
     unless `truncation_point` fixes it.  The reported value excludes the
     tail, so it always under-estimates the exact improper integral.  The
-    integral is taken in ln s, to a relative error of REL_TOL, by _integrate:
-    QUADPACK's first 21-point Gauss-Kronrod pass and its first bisection,
-    evaluated in numpy, when dqagse would accept one of them, else
-    integrate.quad; quadrature_error is the error estimate of whichever ran.
+    truncated integral from E0 to S is taken in ln s, to a relative error of
+    REL_TOL (or ABS_TOL, if larger), by _integrate: the 21-point
+    Gauss-Kronrod rule on the range, bisected where its estimate misses the
+    tolerance; quadrature_error is the summed |Kronrod - Gauss| estimate of
+    the panels taken.
 
     Each row's result is bit for bit its own alone, and the rows are checked
     in order: the first that fails raises what it raises alone, unless it
@@ -527,7 +463,8 @@ def lower_bound_integral(den: Denominator, E0: float,
     every row is a ParameterError, and in one row of several an
     OverflowError, as is an F that is NaN at a node or an integral that is
     not finite; a zero F(E0) of nonnegative terms, some positive,
-    underflowed, and is a ParameterError too."""
+    underflowed, and is a ParameterError too.  A row that misses its
+    tolerance after MAX_DEPTH bisections is a QuadratureError."""
     if not 0 < E0 < math.inf:
         raise ParameterError(f"E0 must be positive and finite, got {E0}")
     if not 10.0 * E0 < math.inf:
@@ -537,24 +474,28 @@ def lower_bound_integral(den: Denominator, E0: float,
         raise ParameterError("truncation_point must exceed E0")
     with np.errstate(all="ignore"):  # an F out of float range is checked
         F0 = _power_sums(np.asarray(E0, dtype=float), den.coefs, den.expos,
-                         den.fast, den.c, den.mu1)
+                         den.c, den.mu1)
         if not np.isfinite(F0).any():
             raise ParameterError(f"F(E0) overflows at E0={E0!r}")
         S, tail_upper, flags, errors = _truncation(den, E0, F0,
                                                    truncation_point)
         kept = [k for k, error in enumerate(errors) if error is None]
         # integrate in log space: s = exp(x) keeps the long upper range tame
-        integrals = _integrate(den if len(kept) == len(errors) else
-                               den.take(kept), math.log(E0),
-                               [math.log(S[k]) for k in kept])
-    rows = [None] * len(errors)
-    for k, integral in zip(kept, integrals):
-        if integral is None:
+        value, error, capped = _integrate(
+            den if len(kept) == len(errors) else den.take(kept),
+            math.log(E0), np.array([math.log(S[k]) for k in kept]))
+    rows, capped = [None] * len(errors), set(capped.tolist())
+    for i, (k, v, e) in enumerate(zip(kept, value.tolist(), error.tolist())):
+        if i in capped:
+            errors[k] = QuadratureError(
+                f"the bound integral from E0={E0!r} to S={S[k]!r} misses "
+                f"REL_TOL={REL_TOL} after MAX_DEPTH={MAX_DEPTH} bisections")
+        elif not math.isfinite(v):
             errors[k] = OverflowError(
                 f"F leaves float range on the bound integral from E0={E0!r}")
         else:
-            rows[k] = BoundResult(integral[0], S[k], integral[1],
-                                  tail_upper[k], None, None, flags[k])
+            rows[k] = BoundResult(v, S[k], e, tail_upper[k], None, None,
+                                  flags[k])
     for error in errors:
         if error is not None and not isinstance(error, skip):
             raise error
@@ -603,7 +544,8 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
 
     def score(s1, s2):
         """(BoundResult, s1, s2, epsilon) of each candidate clamped into
-        [lo, hi], or None if its coefficients, S or F(E0) overflow."""
+        [lo, hi], or None if its coefficients, S or F(E0) overflow or its
+        integral misses its tolerance."""
         # np.clip's value, at a third of its cost
         s1 = np.minimum(np.maximum(s1, lo1), hi1)
         s2 = np.minimum(np.maximum(s2, lo2), hi2)
@@ -621,7 +563,8 @@ def optimize_bound(params: ModelParams, p: float, q: float, E0: float,
             raise ParameterError(f"C_GN={C_GN!r} overflows the bound's "
                                  f"coefficients at every candidate")
         # a row left out has nan coefficients: its nan F(E0) is skipped
-        rows = lower_bound_integral(den, E0, skip=OverflowError)
+        rows = lower_bound_integral(den, E0,
+                                    skip=(OverflowError, QuadratureError))
         return [row and (row, *point) for row, point in
                 zip(rows, zip(s1.tolist(), s2.tolist(), eps.tolist()))]
 

@@ -7,14 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import hyp2f1
 
 from chemobound.cli import run_sweep
 from chemobound.config import parse_config_text
 from chemobound.errors import ParameterError
-from chemobound.exponents import (ModelParams, corollary1_parameters,
+from chemobound.exponents import (EnergyIndices, ModelParams,
+                                  corollary1_parameters,
                                   corollary2_parameters, compute_etas,
                                   k_exponent)
-from chemobound.odi import Denominator, lower_bound_integral, optimize_bound
+from chemobound.odi import (Denominator, bound_at_indices,
+                            lower_bound_integral, optimize_bound)
 from chemobound.pde import (ConstantProfile, GaussianBump, ParamStack,
                             SolverConfig, energy, init_state, make_grid, mass,
                             run, step)
@@ -139,6 +142,28 @@ def test_criterion_03_remark_ordering():
     assert total == 0
 
 
+def two_term_tail(x, A, a, B, b):
+    """integral_x^inf ds / (A s**a + B s**b) for a > b > 1, in closed form:
+    x**(1-a)/(A(a-1)) * 2F1(1, g; 1+g; -(B/A) x**(b-a)), g = (a-1)/(a-b)."""
+    g = (a - 1.0) / (a - b)
+    return x ** (1.0 - a) / (A * (a - 1.0)) * hyp2f1(
+        1.0, g, 1.0 + g, -(B / A) * x ** (b - a))
+
+
+def corollary_bounds():
+    """bound_at_indices at the benchmark's corollary points (chi = 10,
+    xi = 1, C_GN = 1) and three E0: all four eta equal and all four k
+    equal there, so F = B s**eta + A s**k has two terms."""
+    points = [(n, *corollary2_parameters(n)) for n in (3, 4, 5, 6)]
+    points += [(n, p, *corollary1_parameters(p, n))
+               for n, p in ((3, 3), (3, 4), (4, 4), (5, 5))]
+    for n, *indices in points:
+        indices = EnergyIndices(*map(float, indices))
+        for E0 in (0.1, 1.0, 100.0):
+            yield bound_at_indices(ModelParams(chi=10.0, xi=1.0, dim=n),
+                                   indices, E0, 1.0), E0
+
+
 def test_criterion_04_quadrature_oracle():
     worst = 0.0
     for a in (1.5, 5.0 / 3.0, 3.0):
@@ -147,15 +172,27 @@ def test_criterion_04_quadrature_oracle():
             [result] = lower_bound_integral(Denominator.of(((A, a),)), E0)
             exact = E0 ** (1.0 - a) / (A * (a - 1.0))
             worst = max(worst, abs(result.t_lower - exact) / exact)
+    # the truncated two-term integral from E0 to S at the corollaries' own
+    # exponents and scales, which REL_TOL is about: a 1e-12 error shows
+    worst_two = 0.0
+    for result, E0 in corollary_bounds():
+        coeffs = result.coeffs
+        assert len(set(coeffs.eta_exponents)) == len(set(coeffs.k_exponents)) \
+            == 1
+        b, a = coeffs.eta_exponents[0], coeffs.k_exponents[0]
+        terms = (sum(coeffs.m_i), a, 4.0 * coeffs.m, b)
+        exact = two_term_tail(E0, *terms) - two_term_tail(result.S, *terms)
+        worst_two = max(worst_two, abs(result.t_lower - exact) / exact)
     # truncation monotonicity on a 10-point S ladder
     den = Denominator.of(((1.0, 1.5), (1.0, 3.0)))
     ladder = [row.t_lower for S in np.geomspace(2.0, 1e3, 10)
               for row in lower_bound_integral(den, 1.0, S)]
     monotone = all(b >= a for a, b in zip(ladder, ladder[1:]))
-    ok = worst < 1e-8 and monotone
-    _line(4, ok, f"closed-form match worst rel err {worst:.2e}, "
-                 f"S-ladder monotone: {monotone}")
+    ok = worst < 1e-8 and worst_two <= 1e-12 and monotone
+    _line(4, ok, f"closed-form match worst rel err {worst:.2e}, two-term "
+                 f"truncated {worst_two:.2e}, S-ladder monotone: {monotone}")
     assert worst < 1e-8
+    assert worst_two <= 1e-12
     assert monotone
 
 

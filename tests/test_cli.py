@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, exit codes, persistence, determinism."""
 
+import ast
 import collections
 import csv
 import json
@@ -1281,8 +1282,8 @@ class TestColdStart:
                        "same": True, "x": [0.5, 0.0, 0.5]}
 
     def test_unit_coupling_search_loads_no_scipy(self, tmp_path):
-        # every row the first Gauss-Kronrod pass rejects here is settled
-        # by QUADPACK's first bisection, taken in numpy
+        # the first Gauss-Kronrod pass rejects 318 of this query's rows, and
+        # the numpy rule bisects them
         [run] = self.fresh_run(
             tmp_path, ["optimize-bound", "-n", "3", "-p", "3", "-q", "6",
                        "--E0", "1", "--set", "model.chi=1",
@@ -1290,13 +1291,28 @@ class TestColdStart:
         assert run["code"] == 0
         assert run["loaded"] == []
 
-    def test_quad_fallback_matches_in_process(self, tmp_path, capsys):
-        # some of this query's rows fall back to integrate.quad
+    def test_readme_search_loads_no_scipy(self, tmp_path, capsys):
+        # the README's optimize-bound example, some of whose rows are
+        # bisected more than once
         argv = ["optimize-bound", "-n", "3", "-p", "2", "-q", "4",
                 "--E0", "1"]
         [run] = self.fresh_run(tmp_path, argv)
         assert run["code"] == 0
-        assert "scipy.integrate" in run["loaded"]
+        assert run["loaded"] == []
         assert main(argv) == 0
         in_process = json.loads(capsys.readouterr().out)["t_lower"]
         assert json.loads(run["out"])["t_lower"] == in_process
+
+    def test_no_module_imports_scipy_integrate(self):
+        # the bound integral is numpy's own Gauss-Kronrod rule
+        imported = []
+        for path in Path(chemobound.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported += [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported += [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names]
+        assert "scipy" in imported  # the scan sees scipy imports
+        assert not [name for name in imported
+                    if name.startswith("scipy.integrate")]
