@@ -114,9 +114,6 @@ class OdiCoefficients:
 
 
 REL_TOL = 1e-10    # relative error the bound integral must meet
-# an integral below ABS_TOL / REL_TOL (~2e-298) meets ABS_TOL instead: its
-# integrand underflows, or F overflows, at values that count at REL_TOL
-ABS_TOL = np.finfo(float).tiny
 TAIL_TOL = 1e-12   # tail budget that sets the truncation point S
 
 
@@ -322,7 +319,7 @@ _HALF_GAUSS[1::2] = [0.06667134430868814, 0.1494513491505806,
 _NODES = np.array([-x for x in _HALF_NODES[:-1]] + _HALF_NODES[::-1])
 _WEIGHTS = np.array([w[:-1] + w[::-1] for w in (
     _HALF_KRONROD, [k - g for k, g in zip(_HALF_KRONROD, _HALF_GAUSS)])])
-MAX_DEPTH = 20  # bisections of a row's range before it is an error row
+MAX_PANELS = 500  # Kronrod panels a row may take before it is an error row
 
 
 def _kronrod(den: Denominator, lo, hi):
@@ -341,10 +338,10 @@ def _kronrod(den: Denominator, lo, hi):
 
 def _integrate(den: Denominator, x_lo: float, x_hi: np.ndarray):
     """The integral of e^x / F(e^x) over [x_lo, x_hi[k]] for each row F of
-    `den`, to REL_TOL of its value or ABS_TOL, the larger: (K,) arrays of
-    the values and error estimates, NaN in a row whose integrand or sums
-    leave float range, and the rows that still miss the tolerance after
-    MAX_DEPTH bisections.
+    `den`, to REL_TOL of its value: (K,) arrays of the values and error
+    estimates, NaN in a row whose integrand or sums leave float range, and
+    the rows that still miss the tolerance when their next level would take
+    them past MAX_PANELS panels.
 
     A row is the Kronrod sum on its range when its estimate is within the
     tolerance.  Else its range is bisected, level by level: the
@@ -354,26 +351,26 @@ def _integrate(den: Denominator, x_lo: float, x_hi: np.ndarray):
     stay in order and every sum over them adds one term at a time, so each
     row is bit for bit the row alone."""
     K = len(x_hi)
-    lo, hi = np.full(K, x_lo), x_hi
-    value, error = _kronrod(den, lo, hi)
-    rows = np.flatnonzero(~(error <= np.maximum(REL_TOL * np.abs(value),
-                                                ABS_TOL)))
-    if not rows.size:
+    value, error = _kronrod(den, np.full(K, x_lo), x_hi)
+    rows = np.flatnonzero(~(error <= REL_TOL * np.abs(value)))
+    if not rows.size:  # most batches: they skip the set-up below
         return value, error, rows
     broken = ~(np.isfinite(value) & np.isfinite(error))
     rows = rows[~broken[rows]]
     value[rows] = error[rows] = 0.0
-    width, lo, hi = hi - lo, lo[rows], hi[rows]
-    for _ in range(MAX_DEPTH):
-        if not rows.size:
-            break
+    width, lo, hi = x_hi - x_lo, np.full(len(rows), x_lo), x_hi[rows]
+    panels, capped = np.ones(K, int), np.zeros(K, bool)
+    while rows.size:
+        panels += 2 * np.bincount(rows, minlength=K)
+        over = panels[rows] > MAX_PANELS
+        capped[rows[over]] = True
+        lo, hi, rows = lo[~over], hi[~over], rows[~over]
         mid = 0.5 * (lo + hi)
         lo, hi = np.stack((lo, mid), 1).ravel(), np.stack((mid, hi), 1).ravel()
         rows = np.repeat(rows, 2)
         v, e = _kronrod(den.take(rows), lo, hi)
         broken[rows[~(np.isfinite(v) & np.isfinite(e))]] = True
-        tol = np.maximum(REL_TOL * np.abs(value + np.bincount(rows, v, K)),
-                         ABS_TOL)
+        tol = REL_TOL * np.abs(value + np.bincount(rows, v, K))
         whole = error + np.bincount(rows, e, K) <= tol
         done = whole[rows] | (e <= tol[rows] * ((hi - lo) / width[rows]))
         value += np.bincount(rows, v * done, K)
@@ -381,7 +378,7 @@ def _integrate(den: Denominator, x_lo: float, x_hi: np.ndarray):
         split = ~(done | broken[rows])
         lo, hi, rows = lo[split], hi[split], rows[split]
     value[broken] = math.nan
-    return value, error, rows
+    return value, error, np.flatnonzero(capped)
 
 
 def _truncation(den: Denominator, E0: float, F0,
@@ -452,7 +449,7 @@ def lower_bound_integral(den: Denominator, E0: float,
     unless `truncation_point` fixes it.  The reported value excludes the
     tail, so it always under-estimates the exact improper integral.  The
     truncated integral from E0 to S is taken in ln s, to a relative error of
-    REL_TOL (or ABS_TOL, if larger), by _integrate: the 21-point
+    REL_TOL, by _integrate: the 21-point
     Gauss-Kronrod rule on the range, bisected where its estimate misses the
     tolerance; quadrature_error is the summed |Kronrod - Gauss| estimate of
     the panels taken.
@@ -464,7 +461,7 @@ def lower_bound_integral(den: Denominator, E0: float,
     OverflowError, as is an F that is NaN at a node or an integral that is
     not finite; a zero F(E0) of nonnegative terms, some positive,
     underflowed, and is a ParameterError too.  A row that misses its
-    tolerance after MAX_DEPTH bisections is a QuadratureError."""
+    tolerance within MAX_PANELS panels is a QuadratureError."""
     if not 0 < E0 < math.inf:
         raise ParameterError(f"E0 must be positive and finite, got {E0}")
     if not 10.0 * E0 < math.inf:
@@ -489,7 +486,7 @@ def lower_bound_integral(den: Denominator, E0: float,
         if i in capped:
             errors[k] = QuadratureError(
                 f"the bound integral from E0={E0!r} to S={S[k]!r} misses "
-                f"REL_TOL={REL_TOL} after MAX_DEPTH={MAX_DEPTH} bisections")
+                f"REL_TOL={REL_TOL} within MAX_PANELS={MAX_PANELS} panels")
         elif not math.isfinite(v):
             errors[k] = OverflowError(
                 f"F leaves float range on the bound integral from E0={E0!r}")

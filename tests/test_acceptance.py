@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import hyp2f1
 
 from chemobound.cli import run_sweep
 from chemobound.config import parse_config_text
@@ -24,6 +23,8 @@ from chemobound.pde import (ConstantProfile, GaussianBump, ParamStack,
 from chemobound.verify import (check_concurrence, check_embed_inequality,
                                check_equivalence, check_remark_ordering,
                                estimate_gn_constant, odi_monitor)
+
+from closed_forms import two_term_tail
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -140,14 +141,6 @@ def test_criterion_03_remark_ordering():
     _line(3, total == 0, f"strict chain and 1e-12 equality on 1e3-point "
                          f"grids, {total} violations")
     assert total == 0
-
-
-def two_term_tail(x, A, a, B, b):
-    """integral_x^inf ds / (A s**a + B s**b) for a > b > 1, in closed form:
-    x**(1-a)/(A(a-1)) * 2F1(1, g; 1+g; -(B/A) x**(b-a)), g = (a-1)/(a-b)."""
-    g = (a - 1.0) / (a - b)
-    return x ** (1.0 - a) / (A * (a - 1.0)) * hyp2f1(
-        1.0, g, 1.0 + g, -(B / A) * x ** (b - a))
 
 
 def corollary_bounds():

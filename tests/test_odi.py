@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize
 
 from chemobound import cli, odi
 from chemobound import config as cfgmod
@@ -22,13 +22,15 @@ from chemobound.exponents import (C3_coef, EnergyIndices, ModelParams,
                                   check_condition_C, corollary1_parameters,
                                   corollary2_parameters, eta_formulas,
                                   feasible_box, h_exponent, k_exponent)
-from chemobound.odi import (ABS_TOL, BOUNDARY_MARGIN, COARSE_GRID,
-                            REFINE_ITERS, REL_TOL, SWEEP_LEVELS,
+from chemobound.odi import (BOUNDARY_MARGIN, COARSE_GRID, REFINE_ITERS,
+                            REL_TOL, SWEEP_LEVELS,
                             CoefficientConventionWarning,
                             BoundResult, Denominator, OdiCoefficients,
                             bound_at_indices, lower_bound_integral,
                             max_admissible_epsilon, odi_coefficients,
                             optimize_bound, zeta_coefficients)
+
+from closed_forms import two_term_tail
 
 # the Corollary-1.3 selection for n = 3; all four derived exponents are 3/2
 IDX_C13 = EnergyIndices(2.0, 4.0, 3.0, 1.5)
@@ -217,8 +219,7 @@ class TestLowerBoundIntegral:
         [a], [b] = (lower_bound_integral(den, E0) for E0 in (0.5, 2.0))
         assert a.t_lower > b.t_lower
 
-    # F overflows to inf far out on the range, where 1/F is below 1e-308;
-    # an integral within ABS_TOL / REL_TOL of 0 is taken to ABS_TOL
+    # F overflows to inf far out on the range, where 1/F is below 1e-308
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(ni=admissible_indices(), frac=st.floats(0.01, 0.999),
@@ -242,7 +243,7 @@ class TestLowerBoundIntegral:
             assert "F(E0) overflows" in str(exc)
             assume(False)
         assert base.t_lower == pytest.approx(plain_quad(den, E0, base.S)[0],
-                                             rel=REL_TOL, abs=ABS_TOL)
+                                             rel=REL_TOL, abs=0)
         scaled = Denominator(3.0 * den.coefs, den.expos, 3.0 * den.mu1,
                              3.0 * den.c)
         with np.errstate(over="ignore"):
@@ -250,7 +251,7 @@ class TestLowerBoundIntegral:
         if in_range:  # 1/(3F) is (1/F)/3 only where 3F does not overflow
             [third] = lower_bound_integral(scaled, E0, base.S)
             assert third.t_lower == pytest.approx(base.t_lower / 3.0,
-                                                  rel=1e-9, abs=ABS_TOL)
+                                                  rel=1e-9, abs=0)
 
     def test_divergence_without_superlinear_term(self):
         with pytest.raises(DivergenceError):
@@ -308,13 +309,6 @@ class TestLowerBoundIntegral:
         assert d["indices"]["eta"] == [1.5] * 4
         assert d["epsilon"] == result.coeffs.epsilon
         assert d["C_GN"] == 1.0
-
-
-def two_term_tail(x, A, a, B, b):
-    """integral_x^inf ds / (A s**a + B s**b) for a > b > 1, in closed form."""
-    g = (a - 1.0) / (a - b)
-    return x ** (1.0 - a) / (A * (a - 1.0)) * special.hyp2f1(
-        1.0, g, 1.0 + g, -(B / A) * x ** (b - a))
 
 
 def kronrod_panels(monkeypatch):
@@ -445,25 +439,31 @@ class TestSecondLevel:
         assert result.t_lower == pytest.approx(exact, rel=1e-12, abs=0)
         assert result.quadrature_error <= REL_TOL * result.t_lower
 
-    def test_integral_near_underflow_is_taken_to_abs_tol(self):
+    def test_jump_where_F_overflows_is_bisected(self, monkeypatch):
         # F = 1e306 s**30 + s**1.5 from E0 = 1: the integral, 3.4e-308, is
-        # below float's normal range and F overflows past s = 1.19, so no
-        # depth of bisection meets REL_TOL of it; ABS_TOL settles the row
+        # below float's normal range, and F overflows past s = 1.19, where
+        # the integrand jumps to 0; the panels around the jump are bisected
+        # until their estimate is within REL_TOL of the integral
         den = Denominator.of(((1e306, 30.0), (1.0, 1.5)))
+        levels = kronrod_panels(monkeypatch)
         [result] = lower_bound_integral(den, 1.0)
-        exact = two_term_tail(1.0, 1e306, 30.0, 1.0, 1.5) \
+        assert len(levels) > 20 and sum(levels) <= odi.MAX_PANELS
+        assert result.quadrature_error <= REL_TOL * result.t_lower
+        with np.errstate(over="ignore"):
+            assert result.t_lower == pytest.approx(
+                plain_quad(den, 1.0, result.S)[0], rel=REL_TOL, abs=0)
+        # what lies past the overflow is left out
+        assert result.t_lower < two_term_tail(1.0, 1e306, 30.0, 1.0, 1.5) \
             - two_term_tail(result.S, 1e306, 30.0, 1.0, 1.5)
-        assert result.quadrature_error <= ABS_TOL
-        assert abs(result.t_lower - exact) <= ABS_TOL
 
-    def test_row_past_the_depth_cap_is_an_error_row(self):
+    def test_row_past_the_panel_cap_is_an_error_row(self):
         # F = (s - 20)**2 + 1e-9: its rounding noise near s = 20 never lets
         # the Kronrod and Gauss sums agree
         with pytest.raises(QuadratureError) as exc_info:
             lower_bound_integral(CAPPED, 10.0)
         message = str(exc_info.value)
         assert "E0=10.0" in message and "S=1000000000000.0" in message
-        assert f"MAX_DEPTH={odi.MAX_DEPTH}" in message
+        assert f"MAX_PANELS={odi.MAX_PANELS}" in message
         assert batch([CAPPED], 10.0, skip=QuadratureError) == [None]
 
     def test_search_skips_rows_past_the_cap(self, monkeypatch):
@@ -476,7 +476,7 @@ class TestSecondLevel:
             rows.extend(out)
             return out
 
-        monkeypatch.setattr(odi, "MAX_DEPTH", 0)
+        monkeypatch.setattr(odi, "MAX_PANELS", 1)
         monkeypatch.setattr(odi, "lower_bound_integral", integral)
         best = optimize_bound(PARAMS, 3.0, 6.0, 1.0, 1.0)
         grid = rows[:COARSE_GRID ** 2 + 1]  # with the seed that q = 2p adds
@@ -542,7 +542,7 @@ BATCH_ROWS = {
 }
 # F = s**2 - 9.5 s vanishes at 9.5, just below E0 = 10
 NEAR_ROOT = Denominator.of(((1.0, 2.0), (0.0, 1.5)) + _PAD, mu1=-9.5)
-# F = (s - 20)**2 + 1e-9 misses the tolerance at the depth cap
+# F = (s - 20)**2 + 1e-9 misses the tolerance at the panel cap
 CAPPED = Denominator.of(((1.0, 2.0), (0.0, 1.5)) + _PAD, mu1=-40.0,
                         c=400.0 + 1e-9)
 # F(10) = 100 - 100 = 0
@@ -579,14 +579,20 @@ class TestBatchedIntegral:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_batch_matches_solo_calls(self, monkeypatch):
         # a row of every path: accepted whole, bisected once or more, deep
-        # near a root or a steep term, and past the depth cap
+        # near a root or a steep term, and past the panel cap
         dens = [*BATCH_ROWS.values(), NEAR_ROOT, CAPPED]
         skip = (QuadratureError,)
-        alone = [row for d in dens
-                 for row in lower_bound_integral(d, 10.0, skip=skip)]
         levels = kronrod_panels(monkeypatch)
+        alone, depth, panels = [], [], 0
+        for d in dens:
+            alone += lower_bound_integral(d, 10.0, skip=skip)
+            depth.append(len(levels))
+            panels += sum(levels)
+            levels.clear()
         rows = batch(dens * 2, 10.0, skip=skip)
-        assert len(levels) == odi.MAX_DEPTH + 1  # the capped row's levels
+        # the rows' levels run together, and each row takes its own panels
+        assert len(levels) == max(depth)
+        assert sum(levels) == 2 * panels
         assert rows == alone * 2  # every field, compared with ==
         assert rows[-1] is None
         assert [row.flags for row in rows[:4]] == \
@@ -934,8 +940,7 @@ class TestOneAtATimeOracle:
                                      0.011107270348609331,
                                      0.002244929109070634)
 
-    # F overflows to inf far out on the range, where 1/F is below 1e-308;
-    # an integral within ABS_TOL / REL_TOL of 0 is taken to ABS_TOL
+    # F overflows to inf far out on the range, where 1/F is below 1e-308
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(3, 5), fq=st.floats(0.02, 1), fp=st.floats(0.02, 0.98),
@@ -956,8 +961,7 @@ class TestEpsilonMonotone:
     """The search pins epsilon at the top of its range because the bound
     cannot fall as epsilon grows: each m_i falls and S rises."""
 
-    # F overflows to inf far out on the range, where 1/F is below 1e-308;
-    # an integral within ABS_TOL / REL_TOL of 0 is taken to ABS_TOL
+    # F overflows to inf far out on the range, where 1/F is below 1e-308
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(ni=admissible_indices(),
